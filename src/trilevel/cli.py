@@ -4,13 +4,14 @@ Commands: verify, evolve, dispersive-compare, weights, sweep, spectrum.
 Configs are flat key = value text with dotted keys for the initial state;
 outputs are CSV (time series, spectra, weight tables), JSON (structured
 summaries), and SVG (diagrams), all byte-deterministic for a fixed config.
-Exit codes: 0 success, 1 check failure, 2 config error, 3 truncation-unsafe
-run.
+Exit codes: 0 success, 1 check failure (including a trajectory that drifts
+in norm, excitation or energy), 2 config error, 3 truncation-unsafe run.
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import sys
@@ -21,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .hilbert import SpaceSpec
-from .operators import verify_algebra
+from .operators import eigenvalues, verify_algebra
 from .hamiltonian import (
     LAMBDA,
     VEE,
@@ -30,6 +31,7 @@ from .hamiltonian import (
     build_hamiltonian,
     dark_state,
     excitation_operator,
+    free_hamiltonian,
     interaction_hamiltonian,
     rotation_parameters,
     rotation_report,
@@ -41,10 +43,9 @@ from .dynamics import (
     TrajectoryRecord,
     TruncationError,
     evolve,
+    prepare_initial,
     semiclassical_sweep,
 )
-from .hamiltonian import free_hamiltonian
-from .dynamics import prepare_initial
 from .weights import diagram_layout, render_svg, weight_table
 
 EXIT_OK = 0
@@ -55,6 +56,7 @@ EXIT_TRUNCATION = 3
 DEFAULT_VERIFY_GUARD = 2
 DEFAULT_DISPERSIVE_GUARD = 3
 DEFAULT_SWEEP_NBARS = (4.0, 8.0, 16.0, 32.0)
+TOL_CONSERVATION = 1e-10
 
 KNOWN_KEYS = {
     "scheme", "atoms", "n_max", "omega", "E1", "E2", "E3",
@@ -116,17 +118,7 @@ class RunConfig:
             if len(parts) != 3:
                 raise ConfigError("initial.atom: occupation must have three entries")
             atomic = parts  # type: ignore[assignment]
-        kind, _, raw = self.initial_field.partition(":")
-        if kind not in ("fock", "coherent") or not raw:
-            raise ConfigError(
-                f"initial.field: expected fock:<n> or coherent:<alpha>, got "
-                f"{self.initial_field!r}"
-            )
-        try:
-            value = complex(raw) if kind == "coherent" else complex(int(raw))
-        except ValueError:
-            raise ConfigError(f"initial.field: cannot parse value {raw!r}") from None
-        return InitialState(atomic, (kind, value))
+        return InitialState(atomic, _parse_field(self.initial_field))
 
     def time_grid(self) -> TimeGrid:
         if self.t_max is None:
@@ -142,9 +134,23 @@ class RunConfig:
 
 def _parse_scalar(key: str, raw: str, kind):
     try:
-        return kind(raw)
+        value = kind(raw)
     except ValueError:
         raise ConfigError(f"{key}: cannot parse {raw!r} as {kind.__name__}") from None
+    if not cmath.isfinite(value):
+        raise ConfigError(f"{key}: must be finite, got {raw!r}")
+    return value
+
+
+def _parse_field(text: str) -> tuple[str, complex]:
+    """``fock:<n>`` or ``coherent:<alpha>`` as (kind, value)."""
+    kind, _, raw = text.partition(":")
+    if kind not in ("fock", "coherent") or not raw:
+        raise ConfigError(
+            f"initial.field: expected fock:<n> or coherent:<alpha>, got {text!r}"
+        )
+    value = _parse_scalar("initial.field", raw, complex if kind == "coherent" else int)
+    return kind, complex(value)
 
 
 def parse_config(text: str) -> RunConfig:
@@ -195,15 +201,13 @@ def parse_config(text: str) -> RunConfig:
 
     n_bars = None
     if "sweep.n_bar" in values:
-        try:
-            n_bars = tuple(float(v.strip()) for v in values["sweep.n_bar"].split(","))
-        except ValueError:
-            raise ConfigError(
-                f"sweep.n_bar: expected comma-separated numbers, got "
-                f"{values['sweep.n_bar']!r}"
-            ) from None
+        n_bars = tuple(_parse_scalar("sweep.n_bar", v.strip(), float)
+                       for v in values["sweep.n_bar"].split(","))
         if any(nb < 0 for nb in n_bars):
             raise ConfigError("sweep.n_bar: values must be >= 0")
+
+    if "initial.field" in values:
+        _parse_field(values["initial.field"])
 
     guard = _parse_scalar("guard", values["guard"], int) if "guard" in values else None
     if guard is not None and guard < 0:
@@ -322,6 +326,10 @@ def cmd_evolve(cfg: RunConfig, out: Path) -> int:
     write_trajectory_csv(out / "trajectory.csv", record)
     print(f"evolve: wrote {out / 'trajectory.csv'} "
           f"({'ok' if record.truncation_safe else 'TRUNCATION-UNSAFE'})")
+    quantity, drift = record.max_drift()
+    if drift > TOL_CONSERVATION:
+        print(f"  FAIL {quantity} drift {drift:.3e} > {TOL_CONSERVATION:.0e}")
+        return EXIT_CHECK_FAILURE
     return EXIT_OK if record.truncation_safe else EXIT_TRUNCATION
 
 
@@ -395,11 +403,11 @@ def cmd_sweep(cfg: RunConfig, out: Path) -> int:
 def cmd_spectrum(cfg: RunConfig, out: Path) -> int:
     spec = cfg.space_spec()
     ham = build_hamiltonian(spec, cfg.hamiltonian_spec())
-    eigenvalues = np.linalg.eigvalsh(ham.mat)
+    spectrum = eigenvalues(ham)
     lines = ["index,eigenvalue"]
-    lines.extend(f"{k},{_fmt(v)}" for k, v in enumerate(eigenvalues))
+    lines.extend(f"{k},{_fmt(v)}" for k, v in enumerate(spectrum))
     (out / "spectrum.csv").write_text("\n".join(lines) + "\n")
-    print(f"spectrum: wrote {out / 'spectrum.csv'} ({len(eigenvalues)} eigenvalues)")
+    print(f"spectrum: wrote {out / 'spectrum.csv'} ({len(spectrum)} eigenvalues)")
     return EXIT_OK
 
 

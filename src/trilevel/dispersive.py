@@ -24,12 +24,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .hilbert import SpaceSpec, index_map
+from .hilbert import SpaceSpec, basis_table
 from .operators import (
     OperatorMatrix,
     PRODUCT,
     atomic_operator,
     deformed_operator,
+    exp_hermitian,
     field_operator,
     identity,
     lift,
@@ -85,10 +86,7 @@ def dispersive_params(h: HamiltonianSpec, n_bar: float, atoms: int) -> Dispersiv
 def small_rotation(spec: SpaceSpec, i: int, j: int, eps: float) -> OperatorMatrix:
     """exp[eps (X_ij - X_ij^dag)], computed by Hermitian eigendecomposition."""
     x = deformed_operator(spec, i, j)
-    gen = x - x.dag()
-    w, v = np.linalg.eigh(1j * gen.mat)
-    u = (v * np.exp(-1j * eps * w)) @ v.conj().T
-    out = OperatorMatrix(PRODUCT, spec, u)
+    out = exp_hermitian(1j * (x - x.dag()), eps)  # exp(eps G) = exp(-i eps (i G))
     defect = (out @ out.dag() - identity(spec, PRODUCT)).max_abs()
     if defect > TOL_UNITARY:
         raise RuntimeError(f"small rotation is not unitary (defect {defect:.2e})")
@@ -161,28 +159,19 @@ def analytic_effective(spec: SpaceSpec, h: HamiltonianSpec,
 def transfer_block_mask(spec: SpaceSpec, scheme: str, guard: int) -> np.ndarray:
     """Boolean mask of matrix elements moving one excitation within the
     degenerate pair at equal photon number, inside the guarded subspace."""
-    imap = index_map(spec)
-    pair_slot = 0 if scheme == LAMBDA else 1  # occupation slot of the pair's first level
-    dim = spec.product_dim
-    occ = [imap.split(k) for k in range(dim)]
-    mask = np.zeros((dim, dim), dtype=bool)
-    limit = spec.n_max - guard
-    for r in range(dim):
-        (occ_r, n_r) = occ[r]
-        if n_r > limit:
-            continue
-        for c in range(dim):
-            (occ_c, n_c) = occ[c]
-            if n_c != n_r or n_c > limit:
-                continue
-            if scheme == LAMBDA:
-                same_spectator = occ_r[2] == occ_c[2]
-                moved = abs(occ_r[0] - occ_c[0]) == 1
-            else:
-                same_spectator = occ_r[0] == occ_c[0]
-                moved = abs(occ_r[1] - occ_c[1]) == 1
-            mask[r, c] = same_spectator and moved
-    return mask
+    table = basis_table(spec)
+    # lambda: the pair is (1, 2) with level 3 spectating; vee: (2, 3) with level 1
+    moved_slot, spectator_slot = (0, 2) if scheme == LAMBDA else (1, 0)
+    moved = table.occupations[:, moved_slot]
+    spectator = table.occupations[:, spectator_slot]
+    n = table.photons
+    inside = n <= spec.n_max - guard
+    return (
+        (inside[:, None] & inside[None, :])
+        & (n[:, None] == n[None, :])
+        & (spectator[:, None] == spectator[None, :])
+        & (np.abs(moved[:, None] - moved[None, :]) == 1)
+    )
 
 
 def block_residual(spec: SpaceSpec, h: HamiltonianSpec, p: DispersiveParams,

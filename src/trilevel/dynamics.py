@@ -1,10 +1,10 @@
 """Exact unitary evolution and the population-transfer experiments.
 
-Propagation goes through one dense Hermitian eigendecomposition per
-Hamiltonian, so there is no step-size error to tune; trajectories record
-level populations, photon number, norm, the conserved excitation count,
-energy, and the population sitting in the top photon slab (truncation
-leakage).  The experiments contrast the two layouts in the dispersive
+Propagation goes through the Hermitian eigendecomposition of every
+Hamiltonian block the initial state touches, so there is no step-size
+error to tune; trajectories record level populations, photon number,
+norm, the conserved excitation count, energy, and the population sitting
+in the top photon slab (truncation leakage).  The experiments contrast the two layouts in the dispersive
 regime: the lambda layout supports no transfer out of the vacuum, the vee
 layout always transfers through the vacuum-triggered channel.
 """
@@ -16,8 +16,16 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .hilbert import Occupation, SpaceSpec, index_map
-from .operators import OperatorMatrix, atomic_operator, field_operator, identity, lift, PRODUCT
+from .hilbert import Occupation, SpaceSpec, basis_table, index_map
+from .operators import (
+    PRODUCT,
+    OperatorMatrix,
+    atomic_operator,
+    field_operator,
+    hermitian_blocks,
+    identity,
+    lift,
+)
 from .hamiltonian import (
     LAMBDA,
     HamiltonianSpec,
@@ -83,6 +91,18 @@ class TrajectoryRecord:
 
     def population(self, level: int) -> np.ndarray:
         return (self.pop1, self.pop2, self.pop3)[level - 1]
+
+    def max_drift(self) -> tuple[str, float]:
+        """Largest departure from t = 0 among the conserved quantities, as
+        (name, drift); each drift is relative to max(1, |value at t = 0|).
+        A non-finite trajectory drifts by inf."""
+        drifts = {}
+        for name, series in (("norm", self.norm), ("excitation", self.excitation),
+                             ("energy", self.energy)):
+            drift = float(np.max(np.abs(series - series[0]))) / max(1.0, abs(series[0]))
+            drifts[name] = drift if math.isfinite(drift) else math.inf
+        worst = max(drifts, key=drifts.__getitem__)
+        return worst, drifts[worst]
 
 
 def coherent_amplitudes(alpha: complex, n_max: int) -> tuple[np.ndarray, float]:
@@ -159,15 +179,33 @@ def prepare_initial(spec: SpaceSpec, init: InitialState,
 
 
 def propagate(ham: OperatorMatrix, psi0: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """psi(t) = exp(-i H t) psi0 for every sample, columns indexed by time."""
+    """psi(t) = exp(-i H t) psi0 for every sample, columns indexed by time.
+
+    Only the blocks of H that psi0 occupies are diagonalized; every other
+    row stays exactly zero."""
     if not ham.is_hermitian(1e-12):
         raise ValueError("Hamiltonian is not Hermitian")
     if psi0.shape != (ham.dim,):
         raise ValueError(f"state dimension {psi0.shape} does not match {ham.dim}")
-    w, v = np.linalg.eigh(ham.mat)
-    coeff = v.conj().T @ psi0
-    phases = np.exp(-1j * np.outer(w, times))  # (dim, T)
-    return v @ (phases * coeff[:, None])
+    states = np.zeros((ham.dim, len(times)), dtype=np.complex128)
+    for idx, w, v in hermitian_blocks(ham, support=psi0 != 0):
+        coeff = np.einsum("mba,mb->ma", v.conj(), psi0[idx])
+        phases = np.exp(-1j * w[:, :, None] * times)  # (m, b, T)
+        states[idx] = v @ (phases * coeff[:, :, None])
+    return states
+
+
+def _expect(op: OperatorMatrix, states: np.ndarray) -> np.ndarray:
+    """<psi(t)| op |psi(t)> per sample, over the blocks of op the states reach."""
+    support = np.any(states != 0, axis=1)
+    out = np.zeros(states.shape[1])
+    for idx in op.blocks.groups:
+        idx = idx[support[idx].any(axis=1)]
+        if len(idx):
+            block_states = states[idx]  # (m, b, T)
+            blocks = op.mat[idx[:, :, None], idx[:, None, :]]
+            out += np.real(np.sum(block_states.conj() * (blocks @ block_states), axis=(0, 1)))
+    return out
 
 
 def evolve(ham: OperatorMatrix, psi0: np.ndarray, grid: TimeGrid,
@@ -184,27 +222,18 @@ def evolve(ham: OperatorMatrix, psi0: np.ndarray, grid: TimeGrid,
     states = propagate(ham, psi0, times)  # (dim, T)
     weights = np.abs(states) ** 2
 
-    imap = index_map(spec)
-    occs = [imap.split(k) for k in range(spec.product_dim)]
-    popdiag = [
-        np.array([occ[lvl] for (occ, _n) in occs], dtype=float) for lvl in range(3)
-    ]
-    photdiag = np.array([n for (_occ, n) in occs], dtype=float)
-    leakdiag = np.array([1.0 if n == spec.n_max else 0.0 for (_occ, n) in occs])
-
-    def dense_expect(op: OperatorMatrix) -> np.ndarray:
-        return np.real(np.sum(states.conj() * (op.mat @ states), axis=0))
-
-    leakage = leakdiag @ weights
+    table = basis_table(spec)
+    pops = table.occupations.T.astype(float) @ weights  # (3, T)
+    leakage = (table.photons == spec.n_max).astype(float) @ weights
     return TrajectoryRecord(
         times=times,
-        pop1=popdiag[0] @ weights,
-        pop2=popdiag[1] @ weights,
-        pop3=popdiag[2] @ weights,
-        n_photon=photdiag @ weights,
+        pop1=pops[0],
+        pop2=pops[1],
+        pop3=pops[2],
+        n_photon=table.photons.astype(float) @ weights,
         norm=np.sqrt(np.sum(weights, axis=0)),
-        excitation=dense_expect(excitation),
-        energy=dense_expect(ham),
+        excitation=_expect(excitation, states),
+        energy=_expect(ham, states),
         leakage=leakage,
         truncation_safe=bool(np.max(leakage) <= LEAKAGE_LIMIT),
     )

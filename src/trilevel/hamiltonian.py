@@ -18,13 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import SpaceSpec, enumerate_atomic_basis, index_map
+from .hilbert import SpaceSpec, basis_table, enumerate_atomic_basis, index_map
 from .operators import (
     ATOMIC,
     PRODUCT,
     OperatorMatrix,
     atomic_operator,
     deformed_operator,
+    exp_hermitian,
     field_operator,
     identity,
     lift,
@@ -106,16 +107,15 @@ class RotationResult:
 
 def free_hamiltonian(spec: SpaceSpec, h: HamiltonianSpec) -> OperatorMatrix:
     """Sum of level energies times populations plus omega times photon number."""
-    out = h.omega * lift(spec, field_operator(spec, "number"))
-    for i, e in enumerate(h.energies, start=1):
-        out = out + e * lift(spec, atomic_operator(spec, i, i))
-    return out
+    table = basis_table(spec)
+    diag = h.omega * table.photons
+    for level, e in enumerate(h.energies):
+        diag = diag + e * table.occupations[:, level]
+    return OperatorMatrix(PRODUCT, spec, np.diag(diag))
 
 
 def interaction_hamiltonian(spec: SpaceSpec, h: HamiltonianSpec) -> OperatorMatrix:
     """Sum over coupled pairs of g_ij (X_ij + X_ij^dag)."""
-    from .operators import deformed_operator
-
     out = OperatorMatrix(PRODUCT, spec, np.zeros((spec.product_dim,) * 2))
     for (i, j) in h.coupled_pairs():
         x = deformed_operator(spec, i, j)
@@ -200,13 +200,6 @@ def dark_state(spec: SpaceSpec, h: HamiltonianSpec, fock_n: int) -> np.ndarray:
     return np.kron(dark_atomic_vector(h, spec.atoms), field)
 
 
-def _exp_antihermitian(g: OperatorMatrix, theta: float) -> OperatorMatrix:
-    """exp(theta G) for anti-Hermitian G via eigendecomposition of i G."""
-    w, v = np.linalg.eigh(1j * g.mat)
-    u = (v * np.exp(-1j * theta * w)) @ v.conj().T
-    return OperatorMatrix(g.space, g.spec, u)
-
-
 def _rotation_generator(spec: SpaceSpec, h: HamiltonianSpec) -> OperatorMatrix:
     la, lb = h.degenerate_pair
     return lift(spec, atomic_operator(spec, la, lb)) - lift(
@@ -217,8 +210,7 @@ def _rotation_generator(spec: SpaceSpec, h: HamiltonianSpec) -> OperatorMatrix:
 def dark_block_residual(spec: SpaceSpec, transformed: OperatorMatrix) -> float:
     """Largest matrix element of a rotated Hamiltonian that changes the
     dark-mode occupation (slot 2 of the occupation triple)."""
-    imap = index_map(spec)
-    n2 = np.array([imap.split(k)[0][1] for k in range(spec.product_dim)])
+    n2 = basis_table(spec).occupations[:, 1]
     mask = n2[:, None] != n2[None, :]
     if not mask.any():
         return 0.0
@@ -238,7 +230,7 @@ def mode_rotation_unitary(spec: SpaceSpec, h: HamiltonianSpec,
     ham = build_hamiltonian(spec, h)
     candidates = []
     for theta in (r.angle, -r.angle):
-        u = _exp_antihermitian(gen, theta)
+        u = exp_hermitian(1j * gen, theta)  # exp(theta G) = exp(-i theta (i G))
         unitary_defect = (u @ u.dag() - identity(spec, PRODUCT)).max_abs()
         if unitary_defect > 1e-12:
             raise RuntimeError(f"mode rotation is not unitary (defect {unitary_defect:.2e})")

@@ -16,6 +16,9 @@ built on the canonical orderings fixed here:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+
+import numpy as np
 
 Occupation = tuple[int, int, int]
 
@@ -94,3 +97,26 @@ class IndexMap:
 
 def index_map(spec: SpaceSpec) -> IndexMap:
     return IndexMap(spec)
+
+
+@dataclass(frozen=True, eq=False)
+class BasisTable:
+    """Per-index labels of the product basis as read-only arrays.
+
+    ``occupations[k]`` is the occupation triple and ``photons[k]`` the
+    photon number of flat index k, so a mask over basis states is one
+    broadcast instead of a loop over ``IndexMap.split``.
+    """
+
+    occupations: np.ndarray  # (product_dim, 3) int
+    photons: np.ndarray  # (product_dim,) int
+
+
+@lru_cache(maxsize=32)
+def basis_table(spec: SpaceSpec) -> BasisTable:
+    atomic = np.array(enumerate_atomic_basis(spec.atoms), dtype=np.int64)
+    occupations = np.repeat(atomic, spec.field_dim, axis=0)
+    photons = np.tile(np.arange(spec.field_dim, dtype=np.int64), spec.atomic_dim)
+    occupations.setflags(write=False)
+    photons.setflags(write=False)
+    return BasisTable(occupations, photons)

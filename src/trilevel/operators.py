@@ -7,6 +7,13 @@ population.  The photon-dressed transitions X_ij pair an atomic transition
 with absorption of one photon, X_ij = a S_ij for the pairs (3,1), (2,1),
 (3,2), and with emission for the conjugate pairs, X_ij = X_ji^dag.
 
+Product-space operators conserve an excitation count, so their matrices
+split into exactly decoupled blocks.  Each product-space OperatorMatrix
+finds the connected components of its own nonzero pattern on first use
+(exactly, with no tolerance) and multiplies, diagonalizes and
+exponentiates one block at a time; atomic and field operators stay plain
+dense.
+
 verify_algebra re-derives the operator identities numerically.  The
 first-order commutators are exact on the (untruncated) atomic space.  The
 second-order identities contain a a^dag, which the hard photon cutoff
@@ -18,10 +25,11 @@ expose that boundary artifact.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .hilbert import SpaceSpec, enumerate_atomic_basis, index_map
+from .hilbert import SpaceSpec, basis_table, enumerate_atomic_basis
 
 ATOMIC = "atomic"
 FIELD = "field"
@@ -48,12 +56,91 @@ def _space_dim(spec: SpaceSpec, space: str) -> int:
     raise ValueError(f"unknown space tag {space!r}")
 
 
+def _component_labels(dim: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Smallest member of the connected component of every index, for the
+    undirected graph with edges rows[k] -- cols[k].
+
+    Min-label propagation with pointer jumping; labels only decrease and
+    stay inside their component, so the fixed point labels each component
+    by its smallest index.
+    """
+    labels = np.arange(dim)
+    while True:
+        low = np.minimum(labels[rows], labels[cols])
+        new = labels.copy()
+        np.minimum.at(new, rows, low)
+        np.minimum.at(new, cols, low)
+        new = new[new]
+        if np.array_equal(new, labels):
+            return labels
+        labels = new
+
+
+@dataclass(frozen=True, eq=False)
+class BlockPartition:
+    """Connected components of a nonzero pattern, grouped by size.
+
+    ``labels[k]`` is the smallest index of the component holding k; each
+    entry of ``groups`` is an (m, b) index array listing the m components
+    of size b, members in ascending order.
+    """
+
+    labels: np.ndarray
+    groups: tuple[np.ndarray, ...]
+
+    @classmethod
+    def from_labels(cls, labels: np.ndarray) -> "BlockPartition":
+        order = np.argsort(labels, kind="stable")
+        ordered = labels[order]
+        starts = np.flatnonzero(np.concatenate([[True], ordered[1:] != ordered[:-1]]))
+        sizes = np.concatenate([starts[1:], [len(labels)]]) - starts
+        groups = tuple(order[starts[sizes == b][:, None] + np.arange(b)]
+                       for b in sorted(set(sizes.tolist())))
+        return cls(labels, groups)
+
+    @property
+    def count(self) -> int:
+        return sum(idx.shape[0] for idx in self.groups)
+
+    def join(self, other: "BlockPartition") -> "BlockPartition":
+        """Finest partition that both partitions refine."""
+        for a, b in ((self, other), (other, self)):
+            if np.array_equal(b.labels[a.labels], b.labels):
+                return b  # every block of a lies inside one block of b
+        dim = len(self.labels)
+        every = np.arange(dim)
+        rows = np.concatenate([every, every])
+        cols = np.concatenate([self.labels, other.labels])
+        return BlockPartition.from_labels(_component_labels(dim, rows, cols))
+
+    def nonzeros(self, mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Row and column indices of the nonzeros of ``mat``, which must
+        vanish outside these blocks; only the blocks are read."""
+        rows, cols = [], []
+        for idx in self.groups:
+            k, r, c = np.nonzero(_gather(mat, idx))
+            rows.append(idx[k, r])
+            cols.append(idx[k, c])
+        return np.concatenate(rows), np.concatenate(cols)
+
+
+def _gather(mat: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """The (m, b, b) stack of diagonal blocks of ``mat`` listed by ``idx``."""
+    return mat[idx[:, :, None], idx[:, None, :]]
+
+
+def _scatter(out: np.ndarray, idx: np.ndarray, blocks: np.ndarray) -> None:
+    out[idx[:, :, None], idx[:, None, :]] = blocks
+
+
 @dataclass(frozen=True, eq=False)
 class OperatorMatrix:
     """Complex square matrix tagged with the space it acts on.
 
     Instances are immutable; the wrapped array is copied on construction
     and marked read-only, so values can be shared freely between workers.
+    A read-only complex array that owns its data cannot change and is
+    taken as it is.
     """
 
     space: str
@@ -62,20 +149,41 @@ class OperatorMatrix:
 
     def __post_init__(self) -> None:
         dim = _space_dim(self.spec, self.space)
-        mat = np.array(self.mat, dtype=np.complex128)
+        mat = self.mat
+        frozen = (isinstance(mat, np.ndarray) and mat.dtype == np.complex128
+                  and mat.flags.owndata and not mat.flags.writeable)
+        if not frozen:
+            mat = np.array(mat, dtype=np.complex128)
+            mat.setflags(write=False)
         if mat.shape != (dim, dim):
             raise ValueError(
                 f"expected shape {(dim, dim)} on the {self.space} space, got {mat.shape}"
             )
-        mat.setflags(write=False)
         object.__setattr__(self, "mat", mat)
 
     @property
     def dim(self) -> int:
         return self.mat.shape[0]
 
+    @cached_property
+    def blocks(self) -> BlockPartition:
+        """Connected components of ``mat != 0`` (one block off the product space)."""
+        if self.space != PRODUCT:
+            return BlockPartition.from_labels(np.zeros(self.dim, dtype=np.intp))
+        coarse = self.__dict__.get("_coarse")
+        rows, cols = np.nonzero(self.mat) if coarse is None else coarse.nonzeros(self.mat)
+        return BlockPartition.from_labels(_component_labels(self.dim, rows, cols))
+
+    def _known_blocks(self) -> BlockPartition | None:
+        """The partition, or a coarsening of it, if one is already at hand."""
+        return self.__dict__.get("blocks") or self.__dict__.get("_coarse")
+
+    def _joined_known(self, other: "OperatorMatrix") -> BlockPartition | None:
+        mine, theirs = self._known_blocks(), other._known_blocks()
+        return None if mine is None or theirs is None else mine.join(theirs)
+
     def dag(self) -> "OperatorMatrix":
-        return OperatorMatrix(self.space, self.spec, self.mat.conj().T)
+        return _wrap(self.space, self.spec, self.mat.T.conj(), self._known_blocks())
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.mat)))
@@ -105,27 +213,50 @@ class OperatorMatrix:
 
     def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         self._compatible(other)
-        return OperatorMatrix(self.space, self.spec, self.mat + other.mat)
+        return _wrap(self.space, self.spec, self.mat + other.mat, self._joined_known(other))
 
     def __sub__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         self._compatible(other)
-        return OperatorMatrix(self.space, self.spec, self.mat - other.mat)
+        return _wrap(self.space, self.spec, self.mat - other.mat, self._joined_known(other))
 
     def __neg__(self) -> "OperatorMatrix":
-        return OperatorMatrix(self.space, self.spec, -self.mat)
+        return _wrap(self.space, self.spec, -self.mat, self._known_blocks())
 
     def __mul__(self, scalar: complex) -> "OperatorMatrix":
-        return OperatorMatrix(self.space, self.spec, self.mat * complex(scalar))
+        return _wrap(self.space, self.spec, self.mat * complex(scalar), self._known_blocks())
 
     __rmul__ = __mul__
 
     def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
+        """Matrix product, one block of the joined nonzero pattern at a time."""
         self._compatible(other)
-        return OperatorMatrix(self.space, self.spec, self.mat @ other.mat)
+        if self.space != PRODUCT:
+            return _wrap(self.space, self.spec, self.mat @ other.mat)
+        joined = self.blocks.join(other.blocks)
+        if joined.count == 1:
+            return _wrap(self.space, self.spec, self.mat @ other.mat)
+        out = np.zeros_like(self.mat)
+        for idx in joined.groups:
+            _scatter(out, idx, _gather(self.mat, idx) @ _gather(other.mat, idx))
+        return _wrap(self.space, self.spec, out, joined)
+
+
+def _wrap(space: str, spec: SpaceSpec, mat: np.ndarray,
+          coarse: BlockPartition | None = None) -> OperatorMatrix:
+    """Operator around a freshly computed complex array, frozen instead of
+    copied.  ``coarse``, if given, is a partition outside whose blocks
+    ``mat`` vanishes; finding ``blocks`` then reads only those blocks."""
+    mat.setflags(write=False)
+    out = OperatorMatrix(space, spec, mat)
+    if coarse is not None:
+        out.__dict__["_coarse"] = coarse
+    return out
 
 
 def identity(spec: SpaceSpec, space: str) -> OperatorMatrix:
-    return OperatorMatrix(space, spec, np.eye(_space_dim(spec, space)))
+    dim = _space_dim(spec, space)
+    return _wrap(space, spec, np.eye(dim, dtype=np.complex128),
+                 BlockPartition.from_labels(np.arange(dim)))
 
 
 def atomic_operator(spec: SpaceSpec, i: int, j: int) -> OperatorMatrix:
@@ -167,21 +298,33 @@ def field_operator(spec: SpaceSpec, kind: str) -> OperatorMatrix:
     return OperatorMatrix(FIELD, spec, mat)
 
 
+def _product_operator(spec: SpaceSpec, atomic: np.ndarray,
+                      field: np.ndarray) -> OperatorMatrix:
+    """atomic (x) field on the product space, written from the nonzeros of
+    both factors (photon index fastest)."""
+    ar, ac = np.nonzero(atomic)
+    fr, fc = np.nonzero(field)
+    f = spec.field_dim
+    mat = np.zeros((spec.product_dim,) * 2, dtype=np.complex128)
+    mat[ar[:, None] * f + fr, ac[:, None] * f + fc] = (
+        atomic[ar, ac][:, None] * field[fr, fc]
+    )
+    return _wrap(PRODUCT, spec, mat)
+
+
 def lift(spec: SpaceSpec, op: OperatorMatrix) -> OperatorMatrix:
     """Embed an atomic or field operator into the product space.
 
-    The identity fills the complementary factor; the Kronecker order
-    matches the canonical flat index (photon index fastest).
+    The identity fills the complementary factor; the tensor order matches
+    the canonical flat index (photon index fastest).
     """
     if op.spec != spec:
         raise SpaceMismatchError(f"operator spec {op.spec} does not match {spec}")
     if op.space == ATOMIC:
-        mat = np.kron(op.mat, np.eye(spec.field_dim))
-    elif op.space == FIELD:
-        mat = np.kron(np.eye(spec.atomic_dim), op.mat)
-    else:
-        raise SpaceMismatchError("lift expects an atomic or field operator")
-    return OperatorMatrix(PRODUCT, spec, mat)
+        return _product_operator(spec, op.mat, np.eye(spec.field_dim))
+    if op.space == FIELD:
+        return _product_operator(spec, np.eye(spec.atomic_dim), op.mat)
+    raise SpaceMismatchError("lift expects an atomic or field operator")
 
 
 def deformed_operator(spec: SpaceSpec, i: int, j: int) -> OperatorMatrix:
@@ -192,8 +335,8 @@ def deformed_operator(spec: SpaceSpec, i: int, j: int) -> OperatorMatrix:
     X_ij = X_ji^dag.
     """
     if (i, j) in DEFORMED_PAIRS:
-        a = lift(spec, field_operator(spec, "annihilate"))
-        return a @ lift(spec, atomic_operator(spec, i, j))
+        return _product_operator(spec, atomic_operator(spec, i, j).mat,
+                                 field_operator(spec, "annihilate").mat)
     if (j, i) in DEFORMED_PAIRS:
         return deformed_operator(spec, j, i).dag()
     raise ValueError(f"no dressed transition for level pair ({i}, {j})")
@@ -203,16 +346,47 @@ def commutator(m: OperatorMatrix, n: OperatorMatrix) -> OperatorMatrix:
     return (m @ n) - (n @ m)
 
 
+def hermitian_blocks(op: OperatorMatrix, support: np.ndarray | None = None):
+    """Eigendecomposition of a Hermitian operator, one block at a time.
+
+    Yields (idx, w, v) per group of equal-size blocks: idx is the (m, b)
+    index array of the blocks, w their (m, b) eigenvalues and v the
+    (m, b, b) eigenvector columns.  With a boolean ``support`` mask only
+    blocks holding a supported index are diagonalized.  One-state blocks
+    need no solver: the eigenvalue is the real diagonal entry.
+    """
+    for idx in op.blocks.groups:
+        if support is not None:
+            idx = idx[support[idx].any(axis=1)]
+            if not len(idx):
+                continue
+        blocks = _gather(op.mat, idx)
+        if idx.shape[1] == 1:
+            yield idx, blocks[:, :, 0].real, np.ones_like(blocks)
+            continue
+        pairs = [np.linalg.eigh(block) for block in blocks]
+        yield idx, np.array([w for w, _ in pairs]), np.array([v for _, v in pairs])
+
+
+def exp_hermitian(h: OperatorMatrix, t: float) -> OperatorMatrix:
+    """exp(-i t H) for Hermitian H; elements between blocks are exactly zero."""
+    out = np.zeros_like(h.mat)
+    for idx, w, v in hermitian_blocks(h):
+        _scatter(out, idx, (v * np.exp(-1j * t * w)[:, None, :]) @ v.conj().swapaxes(1, 2))
+    return _wrap(h.space, h.spec, out, h.blocks)
+
+
+def eigenvalues(h: OperatorMatrix) -> np.ndarray:
+    """Ascending spectrum of a Hermitian operator, collected block by block."""
+    return np.sort(np.concatenate([w.ravel() for _, w, _ in hermitian_blocks(h)]))
+
+
 def guarded_projector(spec: SpaceSpec, guard: int) -> OperatorMatrix:
     """Orthogonal projector onto product states with photon number <= n_max - guard."""
     if not 0 <= guard <= spec.n_max:
         raise ValueError(f"guard must be in [0, {spec.n_max}], got {guard}")
-    imap = index_map(spec)
-    diag = np.array(
-        [1.0 if imap.split(k)[1] <= spec.n_max - guard else 0.0
-         for k in range(spec.product_dim)]
-    )
-    return OperatorMatrix(PRODUCT, spec, np.diag(diag))
+    keep = basis_table(spec).photons <= spec.n_max - guard
+    return OperatorMatrix(PRODUCT, spec, np.diag(keep.astype(float)))
 
 
 @dataclass(frozen=True)
@@ -267,10 +441,7 @@ def verify_algebra(spec: SpaceSpec, mode: str, guard: int = 1) -> list[IdentityR
     if mode == "second_order":
         if not 0 <= guard <= spec.n_max:
             raise ValueError(f"guard must be in [0, {spec.n_max}], got {guard}")
-        imap = index_map(spec)
-        keep = np.array(
-            [imap.split(k)[1] <= spec.n_max - guard for k in range(spec.product_dim)]
-        )
+        keep = basis_table(spec).photons <= spec.n_max - guard
         num = lift(spec, field_operator(spec, "number"))
         one = identity(spec, PRODUCT)
 

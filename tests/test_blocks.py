@@ -1,0 +1,321 @@
+"""Block kernels against dense numpy references.
+
+Every product-space operator splits into the connected components of its
+nonzero pattern; the spectra, exponentials, products, propagation and
+dispersive residuals computed block by block must agree with the plain
+dense computation on the same matrices.  The dense references live here,
+not in the package.  The loop versions of the basis-table masks are kept
+here as references too.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
+
+from trilevel.dispersive import (
+    _ordered_rotations,
+    analytic_effective,
+    block_residual,
+    dispersive_params,
+    effective_transform,
+    small_rotation,
+    transfer_block_mask,
+)
+from trilevel.dynamics import TimeGrid, evolve, propagate
+from trilevel.hamiltonian import (
+    LAMBDA,
+    VEE,
+    HamiltonianSpec,
+    _rotation_generator,
+    build_hamiltonian,
+    dark_block_residual,
+    excitation_operator,
+    rotation_report,
+)
+from trilevel.hilbert import SpaceSpec, basis_table, index_map
+from trilevel.operators import (
+    PRODUCT,
+    commutator,
+    deformed_operator,
+    eigenvalues,
+    exp_hermitian,
+    field_operator,
+    guarded_projector,
+    identity,
+    lift,
+)
+
+TOL = 1e-12
+
+
+# --- dense references -------------------------------------------------------
+
+def dense_exp(h: np.ndarray, t: float) -> np.ndarray:
+    w, v = np.linalg.eigh(h)
+    return (v * np.exp(-1j * t * w)) @ v.conj().T
+
+
+def dense_propagate(h: np.ndarray, psi0: np.ndarray, times: np.ndarray) -> np.ndarray:
+    w, v = np.linalg.eigh(h)
+    return v @ (np.exp(-1j * np.outer(w, times)) * (v.conj().T @ psi0)[:, None])
+
+
+def dense_block_residual(spec, h, p, guard) -> float:
+    outer, inner = _ordered_rotations(spec, p)
+    u = outer.mat @ inner.mat
+    transformed = u @ build_hamiltonian(spec, h).mat @ u.conj().T
+    diff = transformed - analytic_effective(spec, h, p).matrix().mat
+    mask = transfer_block_mask(spec, h.scheme, guard)
+    return float(np.max(np.abs(diff[mask]))) if mask.any() else 0.0
+
+
+def reference_labels(mat: np.ndarray) -> np.ndarray:
+    """Smallest index of the connected component of every state, by search."""
+    adjacent = (mat != 0) | (mat != 0).T
+    labels = np.full(len(mat), -1)
+    for start in range(len(mat)):
+        if labels[start] >= 0:
+            continue
+        labels[start] = start
+        stack = [start]
+        while stack:
+            for k in np.flatnonzero(adjacent[stack.pop()]):
+                if labels[k] < 0:
+                    labels[k] = start
+                    stack.append(int(k))
+    return labels
+
+
+def scale(*mats: np.ndarray) -> float:
+    return max(1.0, math.prod(float(np.max(np.abs(m))) for m in mats))
+
+
+def cross_block_mask(op) -> np.ndarray:
+    labels = op.blocks.labels
+    return labels[:, None] != labels[None, :]
+
+
+# --- strategies ---------------------------------------------------------------
+
+coupling = st.floats(0.01, 0.5)
+
+
+@st.composite
+def models(draw):
+    scheme = draw(st.sampled_from([LAMBDA, VEE]))
+    spec = SpaceSpec(draw(st.integers(1, 3)), draw(st.integers(1, 5)))
+    energies = tuple(sorted(draw(st.lists(st.floats(-5.0, 5.0), min_size=3, max_size=3))))
+    h = HamiltonianSpec(scheme, energies, draw(st.floats(0.5, 2.0)),
+                        g31=draw(coupling), g32=draw(coupling), g21=draw(coupling))
+    return spec, h
+
+
+# --- differential tests -------------------------------------------------------
+
+@given(models())
+def test_block_spectrum_matches_dense(model):
+    spec, h = model
+    ham = build_hamiltonian(spec, h)
+    dense = np.linalg.eigvalsh(ham.mat)
+    assert np.max(np.abs(eigenvalues(ham) - dense)) <= TOL * scale(ham.mat)
+
+
+@given(models(), st.floats(-3.0, 3.0))
+def test_block_exponential_matches_dense(model, t):
+    spec, h = model
+    ham = build_hamiltonian(spec, h)
+    u = exp_hermitian(ham, t)
+    assert np.max(np.abs(u.mat - dense_exp(ham.mat, t))) <= TOL * scale(t * ham.mat)
+    assert np.all(u.mat[cross_block_mask(ham)] == 0.0)
+
+
+@given(models(), st.floats(-0.5, 0.5))
+def test_rotation_exponentials_match_dense(model, theta):
+    spec, h = model
+    gens = [_rotation_generator(spec, h)]
+    for (i, j) in h.coupled_pairs():
+        x = deformed_operator(spec, i, j)
+        gens.append(x - x.dag())
+    for g in gens:
+        u = exp_hermitian(1j * g, theta)
+        expected = dense_exp(1j * g.mat, theta)
+        assert np.max(np.abs(u.mat - expected)) <= TOL * scale(theta * g.mat)
+        assert np.all(u.mat[cross_block_mask(g)] == 0.0)
+    rot = small_rotation(spec, *h.coupled_pairs()[0], theta)
+    x = deformed_operator(spec, *h.coupled_pairs()[0])
+    assert np.all(rot.mat[cross_block_mask(x - x.dag())] == 0.0)
+
+
+@given(models())
+def test_block_products_match_dense(model):
+    spec, h = model
+    ham = build_hamiltonian(spec, h)
+    a = lift(spec, field_operator(spec, "annihilate"))
+    n_exc = excitation_operator(spec, h.scheme)
+    x = deformed_operator(spec, *h.coupled_pairs()[0])
+    u = exp_hermitian(ham, 0.7)
+    pairs = [(a, ham), (ham, x), (x, x.dag()), (u, ham), (ham, u.dag()),
+             (identity(spec, PRODUCT), x), (n_exc, ham)]
+    # lift(a) @ H joins every excitation block into one component
+    assert a.blocks.join(ham.blocks).count == 1
+    for m, n in pairs:
+        assert np.max(np.abs((m @ n).mat - m.mat @ n.mat)) <= TOL * scale(m.mat, n.mat)
+    comm = commutator(ham, n_exc)
+    dense = ham.mat @ n_exc.mat - n_exc.mat @ ham.mat
+    assert np.max(np.abs(comm.mat - dense)) <= TOL * scale(ham.mat, n_exc.mat)
+
+
+@given(models())
+def test_partitions_of_derived_operators_are_exact(model):
+    spec, h = model
+    ham = build_hamiltonian(spec, h)
+    x = deformed_operator(spec, *h.coupled_pairs()[-1])
+    n_exc = excitation_operator(spec, h.scheme)
+    hx, xh = ham @ x, x @ ham
+    a = lift(spec, field_operator(spec, "annihilate"))
+    # partitions of different patterns are known before the sums below use them
+    assert all(op.blocks.count >= 1 for op in (a, ham, hx))
+    ops = [ham, x, n_exc, hx, xh, hx + xh, hx - xh, -hx, 0.5 * xh, hx.dag(),
+           a + ham, hx - a, a @ ham, (a + a.dag()) @ hx,
+           x + x.dag(), (x + x.dag()) @ (x - x.dag()), commutator(ham, x),
+           exp_hermitian(ham, 0.3), exp_hermitian(ham, 0.3).dag() @ x,
+           identity(spec, PRODUCT), identity(spec, PRODUCT) - n_exc]
+    for op in ops:
+        assert np.array_equal(op.blocks.labels, reference_labels(op.mat))
+    assert sum(idx.size for idx in ham.blocks.groups) == spec.product_dim
+
+
+@given(models(), st.integers(0, 2**32 - 1), st.booleans(), st.floats(0.5, 10.0))
+def test_propagate_matches_dense(model, seed, basis_state, t_max):
+    spec, h = model
+    ham = build_hamiltonian(spec, h)
+    rng = np.random.default_rng(seed)
+    if basis_state:
+        psi0 = np.zeros(spec.product_dim, dtype=np.complex128)
+        psi0[rng.integers(spec.product_dim)] = 1.0
+    else:
+        psi0 = rng.normal(size=spec.product_dim) + 1j * rng.normal(size=spec.product_dim)
+        psi0 /= np.linalg.norm(psi0)
+    times = np.linspace(0.0, t_max, 9)
+    states = propagate(ham, psi0, times)
+    expected = dense_propagate(ham.mat, psi0, times)
+    assert np.max(np.abs(states - expected)) <= TOL * scale(t_max * ham.mat)
+
+    record = evolve(ham, psi0, TimeGrid(t_max, 9), excitation_operator(spec, h.scheme))
+    n_exc = excitation_operator(spec, h.scheme).mat
+    for series, op in ((record.energy, ham.mat), (record.excitation, n_exc)):
+        dense = np.real(np.sum(expected.conj() * (op @ expected), axis=0))
+        assert np.max(np.abs(series - dense)) <= TOL * scale(t_max * ham.mat, op)
+
+
+@st.composite
+def dispersive_models(draw):
+    scheme = draw(st.sampled_from([LAMBDA, VEE]))
+    spec = SpaceSpec(draw(st.integers(1, 3)), draw(st.integers(3, 5)))
+    gap = draw(st.floats(2.5, 4.0))
+    energies = (0.0, 0.0, gap) if scheme == LAMBDA else (0.0, gap, gap)
+    h = HamiltonianSpec(scheme, energies, 1.0,
+                        g31=draw(st.floats(0.01, 0.15)), g32=draw(st.floats(0.01, 0.15)),
+                        g21=draw(st.floats(0.01, 0.15)))
+    return spec, h
+
+
+@given(dispersive_models(), st.integers(2, 3))
+def test_dispersive_residual_matches_dense(model, guard):
+    spec, h = model
+    try:
+        p = dispersive_params(h, 0.0, spec.atoms)
+    except ValueError:
+        assume(False)
+    assume(guard <= spec.n_max)
+    block = block_residual(spec, h, p, guard)
+    dense = dense_block_residual(spec, h, p, guard)
+    assert abs(block - dense) <= TOL * scale(build_hamiltonian(spec, h).mat)
+    transformed = effective_transform(spec, h, p)
+    assert transformed.is_hermitian(TOL * scale(transformed.mat))
+
+
+# --- eigh size guard ----------------------------------------------------------
+
+def largest_sector(spec: SpaceSpec, scheme: str) -> int:
+    table = basis_table(spec)
+    count = table.photons + table.occupations[:, 2]
+    if scheme == VEE:
+        count = count + table.occupations[:, 1]
+    return int(np.bincount(count).max())
+
+
+@pytest.mark.parametrize("scheme", [LAMBDA, VEE])
+def test_no_eigh_beyond_largest_excitation_sector(scheme, monkeypatch):
+    spec = SpaceSpec(3, 6)
+    if scheme == LAMBDA:
+        h = HamiltonianSpec(LAMBDA, (0.0, 0.0, 3.0), 1.0, g31=0.1, g32=0.07)
+    else:
+        h = HamiltonianSpec(VEE, (0.0, 3.0, 3.0), 1.0, g31=0.1, g21=0.07)
+    dims = []
+    eigh = np.linalg.eigh
+
+    def recording_eigh(a, *args, **kwargs):
+        dims.append(np.shape(a)[-1])
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    rotation_report(spec, h)
+    effective_transform(spec, h, dispersive_params(h, 1.0, spec.atoms))
+    ham = build_hamiltonian(spec, h)
+    psi0 = np.zeros(spec.product_dim, dtype=np.complex128)
+    psi0[index_map(spec).flat((3, 0, 0), 2)] = 1.0
+    evolve(ham, psi0, TimeGrid(10.0, 11), excitation_operator(spec, scheme))
+    assert dims, "no eigendecomposition was recorded"
+    assert max(dims) <= largest_sector(spec, scheme) < spec.product_dim
+
+
+# --- basis table against the per-index loops ----------------------------------
+
+@pytest.mark.parametrize("atoms,n_max", [(1, 3), (2, 4), (3, 2)])
+def test_basis_table_matches_split(atoms, n_max):
+    spec = SpaceSpec(atoms, n_max)
+    imap = index_map(spec)
+    table = basis_table(spec)
+    for k in range(spec.product_dim):
+        occ, n = imap.split(k)
+        assert tuple(table.occupations[k]) == occ
+        assert table.photons[k] == n
+
+
+@pytest.mark.parametrize("scheme", [LAMBDA, VEE])
+@pytest.mark.parametrize("guard", [0, 1, 2])
+def test_transfer_block_mask_matches_loop(scheme, guard):
+    spec = SpaceSpec(2, 3)
+    imap = index_map(spec)
+    dim = spec.product_dim
+    expected = np.zeros((dim, dim), dtype=bool)
+    limit = spec.n_max - guard
+    for r in range(dim):
+        occ_r, n_r = imap.split(r)
+        for c in range(dim):
+            occ_c, n_c = imap.split(c)
+            if n_r > limit or n_c != n_r:
+                continue
+            if scheme == LAMBDA:
+                expected[r, c] = occ_r[2] == occ_c[2] and abs(occ_r[0] - occ_c[0]) == 1
+            else:
+                expected[r, c] = occ_r[0] == occ_c[0] and abs(occ_r[1] - occ_c[1]) == 1
+    assert np.array_equal(transfer_block_mask(spec, scheme, guard), expected)
+
+
+def test_guarded_projector_and_dark_residual_match_loops():
+    spec = SpaceSpec(2, 4)
+    imap = index_map(spec)
+    splits = [imap.split(k) for k in range(spec.product_dim)]
+    diag = [1.0 if n <= spec.n_max - 1 else 0.0 for (_occ, n) in splits]
+    assert np.array_equal(guarded_projector(spec, 1).mat, np.diag(diag))
+
+    h = HamiltonianSpec(LAMBDA, (0.0, 0.0, 3.0), 1.0, g31=0.1, g32=0.05)
+    ham = build_hamiltonian(spec, h).mat
+    n2 = np.array([occ[1] for (occ, _n) in splits])
+    expected = float(np.max(np.abs(ham[n2[:, None] != n2[None, :]])))
+    assert dark_block_residual(spec, build_hamiltonian(spec, h)) == expected
