@@ -4,8 +4,9 @@ Commands: verify, evolve, dispersive-compare, weights, sweep, spectrum.
 Configs are flat key = value text with dotted keys for the initial state;
 outputs are CSV (time series, spectra, weight tables), JSON (structured
 summaries), and SVG (diagrams), all byte-deterministic for a fixed config.
-Exit codes: 0 success, 1 check failure (including a trajectory that drifts
-in norm, excitation or energy), 2 config error, 3 truncation-unsafe run.
+Exit codes: 0 success, 1 check failure (a failed identity, a trajectory that
+drifts in norm, excitation or energy, or a numerical error), 2 config error,
+3 truncation-unsafe run.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from .hilbert import SpaceSpec
 from .operators import eigenvalues, verify_algebra
 from .hamiltonian import (
     LAMBDA,
-    VEE,
     SCHEMES,
+    TOL_DARK_BLOCK,
     HamiltonianSpec,
     build_hamiltonian,
     dark_state,
@@ -36,7 +37,12 @@ from .hamiltonian import (
     rotation_parameters,
     rotation_report,
 )
-from .dispersive import analytic_effective, dispersive_params, residual_and_order
+from .dispersive import (
+    DEFAULT_GUARD,
+    analytic_effective,
+    dispersive_params,
+    residual_and_order,
+)
 from .dynamics import (
     InitialState,
     TimeGrid,
@@ -44,6 +50,7 @@ from .dynamics import (
     TruncationError,
     evolve,
     prepare_initial,
+    required_fock_cutoff,
     semiclassical_sweep,
 )
 from .weights import diagram_layout, render_svg, weight_table
@@ -54,7 +61,6 @@ EXIT_CONFIG_ERROR = 2
 EXIT_TRUNCATION = 3
 
 DEFAULT_VERIFY_GUARD = 2
-DEFAULT_DISPERSIVE_GUARD = 3
 DEFAULT_SWEEP_NBARS = (4.0, 8.0, 16.0, 32.0)
 TOL_CONSERVATION = 1e-10
 
@@ -284,8 +290,8 @@ def cmd_verify(cfg: RunConfig, out: Path) -> int:
     if r.degenerate:
         rep = rotation_report(spec, h)
         checks.append(_check("dark-mode decoupling after rotation",
-                             rep.dark_coupling_residual, 1e-10,
-                             rep.dark_coupling_residual <= 1e-10))
+                             rep.dark_coupling_residual, TOL_DARK_BLOCK,
+                             rep.dark_coupling_residual <= TOL_DARK_BLOCK))
         coupling_err = abs(rep.extracted_coupling - rep.expected_coupling)
         checks.append(_check("bright coupling equals root-sum-square",
                              coupling_err, 1e-10, coupling_err <= 1e-10))
@@ -299,7 +305,7 @@ def cmd_verify(cfg: RunConfig, out: Path) -> int:
     else:
         checks.append(_check(
             "dark-mode decoupling after rotation (skipped: non-degenerate "
-            "pair energies)", None, 1e-10, True))
+            "pair energies)", None, TOL_DARK_BLOCK, True))
 
     overall = all(c["passed"] for c in checks)
     _dump_json(out / "report.json", {
@@ -314,6 +320,18 @@ def cmd_verify(cfg: RunConfig, out: Path) -> int:
     return EXIT_OK if overall else EXIT_CHECK_FAILURE
 
 
+def _conserved(records: dict[str, TrajectoryRecord]) -> bool:
+    """Whether no trajectory drifts in norm, excitation or energy beyond
+    TOL_CONSERVATION; prints one FAIL line, prefixed by its key, per drift."""
+    ok = True
+    for label, record in records.items():
+        quantity, drift = record.max_drift()
+        if drift > TOL_CONSERVATION:
+            print(f"  FAIL {label}{quantity} drift {drift:.3e} > {TOL_CONSERVATION:.0e}")
+            ok = False
+    return ok
+
+
 def cmd_evolve(cfg: RunConfig, out: Path) -> int:
     spec = cfg.space_spec()
     h = cfg.hamiltonian_spec()
@@ -326,9 +344,7 @@ def cmd_evolve(cfg: RunConfig, out: Path) -> int:
     write_trajectory_csv(out / "trajectory.csv", record)
     print(f"evolve: wrote {out / 'trajectory.csv'} "
           f"({'ok' if record.truncation_safe else 'TRUNCATION-UNSAFE'})")
-    quantity, drift = record.max_drift()
-    if drift > TOL_CONSERVATION:
-        print(f"  FAIL {quantity} drift {drift:.3e} > {TOL_CONSERVATION:.0e}")
+    if not _conserved({"": record}):
         return EXIT_CHECK_FAILURE
     return EXIT_OK if record.truncation_safe else EXIT_TRUNCATION
 
@@ -336,7 +352,7 @@ def cmd_evolve(cfg: RunConfig, out: Path) -> int:
 def cmd_dispersive_compare(cfg: RunConfig, out: Path) -> int:
     spec = cfg.space_spec()
     h = cfg.hamiltonian_spec()
-    guard = cfg.guard if cfg.guard is not None else DEFAULT_DISPERSIVE_GUARD
+    guard = cfg.guard if cfg.guard is not None else DEFAULT_GUARD
     p = dispersive_params(h, cfg.mean_photon_number(), spec.atoms)
     residual, order = residual_and_order(spec, h, p, guard)
 
@@ -367,6 +383,8 @@ def cmd_dispersive_compare(cfg: RunConfig, out: Path) -> int:
         "max_population_deviation": deviation,
     })
     print(f"dispersive-compare: block residual {residual:.3e}, order {order:.2f}")
+    if not _conserved({"exact ": exact, "effective ": effective}):
+        return EXIT_CHECK_FAILURE
     safe = exact.truncation_safe and effective.truncation_safe
     return EXIT_OK if safe else EXIT_TRUNCATION
 
@@ -385,10 +403,8 @@ def cmd_weights(cfg: RunConfig, out: Path) -> int:
 def cmd_sweep(cfg: RunConfig, out: Path) -> int:
     h = cfg.hamiltonian_spec()
     n_bars = list(cfg.n_bars) if cfg.n_bars else list(DEFAULT_SWEEP_NBARS)
-    specs = [
-        SpaceSpec(cfg.atoms, max(2, math.ceil(nb + 8.0 * math.sqrt(nb)) + 4))
-        for nb in n_bars
-    ]
+    specs = [SpaceSpec(cfg.atoms, max(1, required_fock_cutoff(math.sqrt(nb))))
+             for nb in n_bars]
     result = semiclassical_sweep(specs, h, n_bars)
     _dump_json(out / "sweep.json", {
         "command": "sweep",
@@ -465,6 +481,10 @@ def main(argv: list[str] | None = None) -> int:
     except TruncationError as exc:
         print(f"truncation error: {exc}", file=sys.stderr)
         return EXIT_TRUNCATION
+    except (np.linalg.LinAlgError, RuntimeError) as exc:
+        # LinAlgError subclasses ValueError, so it must be caught first
+        print(f"numerical error: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILURE
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

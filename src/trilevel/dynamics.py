@@ -17,24 +17,17 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .hilbert import Occupation, SpaceSpec, basis_table, index_map
-from .operators import (
-    PRODUCT,
-    OperatorMatrix,
-    atomic_operator,
-    field_operator,
-    hermitian_blocks,
-    identity,
-    lift,
-)
+from .operators import PRODUCT, OperatorMatrix, hermitian_blocks
 from .hamiltonian import (
     LAMBDA,
+    VEE,
     HamiltonianSpec,
     build_hamiltonian,
     bright_atomic_vector,
     dark_atomic_vector,
     excitation_operator,
 )
-from .dispersive import DispersiveParams, analytic_effective
+from .dispersive import DispersiveParams, analytic_effective, enhancement_factor
 
 COHERENT_TAIL_LIMIT = 1e-10
 LEAKAGE_LIMIT = 1e-6
@@ -312,14 +305,9 @@ def transfer_experiment(spec: SpaceSpec, h: HamiltonianSpec, p: DispersiveParams
     max_pop = float(np.max(record.population(partner)))
 
     model = analytic_effective(spec, h, p)
-    num = lift(spec, field_operator(spec, "number"))
-    if h.scheme == LAMBDA:
-        factor_op = lift(spec, atomic_operator(spec, 3, 3)) - num
-    else:
-        factor_op = (
-            lift(spec, atomic_operator(spec, 1, 1)) + num + identity(spec, PRODUCT)
-        )
-    factor = float(np.real(psi0.conj() @ (factor_op.mat @ psi0)))
+    table = basis_table(spec)
+    factor = float(np.abs(psi0) ** 2 @ enhancement_factor(h.scheme, table.occupations,
+                                                          table.photons))
 
     predicted = measured = None
     symmetric = abs(h.g31 - (h.g32 if h.scheme == LAMBDA else h.g21)) <= 1e-12
@@ -359,13 +347,14 @@ def semiclassical_sweep(specs: list[SpaceSpec], h: HamiltonianSpec,
     """Relative difference of the two enhancement factors in coherent fields.
 
     For each mean photon number the factors (S33 - n) and (S11 + n + 1) are
-    evaluated with one atom in the respective initial transfer level (1 for
-    lambda, 3 for vee) and the field in a truncated coherent state; the
+    evaluated with every atom in the respective initial transfer level (1
+    for lambda, 3 for vee) and the field in a coherent state truncated at
+    required_fock_cutoff or above, from the truncated Poisson mean; the
     relative measure |f_vee - |f_lambda|| / n_bar decays like 1 / n_bar, and
     the fitted log-log slope is returned alongside the table.  Couplings are
     rescaled so g sqrt(n_bar) stays constant (recorded per row; the factors
-    themselves are coupling-independent).  The n_bar = 0 endpoint is
-    reported without a relative difference.
+    themselves do not depend on the couplings, so h does not enter them).
+    The n_bar = 0 endpoint is reported without a relative difference.
     """
     if len(specs) != len(n_bars):
         raise ValueError("one SpaceSpec is required per n_bar value")
@@ -374,25 +363,17 @@ def semiclassical_sweep(specs: list[SpaceSpec], h: HamiltonianSpec,
     for spec, n_bar in zip(specs, n_bars):
         if n_bar < 0:
             raise ValueError(f"n_bar must be >= 0, got {n_bar}")
-        minimum = n_bar + 6.0 * math.sqrt(n_bar)
+        alpha = math.sqrt(n_bar)
+        minimum = required_fock_cutoff(alpha)
         if spec.n_max < minimum:
             raise ValueError(
-                f"n_max={spec.n_max} below the minimum {math.ceil(minimum)} for n_bar={n_bar}"
+                f"n_max={spec.n_max} below the minimum {minimum} for n_bar={n_bar}"
             )
         scale = math.sqrt(reference / n_bar) if n_bar > 0 else 1.0
-        alpha = math.sqrt(n_bar)
-        init_lambda = InitialState(_single_atom_occupation(spec.atoms, 1), ("coherent", alpha))
-        init_vee = InitialState(_single_atom_occupation(spec.atoms, 3), ("coherent", alpha))
-        psi_l = prepare_initial(spec, init_lambda, h)
-        psi_v = prepare_initial(spec, init_vee, h)
-        num = lift(spec, field_operator(spec, "number"))
-        f_lambda = float(np.real(
-            psi_l.conj() @ ((lift(spec, atomic_operator(spec, 3, 3)) - num).mat @ psi_l)
-        ))
-        f_vee = float(np.real(
-            psi_v.conj() @ ((lift(spec, atomic_operator(spec, 1, 1)) + num
-                             + identity(spec, PRODUCT)).mat @ psi_v)
-        ))
+        weights = np.abs(coherent_amplitudes(alpha, spec.n_max)[0]) ** 2
+        mean_n = float(np.arange(spec.field_dim) @ weights / np.sum(weights))
+        f_lambda = float(enhancement_factor(LAMBDA, (spec.atoms, 0, 0), mean_n))
+        f_vee = float(enhancement_factor(VEE, (0, 0, spec.atoms), mean_n))
         rel = abs(f_vee - abs(f_lambda)) / n_bar if n_bar > 0 else None
         rows.append(SweepRow(n_bar, spec.n_max, scale, f_lambda, f_vee, rel))
 
@@ -404,9 +385,3 @@ def semiclassical_sweep(specs: list[SpaceSpec], h: HamiltonianSpec,
         ys = np.log([rd for _, rd in fit_rows])
         slope = float(np.polyfit(xs, ys, 1)[0])
     return SweepResult(tuple(rows), slope)
-
-
-def _single_atom_occupation(atoms: int, level: int) -> Occupation:
-    occ = [0, 0, 0]
-    occ[level - 1] = atoms
-    return tuple(occ)  # type: ignore[return-value]

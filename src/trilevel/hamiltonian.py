@@ -25,9 +25,7 @@ from .operators import (
     OperatorMatrix,
     atomic_operator,
     deformed_operator,
-    exp_hermitian,
-    field_operator,
-    identity,
+    exp_antihermitian,
     lift,
 )
 
@@ -202,9 +200,7 @@ def dark_state(spec: SpaceSpec, h: HamiltonianSpec, fock_n: int) -> np.ndarray:
 
 def _rotation_generator(spec: SpaceSpec, h: HamiltonianSpec) -> OperatorMatrix:
     la, lb = h.degenerate_pair
-    return lift(spec, atomic_operator(spec, la, lb)) - lift(
-        spec, atomic_operator(spec, lb, la)
-    )
+    return lift(spec, atomic_operator(spec, la, lb) - atomic_operator(spec, lb, la))
 
 
 def dark_block_residual(spec: SpaceSpec, transformed: OperatorMatrix) -> float:
@@ -217,51 +213,48 @@ def dark_block_residual(spec: SpaceSpec, transformed: OperatorMatrix) -> float:
     return float(np.max(np.abs(transformed.mat[mask])))
 
 
-def mode_rotation_unitary(spec: SpaceSpec, h: HamiltonianSpec,
-                          r: RotationResult) -> OperatorMatrix:
-    """Second-quantized rotation of the degenerate mode pair.
+def _decoupling_rotation(spec: SpaceSpec, h: HamiltonianSpec, r: RotationResult,
+                         ham: OperatorMatrix) -> tuple[OperatorMatrix, OperatorMatrix, float]:
+    """(U, U H U^dag, dark-block residual) of the degenerate-pair rotation.
 
-    Built as exp(theta (S_ab - S_ba)) on the pair; the convention tries
-    theta = +angle first and falls back to -angle, keeping whichever sign
-    makes the conjugated Hamiltonian drop all couplings out of the dark
-    mode (only checkable when the paired energies are degenerate).
+    U = exp(theta (S_ab - S_ba)) with theta = +angle, or -angle when +angle
+    leaves the dark mode coupled.  The residual is only checkable when the
+    paired energies are degenerate; otherwise it is NaN and +angle is kept.
     """
     gen = _rotation_generator(spec, h)
-    ham = build_hamiltonian(spec, h)
-    candidates = []
-    for theta in (r.angle, -r.angle):
-        u = exp_hermitian(1j * gen, theta)  # exp(theta G) = exp(-i theta (i G))
-        unitary_defect = (u @ u.dag() - identity(spec, PRODUCT)).max_abs()
-        if unitary_defect > 1e-12:
-            raise RuntimeError(f"mode rotation is not unitary (defect {unitary_defect:.2e})")
-        candidates.append(u)
     if not r.degenerate:
-        warnings.warn(
-            "rotated pair is not degenerate; dark-mode decoupling is not "
-            "guaranteed and was not checked",
-            stacklevel=2,
-        )
-        return candidates[0]
-    for u in candidates:
-        if dark_block_residual(spec, u @ ham @ u.dag()) <= TOL_DARK_BLOCK:
-            return u
+        warnings.warn("rotated pair is not degenerate; dark-mode decoupling is not "
+                      "guaranteed and was not checked", stacklevel=3)
+    for theta in (r.angle, -r.angle):
+        u = exp_antihermitian(gen, theta)
+        rotated = u @ ham @ u.dag()
+        residual = dark_block_residual(spec, rotated) if r.degenerate else math.nan
+        if not r.degenerate or residual <= TOL_DARK_BLOCK:
+            return u, rotated, residual
     raise RuntimeError("mode rotation failed to decouple the dark mode at either sign")
+
+
+def _bright_coupling(spec: SpaceSpec, rotated: OperatorMatrix) -> float:
+    """<(A-1, 0, 1); 0| U H U^dag |(A, 0, 0); 1> / sqrt(A); slot 2 is the
+    dark mode after rotation, so this element isolates the bright 1 <-> 3
+    transition."""
+    imap, a = index_map(spec), spec.atoms
+    element = rotated.mat[imap.flat((a - 1, 0, 1), 0), imap.flat((a, 0, 0), 1)]
+    return float(abs(element) / math.sqrt(a))
+
+
+def mode_rotation_unitary(spec: SpaceSpec, h: HamiltonianSpec,
+                          r: RotationResult) -> OperatorMatrix:
+    """Second-quantized rotation of the degenerate mode pair that takes the
+    dark mode to occupation slot 2 (see _decoupling_rotation)."""
+    return _decoupling_rotation(spec, h, r, build_hamiltonian(spec, h))[0]
 
 
 def extracted_coupling(spec: SpaceSpec, h: HamiltonianSpec,
                        u: OperatorMatrix) -> float:
-    """Bright-transition coupling read off one rotated matrix element.
-
-    Uses <(A-1, 0, 1); 0| U H U^dag |(A, 0, 0); 1> = g_eff sqrt(A); slot 2
-    is the dark mode after rotation, so this element isolates the bright
-    1 <-> 3 transition.
-    """
-    imap = index_map(spec)
-    a = spec.atoms
-    transformed = u @ build_hamiltonian(spec, h) @ u.dag()
-    row = imap.flat((a - 1, 0, 1), 0)
-    col = imap.flat((a, 0, 0), 1)
-    return float(abs(transformed.mat[row, col]) / math.sqrt(a))
+    """Bright-transition coupling read off one element of U H U^dag, which
+    equals g_eff sqrt(A)."""
+    return _bright_coupling(spec, u @ build_hamiltonian(spec, h) @ u.dag())
 
 
 @dataclass(frozen=True)
@@ -276,14 +269,13 @@ class RotationReport:
 
 
 def rotation_report(spec: SpaceSpec, h: HamiltonianSpec) -> RotationReport:
+    """Rotate one Hamiltonian once and read both checks off the result."""
     r = rotation_parameters(h)
-    u = mode_rotation_unitary(spec, h, r)
-    ham = build_hamiltonian(spec, h)
-    resid = dark_block_residual(spec, u @ ham @ u.dag()) if r.degenerate else float("nan")
+    u, rotated, residual = _decoupling_rotation(spec, h, r, build_hamiltonian(spec, h))
     return RotationReport(
         unitary=u,
-        dark_coupling_residual=resid,
-        extracted_coupling=extracted_coupling(spec, h, u),
+        dark_coupling_residual=residual,
+        extracted_coupling=_bright_coupling(spec, rotated),
         expected_coupling=r.effective_coupling,
         degenerate=r.degenerate,
     )
@@ -314,9 +306,8 @@ def excitation_operator(spec: SpaceSpec, scheme: str) -> OperatorMatrix:
     """
     if scheme not in SCHEMES:
         raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
-    out = lift(spec, field_operator(spec, "number")) + lift(
-        spec, atomic_operator(spec, 3, 3)
-    )
+    table = basis_table(spec)
+    diag = table.photons + table.occupations[:, 2]
     if scheme == VEE:
-        out = out + lift(spec, atomic_operator(spec, 2, 2))
-    return out
+        diag = diag + table.occupations[:, 1]
+    return OperatorMatrix(PRODUCT, spec, np.diag(diag))

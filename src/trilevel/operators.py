@@ -40,6 +40,7 @@ LEVELS = (1, 2, 3)
 DEFORMED_PAIRS = ((3, 1), (2, 1), (3, 2))
 
 TOL_ALGEBRA = 1e-12
+TOL_UNITARY = 1e-12
 
 
 class SpaceMismatchError(ValueError):
@@ -374,6 +375,15 @@ def exp_hermitian(h: OperatorMatrix, t: float) -> OperatorMatrix:
     for idx, w, v in hermitian_blocks(h):
         _scatter(out, idx, (v * np.exp(-1j * t * w)[:, None, :]) @ v.conj().swapaxes(1, 2))
     return _wrap(h.space, h.spec, out, h.blocks)
+
+
+def exp_antihermitian(gen: OperatorMatrix, theta: float) -> OperatorMatrix:
+    """exp(theta G) for anti-Hermitian G, checked to be unitary to TOL_UNITARY."""
+    out = exp_hermitian(1j * gen, theta)  # exp(theta G) = exp(-i theta (i G))
+    defect = (out @ out.dag() - identity(gen.spec, gen.space)).max_abs()
+    if defect > TOL_UNITARY:
+        raise RuntimeError(f"rotation is not unitary (defect {defect:.2e})")
+    return out
 
 
 def eigenvalues(h: OperatorMatrix) -> np.ndarray:

@@ -1,0 +1,154 @@
+"""Each quantity is built once, and the shared constructions agree with the
+operator products they replace.
+
+The references rebuild the enhancement factors, the transfer operators and
+the excitation count from lifted collective and field operators, the way
+they were written before the diagonal forms.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+import trilevel.hamiltonian as hamiltonian
+import trilevel.operators as operators
+from trilevel.dispersive import analytic_effective, dispersive_params, small_rotation
+from trilevel.dynamics import (
+    InitialState,
+    prepare_initial,
+    required_fock_cutoff,
+    semiclassical_sweep,
+)
+from trilevel.hamiltonian import (
+    LAMBDA,
+    VEE,
+    HamiltonianSpec,
+    excitation_operator,
+    mode_rotation_unitary,
+    rotation_parameters,
+    rotation_report,
+)
+from trilevel.hilbert import SpaceSpec
+from trilevel.operators import (
+    PRODUCT,
+    OperatorMatrix,
+    atomic_operator,
+    exp_antihermitian,
+    field_operator,
+    identity,
+    lift,
+)
+
+LAMBDA_H = HamiltonianSpec(LAMBDA, (0.0, 0.0, 3.0), 1.0, g31=0.1, g32=0.15)
+VEE_H = HamiltonianSpec(VEE, (0.0, 3.0, 3.0), 1.0, g31=0.12, g21=0.1)
+
+
+def s(spec, i, j):
+    return lift(spec, atomic_operator(spec, i, j))
+
+
+def number(spec):
+    return lift(spec, field_operator(spec, "number"))
+
+
+def factor_reference(spec, scheme):
+    """(S33 - n) for lambda, (S11 + n + 1) for vee, from lifted operators."""
+    if scheme == LAMBDA:
+        return s(spec, 3, 3) - number(spec)
+    return s(spec, 1, 1) + number(spec) + identity(spec, PRODUCT)
+
+
+@pytest.mark.parametrize("h", [LAMBDA_H, VEE_H])
+@pytest.mark.parametrize("atoms", [1, 2])
+def test_rotation_report_builds_the_hamiltonian_once(h, atoms, monkeypatch):
+    calls = []
+    real = hamiltonian.build_hamiltonian
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(hamiltonian, "build_hamiltonian", counting)
+    rep = rotation_report(SpaceSpec(atoms, 3), h)
+    assert len(calls) == 1
+    assert rep.dark_coupling_residual <= hamiltonian.TOL_DARK_BLOCK
+    assert abs(rep.extracted_coupling - rep.expected_coupling) <= 1e-10
+
+
+def test_semiclassical_sweep_builds_no_operator(monkeypatch):
+    def refuse(op):
+        raise AssertionError("semiclassical_sweep built an OperatorMatrix")
+
+    monkeypatch.setattr(OperatorMatrix, "__post_init__", refuse)
+    n_bars = [0.0, 4.0, 9.0]
+    specs = [SpaceSpec(2, max(1, required_fock_cutoff(math.sqrt(nb)))) for nb in n_bars]
+    assert len(semiclassical_sweep(specs, LAMBDA_H, n_bars).rows) == 3
+
+
+@pytest.mark.parametrize("atoms", [1, 2])
+def test_sweep_factors_match_dense_expectation(atoms):
+    n_bars = [0.0, 2.5, 4.0, 9.0]
+    # equal cutoffs for both computations, some above the minimum
+    specs = [SpaceSpec(atoms, required_fock_cutoff(math.sqrt(nb)) + extra)
+             for nb, extra in zip(n_bars, [1, 0, 3, 0])]
+    rows = semiclassical_sweep(specs, LAMBDA_H, n_bars).rows
+    for spec, n_bar, row in zip(specs, n_bars, rows):
+        assert row.n_max == spec.n_max
+        field = ("coherent", complex(math.sqrt(n_bar)))
+        for scheme, occ, value in ((LAMBDA, (atoms, 0, 0), row.factor_lambda),
+                                   (VEE, (0, 0, atoms), row.factor_vee)):
+            psi = prepare_initial(spec, InitialState(occ, field), LAMBDA_H)
+            expected = np.real(psi.conj() @ (factor_reference(spec, scheme).mat @ psi))
+            assert abs(value - expected) <= 1e-12
+
+
+def test_sweep_rejects_a_cutoff_below_the_tail_rule():
+    n_bar = 9.0
+    need = required_fock_cutoff(3.0)
+    semiclassical_sweep([SpaceSpec(1, need)], LAMBDA_H, [n_bar])
+    with pytest.raises(ValueError, match="below the minimum"):
+        semiclassical_sweep([SpaceSpec(1, need - 1)], LAMBDA_H, [n_bar])
+
+
+@pytest.mark.parametrize("scheme", [LAMBDA, VEE])
+@pytest.mark.parametrize("atoms,n_max", [(1, 3), (3, 4)])
+def test_excitation_operator_equals_the_lift_sum(scheme, atoms, n_max):
+    spec = SpaceSpec(atoms, n_max)
+    ref = number(spec) + s(spec, 3, 3)
+    if scheme == VEE:
+        ref = ref + s(spec, 2, 2)
+    assert np.array_equal(excitation_operator(spec, scheme).mat, ref.mat)
+
+
+@pytest.mark.parametrize("h", [LAMBDA_H, VEE_H])
+@pytest.mark.parametrize("atoms,n_max", [(1, 4), (2, 5), (3, 3)])
+def test_analytic_effective_matches_the_lift_product(h, atoms, n_max):
+    spec = SpaceSpec(atoms, n_max)
+    la, lb = h.degenerate_pair
+    ref = (s(spec, la, lb) + s(spec, lb, la)) @ factor_reference(spec, h.scheme)
+    model = analytic_effective(spec, h, dispersive_params(h, 0.0, atoms))
+    assert np.max(np.abs(model.transfer_operator.mat - ref.mat)) <= 1e-15
+
+
+def _non_unitary_exp(h, t):
+    return 2.0 * identity(h.spec, h.space)
+
+
+def test_shared_rotation_checks_unitarity(monkeypatch):
+    spec = SpaceSpec(1, 2)
+    gen = s(spec, 1, 2) - s(spec, 2, 1)
+    exp_antihermitian(gen, 0.3)  # a true rotation passes
+    monkeypatch.setattr(operators, "exp_hermitian", _non_unitary_exp)
+    with pytest.raises(RuntimeError, match="not unitary"):
+        exp_antihermitian(gen, 0.3)
+
+
+@pytest.mark.parametrize("build", [
+    lambda spec: small_rotation(spec, 3, 1, 0.05),
+    lambda spec: mode_rotation_unitary(spec, LAMBDA_H, rotation_parameters(LAMBDA_H)),
+], ids=["small_rotation", "mode_rotation_unitary"])
+def test_both_rotations_go_through_the_check(build, monkeypatch):
+    monkeypatch.setattr(operators, "exp_hermitian", _non_unitary_exp)
+    with pytest.raises(RuntimeError, match="not unitary"):
+        build(SpaceSpec(1, 2))
