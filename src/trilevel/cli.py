@@ -5,8 +5,8 @@ Configs are flat key = value text with dotted keys for the initial state;
 outputs are CSV (time series, spectra, weight tables), JSON (structured
 summaries), and SVG (diagrams), all byte-deterministic for a fixed config.
 Exit codes: 0 success, 1 check failure (a failed identity, a trajectory that
-drifts in norm, excitation or energy, or a numerical error), 2 config error,
-3 truncation-unsafe run.
+drifts in norm, excitation or energy, or a numerical error), 2 config error
+(including a run too large for physical memory), 3 truncation-unsafe run.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import argparse
 import cmath
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass, asdict
@@ -37,12 +38,7 @@ from .hamiltonian import (
     rotation_parameters,
     rotation_report,
 )
-from .dispersive import (
-    DEFAULT_GUARD,
-    analytic_effective,
-    dispersive_params,
-    residual_and_order,
-)
+from .dispersive import DEFAULT_GUARD, compare, dispersive_params
 from .dynamics import (
     InitialState,
     TimeGrid,
@@ -354,14 +350,13 @@ def cmd_dispersive_compare(cfg: RunConfig, out: Path) -> int:
     h = cfg.hamiltonian_spec()
     guard = cfg.guard if cfg.guard is not None else DEFAULT_GUARD
     p = dispersive_params(h, cfg.mean_photon_number(), spec.atoms)
-    residual, order = residual_and_order(spec, h, p, guard)
+    ham, model, residual, order = compare(spec, h, p, guard)
 
     init = cfg.initial_state()
     grid = cfg.time_grid()
     n_exc = excitation_operator(spec, h.scheme)
     psi0 = prepare_initial(spec, init, h)
-    exact = evolve(build_hamiltonian(spec, h), psi0, grid, n_exc)
-    model = analytic_effective(spec, h, p)
+    exact = evolve(ham, psi0, grid, n_exc)
     effective_ham = free_hamiltonian(spec, h) + model.matrix()
     effective = evolve(effective_ham, psi0, grid, n_exc)
     write_trajectory_csv(out / "dispersive_exact.csv", exact)
@@ -437,10 +432,34 @@ COMMANDS = {
 }
 
 
+def _physical_memory() -> int:
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def largest_array_bytes(command: str, cfg: RunConfig) -> int:
+    """Bytes of the largest dense array a command allocates: one complex
+    product-space matrix or, for the trajectory commands, the complex
+    (product_dim, n_samples) state matrix if that is larger."""
+    dim = cfg.space_spec().product_dim
+    samples = (cfg.n_samples or 0) if command in ("evolve", "dispersive-compare") else 0
+    return 16 * dim * max(dim, samples)
+
+
 def run(command: str, cfg: RunConfig) -> int:
-    """Dispatch one command; returns the process exit status."""
+    """Dispatch one command; returns the process exit status.
+
+    Every command but sweep, which builds no matrices, is refused before it
+    builds anything when its largest dense array exceeds physical memory.
+    """
     if command not in COMMANDS:
         raise ConfigError(f"unknown command {command!r}")
+    if command != "sweep":
+        need, memory = largest_array_bytes(command, cfg), _physical_memory()
+        if need > memory:
+            raise ConfigError(
+                f"problem size: the largest dense array needs {need:.3e} bytes, "
+                f"more than the {memory:.3e} bytes of physical memory"
+            )
     out = Path(cfg.out_dir or "out")
     out.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()

@@ -26,14 +26,16 @@ import numpy as np
 
 from .hilbert import SpaceSpec, basis_table
 from .operators import (
+    LAMBDA,
     OperatorMatrix,
-    PRODUCT,
     atomic_operator,
     deformed_operator,
+    diagonal,
+    enhancement_factor,
     exp_antihermitian,
     lift,
 )
-from .hamiltonian import LAMBDA, HamiltonianSpec, build_hamiltonian
+from .hamiltonian import HamiltonianSpec, build_hamiltonian
 
 DEFAULT_GUARD = 3
 
@@ -97,18 +99,21 @@ def _ordered_rotations(spec: SpaceSpec, p: DispersiveParams) -> tuple[OperatorMa
     return outer, inner
 
 
-def effective_transform(spec: SpaceSpec, h: HamiltonianSpec,
-                        p: DispersiveParams) -> OperatorMatrix:
-    """Numerically conjugated Hamiltonian U_outer U_inner H U_inner^dag U_outer^dag.
-
-    The operator order is normative for reproducibility: the (3,1) rotation
-    is innermost for lambda, the (2,1) rotation is innermost for vee.
-    """
+def _conjugated(spec: SpaceSpec, h: HamiltonianSpec,
+                p: DispersiveParams) -> tuple[OperatorMatrix, OperatorMatrix]:
+    """H and U_outer U_inner H U_inner^dag U_outer^dag.  The order is normative
+    for reproducibility: (3,1) is innermost for lambda, (2,1) for vee."""
     if p.scheme != h.scheme:
         raise ValueError(f"params are for scheme {p.scheme!r}, Hamiltonian is {h.scheme!r}")
     outer, inner = _ordered_rotations(spec, p)
     ham = build_hamiltonian(spec, h)
-    return outer @ inner @ ham @ inner.dag() @ outer.dag()
+    return ham, outer @ inner @ ham @ inner.dag() @ outer.dag()
+
+
+def effective_transform(spec: SpaceSpec, h: HamiltonianSpec,
+                        p: DispersiveParams) -> OperatorMatrix:
+    """Numerically conjugated Hamiltonian (see _conjugated for the order)."""
+    return _conjugated(spec, h, p)[1]
 
 
 @dataclass(frozen=True)
@@ -123,21 +128,15 @@ class EffectiveModel:
         return self.prefactor * self.transfer_operator
 
 
-def enhancement_factor(scheme: str, occupations: np.ndarray | tuple[int, int, int],
-                       photons: np.ndarray | float) -> np.ndarray | float:
-    """S33 - n (lambda) or S11 + n + 1 (vee) from the labels of basis states,
-    ``occupations[..., k]`` the level-(k + 1) population.  Linear in the
-    labels, so the mean labels of a state give its expectation value."""
-    occupations = np.asarray(occupations)
-    if scheme == LAMBDA:
-        return occupations[..., 2] - photons
-    return occupations[..., 0] + photons + 1
+def _prefactor(h: HamiltonianSpec, p: DispersiveParams) -> float:
+    pair, g = ((3, 1), h.g32) if h.scheme == LAMBDA else ((2, 1), h.g31)
+    return p.small_params[pair] * g
 
 
 def analytic_effective(spec: SpaceSpec, h: HamiltonianSpec,
                        p: DispersiveParams) -> EffectiveModel:
     """Closed-form transfer operator on the product space: the swap of the
-    degenerate pair times the diagonal enhancement factor.
+    degenerate pair times the diagonal enhancement factor, with a prefactor.
 
     The two factors commute, so their order is immaterial; the result is
     Hermitian by construction.
@@ -147,15 +146,10 @@ def analytic_effective(spec: SpaceSpec, h: HamiltonianSpec,
     la, lb = h.degenerate_pair
     swap = lift(spec, atomic_operator(spec, la, lb) + atomic_operator(spec, lb, la))
     table = basis_table(spec)
-    factor = enhancement_factor(h.scheme, table.occupations, table.photons)
-    op = swap @ OperatorMatrix(PRODUCT, spec, np.diag(factor))
-    if h.scheme == LAMBDA:
-        prefactor = p.small_params[(3, 1)] * h.g32
-    else:
-        prefactor = p.small_params[(2, 1)] * h.g31
+    op = swap @ diagonal(spec, enhancement_factor(h.scheme, table.occupations, table.photons))
     if not op.is_hermitian(1e-12):
         raise RuntimeError("analytic transfer operator is not Hermitian")
-    return EffectiveModel(h.scheme, op, prefactor)
+    return EffectiveModel(h.scheme, op, _prefactor(h, p))
 
 
 def transfer_block_mask(spec: SpaceSpec, scheme: str, guard: int) -> np.ndarray:
@@ -176,49 +170,48 @@ def transfer_block_mask(spec: SpaceSpec, scheme: str, guard: int) -> np.ndarray:
     )
 
 
+def _residual(spec: SpaceSpec, h: HamiltonianSpec, p: DispersiveParams, mask: np.ndarray,
+              transfer: OperatorMatrix) -> tuple[OperatorMatrix, float]:
+    """H and the largest masked difference of its conjugation from the closed form."""
+    ham, conjugated = _conjugated(spec, h, p)
+    diff = conjugated.mat[mask] - _prefactor(h, p) * transfer.mat[mask]
+    return ham, float(np.max(np.abs(diff))) if diff.size else 0.0
+
+
 def block_residual(spec: SpaceSpec, h: HamiltonianSpec, p: DispersiveParams,
                    guard: int) -> float:
     """Max difference between the numeric conjugation and the closed form,
     restricted to the guarded degenerate-transfer block."""
-    mask = transfer_block_mask(spec, h.scheme, guard)
-    diff = effective_transform(spec, h, p) - analytic_effective(spec, h, p).matrix()
-    if not mask.any():
-        return 0.0
-    return float(np.max(np.abs(diff.mat[mask])))
+    transfer = analytic_effective(spec, h, p).transfer_operator
+    return _residual(spec, h, p, transfer_block_mask(spec, h.scheme, guard), transfer)[1]
 
 
-def _doubled_detuning_spec(h: HamiltonianSpec, p: DispersiveParams) -> HamiltonianSpec:
-    """Same couplings, both detunings doubled via a field-frequency shift.
-
-    Requires the scheme's two detunings to be equal (true whenever the
-    degenerate-pair energies coincide); shifting omega by -Delta then
-    exactly halves every eps at fixed g.
-    """
-    deltas = list(p.detunings.values())
-    if abs(deltas[0] - deltas[1]) > 1e-9 * max(1.0, abs(deltas[0])):
-        raise ValueError(
-            "order probe requires equal detunings on the two coupled pairs; "
-            f"got {deltas[0]:.6g} and {deltas[1]:.6g}"
-        )
-    return replace(h, omega=h.omega - deltas[0])
-
-
-def residual_and_order(spec: SpaceSpec, h: HamiltonianSpec, p: DispersiveParams,
-                       guard: int = DEFAULT_GUARD) -> tuple[float, float]:
-    """Transfer-block residual plus its convergence order under eps -> eps/2.
-
-    The closed form is the first-order off-diagonal term, so the residual
-    should shrink at least quadratically: the returned order is
-    log2(residual(eps) / residual(eps/2)), ideally about 2.
-    """
+def compare(spec: SpaceSpec, h: HamiltonianSpec, p: DispersiveParams,
+            guard: int = DEFAULT_GUARD) -> tuple[OperatorMatrix, EffectiveModel, float, float]:
+    """H, the closed-form model, their transfer-block residual and its order
+    log2(residual(eps) / residual(eps/2)): the closed form is the first-order
+    off-diagonal term, so the order should be about 2.  The mask and model
+    serve both detunings; the eps/2 probe's own H and rotations are released
+    before the returned H is built."""
     if guard < 2:
         raise ValueError(f"guard must be >= 2 for dispersive comparisons, got {guard}")
     if any(abs(e) > 0.1 for e in p.small_params.values()):
         raise ValueError("order probe expects |eps| <= 0.1")
-    r1 = block_residual(spec, h, p, guard)
-    h_half = _doubled_detuning_spec(h, p)
+    # omega -> omega - Delta doubles both detunings, halving every eps if they are equal
+    deltas = list(p.detunings.values())
+    if abs(deltas[0] - deltas[1]) > 1e-9 * max(1.0, abs(deltas[0])):
+        raise ValueError("order probe requires equal detunings on the two coupled pairs; "
+                         f"got {deltas[0]:.6g} and {deltas[1]:.6g}")
+    model = analytic_effective(spec, h, p)
+    h_half = replace(h, omega=h.omega - deltas[0])
     p_half = dispersive_params(h_half, p.n_bar, spec.atoms)
-    r2 = block_residual(spec, h_half, p_half, guard)
-    if r1 < 1e-14 or r2 < 1e-14:
-        return r1, math.inf
-    return r1, math.log2(r1 / r2)
+    mask = transfer_block_mask(spec, h.scheme, guard)
+    r2 = _residual(spec, h_half, p_half, mask, model.transfer_operator)[1]
+    ham, r1 = _residual(spec, h, p, mask, model.transfer_operator)
+    return ham, model, r1, math.inf if r1 < 1e-14 or r2 < 1e-14 else math.log2(r1 / r2)
+
+
+def residual_and_order(spec: SpaceSpec, h: HamiltonianSpec, p: DispersiveParams,
+                       guard: int = DEFAULT_GUARD) -> tuple[float, float]:
+    """Transfer-block residual plus its convergence order (see compare)."""
+    return compare(spec, h, p, guard)[2:]

@@ -17,17 +17,16 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .hilbert import Occupation, SpaceSpec, basis_table, index_map
-from .operators import PRODUCT, OperatorMatrix, hermitian_blocks
+from .operators import (LAMBDA, PRODUCT, VEE, OperatorMatrix, enhancement_factor,
+                        hermitian_blocks)
 from .hamiltonian import (
-    LAMBDA,
-    VEE,
     HamiltonianSpec,
     build_hamiltonian,
     bright_atomic_vector,
     dark_atomic_vector,
     excitation_operator,
 )
-from .dispersive import DispersiveParams, analytic_effective, enhancement_factor
+from .dispersive import DispersiveParams, analytic_effective
 
 COHERENT_TAIL_LIMIT = 1e-10
 LEAKAGE_LIMIT = 1e-6

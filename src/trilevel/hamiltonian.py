@@ -18,20 +18,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import SpaceSpec, basis_table, enumerate_atomic_basis, index_map
+from .hilbert import SpaceSpec, basis_table, index_map
 from .operators import (
     ATOMIC,
+    LAMBDA,
     PRODUCT,
+    SCHEMES,
+    VEE,
     OperatorMatrix,
     atomic_operator,
     deformed_operator,
+    diagonal,
     exp_antihermitian,
     lift,
 )
-
-LAMBDA = "lambda"
-VEE = "vee"
-SCHEMES = (LAMBDA, VEE)
 
 TOL_HERMITIAN = 1e-12
 TOL_DARK_BLOCK = 1e-10
@@ -109,7 +109,7 @@ def free_hamiltonian(spec: SpaceSpec, h: HamiltonianSpec) -> OperatorMatrix:
     diag = h.omega * table.photons
     for level, e in enumerate(h.energies):
         diag = diag + e * table.occupations[:, level]
-    return OperatorMatrix(PRODUCT, spec, np.diag(diag))
+    return diagonal(spec, diag)
 
 
 def interaction_hamiltonian(spec: SpaceSpec, h: HamiltonianSpec) -> OperatorMatrix:
@@ -162,14 +162,13 @@ def _mode_pair_vector(atoms: int, levels: tuple[int, int],
     """All atoms in one superposition mode of two levels (binomial state)."""
     la, lb = levels
     ca, cb = amplitudes
-    states = enumerate_atomic_basis(atoms)
-    idx = {occ: k for k, occ in enumerate(states)}
-    vec = np.zeros(len(states), dtype=np.complex128)
+    imap = index_map(SpaceSpec(atoms, 1))  # the field cutoff plays no part
+    vec = np.zeros(len(imap.states), dtype=np.complex128)
     for k in range(atoms + 1):
         occ = [0, 0, 0]
         occ[la - 1] = k
         occ[lb - 1] = atoms - k
-        vec[idx[tuple(occ)]] = math.sqrt(math.comb(atoms, k)) * ca**k * cb**(atoms - k)
+        vec[imap.atomic_index(occ)] = math.sqrt(math.comb(atoms, k)) * ca**k * cb**(atoms - k)
     return vec
 
 
@@ -310,4 +309,4 @@ def excitation_operator(spec: SpaceSpec, scheme: str) -> OperatorMatrix:
     diag = table.photons + table.occupations[:, 2]
     if scheme == VEE:
         diag = diag + table.occupations[:, 1]
-    return OperatorMatrix(PRODUCT, spec, np.diag(diag))
+    return diagonal(spec, diag)

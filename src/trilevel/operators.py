@@ -29,12 +29,16 @@ from functools import cached_property
 
 import numpy as np
 
-from .hilbert import SpaceSpec, basis_table, enumerate_atomic_basis
+from .hilbert import SpaceSpec, basis_table, index_map
 
 ATOMIC = "atomic"
 FIELD = "field"
 PRODUCT = "product"
 SPACES = (ATOMIC, FIELD, PRODUCT)
+
+LAMBDA = "lambda"
+VEE = "vee"
+SCHEMES = (LAMBDA, VEE)
 
 LEVELS = (1, 2, 3)
 DEFORMED_PAIRS = ((3, 1), (2, 1), (3, 2))
@@ -260,6 +264,14 @@ def identity(spec: SpaceSpec, space: str) -> OperatorMatrix:
                  BlockPartition.from_labels(np.arange(dim)))
 
 
+def diagonal(spec: SpaceSpec, values: np.ndarray) -> OperatorMatrix:
+    """Product-space operator with ``values`` on the diagonal, one block per state."""
+    dim = spec.product_dim
+    mat = np.zeros((dim, dim), dtype=np.complex128)
+    np.fill_diagonal(mat, values)
+    return _wrap(PRODUCT, spec, mat, BlockPartition.from_labels(np.arange(dim)))
+
+
 def atomic_operator(spec: SpaceSpec, i: int, j: int) -> OperatorMatrix:
     """Collective transition S_ij on the symmetric space.
 
@@ -269,10 +281,9 @@ def atomic_operator(spec: SpaceSpec, i: int, j: int) -> OperatorMatrix:
     """
     if i not in LEVELS or j not in LEVELS:
         raise ValueError(f"levels must be in {LEVELS}, got ({i}, {j})")
-    states = enumerate_atomic_basis(spec.atoms)
-    idx = {occ: k for k, occ in enumerate(states)}
+    imap = index_map(spec)
     mat = np.zeros((spec.atomic_dim, spec.atomic_dim), dtype=np.complex128)
-    for col, occ in enumerate(states):
+    for col, occ in enumerate(imap.states):
         if i == j:
             mat[col, col] = occ[i - 1]
             continue
@@ -281,7 +292,7 @@ def atomic_operator(spec: SpaceSpec, i: int, j: int) -> OperatorMatrix:
         target = list(occ)
         target[j - 1] -= 1
         target[i - 1] += 1
-        mat[idx[tuple(target)], col] = np.sqrt((occ[i - 1] + 1) * occ[j - 1])
+        mat[imap.atomic_index(target), col] = np.sqrt((occ[i - 1] + 1) * occ[j - 1])
     return OperatorMatrix(ATOMIC, spec, mat)
 
 
@@ -395,8 +406,18 @@ def guarded_projector(spec: SpaceSpec, guard: int) -> OperatorMatrix:
     """Orthogonal projector onto product states with photon number <= n_max - guard."""
     if not 0 <= guard <= spec.n_max:
         raise ValueError(f"guard must be in [0, {spec.n_max}], got {guard}")
-    keep = basis_table(spec).photons <= spec.n_max - guard
-    return OperatorMatrix(PRODUCT, spec, np.diag(keep.astype(float)))
+    return diagonal(spec, basis_table(spec).photons <= spec.n_max - guard)
+
+
+def enhancement_factor(scheme: str, occupations: np.ndarray | tuple[int, int, int],
+                       photons: np.ndarray | float) -> np.ndarray | float:
+    """S33 - n (lambda) or S11 + n + 1 (vee) from the labels of basis states,
+    ``occupations[..., k]`` the level-(k + 1) population.  Linear in the
+    labels, so the mean labels of a state give its expectation value."""
+    occupations = np.asarray(occupations)
+    if scheme == LAMBDA:
+        return occupations[..., 2] - photons
+    return occupations[..., 0] + photons + 1
 
 
 @dataclass(frozen=True)
@@ -451,31 +472,24 @@ def verify_algebra(spec: SpaceSpec, mode: str, guard: int = 1) -> list[IdentityR
     if mode == "second_order":
         if not 0 <= guard <= spec.n_max:
             raise ValueError(f"guard must be in [0, {spec.n_max}], got {guard}")
-        keep = basis_table(spec).photons <= spec.n_max - guard
-        num = lift(spec, field_operator(spec, "number"))
-        one = identity(spec, PRODUCT)
+        table = basis_table(spec)
+        occ, num = table.occupations, table.photons
+        keep = num <= spec.n_max - guard
+        s21, s32 = (lift(spec, atomic_operator(spec, i, j)) for i, j in ((2, 1), (3, 2)))
+        x31, x23, x12 = (deformed_operator(spec, i, j) for i, j in ((3, 1), (2, 3), (1, 2)))
 
-        def s(i, j):
-            return lift(spec, atomic_operator(spec, i, j))
+        def check(name, lhs, factor, transition):
+            sub = (lhs - diagonal(spec, factor) @ transition).mat[np.ix_(keep, keep)]
+            return _report(name, float(np.max(np.abs(sub))) if sub.size else 0.0, guard)
 
-        x31 = deformed_operator(spec, 3, 1)
-        x23 = deformed_operator(spec, 2, 3)
-        x12 = deformed_operator(spec, 1, 2)
-        checks = [
-            ("X23 X31 = n (S33 + 1) S21",
-             (x23 @ x31) - (num @ (s(3, 3) + one) @ s(2, 1))),
-            ("X31 X23 = (n + 1) S33 S21",
-             (x31 @ x23) - ((num + one) @ s(3, 3) @ s(2, 1))),
-            ("[X31, X23] = (S33 - n) S21",
-             commutator(x31, x23) - ((s(3, 3) - num) @ s(2, 1))),
-            ("[X31, X12] = (S11 + n + 1) S32",
-             commutator(x31, x12) - ((s(1, 1) + num + one) @ s(3, 2))),
+        # right-hand sides: a label diagonal times S21 or S32; one check alive at a time
+        return [
+            check("X23 X31 = n (S33 + 1) S21", x23 @ x31, num * (occ[:, 2] + 1), s21),
+            check("X31 X23 = (n + 1) S33 S21", x31 @ x23, (num + 1) * occ[:, 2], s21),
+            check("[X31, X23] = (S33 - n) S21", commutator(x31, x23),
+                  enhancement_factor(LAMBDA, occ, num), s21),
+            check("[X31, X12] = (S11 + n + 1) S32", commutator(x31, x12),
+                  enhancement_factor(VEE, occ, num), s32),
         ]
-        reports = []
-        for name, diff in checks:
-            sub = diff.mat[np.ix_(keep, keep)]
-            resid = float(np.max(np.abs(sub))) if sub.size else 0.0
-            reports.append(_report(name, resid, guard))
-        return reports
 
     raise ValueError(f"unknown verification mode {mode!r}")

@@ -1,0 +1,183 @@
+"""dispersive-compare builds H once per detuning and the transfer operator
+once, the verify identities agree exactly with their lift-built form, and a
+run too large for physical memory is refused before anything is built.
+
+The identity reference rebuilds the right-hand sides from lifted collective
+and field operators, the way they were written before the label diagonals.
+"""
+
+import json
+import math
+
+import numpy as np
+import pytest
+
+import trilevel.cli as cli
+import trilevel.dispersive as dispersive
+import trilevel.dynamics as dynamics
+import trilevel.hamiltonian as hamiltonian
+from trilevel.cli import main, parse_config
+from trilevel.dispersive import dispersive_params, residual_and_order
+from trilevel.hilbert import SpaceSpec
+from trilevel.operators import (
+    PRODUCT,
+    OperatorMatrix,
+    atomic_operator,
+    commutator,
+    deformed_operator,
+    field_operator,
+    identity,
+    lift,
+    verify_algebra,
+)
+
+LAMBDA_CONF = """\
+scheme = lambda
+atoms = 2
+n_max = 5
+omega = 1.0
+E1 = 0.0
+E2 = 0.0
+E3 = 3.0
+g31 = 0.1
+g32 = 0.08
+t_max = 40.0
+n_samples = 101
+initial.atom = 1,1,0
+initial.field = fock:1
+"""
+
+VEE_CONF = """\
+scheme = vee
+atoms = 2
+n_max = 5
+omega = 1.0
+E1 = 0.0
+E2 = 3.0
+E3 = 3.0
+g31 = 0.07
+g21 = 0.1
+t_max = 40.0
+n_samples = 101
+initial.atom = 0,1,1
+initial.field = fock:0
+"""
+
+
+def run(command, text, tmp_path):
+    conf = tmp_path / "run.conf"
+    conf.write_text(text)
+    return main([command, "--config", str(conf), "--out", str(tmp_path / "o")])
+
+
+def counting(calls, name, real):
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+    return wrapper
+
+
+@pytest.mark.parametrize("text", [LAMBDA_CONF, VEE_CONF], ids=["lambda", "vee"])
+def test_dispersive_compare_builds_each_operator_once(text, tmp_path, monkeypatch):
+    calls = []
+    build = counting(calls, "H", hamiltonian.build_hamiltonian)
+    for module in (hamiltonian, dispersive, dynamics, cli):
+        monkeypatch.setattr(module, "build_hamiltonian", build)
+    for name in ("analytic_effective", "transfer_block_mask"):
+        monkeypatch.setattr(dispersive, name, counting(calls, name, getattr(dispersive, name)))
+    assert run("dispersive-compare", text, tmp_path) == cli.EXIT_OK
+    # one H for eps and one for the eps/2 probe
+    assert calls.count("H") == 2
+    assert calls.count("analytic_effective") == 1
+    assert calls.count("transfer_block_mask") == 1
+
+
+@pytest.mark.parametrize("text", [LAMBDA_CONF, VEE_CONF], ids=["lambda", "vee"])
+@pytest.mark.parametrize("guard", [2, 3])
+def test_dispersive_json_matches_residual_and_order(text, guard, tmp_path):
+    text = text + f"guard = {guard}\n"
+    assert run("dispersive-compare", text, tmp_path) == cli.EXIT_OK
+    written = json.loads((tmp_path / "o" / "dispersive.json").read_text())
+    cfg = parse_config(text)
+    spec, h = cfg.space_spec(), cfg.hamiltonian_spec()
+    p = dispersive_params(h, cfg.mean_photon_number(), spec.atoms)
+    residual, order = residual_and_order(spec, h, p, guard)
+    assert written["block_residual"] == residual
+    assert written["order_estimate"] == (order if math.isfinite(order) else None)
+
+
+def lift_built_residuals(spec, guard):
+    s = {(i, j): lift(spec, atomic_operator(spec, i, j)) for (i, j)
+         in ((1, 1), (3, 3), (2, 1), (3, 2))}
+    num = lift(spec, field_operator(spec, "number"))
+    one = identity(spec, PRODUCT)
+    x31 = deformed_operator(spec, 3, 1)
+    x23 = deformed_operator(spec, 2, 3)
+    x12 = deformed_operator(spec, 1, 2)
+    diffs = [
+        (x23 @ x31) - (num @ (s[3, 3] + one) @ s[2, 1]),
+        (x31 @ x23) - ((num + one) @ s[3, 3] @ s[2, 1]),
+        commutator(x31, x23) - ((s[3, 3] - num) @ s[2, 1]),
+        commutator(x31, x12) - ((s[1, 1] + num + one) @ s[3, 2]),
+    ]
+    photons = np.tile(np.arange(spec.field_dim), spec.atomic_dim)
+    keep = photons <= spec.n_max - guard
+    out = []
+    for diff in diffs:
+        sub = diff.mat[np.ix_(keep, keep)]
+        out.append(float(np.max(np.abs(sub))) if sub.size else 0.0)
+    return out
+
+
+@pytest.mark.parametrize("atoms,n_max", [(1, 4), (2, 3), (3, 3)])
+def test_second_order_residuals_equal_the_lift_built_ones(atoms, n_max):
+    spec = SpaceSpec(atoms, n_max)
+    for guard in range(n_max + 1):
+        reports = verify_algebra(spec, "second_order", guard=guard)
+        assert [r.residual for r in reports] == lift_built_residuals(spec, guard)
+
+
+SMALL_CONF = LAMBDA_CONF.replace("atoms = 2", "atoms = 1").replace("1,1,0", "1,0,0")
+SMALL_DIM = 3 * 6  # atomic_dim 3, field_dim 6
+
+
+@pytest.mark.parametrize("command,expected", [
+    ("spectrum", 16 * SMALL_DIM ** 2),
+    ("verify", 16 * SMALL_DIM ** 2),
+    ("weights", 16 * SMALL_DIM ** 2),
+    ("evolve", 16 * SMALL_DIM * 101),
+    ("dispersive-compare", 16 * SMALL_DIM * 101),
+])
+def test_largest_array_estimate(command, expected):
+    assert cli.largest_array_bytes(command, parse_config(SMALL_CONF)) == expected
+    fewer = SMALL_CONF.replace("n_samples = 101", "n_samples = 5")
+    assert cli.largest_array_bytes(command, parse_config(fewer)) == 16 * SMALL_DIM ** 2
+
+
+def refuse_construction(op):
+    raise AssertionError("an operator was built for a refused run")
+
+
+@pytest.mark.parametrize("command", ["evolve", "dispersive-compare", "spectrum",
+                                     "verify", "weights"])
+def test_oversized_run_is_refused_before_building(command, tmp_path, monkeypatch, capsys):
+    need = cli.largest_array_bytes(command, parse_config(SMALL_CONF))
+    monkeypatch.setattr(cli, "_physical_memory", lambda: need - 1)
+    monkeypatch.setattr(OperatorMatrix, "__post_init__", refuse_construction)
+    assert run(command, SMALL_CONF, tmp_path) == cli.EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert err.count("\n") == 1
+    assert f"{need:.3e} bytes" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_run_that_fits_exactly_proceeds(tmp_path, monkeypatch):
+    need = cli.largest_array_bytes("evolve", parse_config(SMALL_CONF))
+    monkeypatch.setattr(cli, "_physical_memory", lambda: need)
+    assert run("evolve", SMALL_CONF, tmp_path) == cli.EXIT_OK
+
+
+def test_sweep_is_exempt_from_the_size_guard(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 1)
+    assert run("sweep", SMALL_CONF + "sweep.n_bar = 4,8\n", tmp_path) == cli.EXIT_OK
