@@ -6,7 +6,8 @@ outputs are CSV (time series, spectra, weight tables), JSON (structured
 summaries), and SVG (diagrams), all byte-deterministic for a fixed config.
 Exit codes: 0 success, 1 check failure (a failed identity, a trajectory that
 drifts in norm, excitation or energy, or a numerical error), 2 config error
-(including a run too large for physical memory), 3 truncation-unsafe run.
+(including a run too large for physical memory or one that runs out of
+memory), 3 truncation-unsafe run.
 """
 
 from __future__ import annotations
@@ -496,6 +497,9 @@ def main(argv: list[str] | None = None) -> int:
         return run(args.command, cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
+    except MemoryError as exc:
+        print(f"config error: problem size: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     except TruncationError as exc:
         print(f"truncation error: {exc}", file=sys.stderr)

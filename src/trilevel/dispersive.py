@@ -29,11 +29,11 @@ from .operators import (
     LAMBDA,
     OperatorMatrix,
     atomic_operator,
-    deformed_operator,
     diagonal,
+    dressed_term,
     enhancement_factor,
     exp_antihermitian,
-    lift,
+    tensor_sum,
 )
 from .hamiltonian import HamiltonianSpec, build_hamiltonian
 
@@ -84,8 +84,8 @@ def dispersive_params(h: HamiltonianSpec, n_bar: float, atoms: int) -> Dispersiv
 
 def small_rotation(spec: SpaceSpec, i: int, j: int, eps: float) -> OperatorMatrix:
     """exp[eps (X_ij - X_ij^dag)], computed by Hermitian eigendecomposition."""
-    x = deformed_operator(spec, i, j)
-    return exp_antihermitian(x - x.dag(), eps)
+    return exp_antihermitian(
+        tensor_sum(spec, [dressed_term(spec, i, j), dressed_term(spec, j, i, -1)]), eps)
 
 
 def _ordered_rotations(spec: SpaceSpec, p: DispersiveParams) -> tuple[OperatorMatrix, OperatorMatrix]:
@@ -128,7 +128,10 @@ class EffectiveModel:
         return self.prefactor * self.transfer_operator
 
 
-def _prefactor(h: HamiltonianSpec, p: DispersiveParams) -> float:
+def transfer_prefactor(h: HamiltonianSpec, p: DispersiveParams) -> float:
+    """eps31 g32 (lambda) or eps21 g31 (vee), the prefactor of the closed form."""
+    if p.scheme != h.scheme:
+        raise ValueError(f"params are for scheme {p.scheme!r}, Hamiltonian is {h.scheme!r}")
     pair, g = ((3, 1), h.g32) if h.scheme == LAMBDA else ((2, 1), h.g31)
     return p.small_params[pair] * g
 
@@ -141,15 +144,16 @@ def analytic_effective(spec: SpaceSpec, h: HamiltonianSpec,
     The two factors commute, so their order is immaterial; the result is
     Hermitian by construction.
     """
-    if p.scheme != h.scheme:
-        raise ValueError(f"params are for scheme {p.scheme!r}, Hamiltonian is {h.scheme!r}")
+    prefactor = transfer_prefactor(h, p)
     la, lb = h.degenerate_pair
-    swap = lift(spec, atomic_operator(spec, la, lb) + atomic_operator(spec, lb, la))
+    eye = np.eye(spec.field_dim)
+    swap = tensor_sum(spec, [(1, atomic_operator(spec, la, lb).mat, eye),
+                             (1, atomic_operator(spec, lb, la).mat, eye)])
     table = basis_table(spec)
     op = swap @ diagonal(spec, enhancement_factor(h.scheme, table.occupations, table.photons))
     if not op.is_hermitian(1e-12):
         raise RuntimeError("analytic transfer operator is not Hermitian")
-    return EffectiveModel(h.scheme, op, _prefactor(h, p))
+    return EffectiveModel(h.scheme, op, prefactor)
 
 
 def transfer_block_mask(spec: SpaceSpec, scheme: str, guard: int) -> np.ndarray:
@@ -174,7 +178,7 @@ def _residual(spec: SpaceSpec, h: HamiltonianSpec, p: DispersiveParams, mask: np
               transfer: OperatorMatrix) -> tuple[OperatorMatrix, float]:
     """H and the largest masked difference of its conjugation from the closed form."""
     ham, conjugated = _conjugated(spec, h, p)
-    diff = conjugated.mat[mask] - _prefactor(h, p) * transfer.mat[mask]
+    diff = conjugated.mat[mask] - transfer_prefactor(h, p) * transfer.mat[mask]
     return ham, float(np.max(np.abs(diff))) if diff.size else 0.0
 
 

@@ -12,7 +12,7 @@ layout always transfers through the vacuum-triggered channel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .hamiltonian import (
     dark_atomic_vector,
     excitation_operator,
 )
-from .dispersive import DispersiveParams, analytic_effective
+from .dispersive import DispersiveParams, transfer_prefactor
 
 COHERENT_TAIL_LIMIT = 1e-10
 LEAKAGE_LIMIT = 1e-6
@@ -303,7 +303,7 @@ def transfer_experiment(spec: SpaceSpec, h: HamiltonianSpec, p: DispersiveParams
     partner = la if pa < pb else (lb if pb < pa else 2)
     max_pop = float(np.max(record.population(partner)))
 
-    model = analytic_effective(spec, h, p)
+    prefactor = transfer_prefactor(h, p)
     table = basis_table(spec)
     factor = float(np.abs(psi0) ** 2 @ enhancement_factor(h.scheme, table.occupations,
                                                           table.photons))
@@ -311,13 +311,13 @@ def transfer_experiment(spec: SpaceSpec, h: HamiltonianSpec, p: DispersiveParams
     predicted = measured = None
     symmetric = abs(h.g31 - (h.g32 if h.scheme == LAMBDA else h.g21)) <= 1e-12
     if h.scheme != LAMBDA and symmetric and abs(factor) > 0:
-        predicted = math.pi / (2.0 * model.prefactor * abs(factor))
+        predicted = math.pi / (2.0 * prefactor * abs(factor))
         measured = _first_peak_time(record.times, record.population(partner))
     return TransferSummary(
         scheme=h.scheme,
         partner_level=partner,
         max_partner_population=max_pop,
-        prefactor=model.prefactor,
+        prefactor=prefactor,
         factor_value=factor,
         predicted_half_period=predicted,
         measured_half_period=measured,

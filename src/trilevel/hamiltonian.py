@@ -22,15 +22,15 @@ from .hilbert import SpaceSpec, basis_table, index_map
 from .operators import (
     ATOMIC,
     LAMBDA,
-    PRODUCT,
     SCHEMES,
     VEE,
     OperatorMatrix,
     atomic_operator,
-    deformed_operator,
     diagonal,
+    dressed_term,
     exp_antihermitian,
-    lift,
+    field_operator,
+    tensor_sum,
 )
 
 TOL_HERMITIAN = 1e-12
@@ -103,26 +103,32 @@ class RotationResult:
     degenerate: bool
 
 
+def _free_terms(spec: SpaceSpec, h: HamiltonianSpec) -> list:
+    """tensor_sum terms of omega n + sum_i E_i S_ii."""
+    eye = np.eye(spec.field_dim)
+    return [(h.omega, np.eye(spec.atomic_dim), field_operator(spec, "number").mat)] + [
+        (e, atomic_operator(spec, i, i).mat, eye) for i, e in enumerate(h.energies, start=1)
+    ]
+
+
+def _interaction_terms(spec: SpaceSpec, h: HamiltonianSpec) -> list:
+    """tensor_sum terms of g_ij (X_ij + X_ji) over the coupled pairs."""
+    return [dressed_term(spec, a, b, h.coupling(i, j))
+            for (i, j) in h.coupled_pairs() for a, b in ((i, j), (j, i))]
+
+
 def free_hamiltonian(spec: SpaceSpec, h: HamiltonianSpec) -> OperatorMatrix:
     """Sum of level energies times populations plus omega times photon number."""
-    table = basis_table(spec)
-    diag = h.omega * table.photons
-    for level, e in enumerate(h.energies):
-        diag = diag + e * table.occupations[:, level]
-    return diagonal(spec, diag)
+    return tensor_sum(spec, _free_terms(spec, h))
 
 
 def interaction_hamiltonian(spec: SpaceSpec, h: HamiltonianSpec) -> OperatorMatrix:
     """Sum over coupled pairs of g_ij (X_ij + X_ij^dag)."""
-    out = OperatorMatrix(PRODUCT, spec, np.zeros((spec.product_dim,) * 2))
-    for (i, j) in h.coupled_pairs():
-        x = deformed_operator(spec, i, j)
-        out = out + h.coupling(i, j) * (x + x.dag())
-    return out
+    return tensor_sum(spec, _interaction_terms(spec, h))
 
 
 def build_hamiltonian(spec: SpaceSpec, h: HamiltonianSpec) -> OperatorMatrix:
-    out = free_hamiltonian(spec, h) + interaction_hamiltonian(spec, h)
+    out = tensor_sum(spec, _free_terms(spec, h) + _interaction_terms(spec, h))
     if not out.is_hermitian(TOL_HERMITIAN):
         raise RuntimeError("constructed Hamiltonian is not Hermitian")
     return out
@@ -199,7 +205,9 @@ def dark_state(spec: SpaceSpec, h: HamiltonianSpec, fock_n: int) -> np.ndarray:
 
 def _rotation_generator(spec: SpaceSpec, h: HamiltonianSpec) -> OperatorMatrix:
     la, lb = h.degenerate_pair
-    return lift(spec, atomic_operator(spec, la, lb) - atomic_operator(spec, lb, la))
+    eye = np.eye(spec.field_dim)
+    return tensor_sum(spec, [(1, atomic_operator(spec, la, lb).mat, eye),
+                             (-1, atomic_operator(spec, lb, la).mat, eye)])
 
 
 def dark_block_residual(spec: SpaceSpec, transformed: OperatorMatrix) -> float:
@@ -287,14 +295,12 @@ def classical_hamiltonian(h: HamiltonianSpec, alpha: FieldAmplitude,
     H = sum_i E_i S_ii + sum_pairs g_ij (alpha S_ij + conj(alpha) S_ji).
     """
     spec = SpaceSpec(atoms, 1)  # field cutoff is irrelevant on the atomic space
-    out = OperatorMatrix(ATOMIC, spec, np.zeros((spec.atomic_dim,) * 2))
-    for i, e in enumerate(h.energies, start=1):
-        out = out + e * atomic_operator(spec, i, i)
     alpha = complex(alpha)
+    terms = [(e, i, i) for i, e in enumerate(h.energies, start=1)]
     for (i, j) in h.coupled_pairs():
-        term = (alpha * h.coupling(i, j)) * atomic_operator(spec, i, j)
-        out = out + term + term.dag()
-    return out
+        terms += [(alpha * h.coupling(i, j), i, j), (alpha.conjugate() * h.coupling(i, j), j, i)]
+    return OperatorMatrix(ATOMIC, spec,
+                          sum(c * atomic_operator(spec, i, j).mat for c, i, j in terms))
 
 
 def excitation_operator(spec: SpaceSpec, scheme: str) -> OperatorMatrix:

@@ -65,12 +65,23 @@ def enumerate_atomic_basis(atoms: int) -> list[Occupation]:
 
 
 class IndexMap:
-    """Bijection between (occupation, photon number) pairs and flat indices."""
+    """Bijection between (occupation, photon number) pairs and flat indices.
+
+    ``occupations[k]`` is the occupation triple and ``photons[k]`` the
+    photon number of flat index k, as read-only arrays, so a mask over
+    basis states is one broadcast instead of a loop over ``split``.
+    """
 
     def __init__(self, spec: SpaceSpec):
         self.spec = spec
         self.states: tuple[Occupation, ...] = tuple(enumerate_atomic_basis(spec.atoms))
         self._atomic_index = {occ: k for k, occ in enumerate(self.states)}
+        self.occupations = np.repeat(np.array(self.states, dtype=np.int64),
+                                     spec.field_dim, axis=0)  # (product_dim, 3)
+        self.photons = np.tile(np.arange(spec.field_dim, dtype=np.int64),
+                               spec.atomic_dim)  # (product_dim,)
+        self.occupations.setflags(write=False)
+        self.photons.setflags(write=False)
 
     def atomic_index(self, occupation: Occupation) -> int:
         occ = tuple(occupation)
@@ -95,28 +106,16 @@ class IndexMap:
         return self.states[k], n
 
 
-def index_map(spec: SpaceSpec) -> IndexMap:
+@lru_cache(maxsize=32)
+def _basis(spec: SpaceSpec) -> IndexMap:
     return IndexMap(spec)
 
 
-@dataclass(frozen=True, eq=False)
-class BasisTable:
-    """Per-index labels of the product basis as read-only arrays.
-
-    ``occupations[k]`` is the occupation triple and ``photons[k]`` the
-    photon number of flat index k, so a mask over basis states is one
-    broadcast instead of a loop over ``IndexMap.split``.
-    """
-
-    occupations: np.ndarray  # (product_dim, 3) int
-    photons: np.ndarray  # (product_dim,) int
+def index_map(spec: SpaceSpec) -> IndexMap:
+    """The one cached IndexMap of ``spec``."""
+    return _basis(spec)
 
 
-@lru_cache(maxsize=32)
-def basis_table(spec: SpaceSpec) -> BasisTable:
-    atomic = np.array(enumerate_atomic_basis(spec.atoms), dtype=np.int64)
-    occupations = np.repeat(atomic, spec.field_dim, axis=0)
-    photons = np.tile(np.arange(spec.field_dim, dtype=np.int64), spec.atomic_dim)
-    occupations.setflags(write=False)
-    photons.setflags(write=False)
-    return BasisTable(occupations, photons)
+def basis_table(spec: SpaceSpec) -> IndexMap:
+    """The same cached IndexMap, read for its ``occupations`` and ``photons``."""
+    return _basis(spec)

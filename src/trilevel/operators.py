@@ -7,8 +7,10 @@ population.  The photon-dressed transitions X_ij pair an atomic transition
 with absorption of one photon, X_ij = a S_ij for the pairs (3,1), (2,1),
 (3,2), and with emission for the conjugate pairs, X_ij = X_ji^dag.
 
-Product-space operators conserve an excitation count, so their matrices
-split into exactly decoupled blocks.  Each product-space OperatorMatrix
+Every product-space operator the package builds is a short sum of
+c (atomic (x) field) terms, written entry by entry by tensor_sum.  These
+operators conserve an excitation count, so their matrices split into
+exactly decoupled blocks.  Each product-space OperatorMatrix
 finds the connected components of its own nonzero pattern on first use
 (exactly, with no tolerance) and multiplies, diagonalizes and
 exponentiates one block at a time; atomic and field operators stay plain
@@ -24,6 +26,7 @@ expose that boundary artifact.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -238,8 +241,6 @@ class OperatorMatrix:
         if self.space != PRODUCT:
             return _wrap(self.space, self.spec, self.mat @ other.mat)
         joined = self.blocks.join(other.blocks)
-        if joined.count == 1:
-            return _wrap(self.space, self.spec, self.mat @ other.mat)
         out = np.zeros_like(self.mat)
         for idx in joined.groups:
             _scatter(out, idx, _gather(self.mat, idx) @ _gather(other.mat, idx))
@@ -310,18 +311,31 @@ def field_operator(spec: SpaceSpec, kind: str) -> OperatorMatrix:
     return OperatorMatrix(FIELD, spec, mat)
 
 
-def _product_operator(spec: SpaceSpec, atomic: np.ndarray,
-                      field: np.ndarray) -> OperatorMatrix:
-    """atomic (x) field on the product space, written from the nonzeros of
-    both factors (photon index fastest)."""
-    ar, ac = np.nonzero(atomic)
-    fr, fc = np.nonzero(field)
+def tensor_sum(spec: SpaceSpec, terms: list[tuple]) -> OperatorMatrix:
+    """Sum of c (atomic (x) field) over the ``(c, atomic, field)`` terms on
+    the product space (photon index fastest).
+
+    Entries are written from the nonzeros of both factors, in term order,
+    into one fresh array, so terms that share an entry add up in that
+    order.  The blocks are the connected components of the written entries
+    that are nonzero, so they are found without scanning the matrix."""
     f = spec.field_dim
-    mat = np.zeros((spec.product_dim,) * 2, dtype=np.complex128)
-    mat[ar[:, None] * f + fr, ac[:, None] * f + fc] = (
-        atomic[ar, ac][:, None] * field[fr, fc]
-    )
-    return _wrap(PRODUCT, spec, mat)
+    rows, cols, values = [], [], []
+    for c, atomic, field in terms:
+        ar, ac = np.nonzero(atomic)
+        fr, fc = np.nonzero(field)
+        rows.append((ar[:, None] * f + fr).ravel())
+        cols.append((ac[:, None] * f + fc).ravel())
+        values.append((c * (atomic[ar, ac][:, None] * field[fr, fc])).ravel())
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    dim = spec.product_dim
+    mat = np.zeros((dim, dim), dtype=np.complex128)
+    np.add.at(mat, (rows, cols), np.concatenate(values))
+    nonzero = mat[rows, cols] != 0  # a zero c or cancelling terms write zeros
+    out = _wrap(PRODUCT, spec, mat)
+    out.__dict__["blocks"] = BlockPartition.from_labels(
+        _component_labels(dim, rows[nonzero], cols[nonzero]))
+    return out
 
 
 def lift(spec: SpaceSpec, op: OperatorMatrix) -> OperatorMatrix:
@@ -333,10 +347,22 @@ def lift(spec: SpaceSpec, op: OperatorMatrix) -> OperatorMatrix:
     if op.spec != spec:
         raise SpaceMismatchError(f"operator spec {op.spec} does not match {spec}")
     if op.space == ATOMIC:
-        return _product_operator(spec, op.mat, np.eye(spec.field_dim))
+        return tensor_sum(spec, [(1, op.mat, np.eye(spec.field_dim))])
     if op.space == FIELD:
-        return _product_operator(spec, np.eye(spec.atomic_dim), op.mat)
+        return tensor_sum(spec, [(1, np.eye(spec.atomic_dim), op.mat)])
     raise SpaceMismatchError("lift expects an atomic or field operator")
+
+
+def dressed_term(spec: SpaceSpec, i: int, j: int, c: complex = 1) -> tuple:
+    """The tensor_sum term c X_ij: c (S_ij (x) a) for (i, j) in
+    {(3,1), (2,1), (3,2)}, c (S_ij (x) a^dag) for the transposed pairs."""
+    if (i, j) in DEFORMED_PAIRS:
+        kind = "annihilate"
+    elif (j, i) in DEFORMED_PAIRS:
+        kind = "create"
+    else:
+        raise ValueError(f"no dressed transition for level pair ({i}, {j})")
+    return c, atomic_operator(spec, i, j).mat, field_operator(spec, kind).mat
 
 
 def deformed_operator(spec: SpaceSpec, i: int, j: int) -> OperatorMatrix:
@@ -344,14 +370,9 @@ def deformed_operator(spec: SpaceSpec, i: int, j: int) -> OperatorMatrix:
 
     X_ij = a S_ij for (i, j) in {(3,1), (2,1), (3,2)} (photon absorbed,
     excitation raised); the transposed pairs are the conjugates,
-    X_ij = X_ji^dag.
+    X_ij = X_ji^dag = a^dag S_ij.
     """
-    if (i, j) in DEFORMED_PAIRS:
-        return _product_operator(spec, atomic_operator(spec, i, j).mat,
-                                 field_operator(spec, "annihilate").mat)
-    if (j, i) in DEFORMED_PAIRS:
-        return deformed_operator(spec, j, i).dag()
-    raise ValueError(f"no dressed transition for level pair ({i}, {j})")
+    return tensor_sum(spec, [dressed_term(spec, i, j)])
 
 
 def commutator(m: OperatorMatrix, n: OperatorMatrix) -> OperatorMatrix:
@@ -454,19 +475,11 @@ def verify_algebra(spec: SpaceSpec, mode: str, guard: int = 1) -> list[IdentityR
     """
     if mode == "u3":
         s = {(i, j): atomic_operator(spec, i, j) for i in LEVELS for j in LEVELS}
-        zero = OperatorMatrix(ATOMIC, spec, np.zeros((spec.atomic_dim,) * 2))
         reports = []
-        for i in LEVELS:
-            for j in LEVELS:
-                for k in LEVELS:
-                    for l in LEVELS:
-                        rhs = zero
-                        if j == k:
-                            rhs = rhs + s[(i, l)]
-                        if i == l:
-                            rhs = rhs - s[(k, j)]
-                        resid = (commutator(s[(i, j)], s[(k, l)]) - rhs).max_abs()
-                        reports.append(_report(f"[S{i}{j}, S{k}{l}]", resid, 0))
+        for i, j, k, l in itertools.product(LEVELS, repeat=4):
+            rhs = (j == k) * s[(i, l)].mat - (i == l) * s[(k, j)].mat
+            resid = float(np.max(np.abs(commutator(s[(i, j)], s[(k, l)]).mat - rhs)))
+            reports.append(_report(f"[S{i}{j}, S{k}{l}]", resid, 0))
         return reports
 
     if mode == "second_order":

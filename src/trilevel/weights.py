@@ -30,7 +30,7 @@ from .operators import (
     deformed_operator,
     lift,
 )
-from .hamiltonian import LAMBDA, VEE, SCHEMES
+from .hamiltonian import LAMBDA, SCHEMES
 
 TOL_WEIGHT = 1e-10
 
@@ -143,52 +143,26 @@ class DiagramLayout:
 
 def _scheme_operators(scheme: str, classical: bool, spec: SpaceSpec,
                       alpha: complex) -> list[tuple[str, OperatorMatrix, str]]:
+    """The scheme's two first-order transitions, their conjugates, and the
+    second-order commutator of the first with the second's conjugate, plus
+    its conjugate, as (label, operator, order)."""
+    pairs = ((3, 1), (3, 2)) if scheme == LAMBDA else ((3, 1), (2, 1))
     if classical:
-        def first(i, j):
-            return complex(alpha) * atomic_operator(spec, i, j)
-
-        if scheme == LAMBDA:
-            c31, c32 = first(3, 1), first(3, 2)
-            return [
-                ("alphaS31", c31, FIRST),
-                ("alphaS32", c32, FIRST),
-                ("alpha*S13", c31.dag(), FIRST),
-                ("alpha*S23", c32.dag(), FIRST),
-                ("-|alpha|^2 S21", commutator(c31, c32.dag()), SECOND),
-                ("-|alpha|^2 S12", commutator(c31, c32.dag()).dag(), SECOND),
-            ]
-        c31, c21 = first(3, 1), first(2, 1)
-        return [
-            ("alphaS31", c31, FIRST),
-            ("alphaS21", c21, FIRST),
-            ("alpha*S13", c31.dag(), FIRST),
-            ("alpha*S12", c21.dag(), FIRST),
-            ("+|alpha|^2 S32", commutator(c31, c21.dag()), SECOND),
-            ("+|alpha|^2 S23", commutator(c31, c21.dag()).dag(), SECOND),
-        ]
-
-    x31 = deformed_operator(spec, 3, 1)
-    if scheme == LAMBDA:
-        x32 = deformed_operator(spec, 3, 2)
-        second = commutator(x31, x32.dag())
-        return [
-            ("aS31", x31, FIRST),
-            ("aS32", x32, FIRST),
-            ("a+S13", x31.dag(), FIRST),
-            ("a+S23", x32.dag(), FIRST),
-            ("(S33-n)S21", second, SECOND),
-            ("(S33-n)S12", second.dag(), SECOND),
-        ]
-    x21 = deformed_operator(spec, 2, 1)
-    second = commutator(x31, x21.dag())
-    return [
-        ("aS31", x31, FIRST),
-        ("aS21", x21, FIRST),
-        ("a+S13", x31.dag(), FIRST),
-        ("a+S12", x21.dag(), FIRST),
-        ("(S11+n+1)S32", second, SECOND),
-        ("(S11+n+1)S23", second.dag(), SECOND),
-    ]
+        ops = [complex(alpha) * atomic_operator(spec, i, j) for i, j in pairs]
+        prefix, conj_prefix = "alpha", "alpha*"
+        factor = "-|alpha|^2 " if scheme == LAMBDA else "+|alpha|^2 "
+    else:
+        ops = [deformed_operator(spec, i, j) for i, j in pairs]
+        prefix, conj_prefix = "a", "a+"
+        factor = "(S33-n)" if scheme == LAMBDA else "(S11+n+1)"
+    second = commutator(ops[0], ops[1].dag())
+    moved = "21" if scheme == LAMBDA else "32"
+    return (
+        [(f"{prefix}S{i}{j}", op, FIRST) for (i, j), op in zip(pairs, ops)]
+        + [(f"{conj_prefix}S{j}{i}", op.dag(), FIRST) for (i, j), op in zip(pairs, ops)]
+        + [(f"{factor}S{moved}", second, SECOND),
+           (f"{factor}S{moved[::-1]}", second.dag(), SECOND)]
+    )
 
 
 def diagram_layout(scheme: str, classical: bool, spec: SpaceSpec,
