@@ -159,6 +159,8 @@ def analytic_effective(spec: SpaceSpec, h: HamiltonianSpec,
 def transfer_block_mask(spec: SpaceSpec, scheme: str, guard: int) -> np.ndarray:
     """Boolean mask of matrix elements moving one excitation within the
     degenerate pair at equal photon number, inside the guarded subspace."""
+    if not 0 <= guard <= spec.n_max:
+        raise ValueError(f"guard must be in [0, {spec.n_max}], got {guard}")
     table = basis_table(spec)
     # lambda: the pair is (1, 2) with level 3 spectating; vee: (2, 3) with level 1
     moved_slot, spectator_slot = (0, 2) if scheme == LAMBDA else (1, 0)
@@ -178,8 +180,8 @@ def _residual(spec: SpaceSpec, h: HamiltonianSpec, p: DispersiveParams, mask: np
               transfer: OperatorMatrix) -> tuple[OperatorMatrix, float]:
     """H and the largest masked difference of its conjugation from the closed form."""
     ham, conjugated = _conjugated(spec, h, p)
-    diff = conjugated.mat[mask] - transfer_prefactor(h, p) * transfer.mat[mask]
-    return ham, float(np.max(np.abs(diff))) if diff.size else 0.0
+    rows, cols, diff = (conjugated - transfer_prefactor(h, p) * transfer).elements()
+    return ham, float(np.max(np.abs(diff[mask[rows, cols]]), initial=0.0))
 
 
 def block_residual(spec: SpaceSpec, h: HamiltonianSpec, p: DispersiveParams,

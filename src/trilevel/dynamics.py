@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hilbert import Occupation, SpaceSpec, basis_table, index_map
-from .operators import (LAMBDA, PRODUCT, VEE, OperatorMatrix, enhancement_factor,
+from .operators import (LAMBDA, PRODUCT, VEE, OperatorMatrix, apply, enhancement_factor,
                         hermitian_blocks)
 from .hamiltonian import (
     HamiltonianSpec,
@@ -191,12 +191,8 @@ def _expect(op: OperatorMatrix, states: np.ndarray) -> np.ndarray:
     """<psi(t)| op |psi(t)> per sample, over the blocks of op the states reach."""
     support = np.any(states != 0, axis=1)
     out = np.zeros(states.shape[1])
-    for idx in op.blocks.groups:
-        idx = idx[support[idx].any(axis=1)]
-        if len(idx):
-            block_states = states[idx]  # (m, b, T)
-            blocks = op.mat[idx[:, :, None], idx[:, None, :]]
-            out += np.real(np.sum(block_states.conj() * (blocks @ block_states), axis=(0, 1)))
+    for idx, block in apply(op, states, support):  # block: (m, b, T)
+        out += np.real(np.sum(states[idx].conj() * block, axis=(0, 1)))
     return out
 
 

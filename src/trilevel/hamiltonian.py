@@ -214,10 +214,8 @@ def dark_block_residual(spec: SpaceSpec, transformed: OperatorMatrix) -> float:
     """Largest matrix element of a rotated Hamiltonian that changes the
     dark-mode occupation (slot 2 of the occupation triple)."""
     n2 = basis_table(spec).occupations[:, 1]
-    mask = n2[:, None] != n2[None, :]
-    if not mask.any():
-        return 0.0
-    return float(np.max(np.abs(transformed.mat[mask])))
+    rows, cols, values = transformed.elements()
+    return float(np.max(np.abs(values[n2[rows] != n2[cols]]), initial=0.0))
 
 
 def _decoupling_rotation(spec: SpaceSpec, h: HamiltonianSpec, r: RotationResult,
@@ -246,8 +244,9 @@ def _bright_coupling(spec: SpaceSpec, rotated: OperatorMatrix) -> float:
     dark mode after rotation, so this element isolates the bright 1 <-> 3
     transition."""
     imap, a = index_map(spec), spec.atoms
-    element = rotated.mat[imap.flat((a - 1, 0, 1), 0), imap.flat((a, 0, 0), 1)]
-    return float(abs(element) / math.sqrt(a))
+    rows, cols, values = rotated.elements()
+    element = values[(rows == imap.flat((a - 1, 0, 1), 0)) & (cols == imap.flat((a, 0, 0), 1))]
+    return float(abs(element.sum()) / math.sqrt(a))
 
 
 def mode_rotation_unitary(spec: SpaceSpec, h: HamiltonianSpec,

@@ -1,4 +1,4 @@
-"""Dense matrices for collective, field, and photon-dressed operators.
+"""Block-stored matrices for collective, field, and photon-dressed operators.
 
 Collective transitions act on the symmetric subspace through the
 three-mode boson construction: S_ij moves one excitation from level j to
@@ -10,11 +10,12 @@ with absorption of one photon, X_ij = a S_ij for the pairs (3,1), (2,1),
 Every product-space operator the package builds is a short sum of
 c (atomic (x) field) terms, written entry by entry by tensor_sum.  These
 operators conserve an excitation count, so their matrices split into
-exactly decoupled blocks.  Each product-space OperatorMatrix
-finds the connected components of its own nonzero pattern on first use
-(exactly, with no tolerance) and multiplies, diagonalizes and
-exponentiates one block at a time; atomic and field operators stay plain
-dense.
+exactly decoupled blocks.  An OperatorMatrix stores only its blocks (a
+BlockPartition holding every nonzero, and one stack of blocks per block
+size) and computes block by block; atomic and field operators are the
+one-block case.  The exact connected components of the nonzero pattern
+are found from the stored elements on first use (no tolerance), and a
+dense matrix is built only when ``mat`` is read.
 
 verify_algebra re-derives the operator identities numerically.  The
 first-order commutators are exact on the (untruncated) atomic space.  The
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -79,7 +80,7 @@ def _component_labels(dim: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarra
         np.minimum.at(new, rows, low)
         np.minimum.at(new, cols, low)
         new = new[new]
-        if np.array_equal(new, labels):
+        if (new == labels).all():
             return labels
         labels = new
 
@@ -90,7 +91,7 @@ class BlockPartition:
 
     ``labels[k]`` is the smallest index of the component holding k; each
     entry of ``groups`` is an (m, b) index array listing the m components
-    of size b, members in ascending order.
+    of size b, members in ascending order.  ``stacks`` lays out storage.
     """
 
     labels: np.ndarray
@@ -110,10 +111,37 @@ class BlockPartition:
     def count(self) -> int:
         return sum(idx.shape[0] for idx in self.groups)
 
+    @cached_property
+    def stacks(self) -> list[tuple[np.ndarray, slice, tuple[int, int, int]]]:
+        """(idx, where, shape) per group: ``data[where].reshape(shape)`` is
+        the (m, b, b) stack of the blocks listed by idx in flat storage."""
+        out, start = [], 0
+        for idx in self.groups:
+            m, b = idx.shape
+            out.append((idx, slice(start, start + m * b * b), (m, b, b)))
+            start += m * b * b
+        return out
+
+    @property
+    def size(self) -> int:
+        return self.stacks[-1][1].stop
+
+    @cached_property
+    def slots(self) -> tuple[np.ndarray, np.ndarray]:
+        """(row, col) offsets per index: element (r, c) of a block is stored
+        at row[r] + col[c]."""
+        row, col = np.empty((2, len(self.labels)), dtype=np.intp)
+        for idx, where, (m, b, _) in self.stacks:
+            col[idx] = np.arange(b)
+            row[idx] = where.start + np.arange(m * b).reshape(m, b) * b
+        return row, col
+
     def join(self, other: "BlockPartition") -> "BlockPartition":
         """Finest partition that both partitions refine."""
+        if other is self:
+            return self
         for a, b in ((self, other), (other, self)):
-            if np.array_equal(b.labels[a.labels], b.labels):
+            if (b.labels[a.labels] == b.labels).all():
                 return b  # every block of a lies inside one block of b
         dim = len(self.labels)
         every = np.arange(dim)
@@ -121,83 +149,103 @@ class BlockPartition:
         cols = np.concatenate([self.labels, other.labels])
         return BlockPartition.from_labels(_component_labels(dim, rows, cols))
 
-    def nonzeros(self, mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Row and column indices of the nonzeros of ``mat``, which must
-        vanish outside these blocks; only the blocks are read."""
-        rows, cols = [], []
-        for idx in self.groups:
-            k, r, c = np.nonzero(_gather(mat, idx))
-            rows.append(idx[k, r])
-            cols.append(idx[k, c])
-        return np.concatenate(rows), np.concatenate(cols)
+
+@lru_cache(maxsize=64)
+def _one_block(dim: int) -> BlockPartition:
+    return BlockPartition(np.zeros(dim, dtype=np.intp), (np.arange(dim)[None, :],))
 
 
-def _gather(mat: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """The (m, b, b) stack of diagonal blocks of ``mat`` listed by ``idx``."""
-    return mat[idx[:, :, None], idx[:, None, :]]
+@lru_cache(maxsize=64)
+def _singletons(dim: int) -> BlockPartition:
+    return BlockPartition.from_labels(np.arange(dim))
 
 
-def _scatter(out: np.ndarray, idx: np.ndarray, blocks: np.ndarray) -> None:
-    out[idx[:, :, None], idx[:, None, :]] = blocks
+def _views(layout: BlockPartition, data: np.ndarray) -> list:
+    """(idx, stack) per group of ``layout``, each stack a view of ``data``."""
+    return [(idx, data[where].reshape(shape)) for idx, where, shape in layout.stacks]
 
 
-@dataclass(frozen=True, eq=False)
+def _write(layout: BlockPartition, rows: np.ndarray, cols: np.ndarray,
+           values: np.ndarray) -> np.ndarray:
+    """Flat storage in ``layout`` of the elements (rows, cols, values).
+
+    Repeated elements add up in their order; elements that lie in no block
+    must be zero and are dropped."""
+    inside = layout.labels[rows] == layout.labels[cols]
+    row, col = layout.slots
+    data = np.zeros(layout.size, dtype=np.complex128)
+    np.add.at(data, row[rows[inside]] + col[cols[inside]], values[inside])
+    return data
+
+
 class OperatorMatrix:
-    """Complex square matrix tagged with the space it acts on.
+    """Complex square matrix tagged with the space it acts on, stored as its blocks.
 
-    Instances are immutable; the wrapped array is copied on construction
-    and marked read-only, so values can be shared freely between workers.
-    A read-only complex array that owns its data cannot change and is
-    taken as it is.
+    ``OperatorMatrix(space, spec, mat)`` copies a dense array into one block;
+    with a ``layout``, ``mat`` is instead the flat storage in that partition.
+    The storage is read-only, so values can be shared freely between workers;
+    ``mat`` reads back a read-only dense matrix, built on each access.
     """
 
-    space: str
-    spec: SpaceSpec
-    mat: np.ndarray
+    def __init__(self, space: str, spec: SpaceSpec, mat: np.ndarray,
+                 layout: BlockPartition | None = None) -> None:
+        if layout is None:
+            dim = _space_dim(spec, space)
+            mat = np.array(mat, dtype=np.complex128)
+            if mat.shape != (dim, dim):
+                raise ValueError(
+                    f"expected shape {(dim, dim)} on the {space} space, got {mat.shape}"
+                )
+            layout, mat = _one_block(dim), mat.ravel()
+        self.space, self.spec, self._layout, self._data = space, spec, layout, mat
+        self.__post_init__()
 
     def __post_init__(self) -> None:
-        dim = _space_dim(self.spec, self.space)
-        mat = self.mat
-        frozen = (isinstance(mat, np.ndarray) and mat.dtype == np.complex128
-                  and mat.flags.owndata and not mat.flags.writeable)
-        if not frozen:
-            mat = np.array(mat, dtype=np.complex128)
-            mat.setflags(write=False)
-        if mat.shape != (dim, dim):
-            raise ValueError(
-                f"expected shape {(dim, dim)} on the {self.space} space, got {mat.shape}"
-            )
-        object.__setattr__(self, "mat", mat)
+        self._data.setflags(write=False)
 
     @property
     def dim(self) -> int:
-        return self.mat.shape[0]
+        return len(self._layout.labels)
+
+    @property
+    def mat(self) -> np.ndarray:
+        return _dense(self)
 
     @cached_property
     def blocks(self) -> BlockPartition:
-        """Connected components of ``mat != 0`` (one block off the product space)."""
-        if self.space != PRODUCT:
-            return BlockPartition.from_labels(np.zeros(self.dim, dtype=np.intp))
-        coarse = self.__dict__.get("_coarse")
-        rows, cols = np.nonzero(self.mat) if coarse is None else coarse.nonzeros(self.mat)
-        return BlockPartition.from_labels(_component_labels(self.dim, rows, cols))
+        """Exact connected components of the nonzero pattern, from the stored elements."""
+        rows, cols, _ = self.elements()
+        labels = _component_labels(self.dim, rows, cols)
+        if (labels == self._layout.labels).all():
+            return self._layout
+        return BlockPartition.from_labels(labels)
 
-    def _known_blocks(self) -> BlockPartition | None:
-        """The partition, or a coarsening of it, if one is already at hand."""
-        return self.__dict__.get("blocks") or self.__dict__.get("_coarse")
+    def elements(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Row, column and value of every nonzero element."""
+        rows, cols, values = [], [], []
+        for idx, stack in _views(self._layout, self._data):
+            k, r, c = np.nonzero(stack)
+            rows.append(idx[k, r])
+            cols.append(idx[k, c])
+            values.append(stack[k, r, c])
+        return np.concatenate(rows), np.concatenate(cols), np.concatenate(values)
 
-    def _joined_known(self, other: "OperatorMatrix") -> BlockPartition | None:
-        mine, theirs = self._known_blocks(), other._known_blocks()
-        return None if mine is None or theirs is None else mine.join(theirs)
+    def _in(self, layout: BlockPartition) -> np.ndarray:
+        """Flat storage in ``layout``, which must hold every nonzero."""
+        if layout is self._layout:
+            return self._data
+        return _write(layout, *self.elements())
 
     def dag(self) -> "OperatorMatrix":
-        return _wrap(self.space, self.spec, self.mat.T.conj(), self._known_blocks())
+        data = [s.swapaxes(1, 2).conj().ravel() for _, s in _views(self._layout, self._data)]
+        return OperatorMatrix(self.space, self.spec, np.concatenate(data), self._layout)
 
     def max_abs(self) -> float:
-        return float(np.max(np.abs(self.mat)))
+        return float(np.max(np.abs(self._data)))
 
     def is_hermitian(self, tol: float = 1e-12) -> bool:
-        return float(np.max(np.abs(self.mat - self.mat.conj().T))) <= tol
+        return all(np.max(np.abs(s - s.conj().swapaxes(1, 2))) <= tol
+                   for _, s in _views(self._layout, self._data))
 
     def _compatible(self, other: "OperatorMatrix") -> None:
         if not isinstance(other, OperatorMatrix):
@@ -221,56 +269,51 @@ class OperatorMatrix:
 
     def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         self._compatible(other)
-        return _wrap(self.space, self.spec, self.mat + other.mat, self._joined_known(other))
+        layout = self._layout.join(other._layout)
+        return OperatorMatrix(self.space, self.spec, self._in(layout) + other._in(layout), layout)
 
     def __sub__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        self._compatible(other)
-        return _wrap(self.space, self.spec, self.mat - other.mat, self._joined_known(other))
+        return self + (-other)  # the same bits as an elementwise difference
 
     def __neg__(self) -> "OperatorMatrix":
-        return _wrap(self.space, self.spec, -self.mat, self._known_blocks())
+        return OperatorMatrix(self.space, self.spec, -self._data, self._layout)
 
     def __mul__(self, scalar: complex) -> "OperatorMatrix":
-        return _wrap(self.space, self.spec, self.mat * complex(scalar), self._known_blocks())
+        return OperatorMatrix(self.space, self.spec, self._data * complex(scalar), self._layout)
 
     __rmul__ = __mul__
 
     def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        """Matrix product, one block of the joined nonzero pattern at a time."""
+        """Matrix product, one block of the joined partitions at a time."""
         self._compatible(other)
-        if self.space != PRODUCT:
-            return _wrap(self.space, self.spec, self.mat @ other.mat)
-        joined = self.blocks.join(other.blocks)
-        out = np.zeros_like(self.mat)
-        for idx in joined.groups:
-            _scatter(out, idx, _gather(self.mat, idx) @ _gather(other.mat, idx))
-        return _wrap(self.space, self.spec, out, joined)
+        joined = self._layout.join(other._layout)
+        a, b = self._in(joined), other._in(joined)
+        data = np.empty(joined.size, dtype=np.complex128)
+        for _, where, shape in joined.stacks:
+            np.matmul(a[where].reshape(shape), b[where].reshape(shape),
+                      out=data[where].reshape(shape))
+        return OperatorMatrix(self.space, self.spec, data, joined)
 
 
-def _wrap(space: str, spec: SpaceSpec, mat: np.ndarray,
-          coarse: BlockPartition | None = None) -> OperatorMatrix:
-    """Operator around a freshly computed complex array, frozen instead of
-    copied.  ``coarse``, if given, is a partition outside whose blocks
-    ``mat`` vanishes; finding ``blocks`` then reads only those blocks."""
+_wrap = OperatorMatrix  # the dense-array constructor under its older name
+
+
+def _dense(op: OperatorMatrix) -> np.ndarray:
+    """Read-only dense matrix of ``op``: its storage in one block."""
+    mat = op._in(_one_block(op.dim)).reshape(op.dim, op.dim)
     mat.setflags(write=False)
-    out = OperatorMatrix(space, spec, mat)
-    if coarse is not None:
-        out.__dict__["_coarse"] = coarse
-    return out
+    return mat
 
 
 def identity(spec: SpaceSpec, space: str) -> OperatorMatrix:
     dim = _space_dim(spec, space)
-    return _wrap(space, spec, np.eye(dim, dtype=np.complex128),
-                 BlockPartition.from_labels(np.arange(dim)))
+    return OperatorMatrix(space, spec, np.ones(dim, dtype=np.complex128), _singletons(dim))
 
 
 def diagonal(spec: SpaceSpec, values: np.ndarray) -> OperatorMatrix:
     """Product-space operator with ``values`` on the diagonal, one block per state."""
-    dim = spec.product_dim
-    mat = np.zeros((dim, dim), dtype=np.complex128)
-    np.fill_diagonal(mat, values)
-    return _wrap(PRODUCT, spec, mat, BlockPartition.from_labels(np.arange(dim)))
+    return OperatorMatrix(PRODUCT, spec, np.array(values, dtype=np.complex128),
+                          _singletons(spec.product_dim))
 
 
 def atomic_operator(spec: SpaceSpec, i: int, j: int) -> OperatorMatrix:
@@ -316,9 +359,9 @@ def tensor_sum(spec: SpaceSpec, terms: list[tuple]) -> OperatorMatrix:
     the product space (photon index fastest).
 
     Entries are written from the nonzeros of both factors, in term order,
-    into one fresh array, so terms that share an entry add up in that
-    order.  The blocks are the connected components of the written entries
-    that are nonzero, so they are found without scanning the matrix."""
+    so terms that share an entry add up in that order.  They are stored in
+    the connected components of the nonzero written values (a zero c
+    writes zeros)."""
     f = spec.field_dim
     rows, cols, values = [], [], []
     for c, atomic, field in terms:
@@ -327,15 +370,11 @@ def tensor_sum(spec: SpaceSpec, terms: list[tuple]) -> OperatorMatrix:
         rows.append((ar[:, None] * f + fr).ravel())
         cols.append((ac[:, None] * f + fc).ravel())
         values.append((c * (atomic[ar, ac][:, None] * field[fr, fc])).ravel())
-    rows, cols = np.concatenate(rows), np.concatenate(cols)
-    dim = spec.product_dim
-    mat = np.zeros((dim, dim), dtype=np.complex128)
-    np.add.at(mat, (rows, cols), np.concatenate(values))
-    nonzero = mat[rows, cols] != 0  # a zero c or cancelling terms write zeros
-    out = _wrap(PRODUCT, spec, mat)
-    out.__dict__["blocks"] = BlockPartition.from_labels(
-        _component_labels(dim, rows[nonzero], cols[nonzero]))
-    return out
+    rows, cols, values = (np.concatenate(x) for x in (rows, cols, values))
+    written = values != 0
+    layout = BlockPartition.from_labels(
+        _component_labels(spec.product_dim, rows[written], cols[written]))
+    return OperatorMatrix(PRODUCT, spec, _write(layout, rows, cols, values), layout)
 
 
 def lift(spec: SpaceSpec, op: OperatorMatrix) -> OperatorMatrix:
@@ -379,6 +418,18 @@ def commutator(m: OperatorMatrix, n: OperatorMatrix) -> OperatorMatrix:
     return (m @ n) - (n @ m)
 
 
+def _exact_stacks(op: OperatorMatrix, support: np.ndarray | None = None):
+    """(idx, stack) per group of the exact blocks of ``op``; with a boolean
+    ``support`` mask, only the blocks holding a supported index."""
+    for idx, stack in _views(op.blocks, op._in(op.blocks)):
+        if support is not None:
+            keep = support[idx].any(axis=1)
+            if not keep.any():
+                continue
+            idx, stack = idx[keep], stack[keep]
+        yield idx, stack
+
+
 def hermitian_blocks(op: OperatorMatrix, support: np.ndarray | None = None):
     """Eigendecomposition of a Hermitian operator, one block at a time.
 
@@ -388,12 +439,7 @@ def hermitian_blocks(op: OperatorMatrix, support: np.ndarray | None = None):
     blocks holding a supported index are diagonalized.  One-state blocks
     need no solver: the eigenvalue is the real diagonal entry.
     """
-    for idx in op.blocks.groups:
-        if support is not None:
-            idx = idx[support[idx].any(axis=1)]
-            if not len(idx):
-                continue
-        blocks = _gather(op.mat, idx)
+    for idx, blocks in _exact_stacks(op, support):
         if idx.shape[1] == 1:
             yield idx, blocks[:, :, 0].real, np.ones_like(blocks)
             continue
@@ -401,18 +447,28 @@ def hermitian_blocks(op: OperatorMatrix, support: np.ndarray | None = None):
         yield idx, np.array([w for w, _ in pairs]), np.array([v for _, v in pairs])
 
 
+def apply(op: OperatorMatrix, states: np.ndarray, support: np.ndarray | None = None):
+    """Yield (idx, block @ states[idx]) per group of equal-size blocks of
+    ``op`` (idx as in ``hermitian_blocks``), for states of shape (dim,) or
+    (dim, T); the rows of op @ states outside every idx are zero.  With a
+    boolean ``support`` mask only the blocks holding a supported index."""
+    for idx, stack in _exact_stacks(op, support):
+        x = states[idx]
+        yield idx, stack @ x if x.ndim == 3 else (stack @ x[..., None])[..., 0]
+
+
 def exp_hermitian(h: OperatorMatrix, t: float) -> OperatorMatrix:
     """exp(-i t H) for Hermitian H; elements between blocks are exactly zero."""
-    out = np.zeros_like(h.mat)
-    for idx, w, v in hermitian_blocks(h):
-        _scatter(out, idx, (v * np.exp(-1j * t * w)[:, None, :]) @ v.conj().swapaxes(1, 2))
-    return _wrap(h.space, h.spec, out, h.blocks)
+    data = [((v * np.exp(-1j * t * w)[:, None, :]) @ v.conj().swapaxes(1, 2)).ravel()
+            for _, w, v in hermitian_blocks(h)]
+    return OperatorMatrix(h.space, h.spec, np.concatenate(data), h.blocks)
 
 
 def exp_antihermitian(gen: OperatorMatrix, theta: float) -> OperatorMatrix:
     """exp(theta G) for anti-Hermitian G, checked to be unitary to TOL_UNITARY."""
     out = exp_hermitian(1j * gen, theta)  # exp(theta G) = exp(-i theta (i G))
-    defect = (out @ out.dag() - identity(gen.spec, gen.space)).max_abs()
+    defect = max(float(np.max(np.abs(u @ u.conj().swapaxes(1, 2) - np.eye(u.shape[1]))))
+                 for _, u in _views(out._layout, out._data))
     if defect > TOL_UNITARY:
         raise RuntimeError(f"rotation is not unitary (defect {defect:.2e})")
     return out
@@ -492,8 +548,9 @@ def verify_algebra(spec: SpaceSpec, mode: str, guard: int = 1) -> list[IdentityR
         x31, x23, x12 = (deformed_operator(spec, i, j) for i, j in ((3, 1), (2, 3), (1, 2)))
 
         def check(name, lhs, factor, transition):
-            sub = (lhs - diagonal(spec, factor) @ transition).mat[np.ix_(keep, keep)]
-            return _report(name, float(np.max(np.abs(sub))) if sub.size else 0.0, guard)
+            rows, cols, values = (lhs - diagonal(spec, factor) @ transition).elements()
+            inside = keep[rows] & keep[cols]
+            return _report(name, float(np.max(np.abs(values[inside]), initial=0.0)), guard)
 
         # right-hand sides: a label diagonal times S21 or S32; one check alive at a time
         return [

@@ -113,9 +113,10 @@ def weight_of(op: OperatorMatrix, cartan: CartanChoice, label: str = "",
     if scale == 0.0:
         raise NotAWeightVectorError("zero operator has no weight")
     kappas = []
+    dense = op.mat  # built on each read
     for h in (cartan.h1, cartan.h2):
         comm = commutator(h, op)
-        fit = np.vdot(op.mat, comm.mat) / np.vdot(op.mat, op.mat)
+        fit = np.vdot(dense, comm.mat) / np.vdot(dense, dense)
         if abs(fit.imag) > TOL_WEIGHT:
             raise NotAWeightVectorError(f"complex eigenvalue {fit!r} for {label!r}")
         residual = (comm - fit.real * op).max_abs() / scale

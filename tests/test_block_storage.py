@@ -1,0 +1,230 @@
+"""Block storage against dense numpy on the read-back ``mat``.
+
+Every OperatorMatrix stores only its blocks.  Sums, differences, negation,
+scalar products, ``dag`` and ``max_abs`` must equal the dense results
+exactly; products, exponentials and the block matvec ``apply`` agree with
+dense numpy to rounding.  Differences that cancel must leave one block per
+state.  The dense references and the component search live here, not in
+the package.  Outside ``operators``, only ``weights`` reads dense
+product-space matrices.
+"""
+
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import trilevel.operators as operators
+from trilevel.cli import main
+from trilevel.dispersive import transfer_block_mask
+from trilevel.hamiltonian import (
+    LAMBDA,
+    VEE,
+    HamiltonianSpec,
+    _rotation_generator,
+    build_hamiltonian,
+    excitation_operator,
+)
+from trilevel.hilbert import SpaceSpec
+from trilevel.operators import (
+    PRODUCT,
+    OperatorMatrix,
+    apply,
+    deformed_operator,
+    diagonal,
+    exp_hermitian,
+    field_operator,
+    lift,
+)
+
+TOL = 1e-12
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def search_labels(mat: np.ndarray) -> np.ndarray:
+    """Smallest index of the connected component of every state, by search."""
+    adjacent = (mat != 0) | (mat != 0).T
+    labels = np.full(len(mat), -1)
+    for start in range(len(mat)):
+        if labels[start] >= 0:
+            continue
+        labels[start] = start
+        stack = [start]
+        while stack:
+            for k in np.flatnonzero(adjacent[stack.pop()]):
+                if labels[k] < 0:
+                    labels[k] = start
+                    stack.append(int(k))
+    return labels
+
+
+def dense_exp(h: np.ndarray, t: float) -> np.ndarray:
+    w, v = np.linalg.eigh(h)
+    return (v * np.exp(-1j * t * w)) @ v.conj().T
+
+
+def scale(*mats: np.ndarray) -> float:
+    return max(1.0, math.prod(float(np.max(np.abs(m))) for m in mats))
+
+
+@st.composite
+def operator_pools(draw):
+    """Operators of one model with different partitions, both layouts, A <= 4."""
+    scheme = draw(st.sampled_from([LAMBDA, VEE]))
+    spec = SpaceSpec(draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+    energies = tuple(sorted(draw(st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3))))
+    coupling = st.one_of(st.just(0.0), st.floats(0.01, 0.5))
+    h = HamiltonianSpec(scheme, energies, draw(st.floats(0.5, 2.0)), g31=draw(coupling),
+                        g32=draw(coupling), g21=draw(coupling))
+    ham = build_hamiltonian(spec, h)
+    x = deformed_operator(spec, *h.coupled_pairs()[0])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sparse = rng.normal(size=(spec.product_dim,) * 2) * (rng.random((spec.product_dim,) * 2) < 0.05)
+    pool = {
+        "H": ham,
+        "x": x,
+        "x + x^dag": x + x.dag(),
+        "a": lift(spec, field_operator(spec, "annihilate")),
+        "excitation": excitation_operator(spec, scheme),
+        "generator": _rotation_generator(spec, h),
+        "exp(H)": exp_hermitian(ham, draw(st.floats(-2.0, 2.0))),
+        "diagonal": diagonal(spec, rng.integers(-1, 2, size=spec.product_dim)),
+        "dense": OperatorMatrix(PRODUCT, spec, sparse + 1j * sparse.T),
+    }
+    names = sorted(pool)
+    return spec, pool, draw(st.sampled_from(names)), draw(st.sampled_from(names))
+
+
+@settings(max_examples=60, deadline=None)
+@given(operator_pools(), st.complex_numbers(max_magnitude=3.0, allow_nan=False))
+def test_elementwise_operations_equal_the_dense_ones(model, c):
+    _, pool, first, second = model
+    m, n = pool[first], pool[second]
+    for result, dense in ((m + n, m.mat + n.mat), (m - n, m.mat - n.mat), (-m, -m.mat),
+                          (c * m, m.mat * c), (m.dag(), m.mat.conj().T)):
+        assert np.array_equal(result.mat, dense)
+        assert np.array_equal(result.blocks.labels, search_labels(dense))
+    assert m.max_abs() == float(np.max(np.abs(m.mat)))
+    assert m.is_hermitian() == (float(np.max(np.abs(m.mat - m.mat.conj().T))) <= 1e-12)
+    rows, cols, values = m.elements()
+    assert sorted(zip(rows.tolist(), cols.tolist())) == list(zip(*map(list, np.nonzero(m.mat))))
+    assert np.array_equal(values, m.mat[rows, cols])
+
+
+@settings(max_examples=40, deadline=None)
+@given(operator_pools())
+def test_cancelling_operators_split_into_single_states(model):
+    spec, pool, first, _ = model
+    m = pool[first]
+    for zero in (m - m, 0 * m, m + (-m)):
+        assert zero.max_abs() == 0.0
+        assert np.array_equal(zero.blocks.labels, np.arange(spec.product_dim))
+        assert not zero.mat.any()
+
+
+@settings(max_examples=60, deadline=None)
+@given(operator_pools())
+def test_products_match_dense(model):
+    _, pool, first, second = model
+    m, n = pool[first], pool[second]
+    product = m @ n
+    assert np.max(np.abs(product.mat - m.mat @ n.mat)) <= TOL * scale(m.mat, n.mat)
+    assert np.array_equal(product.blocks.labels, search_labels(product.mat))
+
+
+@settings(max_examples=40, deadline=None)
+@given(operator_pools(), st.floats(-2.0, 2.0))
+def test_exponentials_match_dense(model, t):
+    _, pool, _, _ = model
+    for h in (pool["H"], pool["x + x^dag"], 1j * pool["generator"], pool["diagonal"]):
+        u = exp_hermitian(h, t)
+        assert np.max(np.abs(u.mat - dense_exp(h.mat, t))) <= TOL * scale(t * h.mat)
+        labels = h.blocks.labels
+        assert np.all(u.mat[labels[:, None] != labels[None, :]] == 0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(operator_pools(), st.integers(0, 2**32 - 1), st.booleans())
+def test_block_matvec_matches_dense(model, seed, matrix):
+    spec, pool, first, _ = model
+    m = pool[first]
+    rng = np.random.default_rng(seed)
+    shape = (spec.product_dim, 3) if matrix else (spec.product_dim,)
+    states = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * (rng.random(shape) < 0.3)
+    support = np.any(states != 0, axis=1) if matrix else states != 0
+    full, reached = np.zeros_like(states), np.zeros_like(states)
+    for idx, block in apply(m, states):
+        full[idx] = block
+    for idx, block in apply(m, states, support):
+        reached[idx] = block
+    dense = m.mat @ states
+    assert np.max(np.abs(full - dense)) <= TOL * scale(m.mat, states)
+    assert np.array_equal(reached, full)  # blocks the states miss give exact zeros
+
+
+# --- the guard band of the transfer block --------------------------------------
+
+@pytest.mark.parametrize("guard", [-1, 5, 20])
+def test_transfer_block_mask_rejects_a_guard_outside_the_cutoff(guard):
+    with pytest.raises(ValueError, match=r"guard must be in \[0, 4\]"):
+        transfer_block_mask(SpaceSpec(2, 4), VEE, guard)
+
+
+def test_dispersive_compare_rejects_a_guard_above_the_cutoff(tmp_path, capsys):
+    out = tmp_path / "o"
+    status = main(["dispersive-compare", "--config", str(CONFIGS / "vee.conf"),
+                   "--out", str(out), "--guard", "20"])
+    assert status == 2
+    err = capsys.readouterr().err
+    assert err == "config error: guard must be in [0, 8], got 20\n"
+
+
+# --- no dense product-space matrix outside weights -----------------------------
+
+SMALL = {
+    LAMBDA: "scheme = lambda\nE1 = 0.0\nE2 = 0.0\nE3 = 3.0\ng32 = 0.1\ninitial.atom = 2,0,0\n",
+    VEE: "scheme = vee\nE1 = 0.0\nE2 = 3.0\nE3 = 3.0\ng21 = 0.1\ninitial.atom = 0,0,2\n",
+}
+COMMON = ("atoms = 2\nn_max = 4\nomega = 1.0\ng31 = 0.1\nguard = 2\nt_max = 1000.0\n"
+          "n_samples = 201\ninitial.field = fock:0\n")
+
+
+@pytest.mark.parametrize("scheme", [LAMBDA, VEE])
+@pytest.mark.parametrize("command,extra,status", [
+    ("verify", (), 0),
+    ("verify", ("--guard", "0"), 1),
+    ("evolve", (), 0),
+    ("dispersive-compare", (), 0),
+    ("spectrum", (), 0),
+])
+def test_commands_build_no_dense_product_matrix(scheme, command, extra, status, tmp_path,
+                                               monkeypatch):
+    dense = operators._dense
+
+    def refuse_product(op):
+        if op.space == PRODUCT:
+            raise AssertionError(f"{command} built a dense product-space matrix")
+        return dense(op)
+
+    monkeypatch.setattr(operators, "_dense", refuse_product)
+    conf = tmp_path / "run.conf"
+    conf.write_text(SMALL[scheme] + COMMON)
+    assert main([command, "--config", str(conf), "--out", str(tmp_path / "o"), *extra]) == status
+
+
+def test_weights_reads_dense_product_matrices(tmp_path, monkeypatch):
+    built = []
+    dense = operators._dense
+
+    def counting(op):
+        built.append(op.space)
+        return dense(op)
+
+    monkeypatch.setattr(operators, "_dense", counting)
+    conf = tmp_path / "run.conf"
+    conf.write_text(SMALL[VEE] + COMMON)
+    assert main(["weights", "--config", str(conf), "--out", str(tmp_path / "o")]) == 0
+    assert PRODUCT in built  # `.mat` goes through the patched function
