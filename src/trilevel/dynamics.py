@@ -1,12 +1,12 @@
 """Exact unitary evolution and the population-transfer experiments.
 
-Propagation goes through the Hermitian eigendecomposition of every
-Hamiltonian block the initial state touches, so there is no step-size
-error to tune; trajectories record level populations, photon number,
-norm, the conserved excitation count, energy, and the population sitting
-in the top photon slab (truncation leakage).  The experiments contrast the two layouts in the dispersive
-regime: the lambda layout supports no transfer out of the vacuum, the vee
-layout always transfers through the vacuum-triggered channel.
+Propagation diagonalizes each Hamiltonian block the initial state occupies
+and keeps the state on those blocks alone: no step-size error to tune and
+no dense state matrix.  Trajectories record level populations, photon
+number, norm, the conserved excitation count, energy and the population of
+the top photon slab (truncation leakage).  The experiments contrast the
+layouts in the dispersive regime: lambda never transfers out of the vacuum,
+vee always does, through the vacuum-triggered channel.
 """
 
 from __future__ import annotations
@@ -170,29 +170,37 @@ def prepare_initial(spec: SpaceSpec, init: InitialState,
     return psi / np.linalg.norm(psi)
 
 
-def propagate(ham: OperatorMatrix, psi0: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """psi(t) = exp(-i H t) psi0 for every sample, columns indexed by time.
-
-    Only the blocks of H that psi0 occupies are diagonalized; every other
-    row stays exactly zero."""
+def _trajectory(ham: OperatorMatrix, psi0: np.ndarray,
+                times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """psi(t) = exp(-i H t) psi0 on the blocks of H that psi0 occupies, each
+    diagonalized once, as (rows, psi): psi[k] = psi(t)[rows[k]], psi[-1] = 0 for the rest."""
     if not ham.is_hermitian(1e-12):
         raise ValueError("Hamiltonian is not Hermitian")
     if psi0.shape != (ham.dim,):
         raise ValueError(f"state dimension {psi0.shape} does not match {ham.dim}")
-    states = np.zeros((ham.dim, len(times)), dtype=np.complex128)
+    rows, parts = [np.zeros(0, np.intp)], []
     for idx, w, v in hermitian_blocks(ham, support=psi0 != 0):
-        coeff = np.einsum("mba,mb->ma", v.conj(), psi0[idx])
-        phases = np.exp(-1j * w[:, :, None] * times)  # (m, b, T)
-        states[idx] = v @ (phases * coeff[:, :, None])
+        phases = np.exp(np.multiply.outer(w, -1j * times))  # (m, b, T)
+        phases *= np.einsum("mba,mb->ma", v.conj(), psi0[idx])[:, :, None]
+        rows.append(idx.ravel())
+        parts.append((v @ phases).reshape(idx.size, -1))
+    return np.concatenate(rows), np.concatenate(parts + [np.zeros((1, len(times)), complex)])
+
+
+def propagate(ham: OperatorMatrix, psi0: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """psi(t) = exp(-i H t) psi0 for every sample, columns indexed by time;
+    rows outside the blocks of H that psi0 occupies are exactly zero."""
+    rows, psi = _trajectory(ham, psi0, times)
+    states = np.zeros((ham.dim, len(times)), dtype=np.complex128)
+    states[rows] = psi[:-1]
     return states
 
 
-def _expect(op: OperatorMatrix, states: np.ndarray) -> np.ndarray:
-    """<psi(t)| op |psi(t)> per sample, over the blocks of op the states reach."""
-    support = np.any(states != 0, axis=1)
-    out = np.zeros(states.shape[1])
-    for idx, block in apply(op, states, support):  # block: (m, b, T)
-        out += np.real(np.sum(states[idx].conj() * block, axis=(0, 1)))
+def _expect(op: OperatorMatrix, psi: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """<psi(t)| op |psi(t)> per sample, index k of the state read from psi[pos[k]]."""
+    out = np.zeros(psi.shape[1])
+    for idx, block in apply(op, psi, pos < len(psi) - 1, pos):  # block: (m, b, T)
+        out += np.einsum("mbt,mbt->t", psi[pos[idx]].conj(), block).real
     return out
 
 
@@ -207,21 +215,23 @@ def evolve(ham: OperatorMatrix, psi0: np.ndarray, grid: TimeGrid,
         raise ValueError("evolve expects a product-space Hamiltonian")
     spec = ham.spec
     times = grid.times
-    states = propagate(ham, psi0, times)  # (dim, T)
-    weights = np.abs(states) ** 2
+    rows, psi = _trajectory(ham, psi0, times)
+    pos = np.full(ham.dim, len(rows))  # indices off the blocks read the zero row
+    pos[rows] = np.arange(len(rows))
+    weights = np.abs(psi[:-1]) ** 2
 
     table = basis_table(spec)
-    pops = table.occupations.T.astype(float) @ weights  # (3, T)
-    leakage = (table.photons == spec.n_max).astype(float) @ weights
+    pops = table.occupations[rows].T.astype(float) @ weights  # (3, T)
+    leakage = (table.photons[rows] == spec.n_max).astype(float) @ weights
     return TrajectoryRecord(
         times=times,
         pop1=pops[0],
         pop2=pops[1],
         pop3=pops[2],
-        n_photon=table.photons.astype(float) @ weights,
+        n_photon=table.photons[rows].astype(float) @ weights,
         norm=np.sqrt(np.sum(weights, axis=0)),
-        excitation=_expect(excitation, states),
-        energy=_expect(ham, states),
+        excitation=_expect(excitation, psi, pos),
+        energy=_expect(ham, psi, pos),
         leakage=leakage,
         truncation_safe=bool(np.max(leakage) <= LEAKAGE_LIMIT),
     )

@@ -36,8 +36,6 @@ from .operators import (
 TOL_HERMITIAN = 1e-12
 TOL_DARK_BLOCK = 1e-10
 
-FieldAmplitude = complex
-
 
 @dataclass(frozen=True)
 class HamiltonianSpec:
@@ -220,23 +218,20 @@ def dark_block_residual(spec: SpaceSpec, transformed: OperatorMatrix) -> float:
 
 def _decoupling_rotation(spec: SpaceSpec, h: HamiltonianSpec, r: RotationResult,
                          ham: OperatorMatrix) -> tuple[OperatorMatrix, OperatorMatrix, float]:
-    """(U, U H U^dag, dark-block residual) of the degenerate-pair rotation.
-
-    U = exp(theta (S_ab - S_ba)) with theta = +angle, or -angle when +angle
-    leaves the dark mode coupled.  The residual is only checkable when the
-    paired energies are degenerate; otherwise it is NaN and +angle is kept.
-    """
-    gen = _rotation_generator(spec, h)
+    """(U, U H U^dag, dark-block residual) of the degenerate-pair rotation
+    U = exp(theta (S_ab - S_ba)), theta = +angle (lambda) or -angle (vee), which
+    takes the dark mode to slot 2; the residual is NaN (unchecked) unless the
+    paired energies are degenerate."""
     if not r.degenerate:
         warnings.warn("rotated pair is not degenerate; dark-mode decoupling is not "
                       "guaranteed and was not checked", stacklevel=3)
-    for theta in (r.angle, -r.angle):
-        u = exp_antihermitian(gen, theta)
-        rotated = u @ ham @ u.dag()
-        residual = dark_block_residual(spec, rotated) if r.degenerate else math.nan
-        if not r.degenerate or residual <= TOL_DARK_BLOCK:
-            return u, rotated, residual
-    raise RuntimeError("mode rotation failed to decouple the dark mode at either sign")
+    theta = r.angle if h.scheme == LAMBDA else -r.angle
+    u = exp_antihermitian(_rotation_generator(spec, h), theta)
+    rotated = u @ ham @ u.dag()
+    residual = dark_block_residual(spec, rotated) if r.degenerate else math.nan
+    if r.degenerate and residual > TOL_DARK_BLOCK:
+        raise RuntimeError(f"mode rotation left the dark mode coupled (residual {residual:.2e})")
+    return u, rotated, residual
 
 
 def _bright_coupling(spec: SpaceSpec, rotated: OperatorMatrix) -> float:
@@ -287,7 +282,7 @@ def rotation_report(spec: SpaceSpec, h: HamiltonianSpec) -> RotationReport:
     )
 
 
-def classical_hamiltonian(h: HamiltonianSpec, alpha: FieldAmplitude,
+def classical_hamiltonian(h: HamiltonianSpec, alpha: complex,
                           atoms: int) -> OperatorMatrix:
     """Atomic-space Hamiltonian with the field replaced by the amplitude alpha.
 

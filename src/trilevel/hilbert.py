@@ -107,15 +107,9 @@ class IndexMap:
 
 
 @lru_cache(maxsize=32)
-def _basis(spec: SpaceSpec) -> IndexMap:
+def index_map(spec: SpaceSpec) -> IndexMap:
+    """The one cached IndexMap of ``spec``."""
     return IndexMap(spec)
 
 
-def index_map(spec: SpaceSpec) -> IndexMap:
-    """The one cached IndexMap of ``spec``."""
-    return _basis(spec)
-
-
-def basis_table(spec: SpaceSpec) -> IndexMap:
-    """The same cached IndexMap, read for its ``occupations`` and ``photons``."""
-    return _basis(spec)
+basis_table = index_map  # the same map, read for its ``occupations`` and ``photons``

@@ -38,7 +38,6 @@ from .hilbert import SpaceSpec, basis_table, index_map
 ATOMIC = "atomic"
 FIELD = "field"
 PRODUCT = "product"
-SPACES = (ATOMIC, FIELD, PRODUCT)
 
 LAMBDA = "lambda"
 VEE = "vee"
@@ -447,14 +446,16 @@ def hermitian_blocks(op: OperatorMatrix, support: np.ndarray | None = None):
         yield idx, np.array([w for w, _ in pairs]), np.array([v for _, v in pairs])
 
 
-def apply(op: OperatorMatrix, states: np.ndarray, support: np.ndarray | None = None):
-    """Yield (idx, block @ states[idx]) per group of equal-size blocks of
-    ``op`` (idx as in ``hermitian_blocks``), for states of shape (dim,) or
-    (dim, T); the rows of op @ states outside every idx are zero.  With a
-    boolean ``support`` mask only the blocks holding a supported index."""
+def apply(op: OperatorMatrix, states: np.ndarray, support: np.ndarray | None = None,
+          pos: np.ndarray | None = None):
+    """Yield (idx, block @ states[idx]) per group of equal-size blocks of ``op``
+    (idx as in ``hermitian_blocks``), for states of shape (dim,) or (dim, T); the
+    rows of op @ states outside every idx are zero.  A boolean ``support`` mask keeps
+    the blocks holding a supported index; a ``pos`` map reads index k from row pos[k]."""
     for idx, stack in _exact_stacks(op, support):
-        x = states[idx]
-        yield idx, stack @ x if x.ndim == 3 else (stack @ x[..., None])[..., 0]
+        x = states[idx if pos is None else pos[idx]]
+        x = stack @ x if x.ndim == 3 else (stack @ x[..., None])[..., 0]  # frees the gathered rows
+        yield idx, x
 
 
 def exp_hermitian(h: OperatorMatrix, t: float) -> OperatorMatrix:

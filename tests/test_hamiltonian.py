@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import trilevel.hamiltonian as hamiltonian
 from trilevel.hilbert import SpaceSpec, index_map
-from trilevel.operators import atomic_operator, commutator, identity, lift, ATOMIC
+from trilevel.operators import (atomic_operator, commutator, exp_antihermitian, identity, lift,
+                                ATOMIC)
 from trilevel.hamiltonian import (
     LAMBDA,
     VEE,
@@ -155,6 +157,36 @@ def test_rotation_report_scales_with_atoms(atoms):
     rep = rotation_report(spec, lambda_spec(0.3, 0.4))
     assert rep.dark_coupling_residual <= 1e-10
     assert abs(rep.extracted_coupling - 0.5) <= 1e-10
+
+
+@pytest.mark.parametrize("atoms", [1, 3])
+@pytest.mark.parametrize("h", [lambda_spec(0.3, 0.4), lambda_spec(0.0, 0.4),
+                               lambda_spec(0.4, 0.0), vee_spec(0.3, 0.4), vee_spec(0.0, 0.4),
+                               vee_spec(0.4, 0.0)])
+def test_rotation_takes_the_known_sign_once(atoms, h, monkeypatch):
+    """theta = +angle (lambda) or -angle (vee): one exponential per report,
+    and U^dag maps every atom in slot 2 onto the dark state."""
+    spec = SpaceSpec(atoms, 2)
+    calls = []
+
+    def counted(gen, theta):
+        calls.append(theta)
+        return exp_antihermitian(gen, theta)
+
+    monkeypatch.setattr(hamiltonian, "exp_antihermitian", counted)
+    u = rotation_report(spec, h).unitary.mat
+    assert len(calls) == 1
+    slot2 = np.zeros(spec.product_dim, dtype=complex)
+    slot2[index_map(spec).flat((0, atoms, 0), 1)] = 1.0
+    assert np.max(np.abs(u.conj().T @ slot2 - dark_state(spec, h, 1))) <= 1e-12
+
+
+def test_rotation_that_leaves_the_dark_mode_coupled_is_an_error(monkeypatch):
+    spec = SpaceSpec(1, 2)
+    monkeypatch.setattr(hamiltonian, "exp_antihermitian",
+                        lambda gen, theta: identity(spec, "product"))
+    with pytest.raises(RuntimeError, match="left the dark mode coupled"):
+        rotation_report(spec, vee_spec(0.3, 0.4))
 
 
 def test_mode_rotation_warns_when_not_degenerate():
