@@ -33,6 +33,7 @@ from .operators import (
     dressed_term,
     enhancement_factor,
     exp_antihermitian,
+    guarded_states,
     tensor_sum,
 )
 from .hamiltonian import HamiltonianSpec, build_hamiltonian
@@ -151,37 +152,36 @@ def analytic_effective(spec: SpaceSpec, h: HamiltonianSpec,
                              (1, atomic_operator(spec, lb, la).mat, eye)])
     table = basis_table(spec)
     op = swap @ diagonal(spec, enhancement_factor(h.scheme, table.occupations, table.photons))
-    if not op.is_hermitian(1e-12):
+    if not op.is_hermitian():
         raise RuntimeError("analytic transfer operator is not Hermitian")
     return EffectiveModel(h.scheme, op, prefactor)
 
 
-def transfer_block_mask(spec: SpaceSpec, scheme: str, guard: int) -> np.ndarray:
-    """Boolean mask of matrix elements moving one excitation within the
-    degenerate pair at equal photon number, inside the guarded subspace."""
-    if not 0 <= guard <= spec.n_max:
-        raise ValueError(f"guard must be in [0, {spec.n_max}], got {guard}")
+def _transfer_block(spec: SpaceSpec, scheme: str, guard: int):
+    """Predicate (rows, cols) -> bool of the matrix elements moving one excitation
+    within the degenerate pair at equal photon number, inside the guarded subspace."""
+    inside = guarded_states(spec, guard)
     table = basis_table(spec)
     # lambda: the pair is (1, 2) with level 3 spectating; vee: (2, 3) with level 1
     moved_slot, spectator_slot = (0, 2) if scheme == LAMBDA else (1, 0)
     moved = table.occupations[:, moved_slot]
     spectator = table.occupations[:, spectator_slot]
     n = table.photons
-    inside = n <= spec.n_max - guard
-    return (
-        (inside[:, None] & inside[None, :])
-        & (n[:, None] == n[None, :])
-        & (spectator[:, None] == spectator[None, :])
-        & (np.abs(moved[:, None] - moved[None, :]) == 1)
-    )
+    return lambda r, c: (inside[r] & inside[c] & (n[r] == n[c])
+                         & (spectator[r] == spectator[c]) & (np.abs(moved[r] - moved[c]) == 1))
 
 
-def _residual(spec: SpaceSpec, h: HamiltonianSpec, p: DispersiveParams, mask: np.ndarray,
+def transfer_block_mask(spec: SpaceSpec, scheme: str, guard: int) -> np.ndarray:
+    """The transfer block as a dense (dim, dim) boolean mask."""
+    every = np.arange(spec.product_dim)
+    return _transfer_block(spec, scheme, guard)(every[:, None], every[None, :])
+
+
+def _residual(spec: SpaceSpec, h: HamiltonianSpec, p: DispersiveParams, block,
               transfer: OperatorMatrix) -> tuple[OperatorMatrix, float]:
-    """H and the largest masked difference of its conjugation from the closed form."""
+    """H and the largest difference of its conjugation from the closed form on ``block``."""
     ham, conjugated = _conjugated(spec, h, p)
-    rows, cols, diff = (conjugated - transfer_prefactor(h, p) * transfer).elements()
-    return ham, float(np.max(np.abs(diff[mask[rows, cols]]), initial=0.0))
+    return ham, (conjugated - transfer_prefactor(h, p) * transfer).max_abs(block)
 
 
 def block_residual(spec: SpaceSpec, h: HamiltonianSpec, p: DispersiveParams,
@@ -189,14 +189,14 @@ def block_residual(spec: SpaceSpec, h: HamiltonianSpec, p: DispersiveParams,
     """Max difference between the numeric conjugation and the closed form,
     restricted to the guarded degenerate-transfer block."""
     transfer = analytic_effective(spec, h, p).transfer_operator
-    return _residual(spec, h, p, transfer_block_mask(spec, h.scheme, guard), transfer)[1]
+    return _residual(spec, h, p, _transfer_block(spec, h.scheme, guard), transfer)[1]
 
 
 def compare(spec: SpaceSpec, h: HamiltonianSpec, p: DispersiveParams,
             guard: int = DEFAULT_GUARD) -> tuple[OperatorMatrix, EffectiveModel, float, float]:
     """H, the closed-form model, their transfer-block residual and its order
     log2(residual(eps) / residual(eps/2)): the closed form is the first-order
-    off-diagonal term, so the order should be about 2.  The mask and model
+    off-diagonal term, so the order should be about 2.  The block and model
     serve both detunings; the eps/2 probe's own H and rotations are released
     before the returned H is built."""
     if guard < 2:
@@ -211,9 +211,9 @@ def compare(spec: SpaceSpec, h: HamiltonianSpec, p: DispersiveParams,
     model = analytic_effective(spec, h, p)
     h_half = replace(h, omega=h.omega - deltas[0])
     p_half = dispersive_params(h_half, p.n_bar, spec.atoms)
-    mask = transfer_block_mask(spec, h.scheme, guard)
-    r2 = _residual(spec, h_half, p_half, mask, model.transfer_operator)[1]
-    ham, r1 = _residual(spec, h, p, mask, model.transfer_operator)
+    block = _transfer_block(spec, h.scheme, guard)
+    r2 = _residual(spec, h_half, p_half, block, model.transfer_operator)[1]
+    ham, r1 = _residual(spec, h, p, block, model.transfer_operator)
     return ham, model, r1, math.inf if r1 < 1e-14 or r2 < 1e-14 else math.log2(r1 / r2)
 
 

@@ -174,7 +174,7 @@ def _trajectory(ham: OperatorMatrix, psi0: np.ndarray,
                 times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """psi(t) = exp(-i H t) psi0 on the blocks of H that psi0 occupies, each
     diagonalized once, as (rows, psi): psi[k] = psi(t)[rows[k]], psi[-1] = 0 for the rest."""
-    if not ham.is_hermitian(1e-12):
+    if not ham.is_hermitian():
         raise ValueError("Hamiltonian is not Hermitian")
     if psi0.shape != (ham.dim,):
         raise ValueError(f"state dimension {psi0.shape} does not match {ham.dim}")

@@ -33,7 +33,6 @@ from .operators import (
     tensor_sum,
 )
 
-TOL_HERMITIAN = 1e-12
 TOL_DARK_BLOCK = 1e-10
 
 
@@ -127,7 +126,7 @@ def interaction_hamiltonian(spec: SpaceSpec, h: HamiltonianSpec) -> OperatorMatr
 
 def build_hamiltonian(spec: SpaceSpec, h: HamiltonianSpec) -> OperatorMatrix:
     out = tensor_sum(spec, _free_terms(spec, h) + _interaction_terms(spec, h))
-    if not out.is_hermitian(TOL_HERMITIAN):
+    if not out.is_hermitian():
         raise RuntimeError("constructed Hamiltonian is not Hermitian")
     return out
 
@@ -212,8 +211,7 @@ def dark_block_residual(spec: SpaceSpec, transformed: OperatorMatrix) -> float:
     """Largest matrix element of a rotated Hamiltonian that changes the
     dark-mode occupation (slot 2 of the occupation triple)."""
     n2 = basis_table(spec).occupations[:, 1]
-    rows, cols, values = transformed.elements()
-    return float(np.max(np.abs(values[n2[rows] != n2[cols]]), initial=0.0))
+    return transformed.max_abs(lambda r, c: n2[r] != n2[c])
 
 
 def _decoupling_rotation(spec: SpaceSpec, h: HamiltonianSpec, r: RotationResult,
@@ -239,9 +237,8 @@ def _bright_coupling(spec: SpaceSpec, rotated: OperatorMatrix) -> float:
     dark mode after rotation, so this element isolates the bright 1 <-> 3
     transition."""
     imap, a = index_map(spec), spec.atoms
-    rows, cols, values = rotated.elements()
-    element = values[(rows == imap.flat((a - 1, 0, 1), 0)) & (cols == imap.flat((a, 0, 0), 1))]
-    return float(abs(element.sum()) / math.sqrt(a))
+    row, col = imap.flat((a - 1, 0, 1), 0), imap.flat((a, 0, 0), 1)
+    return rotated.max_abs(lambda r, c: (r == row) & (c == col)) / math.sqrt(a)
 
 
 def mode_rotation_unitary(spec: SpaceSpec, h: HamiltonianSpec,

@@ -13,7 +13,7 @@ two schemes onto weight sets related by a single reflection.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from io import StringIO
 import csv
@@ -139,7 +139,6 @@ class DiagramLayout:
     scheme: str
     classical: bool
     vectors: tuple[WeightVector, ...]
-    styles: dict = field(default_factory=lambda: dict(DEFAULT_STYLES))
 
 
 def _scheme_operators(scheme: str, classical: bool, spec: SpaceSpec,
@@ -196,12 +195,6 @@ def weight_table(layout: DiagramLayout) -> str:
     return out.getvalue()
 
 
-def _style(layout: DiagramLayout, order: str) -> dict:
-    style = dict(DEFAULT_STYLES[order])
-    style.update(layout.styles.get(order, {}))
-    return style
-
-
 def render_svg(layout: DiagramLayout) -> bytes:
     """Deterministic SVG 1.1 document: origin-centered vectors with labels.
 
@@ -227,7 +220,7 @@ def render_svg(layout: DiagramLayout) -> bytes:
         f'<circle cx="{center:.1f}" cy="{center:.1f}" r="2.5" fill="#000"/>',
     ]
     for v in layout.vectors:
-        style = _style(layout, v.order)
+        style = DEFAULT_STYLES[v.order]
         x1, y1 = pt(0.0, 0.0)
         x2, y2 = pt(*v.coords)
         dash = f' stroke-dasharray="{style["dash"]}"' if style["dash"] else ""

@@ -1,8 +1,8 @@
 """Block storage against dense numpy on the read-back ``mat``.
 
 Every OperatorMatrix stores only its blocks.  Sums, differences, negation,
-scalar products, ``dag`` and ``max_abs`` must equal the dense results
-exactly; products, exponentials and the block matvec ``apply`` agree with
+scalar products, ``dag`` and ``max_abs`` (also under an index predicate)
+must equal the dense results exactly; products, exponentials and the block matvec ``apply`` agree with
 dense numpy to rounding.  Differences that cancel must leave one block per
 state.  The dense references and the component search live here, not in
 the package.  Outside ``operators``, only ``weights`` reads dense
@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import trilevel.dispersive as dispersive
 import trilevel.operators as operators
 from trilevel.cli import main
 from trilevel.dispersive import transfer_block_mask
@@ -28,7 +29,7 @@ from trilevel.hamiltonian import (
     build_hamiltonian,
     excitation_operator,
 )
-from trilevel.hilbert import SpaceSpec
+from trilevel.hilbert import SpaceSpec, basis_table
 from trilevel.operators import (
     PRODUCT,
     OperatorMatrix,
@@ -37,6 +38,7 @@ from trilevel.operators import (
     diagonal,
     exp_hermitian,
     field_operator,
+    guarded_states,
     lift,
 )
 
@@ -71,10 +73,10 @@ def scale(*mats: np.ndarray) -> float:
 
 
 @st.composite
-def operator_pools(draw):
-    """Operators of one model with different partitions, both layouts, A <= 4."""
+def operator_pools(draw, max_atoms=4):
+    """Operators of one model with different partitions, both layouts, A <= max_atoms."""
     scheme = draw(st.sampled_from([LAMBDA, VEE]))
-    spec = SpaceSpec(draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+    spec = SpaceSpec(draw(st.integers(1, max_atoms)), draw(st.integers(1, 4)))
     energies = tuple(sorted(draw(st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3))))
     coupling = st.one_of(st.just(0.0), st.floats(0.01, 0.5))
     h = HamiltonianSpec(scheme, energies, draw(st.floats(0.5, 2.0)), g31=draw(coupling),
@@ -112,6 +114,38 @@ def test_elementwise_operations_equal_the_dense_ones(model, c):
     rows, cols, values = m.elements()
     assert sorted(zip(rows.tolist(), cols.tolist())) == list(zip(*map(list, np.nonzero(m.mat))))
     assert np.array_equal(values, m.mat[rows, cols])
+
+
+@settings(max_examples=60, deadline=None)
+@given(operator_pools(max_atoms=3), st.integers(0, 2**32 - 1))
+def test_masked_max_abs_equals_the_dense_masked_max(model, seed):
+    spec, pool, first, second = model
+    m, n = pool[first], pool[second]
+    rng = np.random.default_rng(seed)
+    guard = int(rng.integers(0, spec.n_max + 1))
+    keep = guarded_states(spec, guard)
+    n2 = basis_table(spec).occupations[:, 1]
+    every = np.arange(spec.product_dim)
+    # stored layouts that are not the exact blocks: joined partitions, cancelled
+    # values, one dense block, and the exponential's copy of H's blocks
+    for op in (m @ n, m + n, m - m, pool["dense"], pool["exp(H)"]):
+        labels = op._layout.labels
+        inside = rng.choice(np.flatnonzero(labels == labels[rng.integers(len(labels))]), 2)
+        predicates = [
+            lambda r, c: n2[r] != n2[c],
+            lambda r, c: keep[r] & keep[c],
+            dispersive._transfer_block(spec, LAMBDA, guard),
+            dispersive._transfer_block(spec, VEE, guard),
+            lambda r, c: (r == inside[0]) & (c == inside[1]),
+            lambda r, c: r < 0,
+        ]
+        outside = np.argwhere(labels[:, None] != labels[None, :])
+        if len(outside):
+            row, col = outside[rng.integers(len(outside))]
+            predicates.append(lambda r, c: (r == row) & (c == col))
+        for where in predicates:
+            mask = np.broadcast_to(where(every[:, None], every[None, :]), op.mat.shape)
+            assert op.max_abs(where) == float(np.max(np.abs(op.mat[mask]), initial=0.0))
 
 
 @settings(max_examples=40, deadline=None)
@@ -213,6 +247,17 @@ def test_commands_build_no_dense_product_matrix(scheme, command, extra, status, 
     conf = tmp_path / "run.conf"
     conf.write_text(SMALL[scheme] + COMMON)
     assert main([command, "--config", str(conf), "--out", str(tmp_path / "o"), *extra]) == status
+
+
+@pytest.mark.parametrize("scheme", [LAMBDA, VEE])
+def test_dispersive_compare_builds_no_dense_transfer_mask(scheme, tmp_path, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("dispersive-compare built the dense transfer mask")
+
+    monkeypatch.setattr(dispersive, "transfer_block_mask", refuse)
+    conf = tmp_path / "run.conf"
+    conf.write_text(SMALL[scheme] + COMMON)
+    assert main(["dispersive-compare", "--config", str(conf), "--out", str(tmp_path / "o")]) == 0
 
 
 def test_weights_reads_dense_product_matrices(tmp_path, monkeypatch):

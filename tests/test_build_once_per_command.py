@@ -83,13 +83,13 @@ def test_dispersive_compare_builds_each_operator_once(text, tmp_path, monkeypatc
     build = counting(calls, "H", hamiltonian.build_hamiltonian)
     for module in (hamiltonian, dispersive, dynamics, cli):
         monkeypatch.setattr(module, "build_hamiltonian", build)
-    for name in ("analytic_effective", "transfer_block_mask"):
+    for name in ("analytic_effective", "_transfer_block"):
         monkeypatch.setattr(dispersive, name, counting(calls, name, getattr(dispersive, name)))
     assert run("dispersive-compare", text, tmp_path) == cli.EXIT_OK
     # one H for eps and one for the eps/2 probe
     assert calls.count("H") == 2
     assert calls.count("analytic_effective") == 1
-    assert calls.count("transfer_block_mask") == 1
+    assert calls.count("_transfer_block") == 1
 
 
 @pytest.mark.parametrize("text", [LAMBDA_CONF, VEE_CONF], ids=["lambda", "vee"])

@@ -182,6 +182,6 @@ def test_render_svg_deterministic_and_styled():
 
 def test_render_svg_rejects_empty_layout():
     layout = diagram_layout(LAMBDA, classical=False, spec=SpaceSpec(1, 3))
-    empty = type(layout)(layout.scheme, layout.classical, (), layout.styles)
+    empty = type(layout)(layout.scheme, layout.classical, ())
     with pytest.raises(ValueError):
         render_svg(empty)
