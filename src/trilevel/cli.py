@@ -246,19 +246,23 @@ def _dump_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
+def _float_column(values: np.ndarray) -> list[str]:
+    """repr of each value as a float64, once per distinct bit pattern (-0.0 is not 0.0)."""
+    bits, inverse = np.unique(np.asarray(values, dtype=np.float64).view(np.int64),
+                              return_inverse=True)
+    texts = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
+    return texts[inverse].tolist()
+
+
+def _write_csv(path: Path, header: str, columns: list[list[str]]) -> None:
+    path.write_text("\n".join([header, *map(",".join, zip(*columns))]) + "\n")
 
 
 def write_trajectory_csv(path: Path, record: TrajectoryRecord) -> None:
-    lines = ["t,pop1,pop2,pop3,n_photon,norm,excitation,leakage"]
-    for k in range(len(record.times)):
-        lines.append(",".join([
-            _fmt(record.times[k]), _fmt(record.pop1[k]), _fmt(record.pop2[k]),
-            _fmt(record.pop3[k]), _fmt(record.n_photon[k]), _fmt(record.norm[k]),
-            _fmt(record.excitation[k]), _fmt(record.leakage[k]),
-        ]))
-    path.write_text("\n".join(lines) + "\n")
+    _write_csv(path, "t,pop1,pop2,pop3,n_photon,norm,excitation,leakage", [
+        _float_column(values) for values in (
+            record.times, record.pop1, record.pop2, record.pop3, record.n_photon,
+            record.norm, record.excitation, record.leakage)])
 
 
 def _check(name: str, residual: float | None, tolerance: float,
@@ -421,9 +425,8 @@ def cmd_spectrum(cfg: RunConfig, out: Path) -> int:
     spec = cfg.space_spec()
     ham = build_hamiltonian(spec, cfg.hamiltonian_spec())
     spectrum = eigenvalues(ham)
-    lines = ["index,eigenvalue"]
-    lines.extend(f"{k},{_fmt(v)}" for k, v in enumerate(spectrum))
-    (out / "spectrum.csv").write_text("\n".join(lines) + "\n")
+    _write_csv(out / "spectrum.csv", "index,eigenvalue",
+               [list(map(str, range(len(spectrum)))), _float_column(spectrum)])
     print(f"spectrum: wrote {out / 'spectrum.csv'} ({len(spectrum)} eigenvalues)")
     return EXIT_OK
 

@@ -8,14 +8,15 @@ with absorption of one photon, X_ij = a S_ij for the pairs (3,1), (2,1),
 (3,2), and with emission for the conjugate pairs, X_ij = X_ji^dag.
 
 Every product-space operator the package builds is a short sum of
-c (atomic (x) field) terms, written entry by entry by tensor_sum.  These
-operators conserve an excitation count, so their matrices split into
-exactly decoupled blocks.  An OperatorMatrix stores only its blocks (a
-BlockPartition holding every nonzero, and one stack of blocks per block
-size) and computes block by block; atomic and field operators are the
-one-block case.  The exact connected components of the nonzero pattern
-are found from the stored elements on first use (no tolerance), and a
-dense matrix is built only when ``mat`` is read.
+c (atomic (x) field) terms, written entry by entry by tensor_sum, and splits
+into exactly decoupled blocks of a conserved excitation count.  An
+OperatorMatrix stores only a BlockPartition holding every nonzero and one
+(m, b, b) stack per block size b (atomic and field operators are one block),
+and makes one numpy call per stack: sums and products scatter both operands
+into the joined partition by slot arithmetic, and hermitian_blocks gathers
+the exact connected blocks (found from the stored elements on first use, no
+tolerance) into stacks and makes one eigh call per stack.  A dense matrix is
+built only when ``mat`` is read.
 
 verify_algebra re-derives the operator identities numerically.  The
 first-order commutators are exact on the (untruncated) atomic space.  The
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partialmethod
 
 import numpy as np
 
@@ -55,13 +56,9 @@ class SpaceMismatchError(ValueError):
 
 
 def _space_dim(spec: SpaceSpec, space: str) -> int:
-    if space == ATOMIC:
-        return spec.atomic_dim
-    if space == FIELD:
-        return spec.field_dim
-    if space == PRODUCT:
-        return spec.product_dim
-    raise ValueError(f"unknown space tag {space!r}")
+    if space not in (ATOMIC, FIELD, PRODUCT):
+        raise ValueError(f"unknown space tag {space!r}")
+    return getattr(spec, f"{space}_dim")  # atomic_dim, field_dim or product_dim
 
 
 def _component_labels(dim: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -230,10 +227,19 @@ class OperatorMatrix:
         return np.concatenate(rows), np.concatenate(cols), np.concatenate(values)
 
     def _in(self, layout: BlockPartition) -> np.ndarray:
-        """Flat storage in ``layout``, which must hold every nonzero."""
+        """Flat storage in ``layout``, nested with the stored partition: scattered into
+        a coarser one, or gathered into a finer one holding every nonzero; zeros are +0.0."""
         if layout is self._layout:
             return self._data
-        return _write(layout, *self.elements())
+        if layout.count <= self._layout.count:  # nested, so coarser or the same
+            row, col = layout.slots
+            data = np.zeros(layout.size, dtype=np.complex128)
+            for idx, stack in _views(self._layout, self._data):
+                data[row[idx][:, :, None] + col[idx][:, None, :]] = stack + 0.0
+            return data
+        row, col = self._layout.slots
+        return np.concatenate([self._data[row[idx][:, :, None] + col[idx][:, None, :]].ravel()
+                               for idx in layout.groups]) + 0.0
 
     def dag(self) -> "OperatorMatrix":
         data = [s.swapaxes(1, 2).conj().ravel() for _, s in _views(self._layout, self._data)]
@@ -251,33 +257,25 @@ class OperatorMatrix:
         return all(np.max(np.abs(s - s.conj().swapaxes(1, 2))) <= tol
                    for _, s in _views(self._layout, self._data))
 
-    def _compatible(self, other: "OperatorMatrix") -> None:
+    def _joined(self, other: "OperatorMatrix") -> BlockPartition:
         if not isinstance(other, OperatorMatrix):
             raise TypeError(f"expected OperatorMatrix, got {type(other).__name__}")
         if self.space != other.space:
+            raise SpaceMismatchError(f"cannot combine {self.space} and {other.space} operators")
+        a, b = self.spec, other.spec
+        if ((self.space != FIELD and a.atoms != b.atoms)
+                or (self.space != ATOMIC and a.n_max != b.n_max)):
             raise SpaceMismatchError(
-                f"cannot combine {self.space} and {other.space} operators"
-            )
-        same_atoms = self.spec.atoms == other.spec.atoms
-        same_field = self.spec.n_max == other.spec.n_max
-        ok = {
-            ATOMIC: same_atoms,
-            FIELD: same_field,
-            PRODUCT: same_atoms and same_field,
-        }[self.space]
-        if not ok:
-            raise SpaceMismatchError(
-                f"operators live on different {self.space} spaces: "
-                f"{self.spec} vs {other.spec}"
-            )
+                f"operators live on different {self.space} spaces: {a} vs {b}")
+        return self._layout.join(other._layout)  # both act on the same space
 
-    def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        self._compatible(other)
-        layout = self._layout.join(other._layout)
-        return OperatorMatrix(self.space, self.spec, self._in(layout) + other._in(layout), layout)
+    def _elementwise(self, other: "OperatorMatrix", ufunc) -> "OperatorMatrix":
+        layout = self._joined(other)
+        return OperatorMatrix(self.space, self.spec, ufunc(self._in(layout), other._in(layout)),
+                              layout)
 
-    def __sub__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        return self + (-other)  # the same bits as an elementwise difference
+    __add__ = partialmethod(_elementwise, ufunc=np.add)
+    __sub__ = partialmethod(_elementwise, ufunc=np.subtract)  # the same bits as self + (-other)
 
     def __neg__(self) -> "OperatorMatrix":
         return OperatorMatrix(self.space, self.spec, -self._data, self._layout)
@@ -289,8 +287,7 @@ class OperatorMatrix:
 
     def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         """Matrix product, one block of the joined partitions at a time."""
-        self._compatible(other)
-        joined = self._layout.join(other._layout)
+        joined = self._joined(other)
         a, b = self._in(joined), other._in(joined)
         data = np.empty(joined.size, dtype=np.complex128)
         for _, where, shape in joined.stacks:
@@ -329,18 +326,15 @@ def atomic_operator(spec: SpaceSpec, i: int, j: int) -> OperatorMatrix:
     """
     if i not in LEVELS or j not in LEVELS:
         raise ValueError(f"levels must be in {LEVELS}, got ({i}, {j})")
-    imap = index_map(spec)
+    occ = index_map(spec).occupations[::spec.field_dim]  # (atomic_dim, 3) labels
+    if i == j:
+        return OperatorMatrix(ATOMIC, spec, np.diag(occ[:, i - 1]))
+    index = np.zeros((spec.atoms + 1, spec.atoms + 1), dtype=np.intp)
+    index[occ[:, 0], occ[:, 1]] = np.arange(spec.atomic_dim)  # (n1, n2) fix the triple
+    cols = np.flatnonzero(occ[:, j - 1])
+    n1, n2 = (occ[cols, k] + (i == k + 1) - (j == k + 1) for k in (0, 1))  # after j -> i
     mat = np.zeros((spec.atomic_dim, spec.atomic_dim), dtype=np.complex128)
-    for col, occ in enumerate(imap.states):
-        if i == j:
-            mat[col, col] = occ[i - 1]
-            continue
-        if occ[j - 1] == 0:
-            continue
-        target = list(occ)
-        target[j - 1] -= 1
-        target[i - 1] += 1
-        mat[imap.atomic_index(target), col] = np.sqrt((occ[i - 1] + 1) * occ[j - 1])
+    mat[index[n1, n2], cols] = np.sqrt((occ[cols, i - 1] + 1) * occ[cols, j - 1])
     return OperatorMatrix(ATOMIC, spec, mat)
 
 
@@ -435,7 +429,7 @@ def _exact_stacks(op: OperatorMatrix, support: np.ndarray | None = None):
 
 
 def hermitian_blocks(op: OperatorMatrix, support: np.ndarray | None = None):
-    """Eigendecomposition of a Hermitian operator, one block at a time.
+    """Eigendecomposition of a Hermitian operator, one eigh call per block size.
 
     Yields (idx, w, v) per group of equal-size blocks: idx is the (m, b)
     index array of the blocks, w their (m, b) eigenvalues and v the
@@ -447,8 +441,7 @@ def hermitian_blocks(op: OperatorMatrix, support: np.ndarray | None = None):
         if idx.shape[1] == 1:
             yield idx, blocks[:, :, 0].real, np.ones_like(blocks)
             continue
-        pairs = [np.linalg.eigh(block) for block in blocks]
-        yield idx, np.array([w for w, _ in pairs]), np.array([v for _, v in pairs])
+        yield idx, *np.linalg.eigh(blocks)
 
 
 def apply(op: OperatorMatrix, states: np.ndarray, support: np.ndarray | None = None,
@@ -540,13 +533,17 @@ def verify_algebra(spec: SpaceSpec, mode: str, guard: int = 1) -> list[IdentityR
     so callers can always print the full table.
     """
     if mode == "u3":
-        s = {(i, j): atomic_operator(spec, i, j) for i in LEVELS for j in LEVELS}
-        reports = []
-        for i, j, k, l in itertools.product(LEVELS, repeat=4):
-            rhs = (j == k) * s[(i, l)] - (i == l) * s[(k, j)]
-            resid = (commutator(s[(i, j)], s[(k, l)]) - rhs).max_abs()
-            reports.append(_report(f"[S{i}{j}, S{k}{l}]", resid, 0))
-        return reports
+        # s[i - 1, j - 1] = S_ij, prod[i, j, k, l] = S_ij S_kl; nine identities at a time
+        s = np.stack([[atomic_operator(spec, i, j).mat for j in LEVELS] for i in LEVELS])
+        prod = s[:, :, None, None] @ s[None, None]
+        k, l = np.indices((3, 3))
+        resid = []
+        for i, j in itertools.product(range(3), repeat=2):  # [S_ij, S_kl] for every (k, l)
+            comm = prod[i, j] + -prod[:, :, i, j]  # elementwise as commutator()
+            rhs = (j == k)[..., None, None] * s[i, l] + -((i == l)[..., None, None] * s[k, j])
+            resid.extend(np.abs(comm - rhs).max(axis=(2, 3)).ravel().tolist())
+        names = (f"[S{i}{j}, S{k}{l}]" for i, j, k, l in itertools.product(LEVELS, repeat=4))
+        return [_report(name, r, 0) for name, r in zip(names, resid)]
 
     if mode == "second_order":
         keep = guarded_states(spec, guard)
