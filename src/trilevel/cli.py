@@ -60,6 +60,7 @@ EXIT_TRUNCATION = 3
 DEFAULT_VERIFY_GUARD = 2
 DEFAULT_SWEEP_NBARS = (4.0, 8.0, 16.0, 32.0)
 TOL_CONSERVATION = 1e-10
+CSV_ROWS = 512  # rows formatted per column call, which bounds the strings held at once
 
 KNOWN_KEYS = {
     "scheme", "atoms", "n_max", "omega", "E1", "E2", "E3",
@@ -246,23 +247,26 @@ def _dump_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _float_column(values: np.ndarray) -> list[str]:
+def _fmt(values: np.ndarray) -> list[str]:
     """repr of each value as a float64, once per distinct bit pattern (-0.0 is not 0.0)."""
-    bits, inverse = np.unique(np.asarray(values, dtype=np.float64).view(np.int64),
-                              return_inverse=True)
+    bits, inverse = np.unique(np.asarray(values, float).view(np.int64), return_inverse=True)
     texts = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
     return texts[inverse].tolist()
 
 
-def _write_csv(path: Path, header: str, columns: list[list[str]]) -> None:
-    path.write_text("\n".join([header, *map(",".join, zip(*columns))]) + "\n")
+def _write_csv(path: Path, header: str, rows: int, columns) -> None:
+    """``header``, then the cells ``columns(k)`` of each column for the rows in slice k."""
+    with path.open("w") as fh:
+        fh.write(header + "\n")
+        for k in (slice(start, start + CSV_ROWS) for start in range(0, rows, CSV_ROWS)):
+            fh.write("".join(",".join(row) + "\n" for row in zip(*columns(k))))
 
 
 def write_trajectory_csv(path: Path, record: TrajectoryRecord) -> None:
-    _write_csv(path, "t,pop1,pop2,pop3,n_photon,norm,excitation,leakage", [
-        _float_column(values) for values in (
-            record.times, record.pop1, record.pop2, record.pop3, record.n_photon,
-            record.norm, record.excitation, record.leakage)])
+    _write_csv(path, "t,pop1,pop2,pop3,n_photon,norm,excitation,leakage", len(record.times),
+               lambda k: [_fmt(record.times[k]), _fmt(record.pop1[k]), _fmt(record.pop2[k]),
+                          _fmt(record.pop3[k]), _fmt(record.n_photon[k]), _fmt(record.norm[k]),
+                          _fmt(record.excitation[k]), _fmt(record.leakage[k])])
 
 
 def _check(name: str, residual: float | None, tolerance: float,
@@ -287,13 +291,10 @@ def cmd_verify(cfg: RunConfig, out: Path) -> int:
     spec = cfg.space_spec()
     h = cfg.hamiltonian_spec()
     guard = cfg.guard if cfg.guard is not None else DEFAULT_VERIFY_GUARD
-    checks = []
-    for report in verify_algebra(spec, "u3"):
-        checks.append(_check(report.name, report.residual, report.tolerance,
-                             report.passed))
-    for report in verify_algebra(spec, "second_order", guard=guard):
-        checks.append(_check(f"{report.name} (guard={guard})", report.residual,
-                             report.tolerance, report.passed))
+    checks = [_check(r.name, r.residual, r.tolerance, r.passed)
+              for r in verify_algebra(spec, "u3")]
+    checks += [_check(f"{r.name} (guard={guard})", r.residual, r.tolerance, r.passed)
+               for r in verify_algebra(spec, "second_order", guard=guard)]
 
     r = rotation_parameters(h)
     if r.degenerate:
@@ -422,11 +423,9 @@ def cmd_sweep(cfg: RunConfig, out: Path) -> int:
 
 
 def cmd_spectrum(cfg: RunConfig, out: Path) -> int:
-    spec = cfg.space_spec()
-    ham = build_hamiltonian(spec, cfg.hamiltonian_spec())
-    spectrum = eigenvalues(ham)
-    _write_csv(out / "spectrum.csv", "index,eigenvalue",
-               [list(map(str, range(len(spectrum)))), _float_column(spectrum)])
+    spectrum = eigenvalues(build_hamiltonian(cfg.space_spec(), cfg.hamiltonian_spec()))
+    _write_csv(out / "spectrum.csv", "index,eigenvalue", len(spectrum),
+               lambda k: [list(map(str, range(len(spectrum))[k])), _fmt(spectrum[k])])
     print(f"spectrum: wrote {out / 'spectrum.csv'} ({len(spectrum)} eigenvalues)")
     return EXIT_OK
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partialmethod
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -56,9 +56,13 @@ class SpaceMismatchError(ValueError):
 
 
 def _space_dim(spec: SpaceSpec, space: str) -> int:
-    if space not in (ATOMIC, FIELD, PRODUCT):
-        raise ValueError(f"unknown space tag {space!r}")
-    return getattr(spec, f"{space}_dim")  # atomic_dim, field_dim or product_dim
+    if space == ATOMIC:
+        return spec.atomic_dim
+    if space == FIELD:
+        return spec.field_dim
+    if space == PRODUCT:
+        return spec.product_dim
+    raise ValueError(f"unknown space tag {space!r}")
 
 
 def _component_labels(dim: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -269,13 +273,13 @@ class OperatorMatrix:
                 f"operators live on different {self.space} spaces: {a} vs {b}")
         return self._layout.join(other._layout)  # both act on the same space
 
-    def _elementwise(self, other: "OperatorMatrix", ufunc) -> "OperatorMatrix":
+    def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         layout = self._joined(other)
-        return OperatorMatrix(self.space, self.spec, ufunc(self._in(layout), other._in(layout)),
-                              layout)
+        return OperatorMatrix(self.space, self.spec, self._in(layout) + other._in(layout), layout)
 
-    __add__ = partialmethod(_elementwise, ufunc=np.add)
-    __sub__ = partialmethod(_elementwise, ufunc=np.subtract)  # the same bits as self + (-other)
+    def __sub__(self, other: "OperatorMatrix") -> "OperatorMatrix":  # the bits of self + (-other)
+        layout = self._joined(other)
+        return OperatorMatrix(self.space, self.spec, self._in(layout) - other._in(layout), layout)
 
     def __neg__(self) -> "OperatorMatrix":
         return OperatorMatrix(self.space, self.spec, -self._data, self._layout)
@@ -434,13 +438,9 @@ def hermitian_blocks(op: OperatorMatrix, support: np.ndarray | None = None):
     Yields (idx, w, v) per group of equal-size blocks: idx is the (m, b)
     index array of the blocks, w their (m, b) eigenvalues and v the
     (m, b, b) eigenvector columns.  With a boolean ``support`` mask only
-    blocks holding a supported index are diagonalized.  One-state blocks
-    need no solver: the eigenvalue is the real diagonal entry.
+    blocks holding a supported index are diagonalized.
     """
     for idx, blocks in _exact_stacks(op, support):
-        if idx.shape[1] == 1:
-            yield idx, blocks[:, :, 0].real, np.ones_like(blocks)
-            continue
         yield idx, *np.linalg.eigh(blocks)
 
 
@@ -533,15 +533,15 @@ def verify_algebra(spec: SpaceSpec, mode: str, guard: int = 1) -> list[IdentityR
     so callers can always print the full table.
     """
     if mode == "u3":
-        # s[i - 1, j - 1] = S_ij, prod[i, j, k, l] = S_ij S_kl; nine identities at a time
-        s = np.stack([[atomic_operator(spec, i, j).mat for j in LEVELS] for i in LEVELS])
-        prod = s[:, :, None, None] @ s[None, None]
-        k, l = np.indices((3, 3))
-        resid = []
-        for i, j in itertools.product(range(3), repeat=2):  # [S_ij, S_kl] for every (k, l)
-            comm = prod[i, j] + -prod[:, :, i, j]  # elementwise as commutator()
-            rhs = (j == k)[..., None, None] * s[i, l] + -((i == l)[..., None, None] * s[k, j])
-            resid.extend(np.abs(comm - rhs).max(axis=(2, 3)).ravel().tolist())
+        s = np.array([[atomic_operator(spec, i, j).mat for j in LEVELS] for i in LEVELS])
+        resid = []  # s[i - 1, j - 1] = S_ij; below, i, j, k and l count from 0
+        for i, j, k in itertools.product(range(3), repeat=3):  # [S_ij, S_kl] for every l
+            comm = s[i, j] @ s[k]
+            comm -= s[k] @ s[i, j]  # as commutator()
+            rhs = s[i] * (j == k)  # d_jk S_il
+            rhs[i] -= s[k, j]  # - d_il S_kj
+            comm -= rhs
+            resid.extend(np.abs(comm).max(axis=(1, 2)).tolist())
         names = (f"[S{i}{j}, S{k}{l}]" for i, j, k, l in itertools.product(LEVELS, repeat=4))
         return [_report(name, r, 0) for name, r in zip(names, resid)]
 

@@ -10,12 +10,14 @@ per-element ``repr`` writer.  Each reference is kept here, not in the package.
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import trilevel.cli as cli
 import trilevel.operators as operators
 from test_block_storage import operator_pools
 from trilevel.cli import main, write_trajectory_csv
@@ -75,8 +77,6 @@ def test_batched_eigh_equals_one_call_per_block(model, seed):
             assert len(batched) == len(stacks)
             for (idx, stack), (idx_b, w, v) in zip(stacks, batched):
                 assert np.array_equal(idx, idx_b)
-                if idx.shape[1] == 1:
-                    continue  # no solver call for one-state blocks
                 for k, block in enumerate(stack):
                     w_ref, v_ref = np.linalg.eigh(block)
                     assert same_bits(w[k], w_ref) and same_bits(v[k], v_ref)
@@ -102,6 +102,18 @@ def test_stacked_u3_residuals_equal_the_per_identity_ones(atoms):
     assert all(r.passed and r.guard == 0 for r in reports)
     if atoms > 1:
         assert any(resid > 0.0 for _, resid in reference)  # rounding shows, so equality bites
+
+
+def test_u3_check_holds_a_few_atomic_stacks_at_once():
+    spec = SpaceSpec(12, 1)
+    matrix_bytes = spec.atomic_dim ** 2 * 16
+    tracemalloc.start()
+    try:
+        verify_algebra(spec, "u3")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 27 * matrix_bytes  # the nine S_ij and three-matrix temporaries, not 81 products
 
 
 def reference_atomic(spec: SpaceSpec, i: int, j: int) -> np.ndarray:
@@ -144,7 +156,9 @@ def record_of(columns: list[np.ndarray]) -> TrajectoryRecord:
                             np.zeros_like(times), leakage, True)
 
 
-def test_trajectory_csv_matches_the_per_element_writer(tmp_path):
+@pytest.mark.parametrize("chunk", [cli.CSV_ROWS, 7, 1])
+def test_trajectory_csv_matches_the_per_element_writer(tmp_path, monkeypatch, chunk):
+    monkeypatch.setattr(cli, "CSV_ROWS", chunk)
     rng = np.random.default_rng(3)
     distinct = rng.normal(size=40) * 10.0 ** rng.integers(-20, 20, size=40)
     repeated = np.resize(np.array(SPECIAL), 40)
@@ -170,7 +184,9 @@ def test_trajectory_csv_matches_the_per_element_writer_on_any_floats(tmp_path_fa
     assert path.read_bytes() == reference_csv(record).encode()
 
 
-def test_spectrum_csv_matches_the_per_element_writer(tmp_path):
+@pytest.mark.parametrize("chunk", [cli.CSV_ROWS, 5])
+def test_spectrum_csv_matches_the_per_element_writer(tmp_path, monkeypatch, chunk):
+    monkeypatch.setattr(cli, "CSV_ROWS", chunk)
     conf = tmp_path / "vee.conf"
     conf.write_text("scheme = vee\natoms = 2\nn_max = 4\nE1 = 0.0\nE2 = 3.0\nE3 = 3.0\n"
                     "omega = 1.0\ng31 = 0.1\ng21 = 0.1\n")
