@@ -42,7 +42,7 @@ from trilevel.hamiltonian import (  # noqa: E402
 from trilevel.hilbert import SpaceSpec  # noqa: E402
 from trilevel.operators import eigenvalues, verify_algebra  # noqa: E402
 
-RUNGS = ((4, 12), (8, 16), (12, 20), (30, 40))
+RUNGS = ((4, 12), (8, 16), (12, 20), (30, 40), (60, 2))  # (60, 2): the atomic space dominates
 H = HamiltonianSpec(VEE, (0.0, 3.0, 3.0), 1.0, g31=0.1, g21=0.1)
 T_MAX, N_SAMPLES = 1000.0, 2001
 REPEATS = 3  # the host's speed swings between runs; the best run is the steadiest figure

@@ -481,13 +481,10 @@ def main(argv: list[str] | None = None) -> int:
         prog="trilevel",
         description="Collective three-level atoms coupled to a quantized field mode",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        cmd = sub.add_parser(name)
-        cmd.add_argument("--config", required=True, help="path to a key = value config file")
-        cmd.add_argument("--out", default=None, help="output directory (default: out)")
-        cmd.add_argument("--guard", type=int, default=None,
-                         help="photon guard band override")
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("--config", required=True, help="path to a key = value config file")
+    parser.add_argument("--out", default=None, help="output directory (default: out)")
+    parser.add_argument("--guard", type=int, default=None, help="photon guard band override")
     args = parser.parse_args(argv)
 
     try:

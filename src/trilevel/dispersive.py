@@ -28,7 +28,7 @@ from .hilbert import SpaceSpec, basis_table
 from .operators import (
     LAMBDA,
     OperatorMatrix,
-    atomic_operator,
+    atomic_term,
     diagonal,
     dressed_term,
     enhancement_factor,
@@ -147,9 +147,7 @@ def analytic_effective(spec: SpaceSpec, h: HamiltonianSpec,
     """
     prefactor = transfer_prefactor(h, p)
     la, lb = h.degenerate_pair
-    eye = np.eye(spec.field_dim)
-    swap = tensor_sum(spec, [(1, atomic_operator(spec, la, lb).mat, eye),
-                             (1, atomic_operator(spec, lb, la).mat, eye)])
+    swap = tensor_sum(spec, [atomic_term(spec, la, lb), atomic_term(spec, lb, la)])
     table = basis_table(spec)
     op = swap @ diagonal(spec, enhancement_factor(h.scheme, table.occupations, table.photons))
     if not op.is_hermitian():

@@ -25,12 +25,15 @@ from .operators import (
     SCHEMES,
     VEE,
     OperatorMatrix,
-    atomic_operator,
+    atomic_term,
     diagonal,
     dressed_term,
+    element_sum,
     exp_antihermitian,
     field_operator,
+    identity_elements,
     tensor_sum,
+    transition_elements,
 )
 
 TOL_DARK_BLOCK = 1e-10
@@ -102,9 +105,9 @@ class RotationResult:
 
 def _free_terms(spec: SpaceSpec, h: HamiltonianSpec) -> list:
     """tensor_sum terms of omega n + sum_i E_i S_ii."""
-    eye = np.eye(spec.field_dim)
-    return [(h.omega, np.eye(spec.atomic_dim), field_operator(spec, "number").mat)] + [
-        (e, atomic_operator(spec, i, i).mat, eye) for i, e in enumerate(h.energies, start=1)
+    number = field_operator(spec, "number").elements()
+    return [(h.omega, identity_elements(spec.atomic_dim), number)] + [
+        atomic_term(spec, i, i, e) for i, e in enumerate(h.energies, start=1)
     ]
 
 
@@ -202,9 +205,7 @@ def dark_state(spec: SpaceSpec, h: HamiltonianSpec, fock_n: int) -> np.ndarray:
 
 def _rotation_generator(spec: SpaceSpec, h: HamiltonianSpec) -> OperatorMatrix:
     la, lb = h.degenerate_pair
-    eye = np.eye(spec.field_dim)
-    return tensor_sum(spec, [(1, atomic_operator(spec, la, lb).mat, eye),
-                             (-1, atomic_operator(spec, lb, la).mat, eye)])
+    return tensor_sum(spec, [atomic_term(spec, la, lb), atomic_term(spec, lb, la, -1)])
 
 
 def dark_block_residual(spec: SpaceSpec, transformed: OperatorMatrix) -> float:
@@ -290,8 +291,7 @@ def classical_hamiltonian(h: HamiltonianSpec, alpha: complex,
     terms = [(e, i, i) for i, e in enumerate(h.energies, start=1)]
     for (i, j) in h.coupled_pairs():
         terms += [(alpha * h.coupling(i, j), i, j), (alpha.conjugate() * h.coupling(i, j), j, i)]
-    return OperatorMatrix(ATOMIC, spec,
-                          sum(c * atomic_operator(spec, i, j).mat for c, i, j in terms))
+    return element_sum(ATOMIC, spec, [transition_elements(spec, i, j, c) for c, i, j in terms])
 
 
 def excitation_operator(spec: SpaceSpec, scheme: str) -> OperatorMatrix:

@@ -7,16 +7,16 @@ population.  The photon-dressed transitions X_ij pair an atomic transition
 with absorption of one photon, X_ij = a S_ij for the pairs (3,1), (2,1),
 (3,2), and with emission for the conjugate pairs, X_ij = X_ji^dag.
 
-Every product-space operator the package builds is a short sum of
-c (atomic (x) field) terms, written entry by entry by tensor_sum, and splits
-into exactly decoupled blocks of a conserved excitation count.  An
-OperatorMatrix stores only a BlockPartition holding every nonzero and one
-(m, b, b) stack per block size b (atomic and field operators are one block),
-and makes one numpy call per stack: sums and products scatter both operands
-into the joined partition by slot arithmetic, and hermitian_blocks gathers
-the exact connected blocks (found from the stored elements on first use, no
-tolerance) into stacks and makes one eigh call per stack.  A dense matrix is
-built only when ``mat`` is read.
+Operators are written from the (row, column, value) of their nonzeros, with
+no dense factor: S_ij straight from the occupation labels, and every
+product-space operator as a short sum of c (atomic (x) field) terms by
+tensor_sum, stored in the connected components of what is written; for a
+Hamiltonian these are the decoupled blocks of a conserved excitation count.
+An OperatorMatrix holds a BlockPartition with every nonzero and one (m, b, b)
+stack per block size b, and makes one numpy call per stack: sums and products
+scatter both operands into the joined partition by slot arithmetic, and
+hermitian_blocks gathers the exact blocks (found from the stored elements, no
+tolerance) into stacks, one eigh call each.  ``mat`` builds a dense copy.
 
 verify_algebra re-derives the operator identities numerically.  The
 first-order commutators are exact on the (untruncated) atomic space.  The
@@ -261,6 +261,11 @@ class OperatorMatrix:
         return all(np.max(np.abs(s - s.conj().swapaxes(1, 2))) <= tol
                    for _, s in _views(self._layout, self._data))
 
+    def vdot(self, other: "OperatorMatrix") -> complex:
+        """Sum of conj(self) * other over every element, on the joined partition."""
+        layout = self._joined(other)
+        return np.vdot(self._in(layout), other._in(layout))
+
     def _joined(self, other: "OperatorMatrix") -> BlockPartition:
         if not isinstance(other, OperatorMatrix):
             raise TypeError(f"expected OperatorMatrix, got {type(other).__name__}")
@@ -300,9 +305,6 @@ class OperatorMatrix:
         return OperatorMatrix(self.space, self.spec, data, joined)
 
 
-_wrap = OperatorMatrix  # the dense-array constructor under its older name
-
-
 def _dense(op: OperatorMatrix) -> np.ndarray:
     """Read-only dense matrix of ``op``: its storage in one block."""
     mat = op._in(_one_block(op.dim)).reshape(op.dim, op.dim)
@@ -321,25 +323,43 @@ def diagonal(spec: SpaceSpec, values: np.ndarray) -> OperatorMatrix:
                           _singletons(spec.product_dim))
 
 
-def atomic_operator(spec: SpaceSpec, i: int, j: int) -> OperatorMatrix:
-    """Collective transition S_ij on the symmetric space.
-
-    S_ii is diagonal and counts the level-i population; for i != j the only
-    nonzero element per column moves one excitation from level j to level i
-    with the boson ladder amplitude sqrt((n_i + 1) n_j).
-    """
+def transition_elements(spec: SpaceSpec, i: int, j: int, c: complex = 1) -> tuple:
+    """Row, column and complex value of every nonzero of c S_ij, the collective
+    transition: S_ii counts the level-i population; for i != j the one nonzero per
+    column moves an excitation from level j to level i with amplitude sqrt((n_i + 1) n_j)."""
     if i not in LEVELS or j not in LEVELS:
         raise ValueError(f"levels must be in {LEVELS}, got ({i}, {j})")
     occ = index_map(spec).occupations[::spec.field_dim]  # (atomic_dim, 3) labels
     if i == j:
-        return OperatorMatrix(ATOMIC, spec, np.diag(occ[:, i - 1]))
+        cols = np.flatnonzero(occ[:, i - 1])
+        return cols, cols, c * occ[cols, i - 1].astype(np.complex128)
     index = np.zeros((spec.atoms + 1, spec.atoms + 1), dtype=np.intp)
     index[occ[:, 0], occ[:, 1]] = np.arange(spec.atomic_dim)  # (n1, n2) fix the triple
     cols = np.flatnonzero(occ[:, j - 1])
     n1, n2 = (occ[cols, k] + (i == k + 1) - (j == k + 1) for k in (0, 1))  # after j -> i
-    mat = np.zeros((spec.atomic_dim, spec.atomic_dim), dtype=np.complex128)
-    mat[index[n1, n2], cols] = np.sqrt((occ[cols, i - 1] + 1) * occ[cols, j - 1])
-    return OperatorMatrix(ATOMIC, spec, mat)
+    values = np.sqrt((occ[cols, i - 1] + 1) * occ[cols, j - 1])
+    return index[n1, n2], cols, c * values.astype(np.complex128)
+
+
+def identity_elements(dim: int) -> tuple:
+    """Row, column and value of the elements of the dim x dim identity."""
+    every = np.arange(dim)
+    return every, every, np.ones(dim)
+
+
+def element_sum(space: str, spec: SpaceSpec, parts: list[tuple]) -> OperatorMatrix:
+    """Operator on ``space`` summing the ``(rows, cols, values)`` parts in part order,
+    stored in the connected components of the nonzero values (a zero writes a zero)."""
+    rows, cols, values = (np.concatenate(x) for x in zip(*parts))
+    written = values != 0
+    layout = BlockPartition.from_labels(
+        _component_labels(_space_dim(spec, space), rows[written], cols[written]))
+    return OperatorMatrix(space, spec, _write(layout, rows, cols, values), layout)
+
+
+def atomic_operator(spec: SpaceSpec, i: int, j: int) -> OperatorMatrix:
+    """Collective transition S_ij (see transition_elements), stored in its blocks."""
+    return element_sum(ATOMIC, spec, [transition_elements(spec, i, j)])
 
 
 def field_operator(spec: SpaceSpec, kind: str) -> OperatorMatrix:
@@ -357,26 +377,15 @@ def field_operator(spec: SpaceSpec, kind: str) -> OperatorMatrix:
 
 
 def tensor_sum(spec: SpaceSpec, terms: list[tuple]) -> OperatorMatrix:
-    """Sum of c (atomic (x) field) over the ``(c, atomic, field)`` terms on
-    the product space (photon index fastest).
-
-    Entries are written from the nonzeros of both factors, in term order,
-    so terms that share an entry add up in that order.  They are stored in
-    the connected components of the nonzero written values (a zero c
-    writes zeros)."""
+    """Sum of c (atomic (x) field) over the ``(c, atomic, field)`` terms on the
+    product space (photon index fastest), each factor the ``(rows, cols, values)``
+    of its nonzeros; terms that share an entry add up in term order."""
     f = spec.field_dim
-    rows, cols, values = [], [], []
-    for c, atomic, field in terms:
-        ar, ac = np.nonzero(atomic)
-        fr, fc = np.nonzero(field)
-        rows.append((ar[:, None] * f + fr).ravel())
-        cols.append((ac[:, None] * f + fc).ravel())
-        values.append((c * (atomic[ar, ac][:, None] * field[fr, fc])).ravel())
-    rows, cols, values = (np.concatenate(x) for x in (rows, cols, values))
-    written = values != 0
-    layout = BlockPartition.from_labels(
-        _component_labels(spec.product_dim, rows[written], cols[written]))
-    return OperatorMatrix(PRODUCT, spec, _write(layout, rows, cols, values), layout)
+    parts = []
+    for c, (ar, ac, av), (fr, fc, fv) in terms:
+        parts.append(((ar[:, None] * f + fr).ravel(), (ac[:, None] * f + fc).ravel(),
+                      (c * (av[:, None] * fv)).ravel()))
+    return element_sum(PRODUCT, spec, parts)
 
 
 def lift(spec: SpaceSpec, op: OperatorMatrix) -> OperatorMatrix:
@@ -388,10 +397,15 @@ def lift(spec: SpaceSpec, op: OperatorMatrix) -> OperatorMatrix:
     if op.spec != spec:
         raise SpaceMismatchError(f"operator spec {op.spec} does not match {spec}")
     if op.space == ATOMIC:
-        return tensor_sum(spec, [(1, op.mat, np.eye(spec.field_dim))])
+        return tensor_sum(spec, [(1, op.elements(), identity_elements(spec.field_dim))])
     if op.space == FIELD:
-        return tensor_sum(spec, [(1, np.eye(spec.atomic_dim), op.mat)])
+        return tensor_sum(spec, [(1, identity_elements(spec.atomic_dim), op.elements())])
     raise SpaceMismatchError("lift expects an atomic or field operator")
+
+
+def atomic_term(spec: SpaceSpec, i: int, j: int, c: complex = 1) -> tuple:
+    """The tensor_sum term c (S_ij (x) 1)."""
+    return c, transition_elements(spec, i, j), identity_elements(spec.field_dim)
 
 
 def dressed_term(spec: SpaceSpec, i: int, j: int, c: complex = 1) -> tuple:
@@ -403,7 +417,7 @@ def dressed_term(spec: SpaceSpec, i: int, j: int, c: complex = 1) -> tuple:
         kind = "create"
     else:
         raise ValueError(f"no dressed transition for level pair ({i}, {j})")
-    return c, atomic_operator(spec, i, j).mat, field_operator(spec, kind).mat
+    return c, transition_elements(spec, i, j), field_operator(spec, kind).elements()
 
 
 def deformed_operator(spec: SpaceSpec, i: int, j: int) -> OperatorMatrix:

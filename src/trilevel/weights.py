@@ -113,10 +113,9 @@ def weight_of(op: OperatorMatrix, cartan: CartanChoice, label: str = "",
     if scale == 0.0:
         raise NotAWeightVectorError("zero operator has no weight")
     kappas = []
-    dense = op.mat  # built on each read
     for h in (cartan.h1, cartan.h2):
         comm = commutator(h, op)
-        fit = np.vdot(dense, comm.mat) / np.vdot(dense, dense)
+        fit = op.vdot(comm) / op.vdot(op)
         if abs(fit.imag) > TOL_WEIGHT:
             raise NotAWeightVectorError(f"complex eigenvalue {fit!r} for {label!r}")
         residual = (comm - fit.real * op).max_abs() / scale

@@ -216,7 +216,7 @@ def test_dispersive_compare_rejects_a_guard_above_the_cutoff(tmp_path, capsys):
     assert err == "config error: guard must be in [0, 8], got 20\n"
 
 
-# --- no dense product-space matrix outside weights -----------------------------
+# --- no command builds a dense product-space matrix -----------------------------
 
 SMALL = {
     LAMBDA: "scheme = lambda\nE1 = 0.0\nE2 = 0.0\nE3 = 3.0\ng32 = 0.1\ninitial.atom = 2,0,0\n",
@@ -233,6 +233,7 @@ COMMON = ("atoms = 2\nn_max = 4\nomega = 1.0\ng31 = 0.1\nguard = 2\nt_max = 1000
     ("evolve", (), 0),
     ("dispersive-compare", (), 0),
     ("spectrum", (), 0),
+    ("weights", (), 0),
 ])
 def test_commands_build_no_dense_product_matrix(scheme, command, extra, status, tmp_path,
                                                monkeypatch):
@@ -260,7 +261,10 @@ def test_dispersive_compare_builds_no_dense_transfer_mask(scheme, tmp_path, monk
     assert main(["dispersive-compare", "--config", str(conf), "--out", str(tmp_path / "o")]) == 0
 
 
-def test_weights_reads_dense_product_matrices(tmp_path, monkeypatch):
+def test_a_product_mat_read_goes_through_the_patched_dense(monkeypatch):
+    """Positive control for the test above: reading ``.mat`` of a product-space
+    operator calls the function it patches, and building the operator calls it
+    for no dense factor."""
     built = []
     dense = operators._dense
 
@@ -269,7 +273,5 @@ def test_weights_reads_dense_product_matrices(tmp_path, monkeypatch):
         return dense(op)
 
     monkeypatch.setattr(operators, "_dense", counting)
-    conf = tmp_path / "run.conf"
-    conf.write_text(SMALL[VEE] + COMMON)
-    assert main(["weights", "--config", str(conf), "--out", str(tmp_path / "o")]) == 0
-    assert PRODUCT in built  # `.mat` goes through the patched function
+    deformed_operator(SpaceSpec(2, 4), 3, 1).mat
+    assert built == [PRODUCT]

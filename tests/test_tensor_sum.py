@@ -6,8 +6,19 @@ factors, conjugate pairs through ``dag()``, sums through ``+``/``-`` and
 scalar ``*`` starting from a zero operator.  The terms must reproduce them
 exactly (``np.array_equal``), and the partition hint must give the exact
 connected components.
+
+The second reference is the construction just before the factors were
+given as their elements: each S_ij a dense ``np.zeros((d, d))`` matrix filled
+from the occupation labels, identity factors from ``np.eye`` and every factor
+read with ``np.nonzero``.  Writing the elements straight from the labels must
+store the same partition and the same bits, zero signs included.  A last test
+runs 60 atoms in a fresh process, where one dense S_ij alone is 57 MB.
 """
 
+import itertools
+import os
+import subprocess
+import sys
 from collections import Counter, deque
 
 import numpy as np
@@ -15,7 +26,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 import trilevel.dispersive as dispersive
-from trilevel.dispersive import small_rotation
+from test_batched_kernels import same_bits
+from trilevel.dispersive import DispersiveParams, analytic_effective, small_rotation
 from trilevel.hamiltonian import (
     LAMBDA,
     VEE,
@@ -25,17 +37,22 @@ from trilevel.hamiltonian import (
     free_hamiltonian,
     interaction_hamiltonian,
 )
-from trilevel.hilbert import SpaceSpec, basis_table
+from trilevel.hilbert import SpaceSpec, basis_table, index_map
 from trilevel.operators import (
     DEFORMED_PAIRS,
+    LEVELS,
     PRODUCT,
+    BlockPartition,
     OperatorMatrix,
-    _wrap,
+    _component_labels,
+    _write,
     atomic_operator,
     deformed_operator,
     diagonal,
     exp_antihermitian,
     field_operator,
+    lift,
+    tensor_sum,
 )
 
 ALL_PAIRS = DEFORMED_PAIRS + tuple((j, i) for i, j in DEFORMED_PAIRS)
@@ -49,7 +66,7 @@ def old_product_operator(spec, atomic, field):
     f = spec.field_dim
     mat = np.zeros((spec.product_dim,) * 2, dtype=np.complex128)
     mat[ar[:, None] * f + fr, ac[:, None] * f + fc] = atomic[ar, ac][:, None] * field[fr, fc]
-    return _wrap(PRODUCT, spec, mat)
+    return OperatorMatrix(PRODUCT, spec, mat)
 
 
 def old_lift_atomic(spec, op):
@@ -200,3 +217,141 @@ def test_building_operators_uses_no_dense_arithmetic(scheme, arithmetic_calls, m
     monkeypatch.setattr(dispersive, "exp_antihermitian", recording)
     small_rotation(spec, 3, 1, 0.05)
     assert seen == [{}]
+
+
+# --- bit for bit against the dense factors ----------------------------------------
+
+def dense_atomic(spec, i, j):
+    """S_ij as a dense matrix filled from the occupation labels."""
+    occ = index_map(spec).occupations[::spec.field_dim]
+    if i == j:
+        return np.diag(occ[:, i - 1]).astype(np.complex128)
+    index = np.zeros((spec.atoms + 1, spec.atoms + 1), dtype=np.intp)
+    index[occ[:, 0], occ[:, 1]] = np.arange(spec.atomic_dim)
+    cols = np.flatnonzero(occ[:, j - 1])
+    n1, n2 = (occ[cols, k] + (i == k + 1) - (j == k + 1) for k in (0, 1))
+    mat = np.zeros((spec.atomic_dim, spec.atomic_dim), dtype=np.complex128)
+    mat[index[n1, n2], cols] = np.sqrt((occ[cols, i - 1] + 1) * occ[cols, j - 1])
+    return mat
+
+
+def dense_factor_sum(spec, terms):
+    """(labels, flat storage) of the sum of c (atomic (x) field) over dense factors,
+    each read with np.nonzero and written in term order."""
+    f = spec.field_dim
+    rows, cols, values = [], [], []
+    for c, atomic, field in terms:
+        ar, ac = np.nonzero(atomic)
+        fr, fc = np.nonzero(field)
+        rows.append((ar[:, None] * f + fr).ravel())
+        cols.append((ac[:, None] * f + fc).ravel())
+        values.append((c * (atomic[ar, ac][:, None] * field[fr, fc])).ravel())
+    rows, cols, values = (np.concatenate(x) for x in (rows, cols, values))
+    written = values != 0
+    layout = BlockPartition.from_labels(
+        _component_labels(spec.product_dim, rows[written], cols[written]))
+    return layout.labels, _write(layout, rows, cols, values)
+
+
+def dense_dressed(spec, i, j, c=1):
+    kind = "annihilate" if (i, j) in DEFORMED_PAIRS else "create"
+    return c, dense_atomic(spec, i, j), field_operator(spec, kind).mat
+
+
+def dense_terms(spec, h):
+    """Name -> dense-factor terms of every operator written from terms, and the
+    operator under that name as the package builds it now."""
+    eye_atomic, eye_field = np.eye(spec.atomic_dim), np.eye(spec.field_dim)
+    la, lb = h.degenerate_pair
+    free = [(h.omega, eye_atomic, field_operator(spec, "number").mat)] + [
+        (e, dense_atomic(spec, i, i), eye_field) for i, e in enumerate(h.energies, start=1)]
+    interaction = [dense_dressed(spec, a, b, h.coupling(i, j))
+                   for (i, j) in h.coupled_pairs() for a, b in ((i, j), (j, i))]
+    terms = {
+        "free": (free, free_hamiltonian(spec, h)),
+        "interaction": (interaction, interaction_hamiltonian(spec, h)),
+        "H": (free + interaction, build_hamiltonian(spec, h)),
+        "rotation generator": ([(1, dense_atomic(spec, la, lb), eye_field),
+                                (-1, dense_atomic(spec, lb, la), eye_field)],
+                               _rotation_generator(spec, h)),
+    }
+    for i, j in ALL_PAIRS:
+        terms[f"X{i}{j}"] = ([dense_dressed(spec, i, j)], deformed_operator(spec, i, j))
+    for i, j in itertools.product(LEVELS, repeat=2):
+        terms[f"lift S{i}{j}"] = ([(1, dense_atomic(spec, i, j), eye_field)],
+                                  lift(spec, atomic_operator(spec, i, j)))
+    for kind in ("annihilate", "create", "number"):
+        terms[f"lift {kind}"] = ([(1, eye_atomic, field_operator(spec, kind).mat)],
+                                 lift(spec, field_operator(spec, kind)))
+    return terms
+
+
+def recording(written):
+    """tensor_sum that also appends each operator it writes to ``written``."""
+    def tensor_sum_and_record(spec, terms):
+        written.append(tensor_sum(spec, terms))
+        return written[-1]
+    return tensor_sum_and_record
+
+
+def assert_same_storage(op, reference, name):
+    labels, data = reference
+    assert np.array_equal(op._layout.labels, labels), name
+    assert same_bits(op._data, data), name
+
+
+small_sizes = st.tuples(st.integers(1, 4), st.integers(1, 4)).map(lambda t: SpaceSpec(*t))
+
+
+@given(spec=small_sizes)
+def test_atomic_operators_equal_the_dense_label_build(spec):
+    for i, j in itertools.product(LEVELS, repeat=2):
+        assert same_bits(atomic_operator(spec, i, j).mat, dense_atomic(spec, i, j))
+
+
+@given(spec=small_sizes, h=hamiltonians())
+def test_written_operators_store_the_bits_of_the_dense_factor_sum(spec, h):
+    for name, (terms, op) in dense_terms(spec, h).items():
+        assert_same_storage(op, dense_factor_sum(spec, terms), name)
+
+
+@given(spec=small_sizes, h=hamiltonians(), eps=st.floats(-0.1, 0.1))
+def test_dispersive_operators_store_the_bits_of_the_dense_factor_sum(spec, h, eps):
+    written = []
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(dispersive, "tensor_sum", recording(written))
+        for i, j in DEFORMED_PAIRS:
+            small_rotation(spec, i, j, eps)
+        analytic_effective(spec, h, DispersiveParams(h.scheme, 0.0, {}, {(3, 1): eps,
+                                                                         (2, 1): eps}, 1.0))
+    la, lb = h.degenerate_pair
+    eye = np.eye(spec.field_dim)
+    references = [[dense_dressed(spec, i, j), dense_dressed(spec, j, i, -1)]
+                  for i, j in DEFORMED_PAIRS]  # the small-rotation generators
+    references.append([(1, dense_atomic(spec, la, lb), eye), (1, dense_atomic(spec, lb, la), eye)])
+    assert len(written) == len(references)
+    for k, (op, terms) in enumerate(zip(written, references)):
+        assert_same_storage(op, dense_factor_sum(spec, terms), k)
+
+
+# --- memory at 60 atoms -------------------------------------------------------------
+
+STAGE_AT_SIXTY_ATOMS = """
+import resource
+from trilevel.hamiltonian import VEE, HamiltonianSpec, build_hamiltonian, rotation_report
+from trilevel.hilbert import SpaceSpec
+{stage}(SpaceSpec(60, 2), HamiltonianSpec(VEE, (0.0, 3.0, 3.0), 1.0, g31=0.1, g21=0.1))
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+@pytest.mark.parametrize("stage,limit_mb", [("build_hamiltonian", 100),
+                                            ("rotation_report", 150)])
+def test_sixty_atoms_are_built_without_dense_atomic_matrices(stage, limit_mb):
+    """At A=60, n_max=2 (atomic dimension 1,891) the dense-factor build peaked at
+    518 MB for either stage; a fresh process on one BLAS thread must stay below
+    ``limit_mb``."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    run = subprocess.run([sys.executable, "-c", STAGE_AT_SIXTY_ATOMS.format(stage=stage)],
+                         env=env, capture_output=True, text=True, check=True)
+    assert int(run.stdout) / 1024 <= limit_mb  # ru_maxrss is in KiB on Linux
