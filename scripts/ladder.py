@@ -2,13 +2,13 @@
 """Time the stages of the size ladder and write the next BENCH_<k>.json.
 
 Each rung runs, for the vee layout, the stage list of the ROADMAP tables:
-build_hamiltonian, second-order verify_algebra, rotation_report, evolve
-over 2001 samples from (0, 0, A) in the vacuum, and the spectrum, each
-timed as the best of three runs.  Every rung runs in a fresh process, which
-records its own peak RSS (getrusage) and the thread count of the loaded
-OpenBLAS.  The file goes to the root of the checkout this script lives in,
-and the package is imported from that checkout's src/, so a copy in
-another checkout measures that checkout.
+build_hamiltonian, second-order and u3 verify_algebra, rotation_report,
+evolve over 2001 samples from (0, 0, A) in the vacuum, and the spectrum,
+each timed as the best of three runs.  Every rung runs in a fresh process,
+which records its own peak RSS (getrusage) and the thread count of the
+loaded OpenBLAS.  The file goes to the root of the checkout this script
+lives in, and the package is imported from that checkout's src/, so a copy
+in another checkout measures that checkout.
 
     python scripts/ladder.py
 """
@@ -76,6 +76,7 @@ def run_rung(atoms: int, n_max: int) -> dict:
 
     ham = timed("build_hamiltonian", lambda: build_hamiltonian(spec, H))
     timed("verify_algebra_second_order", lambda: verify_algebra(spec, "second_order"))
+    timed("verify_algebra_u3", lambda: verify_algebra(spec, "u3"))
     timed("rotation_report", lambda: rotation_report(spec, H))
     psi0 = prepare_initial(spec, InitialState((0, 0, atoms), ("fock", 0)), H)
     timed("evolve", lambda: evolve(ham, psi0, TimeGrid(T_MAX, N_SAMPLES),

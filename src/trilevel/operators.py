@@ -23,11 +23,15 @@ first-order commutators are exact on the (untruncated) atomic space.  The
 second-order identities contain a a^dag, which the hard photon cutoff
 corrupts in the top slab, so they are asserted on a guarded subspace
 (photon number at most n_max - guard); guard=0 is allowed precisely to
-expose that boundary artifact.
+expose that boundary artifact.  Every factor in these identities has at most
+one nonzero per column, so the checks hold each as one row and one value per
+column and multiply by gathers, with no OperatorMatrix; that form stays
+private to them, since nothing else multiplies elementary operators.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -380,12 +384,15 @@ def tensor_sum(spec: SpaceSpec, terms: list[tuple]) -> OperatorMatrix:
     """Sum of c (atomic (x) field) over the ``(c, atomic, field)`` terms on the
     product space (photon index fastest), each factor the ``(rows, cols, values)``
     of its nonzeros; terms that share an entry add up in term order."""
+    return element_sum(PRODUCT, spec, [_term_elements(spec, term) for term in terms])
+
+
+def _term_elements(spec: SpaceSpec, term: tuple) -> tuple:
+    """Row, column and value on the product space of the elements of one term."""
     f = spec.field_dim
-    parts = []
-    for c, (ar, ac, av), (fr, fc, fv) in terms:
-        parts.append(((ar[:, None] * f + fr).ravel(), (ac[:, None] * f + fc).ravel(),
-                      (c * (av[:, None] * fv)).ravel()))
-    return element_sum(PRODUCT, spec, parts)
+    c, (ar, ac, av), (fr, fc, fv) = term
+    return ((ar[:, None] * f + fr).ravel(), (ac[:, None] * f + fc).ravel(),
+            (c * (av[:, None] * fv)).ravel())
 
 
 def lift(spec: SpaceSpec, op: OperatorMatrix) -> OperatorMatrix:
@@ -530,6 +537,36 @@ def _report(name: str, residual: float, guard: int) -> IdentityReport:
     return IdentityReport(name, residual, TOL_ALGEBRA, residual <= TOL_ALGEBRA, guard)
 
 
+def _columns(dim: int, elements: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """(row, value) per column of an operator with at most one nonzero per column,
+    from the (rows, cols, values) of its nonzeros; row -1 and value 0 mark a zero column."""
+    rows, cols, values = elements
+    row, value = np.full(dim, -1), np.zeros(dim, dtype=np.complex128)
+    row[cols], value[cols] = rows, values
+    return row, value
+
+
+def _gather(a: tuple, b: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """The product a b of two (row, value) forms, stacked alike over any leading axes."""
+    (a_row, a_value), (b_row, b_value) = a, b
+    row = np.take_along_axis(a_row, b_row, -1)  # a zero column of b reads a's last column
+    return np.where(b_row < 0, -1, row), np.take_along_axis(a_value, b_row, -1) * b_value
+
+
+def _residual(terms: list[tuple], combine, where=None) -> np.ndarray:
+    """Largest |combine(*values)| per leading index over the (row, column) pairs that any
+    of the aligned (row, value) ``terms`` touches and ``where(rows, cols)`` allows, a term
+    being 0 where it does not touch: the dense masked max, as every other pair is 0."""
+    out = 0.0
+    for rows, _ in terms:  # the candidate rows of one term, then the next
+        values = [np.where(row == rows, value, 0) for row, value in terms]
+        keep = rows >= 0
+        if where is not None:
+            keep &= where(rows, np.arange(rows.shape[-1]))
+        out = np.maximum(out, np.max(np.abs(combine(*values)), axis=-1, where=keep, initial=0.0))
+    return out
+
+
 def verify_algebra(spec: SpaceSpec, mode: str, guard: int = 1) -> list[IdentityReport]:
     """Check the operator identities numerically and report residuals.
 
@@ -543,40 +580,53 @@ def verify_algebra(spec: SpaceSpec, mode: str, guard: int = 1) -> list[IdentityR
     identities containing a a^dag fail at the cutoff boundary; that run is
     the standard demonstration that the guard does real work.
 
+    Each factor is held as one row and one value per column and products are
+    gathers; every residual takes the float expression of the dense difference,
+    (P - Q) - (d_jk S_il - d_il S_kj) or lhs - diag S, at each pair a term
+    touches, so it is bit for bit the block products' one.
+
     A residual above tolerance yields a failing report, not an exception,
     so callers can always print the full table.
     """
     if mode == "u3":
-        s = np.array([[atomic_operator(spec, i, j).mat for j in LEVELS] for i in LEVELS])
-        resid = []  # s[i - 1, j - 1] = S_ij; below, i, j, k and l count from 0
-        for i, j, k in itertools.product(range(3), repeat=3):  # [S_ij, S_kl] for every l
-            comm = s[i, j] @ s[k]
-            comm -= s[k] @ s[i, j]  # as commutator()
-            rhs = s[i] * (j == k)  # d_jk S_il
-            rhs[i] -= s[k, j]  # - d_il S_kj
-            comm -= rhs
-            resid.extend(np.abs(comm).max(axis=(1, 2)).tolist())
+        d = spec.atomic_dim
+        row, value = (np.array(x) for x in zip(*(
+            _columns(d, transition_elements(spec, i, j))
+            for i, j in itertools.product(LEVELS, repeat=2))))  # S_ij at 3 (i - 1) + j - 1
+        i, j, k, l = np.array(list(itertools.product(range(3), repeat=4))).T  # l fastest
+
+        def s(a, b):  # S_ab for every identity, as (81, d) arrays
+            return row[3 * a + b], value[3 * a + b]
+
+        d_jk, d_il = (j == k)[:, None], (i == l)[:, None]
+        resid = _residual([_gather(s(i, j), s(k, l)), _gather(s(k, l), s(i, j)), s(i, l), s(k, j)],
+                          lambda p, q, s_il, s_kj: (p - q) - (s_il * d_jk - s_kj * d_il))
         names = (f"[S{i}{j}, S{k}{l}]" for i, j, k, l in itertools.product(LEVELS, repeat=4))
-        return [_report(name, r, 0) for name, r in zip(names, resid)]
+        return [_report(name, r, 0) for name, r in zip(names, resid.tolist())]
 
     if mode == "second_order":
         keep = guarded_states(spec, guard)
         table = basis_table(spec)
         occ, num = table.occupations, table.photons
-        s21, s32 = (lift(spec, atomic_operator(spec, i, j)) for i, j in ((2, 1), (3, 2)))
-        x31, x23, x12 = (deformed_operator(spec, i, j) for i, j in ((3, 1), (2, 3), (1, 2)))
+        s21, s32 = (_columns(spec.product_dim, _term_elements(spec, atomic_term(spec, i, j)))
+                    for i, j in ((2, 1), (3, 2)))
+        x31, x23, x12 = (_columns(spec.product_dim, _term_elements(spec, dressed_term(spec, i, j)))
+                         for i, j in ((3, 1), (2, 3), (1, 2)))
+        x23_x31, x31_x23 = _gather(x23, x31), _gather(x31, x23)
 
-        def check(name, lhs, factor, transition):
-            residual = lhs - diagonal(spec, factor) @ transition
-            return _report(name, residual.max_abs(lambda r, c: keep[r] & keep[c]), guard)
+        def check(name, lhs, factor, transition):  # lhs: [P] or [P, Q] for P - Q
+            row, value = transition
+            rhs = row, factor.astype(np.complex128)[row] * value  # diag(factor) @ S, gathered
+            resid = _residual([*lhs, rhs], lambda *v: functools.reduce(np.subtract, v),
+                              lambda r, c: keep[r] & keep[c])  # P - T or (P - Q) - T
+            return _report(name, float(resid), guard)
 
-        # right-hand sides: a label diagonal times S21 or S32; one check alive at a time
         return [
-            check("X23 X31 = n (S33 + 1) S21", x23 @ x31, num * (occ[:, 2] + 1), s21),
-            check("X31 X23 = (n + 1) S33 S21", x31 @ x23, (num + 1) * occ[:, 2], s21),
-            check("[X31, X23] = (S33 - n) S21", commutator(x31, x23),
+            check("X23 X31 = n (S33 + 1) S21", [x23_x31], num * (occ[:, 2] + 1), s21),
+            check("X31 X23 = (n + 1) S33 S21", [x31_x23], (num + 1) * occ[:, 2], s21),
+            check("[X31, X23] = (S33 - n) S21", [x31_x23, x23_x31],
                   enhancement_factor(LAMBDA, occ, num), s21),
-            check("[X31, X12] = (S11 + n + 1) S32", commutator(x31, x12),
+            check("[X31, X12] = (S11 + n + 1) S32", [_gather(x31, x12), _gather(x12, x31)],
                   enhancement_factor(VEE, occ, num), s32),
         ]
 
