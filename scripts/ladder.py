@@ -4,11 +4,13 @@
 Each rung runs, for the vee layout, the stage list of the ROADMAP tables:
 build_hamiltonian, second-order and u3 verify_algebra, rotation_report,
 evolve over 2001 samples from (0, 0, A) in the vacuum, and the spectrum,
-each timed as the best of three runs.  Every rung runs in a fresh process,
-which records its own peak RSS (getrusage) and the thread count of the
-loaded OpenBLAS.  The file goes to the root of the checkout this script
-lives in, and the package is imported from that checkout's src/, so a copy
-in another checkout measures that checkout.
+each timed as the best of three runs, then run once more, untimed, under
+tracemalloc for its traced peak (the arrays the stage allocates and holds at
+once).  Every rung runs in a fresh process, which records its own peak RSS
+(getrusage) and the thread count of the loaded OpenBLAS.  The file goes to
+the root of the checkout this script lives in, and the package is imported
+from that checkout's src/, so a copy in another checkout measures that
+checkout.
 
     python scripts/ladder.py
 """
@@ -24,6 +26,7 @@ import platform
 import resource
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -61,9 +64,9 @@ def blas_threads() -> int | None:
 
 
 def run_rung(atoms: int, n_max: int) -> dict:
-    """Wall time of every stage at one size, in this process."""
+    """Wall time and traced peak of every stage at one size, in this process."""
     spec = SpaceSpec(atoms, n_max)
-    stages = {}
+    stages, peaks = {}, {}
 
     def timed(name, fn):
         times = []
@@ -72,6 +75,12 @@ def run_rung(atoms: int, n_max: int) -> dict:
             result = fn()
             times.append(time.perf_counter() - start)
         stages[name] = round(min(times), 4)
+        tracemalloc.start()
+        try:
+            fn()
+            peaks[name] = round(tracemalloc.get_traced_memory()[1] / 2**20, 3)
+        finally:
+            tracemalloc.stop()
         return result
 
     ham = timed("build_hamiltonian", lambda: build_hamiltonian(spec, H))
@@ -84,6 +93,7 @@ def run_rung(atoms: int, n_max: int) -> dict:
     timed("eigenvalues", lambda: eigenvalues(ham))
     return {
         "atoms": atoms, "n_max": n_max, "dim": spec.product_dim, "stages_s": stages,
+        "traced_peak_mb": peaks,
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
         "blas_threads": blas_threads(),
     }
@@ -106,7 +116,8 @@ def main(root: Path = ROOT, rungs: tuple = RUNGS) -> Path:
         "setup": {"layout": VEE, "energies": list(H.energies), "omega": H.omega,
                   "g31": H.g31, "g21": H.g21, "t_max": T_MAX, "n_samples": N_SAMPLES,
                   "initial": "(0, 0, A) in the vacuum", "second_order_guard": 1,
-                  "timing": f"best of {REPEATS} runs per stage"},
+                  "timing": f"best of {REPEATS} runs per stage",
+                  "traced_peak": "tracemalloc peak of one more run per stage, MiB"},
         "machine": {"nproc": os.cpu_count(), "python": platform.python_version(),
                     "numpy": np.__version__,
                     "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS")},

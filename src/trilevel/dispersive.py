@@ -35,6 +35,7 @@ from .operators import (
     exp_antihermitian,
     guarded_states,
     tensor_sum,
+    unitary_exp,
 )
 from .hamiltonian import HamiltonianSpec, build_hamiltonian
 
@@ -83,30 +84,40 @@ def dispersive_params(h: HamiltonianSpec, n_bar: float, atoms: int) -> Dispersiv
     return DispersiveParams(h.scheme, n_bar, detunings, small, margin)
 
 
+def _generator(spec: SpaceSpec, i: int, j: int) -> OperatorMatrix:
+    """X_ij - X_ij^dag, the anti-Hermitian generator of the (i, j) small rotation."""
+    return tensor_sum(spec, [dressed_term(spec, i, j), dressed_term(spec, j, i, -1)])
+
+
 def small_rotation(spec: SpaceSpec, i: int, j: int, eps: float) -> OperatorMatrix:
     """exp[eps (X_ij - X_ij^dag)], computed by Hermitian eigendecomposition."""
-    return exp_antihermitian(
-        tensor_sum(spec, [dressed_term(spec, i, j), dressed_term(spec, j, i, -1)]), eps)
+    return exp_antihermitian(_generator(spec, i, j), eps)
 
 
-def _ordered_rotations(spec: SpaceSpec, p: DispersiveParams) -> tuple[OperatorMatrix, OperatorMatrix]:
-    """(outer, inner) unitaries of the conjugation, in application order."""
-    if p.scheme == LAMBDA:
-        inner = small_rotation(spec, 3, 1, p.small_params[(3, 1)])
-        outer = small_rotation(spec, 3, 2, p.small_params[(3, 2)])
-    else:
-        inner = small_rotation(spec, 2, 1, p.small_params[(2, 1)])
-        outer = small_rotation(spec, 3, 1, p.small_params[(3, 1)])
-    return outer, inner
+def _hermitian_generators(spec: SpaceSpec, scheme: str) -> dict:
+    """i (X_ij - X_ij^dag) per rotation pair, (outer, inner) in application order;
+    each keeps its eigendecomposition (exp_hermitian), so rotations by several eps
+    share one."""
+    pairs = ((3, 2), (3, 1)) if scheme == LAMBDA else ((3, 1), (2, 1))
+    return {pair: 1j * _generator(spec, *pair) for pair in pairs}
 
 
-def _conjugated(spec: SpaceSpec, h: HamiltonianSpec,
-                p: DispersiveParams) -> tuple[OperatorMatrix, OperatorMatrix]:
+def _ordered_rotations(spec: SpaceSpec, p: DispersiveParams,
+                       generators: dict | None = None) -> tuple[OperatorMatrix, OperatorMatrix]:
+    """(outer, inner) unitaries of the conjugation, in application order, from
+    ``generators`` (see _hermitian_generators) when given."""
+    generators = generators or _hermitian_generators(spec, p.scheme)
+    return tuple(unitary_exp(gen, p.small_params[pair])  # the bits of exp_antihermitian
+                 for pair, gen in generators.items())
+
+
+def _conjugated(spec: SpaceSpec, h: HamiltonianSpec, p: DispersiveParams,
+                generators: dict | None = None) -> tuple[OperatorMatrix, OperatorMatrix]:
     """H and U_outer U_inner H U_inner^dag U_outer^dag.  The order is normative
     for reproducibility: (3,1) is innermost for lambda, (2,1) for vee."""
     if p.scheme != h.scheme:
         raise ValueError(f"params are for scheme {p.scheme!r}, Hamiltonian is {h.scheme!r}")
-    outer, inner = _ordered_rotations(spec, p)
+    outer, inner = _ordered_rotations(spec, p, generators)
     ham = build_hamiltonian(spec, h)
     return ham, outer @ inner @ ham @ inner.dag() @ outer.dag()
 
@@ -176,9 +187,10 @@ def transfer_block_mask(spec: SpaceSpec, scheme: str, guard: int) -> np.ndarray:
 
 
 def _residual(spec: SpaceSpec, h: HamiltonianSpec, p: DispersiveParams, block,
-              transfer: OperatorMatrix) -> tuple[OperatorMatrix, float]:
+              transfer: OperatorMatrix,
+              generators: dict | None = None) -> tuple[OperatorMatrix, float]:
     """H and the largest difference of its conjugation from the closed form on ``block``."""
-    ham, conjugated = _conjugated(spec, h, p)
+    ham, conjugated = _conjugated(spec, h, p, generators)
     return ham, (conjugated - transfer_prefactor(h, p) * transfer).max_abs(block)
 
 
@@ -195,8 +207,9 @@ def compare(spec: SpaceSpec, h: HamiltonianSpec, p: DispersiveParams,
     """H, the closed-form model, their transfer-block residual and its order
     log2(residual(eps) / residual(eps/2)): the closed form is the first-order
     off-diagonal term, so the order should be about 2.  The block and model
-    serve both detunings; the eps/2 probe's own H and rotations are released
-    before the returned H is built."""
+    serve both detunings, and each rotation generator is built and diagonalized
+    once for both; the eps/2 probe's own H and rotations are released before the
+    returned H is built."""
     if guard < 2:
         raise ValueError(f"guard must be >= 2 for dispersive comparisons, got {guard}")
     if any(abs(e) > 0.1 for e in p.small_params.values()):
@@ -210,8 +223,9 @@ def compare(spec: SpaceSpec, h: HamiltonianSpec, p: DispersiveParams,
     h_half = replace(h, omega=h.omega - deltas[0])
     p_half = dispersive_params(h_half, p.n_bar, spec.atoms)
     block = _transfer_block(spec, h.scheme, guard)
-    r2 = _residual(spec, h_half, p_half, block, model.transfer_operator)[1]
-    ham, r1 = _residual(spec, h, p, block, model.transfer_operator)
+    generators = _hermitian_generators(spec, h.scheme)
+    r2 = _residual(spec, h_half, p_half, block, model.transfer_operator, generators)[1]
+    ham, r1 = _residual(spec, h, p, block, model.transfer_operator, generators)
     return ham, model, r1, math.inf if r1 < 1e-14 or r2 < 1e-14 else math.log2(r1 / r2)
 
 

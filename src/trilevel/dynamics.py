@@ -1,8 +1,9 @@
 """Exact unitary evolution and the population-transfer experiments.
 
 Propagation diagonalizes each Hamiltonian block the initial state occupies
-and keeps the state on those blocks alone: no step-size error to tune and
-no dense state matrix.  Trajectories record level populations, photon
+and keeps the state on those blocks alone, one bounded time chunk at a
+time: no step-size error to tune, no dense state matrix and no array of
+rows x samples.  Trajectories record level populations, photon
 number, norm, the conserved excitation count, energy and the population of
 the top photon slab (truncation leakage).  The experiments contrast the
 layouts in the dispersive regime: lambda never transfers out of the vacuum,
@@ -17,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hilbert import Occupation, SpaceSpec, basis_table, index_map
-from .operators import (LAMBDA, PRODUCT, VEE, OperatorMatrix, apply, enhancement_factor,
-                        hermitian_blocks)
+from .operators import (CHUNK_ENTRIES, LAMBDA, PRODUCT, VEE, OperatorMatrix,
+                        enhancement_factor, exact_stacks, hermitian_blocks)
 from .hamiltonian import (
     HamiltonianSpec,
     build_hamiltonian,
@@ -170,43 +171,75 @@ def prepare_initial(spec: SpaceSpec, init: InitialState,
     return psi / np.linalg.norm(psi)
 
 
-def _trajectory(ham: OperatorMatrix, psi0: np.ndarray,
-                times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _trajectory(ham: OperatorMatrix, psi0: np.ndarray, times: np.ndarray,
+                observables: tuple[OperatorMatrix, ...] = ()):
     """psi(t) = exp(-i H t) psi0 on the blocks of H that psi0 occupies, each
-    diagonalized once, as (rows, psi): psi[k] = psi(t)[rows[k]], psi[-1] = 0 for the rest."""
+    diagonalized once, walked through ``times`` in chunks of about
+    max(1, CHUNK_ENTRIES // rows) samples, so no array grows with rows x T.
+
+    Returns (rows, chunks); each chunk is (span, psi, values) for the samples
+    times[span]: psi[k] = psi(t)[rows[k]], psi[-1] = 0 for every other index,
+    and values[j] = <psi(t)| observables[j] |psi(t)>.
+    """
     if not ham.is_hermitian():
         raise ValueError("Hamiltonian is not Hermitian")
     if psi0.shape != (ham.dim,):
         raise ValueError(f"state dimension {psi0.shape} does not match {ham.dim}")
-    rows, parts = [np.zeros(0, np.intp)], []
-    for idx, w, v in hermitian_blocks(ham, support=psi0 != 0):
-        phases = np.exp(np.multiply.outer(w, -1j * times))  # (m, b, T)
-        phases *= np.einsum("mba,mb->ma", v.conj(), psi0[idx])[:, :, None]
-        rows.append(idx.ravel())
-        parts.append((v @ phases).reshape(idx.size, -1))
-    return np.concatenate(rows), np.concatenate(parts + [np.zeros((1, len(times)), complex)])
+    groups = [(idx, w, v, np.einsum("mba,mb->ma", v.conj(), psi0[idx])[:, :, None])
+              for idx, w, v in hermitian_blocks(ham, support=psi0 != 0)]
+    rows = np.concatenate([np.zeros(0, np.intp)] + [idx.ravel() for idx, *_ in groups])
+    pos = np.full(ham.dim, len(rows))  # indices off the blocks read the zero row
+    pos[rows] = np.arange(len(rows))
+    stacks = [[(pos[idx], stack) for idx, stack in exact_stacks(op, pos < len(rows))]
+              for op in observables]
+    # Chunks start at multiples of 8 samples where they can, and a one-sample tail
+    # joins the chunk before it, so that every sample meets the column blocking of one
+    # whole-grid BLAS product (groups of 2, 4 or 8; a single column takes another kernel).
+    step = max(1, CHUNK_ENTRIES // max(1, len(rows)))
+    if step >= 8:
+        step -= step % 8
+    starts = list(range(0, len(times), step))
+    if len(starts) > 1 and starts[-1] == len(times) - 1:
+        starts.pop()
+
+    def chunks():
+        for start, stop in zip(starts, starts[1:] + [len(times)]):
+            t = times[start:stop]
+            psi = np.zeros((len(rows) + 1, len(t)), dtype=np.complex128)
+            at = 0
+            for idx, w, v, coefficients in groups:
+                phases = np.exp(np.multiply.outer(w, -1j * t))  # (m, b, t)
+                phases *= coefficients
+                np.matmul(v, phases, out=psi[at:at + idx.size].reshape(phases.shape))
+                at += idx.size
+            yield slice(start, stop), psi, [_expect(s, psi) for s in stacks]
+
+    return rows, chunks()
+
+
+def _expect(stacks: list, psi: np.ndarray) -> np.ndarray:
+    """<psi(t)| op |psi(t)> per sample from the (rows, block) stacks of op, rows into psi."""
+    out = np.zeros(psi.shape[1])
+    for at, stack in stacks:
+        x = psi[at]  # (m, b, t)
+        out += np.einsum("mbt,mbt->t", x.conj(), stack @ x).real
+    return out
 
 
 def propagate(ham: OperatorMatrix, psi0: np.ndarray, times: np.ndarray) -> np.ndarray:
     """psi(t) = exp(-i H t) psi0 for every sample, columns indexed by time;
     rows outside the blocks of H that psi0 occupies are exactly zero."""
-    rows, psi = _trajectory(ham, psi0, times)
+    rows, chunks = _trajectory(ham, psi0, times)
     states = np.zeros((ham.dim, len(times)), dtype=np.complex128)
-    states[rows] = psi[:-1]
+    for span, psi, _ in chunks:
+        states[rows, span] = psi[:-1]
     return states
-
-
-def _expect(op: OperatorMatrix, psi: np.ndarray, pos: np.ndarray) -> np.ndarray:
-    """<psi(t)| op |psi(t)> per sample, index k of the state read from psi[pos[k]]."""
-    out = np.zeros(psi.shape[1])
-    for idx, block in apply(op, psi, pos < len(psi) - 1, pos):  # block: (m, b, T)
-        out += np.einsum("mbt,mbt->t", psi[pos[idx]].conj(), block).real
-    return out
 
 
 def evolve(ham: OperatorMatrix, psi0: np.ndarray, grid: TimeGrid,
            excitation: OperatorMatrix) -> TrajectoryRecord:
-    """Exact evolution with observables sampled on a uniform grid.
+    """Exact evolution with observables sampled on a uniform grid, filled one
+    time chunk at a time (see _trajectory).
 
     The record is flagged truncation-unsafe when the top photon slab ever
     holds more than 1e-6 of the population.
@@ -215,26 +248,22 @@ def evolve(ham: OperatorMatrix, psi0: np.ndarray, grid: TimeGrid,
         raise ValueError("evolve expects a product-space Hamiltonian")
     spec = ham.spec
     times = grid.times
-    rows, psi = _trajectory(ham, psi0, times)
-    pos = np.full(ham.dim, len(rows))  # indices off the blocks read the zero row
-    pos[rows] = np.arange(len(rows))
-    weights = np.abs(psi[:-1]) ** 2
-
+    rows, chunks = _trajectory(ham, psi0, times, (excitation, ham))
     table = basis_table(spec)
-    pops = table.occupations[rows].T.astype(float) @ weights  # (3, T)
-    leakage = (table.photons[rows] == spec.n_max).astype(float) @ weights
+    occupations = table.occupations[rows].T.astype(float)
+    photons = table.photons[rows].astype(float)
+    top = (table.photons[rows] == spec.n_max).astype(float)
+    # pop1, pop2, pop3, n_photon, norm, excitation, energy, leakage
+    series = np.empty((8, len(times)))
+    for span, psi, values in chunks:
+        weights = np.abs(psi[:-1]) ** 2
+        series[:3, span] = occupations @ weights
+        series[3, span] = photons @ weights
+        series[4, span] = np.sqrt(np.sum(weights, axis=0))
+        series[5:7, span] = values
+        series[7, span] = top @ weights
     return TrajectoryRecord(
-        times=times,
-        pop1=pops[0],
-        pop2=pops[1],
-        pop3=pops[2],
-        n_photon=table.photons[rows].astype(float) @ weights,
-        norm=np.sqrt(np.sum(weights, axis=0)),
-        excitation=_expect(excitation, psi, pos),
-        energy=_expect(ham, psi, pos),
-        leakage=leakage,
-        truncation_safe=bool(np.max(leakage) <= LEAKAGE_LIMIT),
-    )
+        times, *series, truncation_safe=bool(np.max(series[7]) <= LEAKAGE_LIMIT))
 
 
 def _first_peak_time(times: np.ndarray, values: np.ndarray) -> float:

@@ -53,6 +53,7 @@ DEFORMED_PAIRS = ((3, 1), (2, 1), (3, 2))
 
 TOL_ALGEBRA = 1e-12
 TOL_UNITARY = 1e-12
+CHUNK_ENTRIES = 2**14  # elements per array of one slice: Hermiticity check, trajectory chunks
 
 
 class SpaceMismatchError(ValueError):
@@ -262,8 +263,22 @@ class OperatorMatrix:
                    for idx, stack in _views(self._layout, self._data))
 
     def is_hermitian(self, tol: float = 1e-12) -> bool:
-        return all(np.max(np.abs(s - s.conj().swapaxes(1, 2))) <= tol
-                   for _, s in _views(self._layout, self._data))
+        """Whether |s - s^H| <= tol everywhere, checked in slices of at most
+        CHUNK_ENTRIES elements: whole blocks, or rows of one block."""
+        for _, s in _views(self._layout, self._data):
+            m, b, _ = s.shape
+            rows = max(1, min(b, CHUNK_ENTRIES // b))
+            count = max(1, CHUNK_ENTRIES // (rows * b))
+            for k, r in itertools.product(range(0, m, count), range(0, b, rows)):
+                part, mirror = s[k:k + count, r:r + rows], s[k:k + count, :, r:r + rows]
+                if not np.max(np.abs(part - mirror.conj().swapaxes(1, 2))) <= tol:
+                    return False  # NaN fails too
+        return True
+
+    @cached_property
+    def eigenblocks(self) -> list:
+        """hermitian_blocks(self), made once: exp_hermitian forms every time from it."""
+        return list(hermitian_blocks(self))
 
     def vdot(self, other: "OperatorMatrix") -> complex:
         """Sum of conj(self) * other over every element, on the joined partition."""
@@ -441,7 +456,7 @@ def commutator(m: OperatorMatrix, n: OperatorMatrix) -> OperatorMatrix:
     return (m @ n) - (n @ m)
 
 
-def _exact_stacks(op: OperatorMatrix, support: np.ndarray | None = None):
+def exact_stacks(op: OperatorMatrix, support: np.ndarray | None = None):
     """(idx, stack) per group of the exact blocks of ``op``; with a boolean
     ``support`` mask, only the blocks holding a supported index."""
     for idx, stack in _views(op.blocks, op._in(op.blocks)):
@@ -461,37 +476,42 @@ def hermitian_blocks(op: OperatorMatrix, support: np.ndarray | None = None):
     (m, b, b) eigenvector columns.  With a boolean ``support`` mask only
     blocks holding a supported index are diagonalized.
     """
-    for idx, blocks in _exact_stacks(op, support):
+    for idx, blocks in exact_stacks(op, support):
         yield idx, *np.linalg.eigh(blocks)
 
 
-def apply(op: OperatorMatrix, states: np.ndarray, support: np.ndarray | None = None,
-          pos: np.ndarray | None = None):
+def apply(op: OperatorMatrix, states: np.ndarray, support: np.ndarray | None = None):
     """Yield (idx, block @ states[idx]) per group of equal-size blocks of ``op``
     (idx as in ``hermitian_blocks``), for states of shape (dim,) or (dim, T); the
     rows of op @ states outside every idx are zero.  A boolean ``support`` mask keeps
-    the blocks holding a supported index; a ``pos`` map reads index k from row pos[k]."""
-    for idx, stack in _exact_stacks(op, support):
-        x = states[idx if pos is None else pos[idx]]
+    the blocks holding a supported index."""
+    for idx, stack in exact_stacks(op, support):
+        x = states[idx]
         x = stack @ x if x.ndim == 3 else (stack @ x[..., None])[..., 0]  # frees the gathered rows
         yield idx, x
 
 
 def exp_hermitian(h: OperatorMatrix, t: float) -> OperatorMatrix:
-    """exp(-i t H) for Hermitian H; elements between blocks are exactly zero."""
+    """exp(-i t H) for Hermitian H, from its kept ``eigenblocks``, so further
+    times cost one product per block; elements between blocks are exactly zero."""
     data = [((v * np.exp(-1j * t * w)[:, None, :]) @ v.conj().swapaxes(1, 2)).ravel()
-            for _, w, v in hermitian_blocks(h)]
+            for _, w, v in h.eigenblocks]
     return OperatorMatrix(h.space, h.spec, np.concatenate(data), h.blocks)
 
 
-def exp_antihermitian(gen: OperatorMatrix, theta: float) -> OperatorMatrix:
-    """exp(theta G) for anti-Hermitian G, checked to be unitary to TOL_UNITARY."""
-    out = exp_hermitian(1j * gen, theta)  # exp(theta G) = exp(-i theta (i G))
+def unitary_exp(h: OperatorMatrix, t: float) -> OperatorMatrix:
+    """exp(-i t H) for Hermitian H, checked to be unitary to TOL_UNITARY."""
+    out = exp_hermitian(h, t)
     defect = max(float(np.max(np.abs(u @ u.conj().swapaxes(1, 2) - np.eye(u.shape[1]))))
                  for _, u in _views(out._layout, out._data))
     if defect > TOL_UNITARY:
         raise RuntimeError(f"rotation is not unitary (defect {defect:.2e})")
     return out
+
+
+def exp_antihermitian(gen: OperatorMatrix, theta: float) -> OperatorMatrix:
+    """exp(theta G) for anti-Hermitian G, checked to be unitary to TOL_UNITARY."""
+    return unitary_exp(1j * gen, theta)  # exp(theta G) = exp(-i theta (i G))
 
 
 def eigenvalues(h: OperatorMatrix) -> np.ndarray:

@@ -72,7 +72,7 @@ def test_batched_eigh_equals_one_call_per_block(model, seed):
     for op in (pool["H"], pool["x + x^dag"], pool["excitation"], pool["diagonal"],
                1j * pool["generator"], dense + dense.dag()):
         for mask in (None, support):
-            stacks = list(operators._exact_stacks(op, mask))
+            stacks = list(operators.exact_stacks(op, mask))
             batched = list(hermitian_blocks(op, mask))
             assert len(batched) == len(stacks)
             for (idx, stack), (idx_b, w, v) in zip(stacks, batched):

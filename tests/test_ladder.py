@@ -20,4 +20,6 @@ def test_tiny_rung_writes_the_next_bench_file(tmp_path):
     assert (rung["atoms"], rung["n_max"], rung["dim"]) == (1, 2, 9)
     assert set(rung["stages_s"]) == STAGES
     assert all(t >= 0 for t in rung["stages_s"].values())
+    assert set(rung["traced_peak_mb"]) == STAGES
+    assert all(peak > 0 for peak in rung["traced_peak_mb"].values())
     assert rung["peak_rss_mb"] > 0

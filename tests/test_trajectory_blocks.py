@@ -6,7 +6,9 @@ series of its record must equal the dense formula evaluated on the full
 random vector, a coherent field, the dark mode) are drawn beside basis
 states, and the dense states are checked against a dense eigendecomposition.
 The dense formulas live here, not in the package.  A Fock start
-must never make ``evolve`` hold one dense (dim, T) state matrix.
+must never make ``evolve`` hold one dense (dim, T) state matrix, and time
+chunks of any length must give the one-chunk trajectory; ``evolve`` and the
+Hermiticity check must stay within their chunk budgets.
 """
 
 import math
@@ -34,7 +36,7 @@ from trilevel.hamiltonian import (
     excitation_operator,
 )
 from trilevel.hilbert import SpaceSpec, basis_table
-from trilevel.operators import field_operator, lift
+from trilevel.operators import CHUNK_ENTRIES, field_operator, lift
 
 TOL = 1e-12
 
@@ -158,3 +160,105 @@ def test_fock_start_holds_no_dense_state_matrix(scheme, atomic, monkeypatch):
     assert calls == [1]  # one eigendecomposition pass per evolve
     assert peak < 16 * spec.product_dim * grid.n_samples  # one complex (dim, T) matrix
     assert math.isclose(record.norm[-1], 1.0, abs_tol=1e-10)
+
+
+def occupied_rows(ham, psi0) -> int:
+    """Rows of the Hamiltonian blocks psi0 occupies."""
+    labels = ham.blocks.labels
+    return int(np.isin(labels, labels[psi0 != 0]).sum())
+
+
+def chunked(ham, psi0, grid, observable, samples):
+    """evolve and propagate with CHUNK_ENTRIES set for ``samples`` per time chunk."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(dynamics, "CHUNK_ENTRIES", samples * max(1, occupied_rows(ham, psi0)))
+        return evolve(ham, psi0, grid, observable), propagate(ham, psi0, grid.times)
+
+
+SERIES = ("pop1", "pop2", "pop3", "n_photon", "norm", "excitation", "energy", "leakage")
+
+
+@settings(max_examples=80, deadline=None)
+@given(trajectories(), st.booleans(), st.booleans(), st.sampled_from([1, 7, 8]))
+def test_time_chunks_do_not_change_the_trajectory(model, zero, use_quadrature, samples):
+    """Chunks of 1, 7 or 8 samples against one chunk of >= T samples, to 1e-13 of
+    the scale: a BLAS product takes another kernel for a single column, for the
+    columns left over from its groups of 2, 4 or 8, and for some small sizes, so
+    the last bits may move (the bitwise case is the next test)."""
+    spec, h, psi0, grid = model
+    if zero:
+        psi0 = np.zeros_like(psi0)
+    ham = build_hamiltonian(spec, h)
+    if use_quadrature:  # couples the occupied blocks to unoccupied ones
+        a = lift(spec, field_operator(spec, "annihilate"))
+        observable = a + a.dag()
+    else:
+        observable = excitation_operator(spec, h.scheme)
+    record, states = chunked(ham, psi0, grid, observable, samples)
+    whole_record, whole_states = chunked(ham, psi0, grid, observable, 8 * grid.n_samples)
+    size = max(1.0, ham.max_abs(), spec.atoms + spec.n_max)
+    for name in SERIES:
+        assert np.max(np.abs(getattr(record, name) - getattr(whole_record, name))) \
+            <= 1e-13 * size, name
+    assert np.max(np.abs(states - whole_states)) <= 1e-13
+    assert record.truncation_safe == whole_record.truncation_safe
+    if zero:
+        assert all(np.array_equal(getattr(record, name), np.zeros(grid.n_samples))
+                   for name in SERIES)
+
+
+@pytest.mark.parametrize("scheme, energies, atomic, photons", [
+    (VEE, (0.0, 3.0, 3.0), (0, 0, 8), 0),
+    (VEE, (0.0, 3.0, 3.0), (0, 2, 6), 7),
+    (LAMBDA, (0.0, 0.0, 3.0), (1, 5, 2), 4),
+])
+def test_aligned_chunks_give_the_one_chunk_bits(scheme, energies, atomic, photons):
+    """Fock starts at A=8, n_max=16 over 2001 samples: budgets for 8, 96 and the
+    default number of samples (which the kernel rounds down to a multiple of 8,
+    joining a one-sample tail) give the one-chunk record and states bit for bit."""
+    spec = SpaceSpec(8, 16)
+    h = HamiltonianSpec(scheme, energies, 1.0, g31=0.1, g32=0.07, g21=0.13)
+    ham, excitation = build_hamiltonian(spec, h), excitation_operator(spec, scheme)
+    psi0 = prepare_initial(spec, InitialState(atomic, ("fock", photons)), h)
+    grid = TimeGrid(1000.0, 2001)
+    whole_record, whole_states = chunked(ham, psi0, grid, excitation, 8 * grid.n_samples)
+    default = CHUNK_ENTRIES // occupied_rows(ham, psi0)
+    assert 8 < default < grid.n_samples  # the default walks several chunks
+    for samples in (8, 96, default):
+        record, states = chunked(ham, psi0, grid, excitation, samples)
+        for name in SERIES:
+            assert np.array_equal(getattr(record, name), getattr(whole_record, name)), name
+        assert np.array_equal(states, whole_states)
+
+
+def traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+VEE_H = HamiltonianSpec(VEE, (0.0, 3.0, 3.0), 1.0, g31=0.1, g21=0.1)
+
+
+def test_evolve_memory_grows_only_with_the_record():
+    """Ten times the samples cost the record's nine float series and no more than
+    a small slack: no (rows, T) array."""
+    spec = SpaceSpec(8, 16)
+    ham, excitation = build_hamiltonian(spec, VEE_H), excitation_operator(spec, VEE)
+    psi0 = prepare_initial(spec, InitialState((0, 0, 8), ("fock", 0)), VEE_H)
+    short, long = (traced_peak(lambda: evolve(ham, psi0, TimeGrid(1000.0, n), excitation))
+                   for n in (2001, 20001))
+    record_growth = 9 * 8 * (20001 - 2001)
+    assert long - short <= record_growth + 64 * 1024
+
+
+def test_hermiticity_check_peaks_below_one_size_group():
+    spec = SpaceSpec(12, 20)
+    ham = build_hamiltonian(spec, VEE_H)
+    largest = max(m * b * b * 16 for m, b in (idx.shape for idx in ham.blocks.groups))
+    assert largest > 16 * 2 * CHUNK_ENTRIES  # the gate can tell the two apart
+    assert traced_peak(lambda: ham.is_hermitian()) < largest
