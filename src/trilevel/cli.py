@@ -398,6 +398,8 @@ def cmd_dispersive_compare(cfg: RunConfig, out: Path) -> int:
 def cmd_weights(cfg: RunConfig, out: Path) -> int:
     spec = cfg.space_spec()
     classical = cfg.classical_alpha is not None
+    if cfg.classical_alpha == 0:
+        raise ConfigError("classical_alpha: must be nonzero (a zero operator has no weight)")
     alpha = cfg.classical_alpha if classical else 1.0
     layout = diagram_layout(cfg.scheme, classical, spec, alpha=alpha)
     (out / "weights.csv").write_text(weight_table(layout))

@@ -27,14 +27,16 @@ import numpy as np
 from .hilbert import SpaceSpec, basis_table
 from .operators import (
     LAMBDA,
+    PRODUCT,
     OperatorMatrix,
     atomic_term,
-    diagonal,
     dressed_term,
+    element_sum,
     enhancement_factor,
     exp_antihermitian,
     guarded_states,
     tensor_sum,
+    term_elements,
     unitary_exp,
 )
 from .hamiltonian import HamiltonianSpec, build_hamiltonian
@@ -102,22 +104,15 @@ def _hermitian_generators(spec: SpaceSpec, scheme: str) -> dict:
     return {pair: 1j * _generator(spec, *pair) for pair in pairs}
 
 
-def _ordered_rotations(spec: SpaceSpec, p: DispersiveParams,
-                       generators: dict | None = None) -> tuple[OperatorMatrix, OperatorMatrix]:
-    """(outer, inner) unitaries of the conjugation, in application order, from
-    ``generators`` (see _hermitian_generators) when given."""
-    generators = generators or _hermitian_generators(spec, p.scheme)
-    return tuple(unitary_exp(gen, p.small_params[pair])  # the bits of exp_antihermitian
-                 for pair, gen in generators.items())
-
-
 def _conjugated(spec: SpaceSpec, h: HamiltonianSpec, p: DispersiveParams,
-                generators: dict | None = None) -> tuple[OperatorMatrix, OperatorMatrix]:
-    """H and U_outer U_inner H U_inner^dag U_outer^dag.  The order is normative
-    for reproducibility: (3,1) is innermost for lambda, (2,1) for vee."""
+                generators: dict) -> tuple[OperatorMatrix, OperatorMatrix]:
+    """H and U_outer U_inner H U_inner^dag U_outer^dag, U = exp(-i eps G) for the
+    ``generators`` G in their (outer, inner) order (see _hermitian_generators),
+    which is normative for reproducibility: (3,1) is innermost for lambda, (2,1) for vee."""
     if p.scheme != h.scheme:
         raise ValueError(f"params are for scheme {p.scheme!r}, Hamiltonian is {h.scheme!r}")
-    outer, inner = _ordered_rotations(spec, p, generators)
+    outer, inner = (unitary_exp(gen, p.small_params[pair])  # the bits of exp_antihermitian
+                    for pair, gen in generators.items())
     ham = build_hamiltonian(spec, h)
     return ham, outer @ inner @ ham @ inner.dag() @ outer.dag()
 
@@ -125,7 +120,7 @@ def _conjugated(spec: SpaceSpec, h: HamiltonianSpec, p: DispersiveParams,
 def effective_transform(spec: SpaceSpec, h: HamiltonianSpec,
                         p: DispersiveParams) -> OperatorMatrix:
     """Numerically conjugated Hamiltonian (see _conjugated for the order)."""
-    return _conjugated(spec, h, p)[1]
+    return _conjugated(spec, h, p, _hermitian_generators(spec, h.scheme))[1]
 
 
 @dataclass(frozen=True)
@@ -151,16 +146,18 @@ def transfer_prefactor(h: HamiltonianSpec, p: DispersiveParams) -> float:
 def analytic_effective(spec: SpaceSpec, h: HamiltonianSpec,
                        p: DispersiveParams) -> EffectiveModel:
     """Closed-form transfer operator on the product space: the swap of the
-    degenerate pair times the diagonal enhancement factor, with a prefactor.
+    degenerate pair times the diagonal enhancement factor f, with a prefactor.
 
-    The two factors commute, so their order is immaterial; the result is
-    Hermitian by construction.
+    The swap conserves f, so each swap element (r, c, v) becomes (r, c, v f[c]),
+    the one multiply of the product; the result is Hermitian by construction.
     """
     prefactor = transfer_prefactor(h, p)
     la, lb = h.degenerate_pair
-    swap = tensor_sum(spec, [atomic_term(spec, la, lb), atomic_term(spec, lb, la)])
     table = basis_table(spec)
-    op = swap @ diagonal(spec, enhancement_factor(h.scheme, table.occupations, table.photons))
+    f = enhancement_factor(h.scheme, table.occupations, table.photons)
+    swap = (term_elements(spec, atomic_term(spec, a, b)) for a, b in ((la, lb), (lb, la)))
+    op = element_sum(PRODUCT, spec, [(rows, cols, values * f[cols])
+                                     for rows, cols, values in swap])
     if not op.is_hermitian():
         raise RuntimeError("analytic transfer operator is not Hermitian")
     return EffectiveModel(h.scheme, op, prefactor)
@@ -187,8 +184,7 @@ def transfer_block_mask(spec: SpaceSpec, scheme: str, guard: int) -> np.ndarray:
 
 
 def _residual(spec: SpaceSpec, h: HamiltonianSpec, p: DispersiveParams, block,
-              transfer: OperatorMatrix,
-              generators: dict | None = None) -> tuple[OperatorMatrix, float]:
+              transfer: OperatorMatrix, generators: dict) -> tuple[OperatorMatrix, float]:
     """H and the largest difference of its conjugation from the closed form on ``block``."""
     ham, conjugated = _conjugated(spec, h, p, generators)
     return ham, (conjugated - transfer_prefactor(h, p) * transfer).max_abs(block)
@@ -199,7 +195,8 @@ def block_residual(spec: SpaceSpec, h: HamiltonianSpec, p: DispersiveParams,
     """Max difference between the numeric conjugation and the closed form,
     restricted to the guarded degenerate-transfer block."""
     transfer = analytic_effective(spec, h, p).transfer_operator
-    return _residual(spec, h, p, _transfer_block(spec, h.scheme, guard), transfer)[1]
+    return _residual(spec, h, p, _transfer_block(spec, h.scheme, guard), transfer,
+                     _hermitian_generators(spec, h.scheme))[1]
 
 
 def compare(spec: SpaceSpec, h: HamiltonianSpec, p: DispersiveParams,

@@ -30,7 +30,7 @@ from .operators import (
     dressed_term,
     element_sum,
     exp_antihermitian,
-    field_operator,
+    field_elements,
     identity_elements,
     tensor_sum,
     transition_elements,
@@ -105,8 +105,7 @@ class RotationResult:
 
 def _free_terms(spec: SpaceSpec, h: HamiltonianSpec) -> list:
     """tensor_sum terms of omega n + sum_i E_i S_ii."""
-    number = field_operator(spec, "number").elements()
-    return [(h.omega, identity_elements(spec.atomic_dim), number)] + [
+    return [(h.omega, identity_elements(spec.atomic_dim), field_elements(spec, "number"))] + [
         atomic_term(spec, i, i, e) for i, e in enumerate(h.energies, start=1)
     ]
 

@@ -67,30 +67,31 @@ def enumerate_atomic_basis(atoms: int) -> list[Occupation]:
 class IndexMap:
     """Bijection between (occupation, photon number) pairs and flat indices.
 
-    ``occupations[k]`` is the occupation triple and ``photons[k]`` the
-    photon number of flat index k, as read-only arrays, so a mask over
-    basis states is one broadcast instead of a loop over ``split``.
+    Read-only arrays, so a mask over basis states is one broadcast, not a loop
+    over ``split``: ``atomic_occupations[k]`` is the triple of atomic index k,
+    ``atomic_table[n1, n2]`` the atomic index of (n1, n2, atoms - n1 - n2), else
+    -1, and ``occupations[k]``, ``photons[k]`` the labels of flat index k.
     """
 
     def __init__(self, spec: SpaceSpec):
         self.spec = spec
         self.states: tuple[Occupation, ...] = tuple(enumerate_atomic_basis(spec.atoms))
-        self._atomic_index = {occ: k for k, occ in enumerate(self.states)}
-        self.occupations = np.repeat(np.array(self.states, dtype=np.int64),
-                                     spec.field_dim, axis=0)  # (product_dim, 3)
+        occ = self.atomic_occupations = np.array(self.states, dtype=np.int64)  # (atomic_dim, 3)
+        self.atomic_table = np.full((spec.atoms + 1, spec.atoms + 1), -1, dtype=np.intp)
+        self.atomic_table[occ[:, 0], occ[:, 1]] = np.arange(spec.atomic_dim)
+        self.occupations = np.repeat(occ, spec.field_dim, axis=0)  # (product_dim, 3)
         self.photons = np.tile(np.arange(spec.field_dim, dtype=np.int64),
                                spec.atomic_dim)  # (product_dim,)
-        self.occupations.setflags(write=False)
-        self.photons.setflags(write=False)
+        for table in (occ, self.atomic_table, self.occupations, self.photons):
+            table.setflags(write=False)
 
     def atomic_index(self, occupation: Occupation) -> int:
         occ = tuple(occupation)
-        try:
-            return self._atomic_index[occ]
-        except KeyError:
+        if len(occ) != 3 or min(occ) < 0 or sum(occ) != self.spec.atoms:
             raise ValueError(
                 f"{occ} is not an occupation triple summing to {self.spec.atoms}"
-            ) from None
+            )
+        return int(self.atomic_table[occ[0], occ[1]])
 
     def flat(self, occupation: Occupation, fock_n: int) -> int:
         if not 0 <= fock_n <= self.spec.n_max:

@@ -8,15 +8,16 @@ with absorption of one photon, X_ij = a S_ij for the pairs (3,1), (2,1),
 (3,2), and with emission for the conjugate pairs, X_ij = X_ji^dag.
 
 Operators are written from the (row, column, value) of their nonzeros, with
-no dense factor: S_ij straight from the occupation labels, and every
-product-space operator as a short sum of c (atomic (x) field) terms by
-tensor_sum, stored in the connected components of what is written; for a
-Hamiltonian these are the decoupled blocks of a conserved excitation count.
-An OperatorMatrix holds a BlockPartition with every nonzero and one (m, b, b)
-stack per block size b, and makes one numpy call per stack: sums and products
-scatter both operands into the joined partition by slot arithmetic, and
-hermitian_blocks gathers the exact blocks (found from the stored elements, no
-tolerance) into stacks, one eigh call each.  ``mat`` builds a dense copy.
+no dense factor: S_ij from the occupation labels, a, a^dag and n from the
+photon number, and every product-space operator as a short sum of
+c (atomic (x) field) terms by tensor_sum, stored in the connected components
+of what is written; for a Hamiltonian these are the decoupled blocks of a
+conserved excitation count.  An OperatorMatrix holds a BlockPartition with
+every nonzero and one (m, b, b) stack per block size b, and makes one numpy
+call per stack: sums and products scatter both operands into the joined
+partition by slot arithmetic, and hermitian_blocks gathers the exact blocks
+(found from the stored elements, no tolerance) into stacks, one eigh call
+each.  ``mat`` builds a dense copy.
 
 verify_algebra re-derives the operator identities numerically.  The
 first-order commutators are exact on the (untruncated) atomic space.  The
@@ -280,11 +281,6 @@ class OperatorMatrix:
         """hermitian_blocks(self), made once: exp_hermitian forms every time from it."""
         return list(hermitian_blocks(self))
 
-    def vdot(self, other: "OperatorMatrix") -> complex:
-        """Sum of conj(self) * other over every element, on the joined partition."""
-        layout = self._joined(other)
-        return np.vdot(self._in(layout), other._in(layout))
-
     def _joined(self, other: "OperatorMatrix") -> BlockPartition:
         if not isinstance(other, OperatorMatrix):
             raise TypeError(f"expected OperatorMatrix, got {type(other).__name__}")
@@ -348,16 +344,15 @@ def transition_elements(spec: SpaceSpec, i: int, j: int, c: complex = 1) -> tupl
     column moves an excitation from level j to level i with amplitude sqrt((n_i + 1) n_j)."""
     if i not in LEVELS or j not in LEVELS:
         raise ValueError(f"levels must be in {LEVELS}, got ({i}, {j})")
-    occ = index_map(spec).occupations[::spec.field_dim]  # (atomic_dim, 3) labels
+    imap = index_map(spec)
+    occ = imap.atomic_occupations
     if i == j:
         cols = np.flatnonzero(occ[:, i - 1])
         return cols, cols, c * occ[cols, i - 1].astype(np.complex128)
-    index = np.zeros((spec.atoms + 1, spec.atoms + 1), dtype=np.intp)
-    index[occ[:, 0], occ[:, 1]] = np.arange(spec.atomic_dim)  # (n1, n2) fix the triple
     cols = np.flatnonzero(occ[:, j - 1])
     n1, n2 = (occ[cols, k] + (i == k + 1) - (j == k + 1) for k in (0, 1))  # after j -> i
     values = np.sqrt((occ[cols, i - 1] + 1) * occ[cols, j - 1])
-    return index[n1, n2], cols, c * values.astype(np.complex128)
+    return imap.atomic_table[n1, n2], cols, c * values.astype(np.complex128)
 
 
 def identity_elements(dim: int) -> tuple:
@@ -381,28 +376,33 @@ def atomic_operator(spec: SpaceSpec, i: int, j: int) -> OperatorMatrix:
     return element_sum(ATOMIC, spec, [transition_elements(spec, i, j)])
 
 
-def field_operator(spec: SpaceSpec, kind: str) -> OperatorMatrix:
-    """Truncated ladder matrices: "annihilate", "create", or "number"."""
+def field_elements(spec: SpaceSpec, kind: str) -> tuple:
+    """Row, column and complex value of every nonzero of the truncated ladder
+    operator "annihilate" (a), "create" (a^dag) or "number" (n), row-major, from
+    n = 1..n_max: a is (n - 1, n, sqrt n), a^dag (n, n - 1, sqrt n), n (n, n, n)."""
     n = np.arange(1, spec.field_dim)
     if kind == "annihilate":
-        mat = np.diag(np.sqrt(n.astype(float)), k=1)
-    elif kind == "create":
-        mat = np.diag(np.sqrt(n.astype(float)), k=-1)
-    elif kind == "number":
-        mat = np.diag(np.arange(spec.field_dim, dtype=float))
-    else:
-        raise ValueError(f"unknown field operator kind {kind!r}")
-    return OperatorMatrix(FIELD, spec, mat)
+        return n - 1, n, np.sqrt(n).astype(np.complex128)
+    if kind == "create":
+        return n, n - 1, np.sqrt(n).astype(np.complex128)
+    if kind == "number":
+        return n, n, n.astype(np.complex128)
+    raise ValueError(f"unknown field operator kind {kind!r}")
+
+
+def field_operator(spec: SpaceSpec, kind: str) -> OperatorMatrix:
+    """Truncated ladder operator (see field_elements), stored in its blocks."""
+    return element_sum(FIELD, spec, [field_elements(spec, kind)])
 
 
 def tensor_sum(spec: SpaceSpec, terms: list[tuple]) -> OperatorMatrix:
     """Sum of c (atomic (x) field) over the ``(c, atomic, field)`` terms on the
     product space (photon index fastest), each factor the ``(rows, cols, values)``
     of its nonzeros; terms that share an entry add up in term order."""
-    return element_sum(PRODUCT, spec, [_term_elements(spec, term) for term in terms])
+    return element_sum(PRODUCT, spec, [term_elements(spec, term) for term in terms])
 
 
-def _term_elements(spec: SpaceSpec, term: tuple) -> tuple:
+def term_elements(spec: SpaceSpec, term: tuple) -> tuple:
     """Row, column and value on the product space of the elements of one term."""
     f = spec.field_dim
     c, (ar, ac, av), (fr, fc, fv) = term
@@ -439,7 +439,7 @@ def dressed_term(spec: SpaceSpec, i: int, j: int, c: complex = 1) -> tuple:
         kind = "create"
     else:
         raise ValueError(f"no dressed transition for level pair ({i}, {j})")
-    return c, transition_elements(spec, i, j), field_operator(spec, kind).elements()
+    return c, transition_elements(spec, i, j), field_elements(spec, kind)
 
 
 def deformed_operator(spec: SpaceSpec, i: int, j: int) -> OperatorMatrix:
@@ -628,9 +628,9 @@ def verify_algebra(spec: SpaceSpec, mode: str, guard: int = 1) -> list[IdentityR
         keep = guarded_states(spec, guard)
         table = basis_table(spec)
         occ, num = table.occupations, table.photons
-        s21, s32 = (_columns(spec.product_dim, _term_elements(spec, atomic_term(spec, i, j)))
+        s21, s32 = (_columns(spec.product_dim, term_elements(spec, atomic_term(spec, i, j)))
                     for i, j in ((2, 1), (3, 2)))
-        x31, x23, x12 = (_columns(spec.product_dim, _term_elements(spec, dressed_term(spec, i, j)))
+        x31, x23, x12 = (_columns(spec.product_dim, term_elements(spec, dressed_term(spec, i, j)))
                          for i, j in ((3, 1), (2, 3), (1, 2)))
         x23_x31, x31_x23 = _gather(x23, x31), _gather(x31, x23)
 

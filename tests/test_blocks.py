@@ -16,7 +16,6 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from trilevel.dispersive import (
-    _ordered_rotations,
     analytic_effective,
     block_residual,
     dispersive_params,
@@ -64,7 +63,8 @@ def dense_propagate(h: np.ndarray, psi0: np.ndarray, times: np.ndarray) -> np.nd
 
 
 def dense_block_residual(spec, h, p, guard) -> float:
-    outer, inner = _ordered_rotations(spec, p)
+    pairs = ((3, 2), (3, 1)) if h.scheme == LAMBDA else ((3, 1), (2, 1))  # (outer, inner)
+    outer, inner = (small_rotation(spec, i, j, p.small_params[(i, j)]) for i, j in pairs)
     u = outer.mat @ inner.mat
     transformed = u @ build_hamiltonian(spec, h).mat @ u.conj().T
     diff = transformed - analytic_effective(spec, h, p).matrix().mat

@@ -57,6 +57,16 @@ def test_non_finite_value_is_config_error(key, value, tmp_path, capsys):
     assert key in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("alpha", ["0", "0+0j"])
+def test_zero_classical_alpha_is_a_weights_config_error(alpha, tmp_path, capsys):
+    conf = tmp_path / "run.conf"
+    conf.write_text(with_value("classical_alpha", alpha))
+    assert main(["weights", "--config", str(conf), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("config error: classical_alpha: ")
+    # the other commands ignore the key
+    assert main(["spectrum", "--config", str(conf), "--out", str(tmp_path / "o")]) == 0
+
+
 @pytest.mark.parametrize("key", ["E1", "g32", "omega"])
 def test_negative_infinity_rejected(key):
     with pytest.raises(ConfigError, match=key):

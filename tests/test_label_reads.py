@@ -1,0 +1,188 @@
+"""Operators and weights read off the basis labels, against the matrix round trips
+they replace.
+
+The references are kept here: the ladder operators as ``np.diag`` arrays read
+back with ``np.nonzero``, the weights as the least-squares fit of
+``<M, [h, M]> / <M, M>`` with its proportionality residual, the transfer
+operator as the block product of the swap with ``diagonal(f)``, and the atomic
+index as a dict over ``enumerate_atomic_basis``.
+"""
+
+import itertools
+import re
+
+import numpy as np
+import pytest
+
+from test_batched_kernels import same_bits
+from trilevel.dispersive import DispersiveParams, analytic_effective
+from trilevel.hamiltonian import LAMBDA, VEE, HamiltonianSpec
+from trilevel.hilbert import IndexMap, SpaceSpec, basis_table, enumerate_atomic_basis
+from trilevel.operators import (
+    ATOMIC,
+    DEFORMED_PAIRS,
+    FIELD,
+    LEVELS,
+    PRODUCT,
+    OperatorMatrix,
+    atomic_operator,
+    atomic_term,
+    commutator,
+    deformed_operator,
+    diagonal,
+    enhancement_factor,
+    field_elements,
+    field_operator,
+    identity,
+    lift,
+    tensor_sum,
+)
+from trilevel.weights import (
+    TOL_WEIGHT,
+    NotAWeightVectorError,
+    _scheme_operators,
+    _snap_rational,
+    cartan_choice,
+    weight_of,
+)
+
+KINDS = ("annihilate", "create", "number")
+
+
+# --- ladder operators ---------------------------------------------------------------
+
+def diag_field(spec, kind):
+    """The truncated ladder matrix as an np.diag array."""
+    n = np.arange(1, spec.field_dim)
+    if kind == "annihilate":
+        return np.diag(np.sqrt(n.astype(float)), k=1)
+    if kind == "create":
+        return np.diag(np.sqrt(n.astype(float)), k=-1)
+    return np.diag(np.arange(spec.field_dim, dtype=float))
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 5, 16, 40])
+@pytest.mark.parametrize("kind", KINDS)
+def test_field_elements_are_the_nonzeros_of_the_diag_arrays(kind, n_max):
+    spec = SpaceSpec(1, n_max)
+    reference = OperatorMatrix(FIELD, spec, diag_field(spec, kind)).elements()
+    for got in (field_elements(spec, kind), field_operator(spec, kind).elements()):
+        assert np.array_equal(got[0], reference[0]) and np.array_equal(got[1], reference[1])
+        assert same_bits(got[2], reference[2])
+    assert same_bits(field_operator(spec, kind).mat, diag_field(spec, kind).astype(np.complex128))
+
+
+def test_unknown_field_kind_rejected():
+    with pytest.raises(ValueError, match="unknown field operator kind"):
+        field_elements(SpaceSpec(1, 2), "squeeze")
+
+
+# --- weights ------------------------------------------------------------------------
+
+def fitted_weight(op, cartan):
+    """(kappa1, kappa2) by the least-squares proportionality fit on dense matrices."""
+    m = op.mat
+    scale = float(np.max(np.abs(m)))
+    if scale == 0.0:
+        raise NotAWeightVectorError("zero operator has no weight")
+    kappas = []
+    for h in (cartan.h1, cartan.h2):
+        comm = h.mat @ m - m @ h.mat
+        fit = np.vdot(m, comm) / np.vdot(m, m)
+        if abs(fit.imag) > TOL_WEIGHT:
+            raise NotAWeightVectorError(f"complex eigenvalue {fit!r}")
+        if np.max(np.abs(comm - fit.real * m)) / scale > TOL_WEIGHT:
+            raise NotAWeightVectorError("commutator is not proportional")
+        kappas.append(_snap_rational(float(fit.real)))
+    return tuple(kappas)
+
+
+def candidate_operators(scheme, classical, spec, alpha):
+    """The diagram's operators, every (dressed) transition, the identity, every
+    nonzero commutator of two transitions, and mixtures and zeros."""
+    ops = [op for _, op, _ in _scheme_operators(scheme, classical, spec, alpha)]
+    if classical:
+        singles = [atomic_operator(spec, i, j) for i, j in itertools.product(LEVELS, repeat=2)]
+        ops += singles + [identity(spec, ATOMIC)]
+    else:
+        singles = [deformed_operator(spec, i, j) for i, j in DEFORMED_PAIRS]
+        singles += [op.dag() for op in singles]
+        ops += singles + [lift(spec, atomic_operator(spec, 2, 2)), identity(spec, PRODUCT)]
+    ops += [commutator(m, n) for m, n in itertools.combinations(singles, 2)]
+    ops += [singles[0] + singles[1], singles[0] - 2.0 * singles[-1], 0.0 * singles[0],
+            singles[0] - singles[0]]
+    return ops
+
+
+@pytest.mark.parametrize("spec", [SpaceSpec(1, 3), SpaceSpec(2, 2), SpaceSpec(3, 4)])
+@pytest.mark.parametrize("classical,alpha", [(False, 1.0), (True, 1.0), (True, 0.3 - 1.2j)])
+@pytest.mark.parametrize("scheme", [LAMBDA, VEE])
+def test_label_gap_weights_equal_the_least_squares_fit(scheme, classical, alpha, spec):
+    cartan = cartan_choice(scheme, spec, ATOMIC if classical else PRODUCT)
+    rejected = 0
+    for k, op in enumerate(candidate_operators(scheme, classical, spec, alpha)):
+        try:
+            expected = fitted_weight(op, cartan)
+        except NotAWeightVectorError:
+            with pytest.raises(NotAWeightVectorError):
+                weight_of(op, cartan)
+            rejected += 1
+            continue
+        assert weight_of(op, cartan).kappa == expected, k
+    assert rejected >= 4  # two mixtures, two zeros
+
+
+def test_weight_of_rejects_a_cartan_element_off_the_diagonal():
+    spec = SpaceSpec(1, 2)
+    cartan = cartan_choice(LAMBDA, spec, ATOMIC)
+    bent = type(cartan)(LAMBDA, cartan.h1 + atomic_operator(spec, 1, 2), cartan.h2)
+    with pytest.raises(ValueError, match="not a real diagonal"):
+        weight_of(atomic_operator(spec, 3, 1), bent)
+
+
+def test_weight_of_rejects_operators_on_another_space():
+    spec = SpaceSpec(1, 2)
+    with pytest.raises(ValueError, match="cannot combine"):
+        weight_of(deformed_operator(spec, 3, 1), cartan_choice(LAMBDA, spec, ATOMIC))
+
+
+# --- transfer operator --------------------------------------------------------------
+
+@pytest.mark.parametrize("spec", [SpaceSpec(1, 3), SpaceSpec(2, 5), SpaceSpec(4, 6)])
+@pytest.mark.parametrize("scheme", [LAMBDA, VEE])
+def test_transfer_operator_equals_the_swap_times_the_diagonal(scheme, spec):
+    h = HamiltonianSpec(scheme, (0.0, 3.0, 3.0) if scheme == VEE else (0.0, 0.0, 3.0), 1.0,
+                        g31=0.1, g32=0.1, g21=0.1)
+    p = DispersiveParams(scheme, 0.0, {}, {(3, 1): -0.05, (2, 1): -0.05}, 1.0)
+    la, lb = h.degenerate_pair
+    table = basis_table(spec)
+    swap = tensor_sum(spec, [atomic_term(spec, la, lb), atomic_term(spec, lb, la)])
+    reference = swap @ diagonal(spec, enhancement_factor(scheme, table.occupations,
+                                                         table.photons))
+    op = analytic_effective(spec, h, p).transfer_operator
+    assert np.array_equal(op.blocks.labels, reference.blocks.labels)
+    assert same_bits(op._in(op.blocks), reference._in(reference.blocks))
+
+
+# --- atomic index table -------------------------------------------------------------
+
+@pytest.mark.parametrize("atoms", range(1, 13))
+def test_atomic_table_matches_the_enumerated_basis(atoms):
+    states = enumerate_atomic_basis(atoms)
+    imap = IndexMap(SpaceSpec(atoms, 1))
+    assert imap.atomic_occupations.tolist() == [list(s) for s in states]
+    expected = np.full((atoms + 1, atoms + 1), -1)
+    for k, (n1, n2, _) in enumerate(states):
+        expected[n1, n2] = k
+    assert np.array_equal(imap.atomic_table, expected)
+    assert not imap.atomic_table.flags.writeable
+    assert not imap.atomic_occupations.flags.writeable
+    index = {occ: k for k, occ in enumerate(states)}
+    for occ in states:
+        assert imap.atomic_index(occ) == index[occ]
+        assert imap.atomic_index(list(occ)) == index[occ]
+    for bad in [(atoms, 0), (atoms, 0, 0, 0), (atoms + 1, 0, 0), (0, 0, atoms - 1),
+                (atoms + 1, -1, 0), (-1, 0, atoms + 1), (0, atoms + 1, -1)]:
+        with pytest.raises(ValueError, match=re.escape(
+                f"{bad} is not an occupation triple summing to {atoms}")):
+            imap.atomic_index(bad)

@@ -1,0 +1,50 @@
+"""The benchmark's tracer finds every package name it wraps.
+
+``perfbench/tracing.py`` replaces package functions and methods by name, and
+``install()`` raises AttributeError when one of them is gone, which would
+break ``perfbench/run.py --trace 1``.  Install it, build a few operators
+through the wrapped names, and uninstall it again.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import trilevel.cli  # noqa: F401  (imports every traced module)
+import trilevel.weights as weights
+from trilevel.hamiltonian import LAMBDA
+from trilevel.hilbert import IndexMap, SpaceSpec
+from trilevel.operators import OperatorMatrix
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def package_attributes():
+    return {(name, key): value for name, module in sys.modules.items()
+            if name == "trilevel" or name.startswith("trilevel.")
+            for key, value in vars(module).items()}
+
+
+def test_recorder_installs_and_uninstalls():
+    tracing = load_tracing()
+    before = package_attributes()
+    methods = (OperatorMatrix.__matmul__, OperatorMatrix.__post_init__, IndexMap.split)
+    recorder = tracing.Recorder()
+    recorder.install()
+    try:
+        layout = weights.diagram_layout(LAMBDA, False, SpaceSpec(1, 3))
+        assert len(layout.vectors) == 6
+        assert recorder.counters["operators.matrices_built"] > 0
+        assert {span[3] for span in recorder.spans} >= {"weights.diagram_layout",
+                                                       "operators.deformed_operator"}
+    finally:
+        recorder.uninstall()
+    assert package_attributes() == before
+    assert (OperatorMatrix.__matmul__, OperatorMatrix.__post_init__, IndexMap.split) == methods

@@ -49,6 +49,7 @@ from trilevel.operators import (
     atomic_operator,
     deformed_operator,
     diagonal,
+    enhancement_factor,
     exp_antihermitian,
     field_operator,
     lift,
@@ -315,6 +316,14 @@ def test_written_operators_store_the_bits_of_the_dense_factor_sum(spec, h):
         assert_same_storage(op, dense_factor_sum(spec, terms), name)
 
 
+def dense_storage(spec, mat):
+    """(labels, flat storage) of a dense product-space matrix in the connected
+    components of its nonzeros, read with np.nonzero."""
+    rows, cols = np.nonzero(mat)
+    layout = BlockPartition.from_labels(_component_labels(spec.product_dim, rows, cols))
+    return layout.labels, _write(layout, rows, cols, mat[rows, cols])
+
+
 @given(spec=small_sizes, h=hamiltonians(), eps=st.floats(-0.1, 0.1))
 def test_dispersive_operators_store_the_bits_of_the_dense_factor_sum(spec, h, eps):
     written = []
@@ -322,16 +331,21 @@ def test_dispersive_operators_store_the_bits_of_the_dense_factor_sum(spec, h, ep
         monkeypatch.setattr(dispersive, "tensor_sum", recording(written))
         for i, j in DEFORMED_PAIRS:
             small_rotation(spec, i, j, eps)
-        analytic_effective(spec, h, DispersiveParams(h.scheme, 0.0, {}, {(3, 1): eps,
-                                                                         (2, 1): eps}, 1.0))
-    la, lb = h.degenerate_pair
-    eye = np.eye(spec.field_dim)
+        transfer = analytic_effective(spec, h, DispersiveParams(
+            h.scheme, 0.0, {}, {(3, 1): eps, (2, 1): eps}, 1.0)).transfer_operator
     references = [[dense_dressed(spec, i, j), dense_dressed(spec, j, i, -1)]
                   for i, j in DEFORMED_PAIRS]  # the small-rotation generators
-    references.append([(1, dense_atomic(spec, la, lb), eye), (1, dense_atomic(spec, lb, la), eye)])
     assert len(written) == len(references)
     for k, (op, terms) in enumerate(zip(written, references)):
         assert_same_storage(op, dense_factor_sum(spec, terms), k)
+
+    # the transfer operator: the dense swap of the degenerate pair times diag(f)
+    la, lb = h.degenerate_pair
+    table = basis_table(spec)
+    swap = np.kron(dense_atomic(spec, la, lb) + dense_atomic(spec, lb, la), np.eye(spec.field_dim))
+    f = enhancement_factor(h.scheme, table.occupations, table.photons)
+    assert_same_storage(transfer, dense_storage(spec, swap @ np.diag(f.astype(np.complex128))),
+                        "transfer")
 
 
 # --- memory at 60 atoms -------------------------------------------------------------
