@@ -25,10 +25,8 @@ from pathlib import Path
 import numpy as np
 
 from .hilbert import SpaceSpec
-from .operators import apply, eigenvalues, verify_algebra
+from .operators import SCHEMES, apply, eigenvalues, layout, verify_algebra
 from .hamiltonian import (
-    LAMBDA,
-    SCHEMES,
     TOL_DARK_BLOCK,
     HamiltonianSpec,
     build_hamiltonian,
@@ -196,8 +194,7 @@ def parse_config(text: str) -> RunConfig:
     couplings = {}
     for name in ("g31", "g32", "g21"):
         couplings[name] = _parse_scalar(name, values[name], float) if name in values else 0.0
-    required_couplings = ("g31", "g32") if scheme == LAMBDA else ("g31", "g21")
-    for name in required_couplings:
+    for name in (f"g{i}{j}" for i, j in layout(scheme).pairs):
         if name not in values:
             raise ConfigError(f"{name}: required for scheme '{scheme}'")
         if couplings[name] <= 0:
@@ -269,20 +266,16 @@ def write_trajectory_csv(path: Path, record: TrajectoryRecord) -> None:
                           _fmt(record.excitation[k]), _fmt(record.leakage[k])])
 
 
-def _check(name: str, residual: float | None, tolerance: float,
-           passed: bool) -> dict:
-    return {
-        "name": name,
-        "residual": None if residual is None else float(residual),
-        "tolerance": tolerance,
-        "passed": bool(passed),
-    }
+def _check(name: str, residual: float | None, tolerance: float, passed: bool) -> dict:
+    return {"name": name, "residual": None if residual is None else float(residual),
+            "tolerance": tolerance, "passed": bool(passed)}
 
 
 def _applied_norm(op, psi: np.ndarray) -> float:
-    """|op psi|; the block products fill a full vector, so the norm sums in row order."""
+    """|op psi| from the blocks that psi occupies; their products fill a full vector,
+    zero elsewhere, so the norm sums in row order with every block's bits."""
     out = np.zeros_like(psi)
-    for idx, block in apply(op, psi):
+    for idx, block in apply(op, psi, support=psi != 0):
         out[idx] = block
     return float(np.linalg.norm(out))
 

@@ -26,7 +26,6 @@ import numpy as np
 
 from .hilbert import SpaceSpec, basis_table
 from .operators import (
-    LAMBDA,
     PRODUCT,
     OperatorMatrix,
     atomic_term,
@@ -35,6 +34,7 @@ from .operators import (
     enhancement_factor,
     exp_antihermitian,
     guarded_states,
+    layout,
     tensor_sum,
     term_elements,
     unitary_exp,
@@ -97,11 +97,10 @@ def small_rotation(spec: SpaceSpec, i: int, j: int, eps: float) -> OperatorMatri
 
 
 def _hermitian_generators(spec: SpaceSpec, scheme: str) -> dict:
-    """i (X_ij - X_ij^dag) per rotation pair, (outer, inner) in application order;
-    each keeps its eigendecomposition (exp_hermitian), so rotations by several eps
-    share one."""
-    pairs = ((3, 2), (3, 1)) if scheme == LAMBDA else ((3, 1), (2, 1))
-    return {pair: 1j * _generator(spec, *pair) for pair in pairs}
+    """i (X_ij - X_ij^dag) per rotation pair, (outer, inner) in application order
+    (the layout's rotation_order in operators.LAYOUTS); each keeps its
+    eigendecomposition (exp_hermitian), so rotations by several eps share one."""
+    return {pair: 1j * _generator(spec, *pair) for pair in layout(scheme).rotation_order}
 
 
 def _conjugated(spec: SpaceSpec, h: HamiltonianSpec, p: DispersiveParams,
@@ -136,11 +135,12 @@ class EffectiveModel:
 
 
 def transfer_prefactor(h: HamiltonianSpec, p: DispersiveParams) -> float:
-    """eps31 g32 (lambda) or eps21 g31 (vee), the prefactor of the closed form."""
+    """eps_inner g_outer of the rotation order (operators.LAYOUTS): eps31 g32
+    (lambda) or eps21 g31 (vee), the prefactor of the closed form."""
     if p.scheme != h.scheme:
         raise ValueError(f"params are for scheme {p.scheme!r}, Hamiltonian is {h.scheme!r}")
-    pair, g = ((3, 1), h.g32) if h.scheme == LAMBDA else ((2, 1), h.g31)
-    return p.small_params[pair] * g
+    outer, inner = layout(h.scheme).rotation_order
+    return p.small_params[inner] * h.coupling(*outer)
 
 
 def analytic_effective(spec: SpaceSpec, h: HamiltonianSpec,
@@ -165,13 +165,13 @@ def analytic_effective(spec: SpaceSpec, h: HamiltonianSpec,
 
 def _transfer_block(spec: SpaceSpec, scheme: str, guard: int):
     """Predicate (rows, cols) -> bool of the matrix elements moving one excitation
-    within the degenerate pair at equal photon number, inside the guarded subspace."""
+    within the degenerate pair at equal photon number, inside the guarded subspace;
+    the shared level of the coupled pairs spectates (operators.LAYOUTS)."""
     inside = guarded_states(spec, guard)
     table = basis_table(spec)
-    # lambda: the pair is (1, 2) with level 3 spectating; vee: (2, 3) with level 1
-    moved_slot, spectator_slot = (0, 2) if scheme == LAMBDA else (1, 0)
-    moved = table.occupations[:, moved_slot]
-    spectator = table.occupations[:, spectator_slot]
+    lay = layout(scheme)
+    moved = table.occupations[:, lay.degenerate[0] - 1]
+    spectator = table.occupations[:, lay.shared - 1]
     n = table.photons
     return lambda r, c: (inside[r] & inside[c] & (n[r] == n[c])
                          & (spectator[r] == spectator[c]) & (np.abs(moved[r] - moved[c]) == 1))

@@ -138,13 +138,8 @@ def prepare_initial(spec: SpaceSpec, init: InitialState,
         else:
             raise ValueError(f"unknown named atomic state {init.atomic!r}")
     else:
-        occ = tuple(int(v) for v in init.atomic)
-        if len(occ) != 3 or any(v < 0 for v in occ) or sum(occ) != spec.atoms:
-            raise ValueError(
-                f"atomic occupation {occ} is not a triple summing to {spec.atoms}"
-            )
         atomic = np.zeros(spec.atomic_dim, dtype=np.complex128)
-        atomic[index_map(spec).atomic_index(occ)] = 1.0
+        atomic[index_map(spec).atomic_index(tuple(int(v) for v in init.atomic))] = 1.0
 
     kind, value = init.field
     if kind == "fock":
@@ -323,9 +318,7 @@ def transfer_experiment(spec: SpaceSpec, h: HamiltonianSpec, p: DispersiveParams
     period check is skipped there.
     """
     if p.validity_margin < 10.0:
-        raise ValueError(
-            f"dispersive validity margin {p.validity_margin:.2f} is below 10"
-        )
+        raise ValueError(f"dispersive validity margin {p.validity_margin:.2f} is below 10")
     if grid.n_samples < MIN_TRANSFER_SAMPLES:
         raise ValueError(f"transfer experiments need >= {MIN_TRANSFER_SAMPLES} samples")
     ham = build_hamiltonian(spec, h)
@@ -344,20 +337,13 @@ def transfer_experiment(spec: SpaceSpec, h: HamiltonianSpec, p: DispersiveParams
                                                           table.photons))
 
     predicted = measured = None
-    symmetric = abs(h.g31 - (h.g32 if h.scheme == LAMBDA else h.g21)) <= 1e-12
+    ga, gb = (h.coupling(i, j) for i, j in h.coupled_pairs())
+    symmetric = abs(ga - gb) <= 1e-12
     if h.scheme != LAMBDA and symmetric and abs(factor) > 0:
         predicted = math.pi / (2.0 * prefactor * abs(factor))
         measured = _first_peak_time(record.times, record.population(partner))
-    return TransferSummary(
-        scheme=h.scheme,
-        partner_level=partner,
-        max_partner_population=max_pop,
-        prefactor=prefactor,
-        factor_value=factor,
-        predicted_half_period=predicted,
-        measured_half_period=measured,
-        record=record,
-    )
+    return TransferSummary(h.scheme, partner, max_pop, prefactor, factor, predicted, measured,
+                           record)
 
 
 @dataclass(frozen=True)

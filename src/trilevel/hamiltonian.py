@@ -2,10 +2,11 @@
 
 Two layouts are supported.  "lambda" couples both lower levels (1, 2) to
 the top level 3; "vee" couples the ground level 1 to both upper levels
-(2, 3).  When the paired levels are degenerate, rotating the two collective
-modes splits the interaction into one bright mode, coupled to the field
-with the root-sum-square of the couplings, and one dark mode that the
-interaction annihilates.  The rotation convention used throughout maps the
+(2, 3); operators.LAYOUTS holds every fact that tells them apart.  When
+the paired levels are degenerate, rotating the two collective modes splits
+the interaction into one bright mode, coupled to the field with the
+root-sum-square of the couplings, and one dark mode that the interaction
+annihilates.  The rotation convention used throughout maps the
 dark mode onto occupation slot 2, so "dark quanta" are counted by S22 in
 the rotated frame.
 """
@@ -19,10 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hilbert import SpaceSpec, basis_table, index_map
-from .operators import (
+from .operators import (  # LAMBDA and VEE are re-exported
     ATOMIC,
     LAMBDA,
-    SCHEMES,
     VEE,
     OperatorMatrix,
     atomic_term,
@@ -32,6 +32,7 @@ from .operators import (
     exp_antihermitian,
     field_elements,
     identity_elements,
+    layout,
     tensor_sum,
     transition_elements,
 )
@@ -44,8 +45,9 @@ class HamiltonianSpec:
     """Level energies, field frequency, and couplings for one scheme.
 
     Couplings are real and symmetric in their indices (g_ij = g_ji); only
-    the scheme-relevant ones are read.  Zero couplings are accepted (they
-    give the free Hamiltonian); negative ones are rejected.
+    those of the scheme's coupled pairs (operators.LAYOUTS) are read.  Zero
+    couplings are accepted (they give the free Hamiltonian); negative ones
+    are rejected.
     """
 
     scheme: str
@@ -56,8 +58,7 @@ class HamiltonianSpec:
     g21: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
+        layout(self.scheme)  # raises on an unknown scheme
         e1, e2, e3 = self.energies
         if not (e1 <= e2 <= e3):
             raise ValueError(
@@ -68,7 +69,7 @@ class HamiltonianSpec:
                 raise ValueError(f"coupling g{i}{j} must be >= 0")
 
     def coupled_pairs(self) -> tuple[tuple[int, int], ...]:
-        return ((3, 1), (3, 2)) if self.scheme == LAMBDA else ((3, 1), (2, 1))
+        return layout(self.scheme).pairs
 
     def coupling(self, i: int, j: int) -> float:
         table = {(3, 1): self.g31, (3, 2): self.g32, (2, 1): self.g21}
@@ -79,7 +80,7 @@ class HamiltonianSpec:
     @property
     def degenerate_pair(self) -> tuple[int, int]:
         """The level pair that must be degenerate for exact dark-state decoupling."""
-        return (1, 2) if self.scheme == LAMBDA else (2, 3)
+        return layout(self.scheme).degenerate
 
     @property
     def degenerate(self) -> bool:
@@ -134,32 +135,27 @@ def build_hamiltonian(spec: SpaceSpec, h: HamiltonianSpec) -> OperatorMatrix:
 
 
 def rotation_parameters(h: HamiltonianSpec) -> RotationResult:
-    """Angle and bright/dark split of the degenerate-pair mode rotation.
-
-    lambda: angle = atan(g32 / g31); the dark state is
-    -sin(angle) |1> + cos(angle) |2>.
-    vee: angle = atan(g21 / g31); the dark state is
-    cos(angle) |2> - sin(angle) |3>.  (The coupling to level 2 plays the
-    role of the "second" coupling in both cases; g32 never enters the vee
-    interaction.)
-
+    """Angle and bright/dark split of the degenerate-pair mode rotation, from the
+    couplings of the coupled pairs (operators.LAYOUTS), g31 first: angle =
+    atan(g32 / g31) for lambda, dark state -sin(angle) |1> + cos(angle) |2>;
+    atan(g21 / g31) for vee, dark state cos(angle) |2> - sin(angle) |3>.
     The bright coupling equals sqrt of the sum of squared couplings.
     """
-    if h.scheme == LAMBDA:
-        ga, gb = h.g31, h.g32
-        dark_levels = (1, 2)
-    else:
-        ga, gb = h.g31, h.g21
-        dark_levels = (2, 3)
+    ga, gb = (h.coupling(i, j) for i, j in h.coupled_pairs())
     if ga == 0.0 and gb == 0.0:
         raise ValueError("rotation undefined with both couplings zero")
     angle = math.atan2(gb, ga)
     effective = math.hypot(ga, gb)
-    if h.scheme == LAMBDA:
-        composition = (-math.sin(angle), math.cos(angle))
-    else:
-        composition = (math.cos(angle), -math.sin(angle))
-    return RotationResult(angle, effective, dark_levels, composition, h.degenerate)
+    composition = _on_degenerate_pair(h, (-math.sin(angle), math.cos(angle)))
+    return RotationResult(angle, effective, h.degenerate_pair, composition, h.degenerate)
+
+
+def _on_degenerate_pair(h: HamiltonianSpec, amplitudes: tuple[float, float]) -> tuple:
+    """``amplitudes`` given on the levels that the coupled pairs join to the shared
+    level, in pair order, reordered onto the degenerate pair."""
+    lay = layout(h.scheme)
+    on = {i + j - lay.shared: c for (i, j), c in zip(lay.pairs, amplitudes)}
+    return tuple(on[level] for level in lay.degenerate)
 
 
 def _mode_pair_vector(atoms: int, levels: tuple[int, int],
@@ -186,10 +182,7 @@ def dark_atomic_vector(h: HamiltonianSpec, atoms: int) -> np.ndarray:
 def bright_atomic_vector(h: HamiltonianSpec, atoms: int) -> np.ndarray:
     """Atomic-space vector with every atom in the bright (coupled) mode."""
     r = rotation_parameters(h)
-    if h.scheme == LAMBDA:
-        amplitudes = (math.cos(r.angle), math.sin(r.angle))
-    else:
-        amplitudes = (math.sin(r.angle), math.cos(r.angle))
+    amplitudes = _on_degenerate_pair(h, (math.cos(r.angle), math.sin(r.angle)))
     return _mode_pair_vector(atoms, r.dark_levels, amplitudes)
 
 
@@ -217,13 +210,13 @@ def dark_block_residual(spec: SpaceSpec, transformed: OperatorMatrix) -> float:
 def _decoupling_rotation(spec: SpaceSpec, h: HamiltonianSpec, r: RotationResult,
                          ham: OperatorMatrix) -> tuple[OperatorMatrix, OperatorMatrix, float]:
     """(U, U H U^dag, dark-block residual) of the degenerate-pair rotation
-    U = exp(theta (S_ab - S_ba)), theta = +angle (lambda) or -angle (vee), which
+    U = exp(theta (S_ab - S_ba)), theta = the layout's sign times the angle, which
     takes the dark mode to slot 2; the residual is NaN (unchecked) unless the
     paired energies are degenerate."""
     if not r.degenerate:
         warnings.warn("rotated pair is not degenerate; dark-mode decoupling is not "
                       "guaranteed and was not checked", stacklevel=3)
-    theta = r.angle if h.scheme == LAMBDA else -r.angle
+    theta = layout(h.scheme).sign * r.angle
     u = exp_antihermitian(_rotation_generator(spec, h), theta)
     rotated = u @ ham @ u.dag()
     residual = dark_block_residual(spec, rotated) if r.degenerate else math.nan
@@ -294,15 +287,9 @@ def classical_hamiltonian(h: HamiltonianSpec, alpha: complex,
 
 
 def excitation_operator(spec: SpaceSpec, scheme: str) -> OperatorMatrix:
-    """Conserved excitation count fixed by the interaction structure.
-
-    lambda: photon number + S33 (each absorption promotes one atom to 3).
-    vee: photon number + S22 + S33 (either upper level holds the quantum).
-    """
-    if scheme not in SCHEMES:
-        raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
+    """Conserved excitation count: photon number plus the populations of the upper
+    levels of the coupled pairs (operators.LAYOUTS), n + S33 for lambda and
+    n + S22 + S33 for vee, as each absorption promotes one atom to one of them."""
+    upper = {i for i, _ in layout(scheme).pairs}
     table = basis_table(spec)
-    diag = table.photons + table.occupations[:, 2]
-    if scheme == VEE:
-        diag = diag + table.occupations[:, 1]
-    return diagonal(spec, diag)
+    return diagonal(spec, table.photons + sum(table.occupations[:, i - 1] for i in upper))

@@ -47,7 +47,6 @@ PRODUCT = "product"
 
 LAMBDA = "lambda"
 VEE = "vee"
-SCHEMES = (LAMBDA, VEE)
 
 LEVELS = (1, 2, 3)
 DEFORMED_PAIRS = ((3, 1), (2, 1), (3, 2))
@@ -55,6 +54,37 @@ DEFORMED_PAIRS = ((3, 1), (2, 1), (3, 2))
 TOL_ALGEBRA = 1e-12
 TOL_UNITARY = 1e-12
 CHUNK_ENTRIES = 2**14  # elements per array of one slice: Hermiticity check, trajectory chunks
+
+
+@dataclass(frozen=True)
+class Layout:
+    """What tells the layouts apart: the coupled (upper, lower) ``pairs``, (3, 1) first;
+    the same pairs in the small rotations' (outer, inner) ``rotation_order``; the
+    ``degenerate`` pair; the level both pairs share; the sign of the mode rotation."""
+
+    pairs: tuple[tuple[int, int], tuple[int, int]]
+    rotation_order: tuple[tuple[int, int], tuple[int, int]]
+    degenerate: tuple[int, int]
+    shared: int
+    sign: int
+
+    @property
+    def shared_is_upper(self) -> bool:  # lambda: level 3 absorbs through both pairs
+        return self.shared == self.pairs[0][0]
+
+
+LAYOUTS = {
+    LAMBDA: Layout(((3, 1), (3, 2)), ((3, 2), (3, 1)), (1, 2), shared=3, sign=1),
+    VEE: Layout(((3, 1), (2, 1)), ((3, 1), (2, 1)), (2, 3), shared=1, sign=-1),
+}
+SCHEMES = tuple(LAYOUTS)
+
+
+def layout(scheme: str) -> Layout:
+    """The LAYOUTS record of ``scheme``; ValueError for any other name."""
+    if scheme not in SCHEMES:
+        raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
+    return LAYOUTS[scheme]
 
 
 class SpaceMismatchError(ValueError):
@@ -534,12 +564,12 @@ def guarded_projector(spec: SpaceSpec, guard: int) -> OperatorMatrix:
 def enhancement_factor(scheme: str, occupations: np.ndarray | tuple[int, int, int],
                        photons: np.ndarray | float) -> np.ndarray | float:
     """S33 - n (lambda) or S11 + n + 1 (vee) from the labels of basis states,
-    ``occupations[..., k]`` the level-(k + 1) population.  Linear in the
-    labels, so the mean labels of a state give its expectation value."""
-    occupations = np.asarray(occupations)
-    if scheme == LAMBDA:
-        return occupations[..., 2] - photons
-    return occupations[..., 0] + photons + 1
+    ``occupations[..., k]`` the level-(k + 1) population: the shared level's
+    population, less n where it absorbs the photon, plus n + 1 where it emits it.
+    Linear in the labels, so the mean labels of a state give its expectation value."""
+    lay = layout(scheme)
+    shared = np.asarray(occupations)[..., lay.shared - 1]
+    return shared - photons if lay.shared_is_upper else shared + photons + 1
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Weight components of transition operators and the root-like diagram.
 
-Each scheme fixes a commuting pair of population inversions (h1, h2); an
+Each scheme fixes a commuting pair of population inversions (h1, h2), the
+sign of operators.LAYOUTS times (S11 - S22, S22 - S33); an
 operator M is a weight vector when [h_k, M] = kappa_k M, read off as the one
 label gap h_k[r] - h_k[c] over the nonzeros (r, c) of M (the h_k are diagonal).
 The pair (kappa1, kappa2) is drawn in a planar basis whose two directions are
@@ -21,7 +22,7 @@ import csv
 
 import numpy as np
 
-from .hilbert import SpaceSpec
+from .hilbert import SpaceSpec, index_map
 from .operators import (
     ATOMIC,
     PRODUCT,
@@ -29,9 +30,9 @@ from .operators import (
     atomic_operator,
     commutator,
     deformed_operator,
-    lift,
+    element_sum,
+    layout,
 )
-from .hamiltonian import LAMBDA, SCHEMES
 
 TOL_WEIGHT = 1e-10
 
@@ -62,18 +63,16 @@ class CartanChoice:
 
 
 def cartan_choice(scheme: str, spec: SpaceSpec, space: str = ATOMIC) -> CartanChoice:
-    """Inversions (S11 - S22, S22 - S33) for lambda and their negatives for vee,
-    optionally lifted to the product space."""
-    if scheme not in SCHEMES:
-        raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
-
-    def inversion(i, j):
-        op = atomic_operator(spec, i, i) - atomic_operator(spec, j, j)
-        return lift(spec, op) if space == PRODUCT else op
-
-    if scheme == LAMBDA:
-        return CartanChoice(scheme, inversion(1, 2), inversion(2, 3))
-    return CartanChoice(scheme, inversion(2, 1), inversion(3, 2))
+    """Inversions (S11 - S22, S22 - S33) for lambda and their negatives for vee
+    (the layout's sign), each the diagonal sign (n_i - n_(i+1)) of the occupation
+    labels on the atomic space or, for PRODUCT, on the product space."""
+    sign = layout(scheme).sign
+    imap = index_map(spec)
+    occ = imap.occupations if space == PRODUCT else imap.atomic_occupations
+    every = np.arange(len(occ))
+    h1, h2 = (element_sum(space, spec, [(every, every, sign * (occ[:, i] - occ[:, i + 1]))])
+              for i in (0, 1))
+    return CartanChoice(scheme, h1, h2)
 
 
 @dataclass(frozen=True)
@@ -142,25 +141,26 @@ class DiagramLayout:
 
 def _scheme_operators(scheme: str, classical: bool, spec: SpaceSpec,
                       alpha: complex) -> list[tuple[str, OperatorMatrix, str]]:
-    """The scheme's two first-order transitions, their conjugates, and the
-    second-order commutator of the first with the second's conjugate, plus
-    its conjugate, as (label, operator, order)."""
-    pairs = ((3, 1), (3, 2)) if scheme == LAMBDA else ((3, 1), (2, 1))
+    """The scheme's two first-order transitions (its coupled pairs in
+    operators.LAYOUTS), their conjugates, and the second-order commutator of the
+    first with the second's conjugate, plus its conjugate, as (label, operator, order)."""
+    lay = layout(scheme)
+    pairs, s, absorbs = lay.pairs, lay.shared, lay.shared_is_upper
     if classical:
         ops = [complex(alpha) * atomic_operator(spec, i, j) for i, j in pairs]
         prefix, conj_prefix = "alpha", "alpha*"
-        factor = "-|alpha|^2 " if scheme == LAMBDA else "+|alpha|^2 "
+        factor = "-|alpha|^2 " if absorbs else "+|alpha|^2 "
     else:
         ops = [deformed_operator(spec, i, j) for i, j in pairs]
         prefix, conj_prefix = "a", "a+"
-        factor = "(S33-n)" if scheme == LAMBDA else "(S11+n+1)"
+        factor = f"(S{s}{s}-n)" if absorbs else f"(S{s}{s}+n+1)"
     second = commutator(ops[0], ops[1].dag())
-    moved = "21" if scheme == LAMBDA else "32"
+    la, lb = lay.degenerate  # the second-order operators swap the degenerate pair
     return (
         [(f"{prefix}S{i}{j}", op, FIRST) for (i, j), op in zip(pairs, ops)]
         + [(f"{conj_prefix}S{j}{i}", op.dag(), FIRST) for (i, j), op in zip(pairs, ops)]
-        + [(f"{factor}S{moved}", second, SECOND),
-           (f"{factor}S{moved[::-1]}", second.dag(), SECOND)]
+        + [(f"{factor}S{lb}{la}", second, SECOND),
+           (f"{factor}S{la}{lb}", second.dag(), SECOND)]
     )
 
 

@@ -1,4 +1,5 @@
-"""Config rejection of non-finite values and the evolve conservation gate."""
+"""Config rejection of non-finite values and bad initial occupations, the evolve
+conservation gate, and the dark-state check of verify."""
 
 from dataclasses import replace
 from pathlib import Path
@@ -8,6 +9,9 @@ import pytest
 
 import trilevel.cli as cli
 from trilevel.cli import ConfigError, main, parse_config
+from trilevel.hamiltonian import HamiltonianSpec, dark_state, interaction_hamiltonian
+from trilevel.hilbert import SpaceSpec
+from trilevel.operators import apply
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -95,3 +99,62 @@ def test_drifting_trajectory_fails_the_gate(quantity, last, tmp_path, monkeypatc
 def test_committed_configs_pass_the_gate(name, tmp_path):
     status = main(["evolve", "--config", str(CONFIGS / name), "--out", str(tmp_path)])
     assert status == 0
+
+
+@pytest.mark.parametrize("atom", ["1,1,0", "-1,1,1"])
+def test_bad_initial_occupation_exits_2_with_the_one_message(atom, tmp_path, capsys):
+    conf = tmp_path / "run.conf"
+    conf.write_text(with_value("initial.atom", atom))
+    assert main(["evolve", "--config", str(conf), "--out", str(tmp_path / "o")]) == 2
+    triple = tuple(int(v) for v in atom.split(","))
+    assert capsys.readouterr().err == (
+        f"config error: {triple} is not an occupation triple summing to 1\n")
+
+
+def degenerate_spec(scheme):
+    if scheme == "lambda":
+        return HamiltonianSpec(scheme, (0.0, 0.0, 3.0), 1.0, g31=0.07, g32=0.11)
+    return HamiltonianSpec(scheme, (0.0, 3.0, 3.0), 1.0, g31=0.07, g21=0.11)
+
+
+def all_blocks_norm(op, psi):
+    out = np.zeros_like(psi)
+    for idx, block in apply(op, psi):
+        out[idx] = block
+    return float(np.linalg.norm(out))
+
+
+@pytest.mark.parametrize("atoms", range(1, 7))
+@pytest.mark.parametrize("scheme", ["lambda", "vee"])
+def test_dark_state_norm_keeps_the_bits_of_every_block(scheme, atoms):
+    spec, h = SpaceSpec(atoms, 5), degenerate_spec(scheme)
+    h_int = interaction_hamiltonian(spec, h)
+    for n in range(spec.n_max):
+        psi = dark_state(spec, h, n)
+        norm = cli._applied_norm(h_int, psi)
+        assert norm.hex() == all_blocks_norm(h_int, psi).hex()
+        assert norm <= 1e-12
+
+
+@pytest.mark.parametrize("scheme", ["lambda", "vee"])
+def test_dark_state_check_multiplies_only_the_occupied_blocks(scheme, tmp_path, monkeypatch):
+    multiplied, total = [], []
+    real_apply = cli.apply
+
+    def recording(op, states, support=None):
+        total.append(op.blocks.count)
+        for idx, block in real_apply(op, states, support):
+            multiplied.append((states[idx] != 0).any(axis=1))  # per block: occupied?
+            yield idx, block
+
+    monkeypatch.setattr(cli, "apply", recording)
+    lines = [f"scheme = {scheme}", "atoms = 3", "n_max = 4", "omega = 1.0", "E1 = 0.0",
+             f"E2 = {0.0 if scheme == 'lambda' else 3.0}", "E3 = 3.0", "g31 = 0.07",
+             "g32 = 0.11" if scheme == "lambda" else "g21 = 0.11"]
+    conf = tmp_path / "run.conf"
+    conf.write_text("\n".join(lines) + "\n")
+    assert main(["verify", "--config", str(conf), "--out", str(tmp_path / "o")]) == 0
+    assert len(total) == 4  # one dark state per photon number below n_max
+    occupied = np.concatenate(multiplied)
+    assert occupied.all()
+    assert len(occupied) < sum(total)
