@@ -3,14 +3,14 @@
 
 Each rung runs, for the vee layout, the stage list of the ROADMAP tables:
 build_hamiltonian, second-order and u3 verify_algebra, rotation_report,
-evolve over 2001 samples from (0, 0, A) in the vacuum, and the spectrum,
-each timed as the best of three runs, then run once more, untimed, under
-tracemalloc for its traced peak (the arrays the stage allocates and holds at
-once).  Every rung runs in a fresh process, which records its own peak RSS
-(getrusage) and the thread count of the loaded OpenBLAS.  The file goes to
-the root of the checkout this script lives in, and the package is imported
-from that checkout's src/, so a copy in another checkout measures that
-checkout.
+evolve over 2001 samples from (0, 0, A) in the vacuum, the spectrum, and
+the quantum weight diagram (diagram_layout), each timed as the best of three
+runs, then run once more, untimed, under tracemalloc for its traced peak (the
+arrays the stage allocates and holds at once).  Every rung runs in a fresh
+process, which records its own peak RSS (getrusage) and the thread count of the
+loaded OpenBLAS.  The file goes to the root of the checkout this script lives
+in, and the package is imported from that checkout's src/, so a copy in another
+checkout measures that checkout.
 
     python scripts/ladder.py
 """
@@ -44,6 +44,7 @@ from trilevel.hamiltonian import (  # noqa: E402
 )
 from trilevel.hilbert import SpaceSpec  # noqa: E402
 from trilevel.operators import eigenvalues, verify_algebra  # noqa: E402
+from trilevel.weights import diagram_layout  # noqa: E402
 
 RUNGS = ((4, 12), (8, 16), (12, 20), (30, 40), (60, 2))  # (60, 2): the atomic space dominates
 H = HamiltonianSpec(VEE, (0.0, 3.0, 3.0), 1.0, g31=0.1, g21=0.1)
@@ -91,6 +92,7 @@ def run_rung(atoms: int, n_max: int) -> dict:
     timed("evolve", lambda: evolve(ham, psi0, TimeGrid(T_MAX, N_SAMPLES),
                                    excitation_operator(spec, VEE)))
     timed("eigenvalues", lambda: eigenvalues(ham))
+    timed("diagram_layout", lambda: diagram_layout(VEE, False, spec))
     return {
         "atoms": atoms, "n_max": n_max, "dim": spec.product_dim, "stages_s": stages,
         "traced_peak_mb": peaks,

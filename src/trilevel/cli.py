@@ -152,6 +152,8 @@ def _parse_field(text: str) -> tuple[str, complex]:
             f"initial.field: expected fock:<n> or coherent:<alpha>, got {text!r}"
         )
     value = _parse_scalar("initial.field", raw, complex if kind == "coherent" else int)
+    if kind == "coherent" and not math.isfinite(value.real * value.real + value.imag * value.imag):
+        raise ConfigError(f"initial.field: |alpha|^2 must be finite, got {raw!r}")
     return kind, complex(value)
 
 

@@ -19,6 +19,7 @@ order in eps.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -28,7 +29,7 @@ from .hilbert import SpaceSpec, basis_table
 from .operators import (
     PRODUCT,
     OperatorMatrix,
-    atomic_term,
+    conserved_product,
     dressed_term,
     element_sum,
     enhancement_factor,
@@ -36,7 +37,6 @@ from .operators import (
     guarded_states,
     layout,
     tensor_sum,
-    term_elements,
     unitary_exp,
 )
 from .hamiltonian import HamiltonianSpec, build_hamiltonian
@@ -145,19 +145,14 @@ def transfer_prefactor(h: HamiltonianSpec, p: DispersiveParams) -> float:
 
 def analytic_effective(spec: SpaceSpec, h: HamiltonianSpec,
                        p: DispersiveParams) -> EffectiveModel:
-    """Closed-form transfer operator on the product space: the swap of the
-    degenerate pair times the diagonal enhancement factor f, with a prefactor.
-
-    The swap conserves f, so each swap element (r, c, v) becomes (r, c, v f[c]),
-    the one multiply of the product; the result is Hermitian by construction.
-    """
+    """Closed-form transfer operator on the product space, with a prefactor: f (S_ab + S_ba)
+    for the degenerate pair (a, b) and the enhancement factor f, which the swap conserves, each
+    direction written by operators.conserved_product; Hermitian by construction."""
     prefactor = transfer_prefactor(h, p)
     la, lb = h.degenerate_pair
-    table = basis_table(spec)
-    f = enhancement_factor(h.scheme, table.occupations, table.photons)
-    swap = (term_elements(spec, atomic_term(spec, a, b)) for a, b in ((la, lb), (lb, la)))
-    op = element_sum(PRODUCT, spec, [(rows, cols, values * f[cols])
-                                     for rows, cols, values in swap])
+    f = functools.partial(enhancement_factor, h.scheme)
+    op = element_sum(PRODUCT, spec, [conserved_product(spec, a, b, f)
+                                     for a, b in ((la, lb), (lb, la))])
     if not op.is_hermitian():
         raise RuntimeError("analytic transfer operator is not Hermitian")
     return EffectiveModel(h.scheme, op, prefactor)

@@ -460,6 +460,14 @@ def atomic_term(spec: SpaceSpec, i: int, j: int, c: complex = 1) -> tuple:
     return c, transition_elements(spec, i, j), identity_elements(spec.field_dim)
 
 
+def conserved_product(spec: SpaceSpec, i: int, j: int, f) -> tuple:
+    """Row, column and value on the product space of diag(f) S_ij for a label function
+    f(occupations, photons) that S_ij conserves: each (r, c, v) becomes (r, c, v f(c))."""
+    table = basis_table(spec)
+    rows, cols, values = term_elements(spec, atomic_term(spec, i, j))
+    return rows, cols, values * f(table.occupations[cols], table.photons[cols])
+
+
 def dressed_term(spec: SpaceSpec, i: int, j: int, c: complex = 1) -> tuple:
     """The tensor_sum term c X_ij: c (S_ij (x) a) for (i, j) in
     {(3,1), (2,1), (3,2)}, c (S_ij (x) a^dag) for the transposed pairs."""
@@ -656,28 +664,23 @@ def verify_algebra(spec: SpaceSpec, mode: str, guard: int = 1) -> list[IdentityR
 
     if mode == "second_order":
         keep = guarded_states(spec, guard)
-        table = basis_table(spec)
-        occ, num = table.occupations, table.photons
-        s21, s32 = (_columns(spec.product_dim, term_elements(spec, atomic_term(spec, i, j)))
-                    for i, j in ((2, 1), (3, 2)))
         x31, x23, x12 = (_columns(spec.product_dim, term_elements(spec, dressed_term(spec, i, j)))
                          for i, j in ((3, 1), (2, 3), (1, 2)))
         x23_x31, x31_x23 = _gather(x23, x31), _gather(x31, x23)
 
-        def check(name, lhs, factor, transition):  # lhs: [P] or [P, Q] for P - Q
-            row, value = transition
-            rhs = row, factor.astype(np.complex128)[row] * value  # diag(factor) @ S, gathered
+        def check(name, lhs, i, j, factor):  # lhs: [P] or [P, Q] for P - Q
+            rhs = _columns(spec.product_dim, conserved_product(spec, i, j, factor))
             resid = _residual([*lhs, rhs], lambda *v: functools.reduce(np.subtract, v),
                               lambda r, c: keep[r] & keep[c])  # P - T or (P - Q) - T
             return _report(name, float(resid), guard)
 
         return [
-            check("X23 X31 = n (S33 + 1) S21", [x23_x31], num * (occ[:, 2] + 1), s21),
-            check("X31 X23 = (n + 1) S33 S21", [x31_x23], (num + 1) * occ[:, 2], s21),
-            check("[X31, X23] = (S33 - n) S21", [x31_x23, x23_x31],
-                  enhancement_factor(LAMBDA, occ, num), s21),
-            check("[X31, X12] = (S11 + n + 1) S32", [_gather(x31, x12), _gather(x12, x31)],
-                  enhancement_factor(VEE, occ, num), s32),
+            check("X23 X31 = n (S33 + 1) S21", [x23_x31], 2, 1, lambda o, n: n * (o[:, 2] + 1)),
+            check("X31 X23 = (n + 1) S33 S21", [x31_x23], 2, 1, lambda o, n: (n + 1) * o[:, 2]),
+            check("[X31, X23] = (S33 - n) S21", [x31_x23, x23_x31], 2, 1,
+                  functools.partial(enhancement_factor, LAMBDA)),
+            check("[X31, X12] = (S11 + n + 1) S32", [_gather(x31, x12), _gather(x12, x31)], 3, 2,
+                  functools.partial(enhancement_factor, VEE)),
         ]
 
     raise ValueError(f"unknown verification mode {mode!r}")

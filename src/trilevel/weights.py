@@ -5,15 +5,16 @@ sign of operators.LAYOUTS times (S11 - S22, S22 - S33); an
 operator M is a weight vector when [h_k, M] = kappa_k M, read off as the one
 label gap h_k[r] - h_k[c] over the nonzeros (r, c) of M (the h_k are diagonal).
 The pair (kappa1, kappa2) is drawn in a planar basis whose two directions are
-angled at 120 degrees.  First-order (photon-dressed or classical)
-transitions appear as thick solid vectors, the second-order commutator
-operators as dashed ones.  Commutation maps to vector addition on the
-diagram, and replacing the field by a classical amplitude collapses the
-two schemes onto weight sets related by a single reflection.
+angled at 120 degrees.  First-order (photon-dressed or classical) transitions
+appear as thick solid vectors, the second-order commutators (written from the
+labels) as dashed ones.  Commutation maps to vector addition on the diagram, and
+replacing the field by a classical amplitude collapses the two schemes onto
+weight sets related by a single reflection.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,11 +28,12 @@ from .operators import (
     ATOMIC,
     PRODUCT,
     OperatorMatrix,
-    atomic_operator,
-    commutator,
+    conserved_product,
     deformed_operator,
     element_sum,
+    enhancement_factor,
     layout,
+    transition_elements,
 )
 
 TOL_WEIGHT = 1e-10
@@ -141,21 +143,26 @@ class DiagramLayout:
 
 def _scheme_operators(scheme: str, classical: bool, spec: SpaceSpec,
                       alpha: complex) -> list[tuple[str, OperatorMatrix, str]]:
-    """The scheme's two first-order transitions (its coupled pairs in
-    operators.LAYOUTS), their conjugates, and the second-order commutator of the
-    first with the second's conjugate, plus its conjugate, as (label, operator, order)."""
+    """The scheme's two first-order transitions (its coupled pairs in operators.LAYOUTS),
+    their conjugates, and the second-order operator [first, second^dag] with its conjugate,
+    as (label, operator, order).  The second-order operator is written from the labels on the
+    degenerate pair (a, b): f S_ba (operators.conserved_product) for the enhancement factor f,
+    or -|alpha|^2 S_ba in a classical field, + where the shared level emits the photon."""
     lay = layout(scheme)
     pairs, s, absorbs = lay.pairs, lay.shared, lay.shared_is_upper
+    la, lb = lay.degenerate
     if classical:
-        ops = [complex(alpha) * atomic_operator(spec, i, j) for i, j in pairs]
+        ops = [element_sum(ATOMIC, spec, [transition_elements(spec, *ij, alpha)]) for ij in pairs]
         prefix, conj_prefix = "alpha", "alpha*"
         factor = "-|alpha|^2 " if absorbs else "+|alpha|^2 "
+        c = -abs(alpha) * abs(alpha) if absorbs else abs(alpha) * abs(alpha)  # ** 2 can raise
+        second = element_sum(ATOMIC, spec, [transition_elements(spec, lb, la, c)])
     else:
         ops = [deformed_operator(spec, i, j) for i, j in pairs]
         prefix, conj_prefix = "a", "a+"
         factor = f"(S{s}{s}-n)" if absorbs else f"(S{s}{s}+n+1)"
-    second = commutator(ops[0], ops[1].dag())
-    la, lb = lay.degenerate  # the second-order operators swap the degenerate pair
+        f = functools.partial(enhancement_factor, scheme)
+        second = element_sum(PRODUCT, spec, [conserved_product(spec, lb, la, f)])
     return (
         [(f"{prefix}S{i}{j}", op, FIRST) for (i, j), op in zip(pairs, ops)]
         + [(f"{conj_prefix}S{j}{i}", op.dag(), FIRST) for (i, j), op in zip(pairs, ops)]

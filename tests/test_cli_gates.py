@@ -111,6 +111,20 @@ def test_bad_initial_occupation_exits_2_with_the_one_message(atom, tmp_path, cap
         f"config error: {triple} is not an occupation triple summing to 1\n")
 
 
+@pytest.mark.parametrize("alpha", ["1e200", "1e200-1e200j", "1.7e308+1.7e308j"])
+@pytest.mark.parametrize("command", ["evolve", "dispersive-compare"])
+def test_coherent_amplitude_whose_square_overflows_is_a_config_error(
+        command, alpha, tmp_path, capsys):
+    """|alpha|^2 overflows a float: one config error line, not an OverflowError traceback."""
+    text = (CONFIGS / "vee.conf").read_text().replace("fock:0", f"coherent:{alpha}")
+    assert f"coherent:{alpha}" in text
+    conf = tmp_path / "run.conf"
+    conf.write_text(text)
+    assert main([command, "--config", str(conf), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: initial.field: |alpha|^2 must be finite, got '{alpha}'\n"
+
+
 def degenerate_spec(scheme):
     if scheme == "lambda":
         return HamiltonianSpec(scheme, (0.0, 0.0, 3.0), 1.0, g31=0.07, g32=0.11)

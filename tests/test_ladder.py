@@ -9,7 +9,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
 import ladder  # noqa: E402
 
 STAGES = {"build_hamiltonian", "verify_algebra_second_order", "verify_algebra_u3",
-          "rotation_report", "evolve", "eigenvalues"}
+          "rotation_report", "evolve", "eigenvalues", "diagram_layout"}
 
 
 def test_tiny_rung_writes_the_next_bench_file(tmp_path):
