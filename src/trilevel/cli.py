@@ -34,7 +34,6 @@ from .hamiltonian import (
     excitation_operator,
     free_hamiltonian,
     interaction_hamiltonian,
-    rotation_parameters,
     rotation_report,
 )
 from .dispersive import DEFAULT_GUARD, compare, dispersive_params
@@ -137,9 +136,12 @@ class RunConfig:
 def _parse_scalar(key: str, raw: str, kind):
     try:
         value = kind(raw)
+        finite = cmath.isfinite(value)  # OverflowError for an int beyond the float range
     except ValueError:
         raise ConfigError(f"{key}: cannot parse {raw!r} as {kind.__name__}") from None
-    if not cmath.isfinite(value):
+    except OverflowError:
+        raise ConfigError(f"{key}: integer too large for a float") from None
+    if not finite:
         raise ConfigError(f"{key}: must be finite, got {raw!r}")
     return value
 
@@ -291,8 +293,7 @@ def cmd_verify(cfg: RunConfig, out: Path) -> int:
     checks += [_check(f"{r.name} (guard={guard})", r.residual, r.tolerance, r.passed)
                for r in verify_algebra(spec, "second_order", guard=guard)]
 
-    r = rotation_parameters(h)
-    if r.degenerate:
+    if h.degenerate:
         rep = rotation_report(spec, h)
         checks.append(_check("dark-mode decoupling after rotation",
                              rep.dark_coupling_residual, TOL_DARK_BLOCK,

@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .hilbert import SpaceSpec, basis_table
+from .hilbert import SpaceSpec, index_map
 from .operators import (
     PRODUCT,
     OperatorMatrix,
@@ -33,7 +33,6 @@ from .operators import (
     dressed_term,
     element_sum,
     enhancement_factor,
-    exp_antihermitian,
     guarded_states,
     layout,
     tensor_sum,
@@ -87,30 +86,29 @@ def dispersive_params(h: HamiltonianSpec, n_bar: float, atoms: int) -> Dispersiv
 
 
 def _generator(spec: SpaceSpec, i: int, j: int) -> OperatorMatrix:
-    """X_ij - X_ij^dag, the anti-Hermitian generator of the (i, j) small rotation."""
-    return tensor_sum(spec, [dressed_term(spec, i, j), dressed_term(spec, j, i, -1)])
+    """i (X_ij - X_ij^dag), the Hermitian generator of the (i, j) small rotation."""
+    return tensor_sum(spec, [dressed_term(spec, i, j, 1j), dressed_term(spec, j, i, -1j)])
 
 
 def small_rotation(spec: SpaceSpec, i: int, j: int, eps: float) -> OperatorMatrix:
     """exp[eps (X_ij - X_ij^dag)], computed by Hermitian eigendecomposition."""
-    return exp_antihermitian(_generator(spec, i, j), eps)
+    return unitary_exp(_generator(spec, i, j), eps)
 
 
-def _hermitian_generators(spec: SpaceSpec, scheme: str) -> dict:
-    """i (X_ij - X_ij^dag) per rotation pair, (outer, inner) in application order
-    (the layout's rotation_order in operators.LAYOUTS); each keeps its
-    eigendecomposition (exp_hermitian), so rotations by several eps share one."""
-    return {pair: 1j * _generator(spec, *pair) for pair in layout(scheme).rotation_order}
+def _generators(spec: SpaceSpec, scheme: str) -> dict:
+    """_generator per pair of the layout's rotation_order (operators.LAYOUTS), (outer,
+    inner); each keeps its eigendecomposition, so unitary_exp by several eps shares one."""
+    return {pair: _generator(spec, *pair) for pair in layout(scheme).rotation_order}
 
 
 def _conjugated(spec: SpaceSpec, h: HamiltonianSpec, p: DispersiveParams,
                 generators: dict) -> tuple[OperatorMatrix, OperatorMatrix]:
     """H and U_outer U_inner H U_inner^dag U_outer^dag, U = exp(-i eps G) for the
-    ``generators`` G in their (outer, inner) order (see _hermitian_generators),
+    ``generators`` G in their (outer, inner) order (see _generators),
     which is normative for reproducibility: (3,1) is innermost for lambda, (2,1) for vee."""
     if p.scheme != h.scheme:
         raise ValueError(f"params are for scheme {p.scheme!r}, Hamiltonian is {h.scheme!r}")
-    outer, inner = (unitary_exp(gen, p.small_params[pair])  # the bits of exp_antihermitian
+    outer, inner = (unitary_exp(gen, p.small_params[pair])
                     for pair, gen in generators.items())
     ham = build_hamiltonian(spec, h)
     return ham, outer @ inner @ ham @ inner.dag() @ outer.dag()
@@ -119,7 +117,7 @@ def _conjugated(spec: SpaceSpec, h: HamiltonianSpec, p: DispersiveParams,
 def effective_transform(spec: SpaceSpec, h: HamiltonianSpec,
                         p: DispersiveParams) -> OperatorMatrix:
     """Numerically conjugated Hamiltonian (see _conjugated for the order)."""
-    return _conjugated(spec, h, p, _hermitian_generators(spec, h.scheme))[1]
+    return _conjugated(spec, h, p, _generators(spec, h.scheme))[1]
 
 
 @dataclass(frozen=True)
@@ -163,7 +161,7 @@ def _transfer_block(spec: SpaceSpec, scheme: str, guard: int):
     within the degenerate pair at equal photon number, inside the guarded subspace;
     the shared level of the coupled pairs spectates (operators.LAYOUTS)."""
     inside = guarded_states(spec, guard)
-    table = basis_table(spec)
+    table = index_map(spec)
     lay = layout(scheme)
     moved = table.occupations[:, lay.degenerate[0] - 1]
     spectator = table.occupations[:, lay.shared - 1]
@@ -191,7 +189,7 @@ def block_residual(spec: SpaceSpec, h: HamiltonianSpec, p: DispersiveParams,
     restricted to the guarded degenerate-transfer block."""
     transfer = analytic_effective(spec, h, p).transfer_operator
     return _residual(spec, h, p, _transfer_block(spec, h.scheme, guard), transfer,
-                     _hermitian_generators(spec, h.scheme))[1]
+                     _generators(spec, h.scheme))[1]
 
 
 def compare(spec: SpaceSpec, h: HamiltonianSpec, p: DispersiveParams,
@@ -215,7 +213,7 @@ def compare(spec: SpaceSpec, h: HamiltonianSpec, p: DispersiveParams,
     h_half = replace(h, omega=h.omega - deltas[0])
     p_half = dispersive_params(h_half, p.n_bar, spec.atoms)
     block = _transfer_block(spec, h.scheme, guard)
-    generators = _hermitian_generators(spec, h.scheme)
+    generators = _generators(spec, h.scheme)
     r2 = _residual(spec, h_half, p_half, block, model.transfer_operator, generators)[1]
     ham, r1 = _residual(spec, h, p, block, model.transfer_operator, generators)
     return ham, model, r1, math.inf if r1 < 1e-14 or r2 < 1e-14 else math.log2(r1 / r2)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import Occupation, SpaceSpec, basis_table, index_map
+from .hilbert import Occupation, SpaceSpec, index_map
 from .operators import (CHUNK_ENTRIES, LAMBDA, PRODUCT, VEE, OperatorMatrix,
                         enhancement_factor, exact_stacks, hermitian_blocks)
 from .hamiltonian import (
@@ -244,7 +244,7 @@ def evolve(ham: OperatorMatrix, psi0: np.ndarray, grid: TimeGrid,
     spec = ham.spec
     times = grid.times
     rows, chunks = _trajectory(ham, psi0, times, (excitation, ham))
-    table = basis_table(spec)
+    table = index_map(spec)
     occupations = table.occupations[rows].T.astype(float)
     photons = table.photons[rows].astype(float)
     top = (table.photons[rows] == spec.n_max).astype(float)
@@ -332,7 +332,7 @@ def transfer_experiment(spec: SpaceSpec, h: HamiltonianSpec, p: DispersiveParams
     max_pop = float(np.max(record.population(partner)))
 
     prefactor = transfer_prefactor(h, p)
-    table = basis_table(spec)
+    table = index_map(spec)
     factor = float(np.abs(psi0) ** 2 @ enhancement_factor(h.scheme, table.occupations,
                                                           table.photons))
 

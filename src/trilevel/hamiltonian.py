@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import SpaceSpec, basis_table, index_map
+from .hilbert import SpaceSpec, index_map
 from .operators import (  # LAMBDA and VEE are re-exported
     ATOMIC,
     LAMBDA,
@@ -29,12 +29,12 @@ from .operators import (  # LAMBDA and VEE are re-exported
     diagonal,
     dressed_term,
     element_sum,
-    exp_antihermitian,
     field_elements,
     identity_elements,
     layout,
     tensor_sum,
     transition_elements,
+    unitary_exp,
 )
 
 TOL_DARK_BLOCK = 1e-10
@@ -196,39 +196,21 @@ def dark_state(spec: SpaceSpec, h: HamiltonianSpec, fock_n: int) -> np.ndarray:
 
 
 def _rotation_generator(spec: SpaceSpec, h: HamiltonianSpec) -> OperatorMatrix:
+    """i (S_ab - S_ba) of the degenerate pair (a, b): exp(-i t G) = exp(t (S_ab - S_ba))."""
     la, lb = h.degenerate_pair
-    return tensor_sum(spec, [atomic_term(spec, la, lb), atomic_term(spec, lb, la, -1)])
+    return tensor_sum(spec, [atomic_term(spec, la, lb, 1j), atomic_term(spec, lb, la, -1j)])
 
 
 def dark_block_residual(spec: SpaceSpec, transformed: OperatorMatrix) -> float:
     """Largest matrix element of a rotated Hamiltonian that changes the
     dark-mode occupation (slot 2 of the occupation triple)."""
-    n2 = basis_table(spec).occupations[:, 1]
+    n2 = index_map(spec).occupations[:, 1]
     return transformed.max_abs(lambda r, c: n2[r] != n2[c])
 
 
-def _decoupling_rotation(spec: SpaceSpec, h: HamiltonianSpec, r: RotationResult,
-                         ham: OperatorMatrix) -> tuple[OperatorMatrix, OperatorMatrix, float]:
-    """(U, U H U^dag, dark-block residual) of the degenerate-pair rotation
-    U = exp(theta (S_ab - S_ba)), theta = the layout's sign times the angle, which
-    takes the dark mode to slot 2; the residual is NaN (unchecked) unless the
-    paired energies are degenerate."""
-    if not r.degenerate:
-        warnings.warn("rotated pair is not degenerate; dark-mode decoupling is not "
-                      "guaranteed and was not checked", stacklevel=3)
-    theta = layout(h.scheme).sign * r.angle
-    u = exp_antihermitian(_rotation_generator(spec, h), theta)
-    rotated = u @ ham @ u.dag()
-    residual = dark_block_residual(spec, rotated) if r.degenerate else math.nan
-    if r.degenerate and residual > TOL_DARK_BLOCK:
-        raise RuntimeError(f"mode rotation left the dark mode coupled (residual {residual:.2e})")
-    return u, rotated, residual
-
-
 def _bright_coupling(spec: SpaceSpec, rotated: OperatorMatrix) -> float:
-    """<(A-1, 0, 1); 0| U H U^dag |(A, 0, 0); 1> / sqrt(A); slot 2 is the
-    dark mode after rotation, so this element isolates the bright 1 <-> 3
-    transition."""
+    """<(A-1, 0, 1); 0| U H U^dag |(A, 0, 0); 1> / sqrt(A): slot 2 is the dark mode
+    after rotation, so this element isolates the bright 1 <-> 3 transition."""
     imap, a = index_map(spec), spec.atoms
     row, col = imap.flat((a - 1, 0, 1), 0), imap.flat((a, 0, 0), 1)
     return rotated.max_abs(lambda r, c: (r == row) & (c == col)) / math.sqrt(a)
@@ -236,16 +218,13 @@ def _bright_coupling(spec: SpaceSpec, rotated: OperatorMatrix) -> float:
 
 def mode_rotation_unitary(spec: SpaceSpec, h: HamiltonianSpec,
                           r: RotationResult) -> OperatorMatrix:
-    """Second-quantized rotation of the degenerate mode pair that takes the
-    dark mode to occupation slot 2 (see _decoupling_rotation)."""
-    return _decoupling_rotation(spec, h, r, build_hamiltonian(spec, h))[0]
-
-
-def extracted_coupling(spec: SpaceSpec, h: HamiltonianSpec,
-                       u: OperatorMatrix) -> float:
-    """Bright-transition coupling read off one element of U H U^dag, which
-    equals g_eff sqrt(A)."""
-    return _bright_coupling(spec, u @ build_hamiltonian(spec, h) @ u.dag())
+    """exp(theta (S_ab - S_ba)) of the degenerate pair (a, b), theta = the layout's sign
+    times the angle, which takes the dark mode to occupation slot 2; warns when the
+    paired energies are not degenerate, as the dark mode then need not decouple."""
+    if not r.degenerate:
+        warnings.warn("rotated pair is not degenerate; dark-mode decoupling is not "
+                      "guaranteed and was not checked", stacklevel=2)
+    return unitary_exp(_rotation_generator(spec, h), layout(h.scheme).sign * r.angle)
 
 
 @dataclass(frozen=True)
@@ -260,9 +239,14 @@ class RotationReport:
 
 
 def rotation_report(spec: SpaceSpec, h: HamiltonianSpec) -> RotationReport:
-    """Rotate one Hamiltonian once and read both checks off the result."""
+    """Rotate one Hamiltonian once and read both checks off U H U^dag: the dark-block
+    residual (NaN, unchecked, unless the pair is degenerate) and the bright coupling."""
     r = rotation_parameters(h)
-    u, rotated, residual = _decoupling_rotation(spec, h, r, build_hamiltonian(spec, h))
+    u = mode_rotation_unitary(spec, h, r)
+    rotated = u @ build_hamiltonian(spec, h) @ u.dag()
+    residual = dark_block_residual(spec, rotated) if r.degenerate else math.nan
+    if residual > TOL_DARK_BLOCK:  # False for NaN
+        raise RuntimeError(f"mode rotation left the dark mode coupled (residual {residual:.2e})")
     return RotationReport(
         unitary=u,
         dark_coupling_residual=residual,
@@ -291,5 +275,5 @@ def excitation_operator(spec: SpaceSpec, scheme: str) -> OperatorMatrix:
     levels of the coupled pairs (operators.LAYOUTS), n + S33 for lambda and
     n + S22 + S33 for vee, as each absorption promotes one atom to one of them."""
     upper = {i for i, _ in layout(scheme).pairs}
-    table = basis_table(spec)
+    table = index_map(spec)
     return diagonal(spec, table.photons + sum(table.occupations[:, i - 1] for i in upper))

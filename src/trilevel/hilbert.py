@@ -111,6 +111,3 @@ class IndexMap:
 def index_map(spec: SpaceSpec) -> IndexMap:
     """The one cached IndexMap of ``spec``."""
     return IndexMap(spec)
-
-
-basis_table = index_map  # the same map, read for its ``occupations`` and ``photons``

@@ -39,7 +39,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .hilbert import SpaceSpec, basis_table, index_map
+from .hilbert import SpaceSpec, index_map
 
 ATOMIC = "atomic"
 FIELD = "field"
@@ -308,7 +308,7 @@ class OperatorMatrix:
 
     @cached_property
     def eigenblocks(self) -> list:
-        """hermitian_blocks(self), made once: exp_hermitian forms every time from it."""
+        """hermitian_blocks(self), made once: unitary_exp forms every time from it."""
         return list(hermitian_blocks(self))
 
     def _joined(self, other: "OperatorMatrix") -> BlockPartition:
@@ -463,7 +463,7 @@ def atomic_term(spec: SpaceSpec, i: int, j: int, c: complex = 1) -> tuple:
 def conserved_product(spec: SpaceSpec, i: int, j: int, f) -> tuple:
     """Row, column and value on the product space of diag(f) S_ij for a label function
     f(occupations, photons) that S_ij conserves: each (r, c, v) becomes (r, c, v f(c))."""
-    table = basis_table(spec)
+    table = index_map(spec)
     rows, cols, values = term_elements(spec, atomic_term(spec, i, j))
     return rows, cols, values * f(table.occupations[cols], table.photons[cols])
 
@@ -529,27 +529,17 @@ def apply(op: OperatorMatrix, states: np.ndarray, support: np.ndarray | None = N
         yield idx, x
 
 
-def exp_hermitian(h: OperatorMatrix, t: float) -> OperatorMatrix:
-    """exp(-i t H) for Hermitian H, from its kept ``eigenblocks``, so further
-    times cost one product per block; elements between blocks are exactly zero."""
+def unitary_exp(h: OperatorMatrix, t: float) -> OperatorMatrix:
+    """exp(-i t H) for Hermitian H from its kept ``eigenblocks`` (further times cost one
+    product per block, elements between blocks are 0), checked unitary to TOL_UNITARY."""
     data = [((v * np.exp(-1j * t * w)[:, None, :]) @ v.conj().swapaxes(1, 2)).ravel()
             for _, w, v in h.eigenblocks]
-    return OperatorMatrix(h.space, h.spec, np.concatenate(data), h.blocks)
-
-
-def unitary_exp(h: OperatorMatrix, t: float) -> OperatorMatrix:
-    """exp(-i t H) for Hermitian H, checked to be unitary to TOL_UNITARY."""
-    out = exp_hermitian(h, t)
+    out = OperatorMatrix(h.space, h.spec, np.concatenate(data), h.blocks)
     defect = max(float(np.max(np.abs(u @ u.conj().swapaxes(1, 2) - np.eye(u.shape[1]))))
                  for _, u in _views(out._layout, out._data))
     if defect > TOL_UNITARY:
         raise RuntimeError(f"rotation is not unitary (defect {defect:.2e})")
     return out
-
-
-def exp_antihermitian(gen: OperatorMatrix, theta: float) -> OperatorMatrix:
-    """exp(theta G) for anti-Hermitian G, checked to be unitary to TOL_UNITARY."""
-    return unitary_exp(1j * gen, theta)  # exp(theta G) = exp(-i theta (i G))
 
 
 def eigenvalues(h: OperatorMatrix) -> np.ndarray:
@@ -561,7 +551,7 @@ def guarded_states(spec: SpaceSpec, guard: int) -> np.ndarray:
     """Per product index, whether its photon number is at most n_max - guard."""
     if not 0 <= guard <= spec.n_max:
         raise ValueError(f"guard must be in [0, {spec.n_max}], got {guard}")
-    return basis_table(spec).photons <= spec.n_max - guard
+    return index_map(spec).photons <= spec.n_max - guard
 
 
 def guarded_projector(spec: SpaceSpec, guard: int) -> OperatorMatrix:

@@ -12,7 +12,7 @@ import trilevel.dynamics as dynamics
 from trilevel.dispersive import analytic_effective, dispersive_params, transfer_prefactor
 from trilevel.dynamics import InitialState, TimeGrid, transfer_experiment
 from trilevel.hamiltonian import LAMBDA, VEE, HamiltonianSpec
-from trilevel.hilbert import SpaceSpec, basis_table, index_map
+from trilevel.hilbert import SpaceSpec, index_map
 
 
 @pytest.mark.parametrize("atoms,n_max", [(1, 3), (3, 2)])
@@ -20,7 +20,6 @@ def test_one_cached_index_map_per_spec(atoms, n_max):
     spec = SpaceSpec(atoms, n_max)
     imap = index_map(spec)
     assert index_map(SpaceSpec(atoms, n_max)) is imap
-    assert basis_table(spec) is imap
     for flat in range(spec.product_dim):
         occ, n = imap.split(flat)
         assert tuple(imap.occupations[flat]) == occ

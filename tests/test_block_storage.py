@@ -29,17 +29,17 @@ from trilevel.hamiltonian import (
     build_hamiltonian,
     excitation_operator,
 )
-from trilevel.hilbert import SpaceSpec, basis_table
+from trilevel.hilbert import SpaceSpec, index_map
 from trilevel.operators import (
     PRODUCT,
     OperatorMatrix,
     apply,
     deformed_operator,
     diagonal,
-    exp_hermitian,
     field_operator,
     guarded_states,
     lift,
+    unitary_exp,
 )
 
 TOL = 1e-12
@@ -92,7 +92,7 @@ def operator_pools(draw, max_atoms=4):
         "a": lift(spec, field_operator(spec, "annihilate")),
         "excitation": excitation_operator(spec, scheme),
         "generator": _rotation_generator(spec, h),
-        "exp(H)": exp_hermitian(ham, draw(st.floats(-2.0, 2.0))),
+        "exp(H)": unitary_exp(ham, draw(st.floats(-2.0, 2.0))),
         "diagonal": diagonal(spec, rng.integers(-1, 2, size=spec.product_dim)),
         "dense": OperatorMatrix(PRODUCT, spec, sparse + 1j * sparse.T),
     }
@@ -124,7 +124,7 @@ def test_masked_max_abs_equals_the_dense_masked_max(model, seed):
     rng = np.random.default_rng(seed)
     guard = int(rng.integers(0, spec.n_max + 1))
     keep = guarded_states(spec, guard)
-    n2 = basis_table(spec).occupations[:, 1]
+    n2 = index_map(spec).occupations[:, 1]
     every = np.arange(spec.product_dim)
     # stored layouts that are not the exact blocks: joined partitions, cancelled
     # values, one dense block, and the exponential's copy of H's blocks
@@ -173,8 +173,8 @@ def test_products_match_dense(model):
 @given(operator_pools(), st.floats(-2.0, 2.0))
 def test_exponentials_match_dense(model, t):
     _, pool, _, _ = model
-    for h in (pool["H"], pool["x + x^dag"], 1j * pool["generator"], pool["diagonal"]):
-        u = exp_hermitian(h, t)
+    for h in (pool["H"], pool["x + x^dag"], pool["generator"], pool["diagonal"]):
+        u = unitary_exp(h, t)
         assert np.max(np.abs(u.mat - dense_exp(h.mat, t))) <= TOL * scale(t * h.mat)
         labels = h.blocks.labels
         assert np.all(u.mat[labels[:, None] != labels[None, :]] == 0.0)

@@ -44,8 +44,7 @@ def test_linalg_error_is_a_numerical_failure(tmp_path, monkeypatch, capsys):
 
 
 def test_non_unitary_rotation_is_a_numerical_failure(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(operators, "exp_hermitian",
-                        lambda h, t: 2.0 * operators.identity(h.spec, h.space))
+    monkeypatch.setattr(operators, "TOL_UNITARY", -1.0)
     assert run("dispersive-compare", tmp_path) == cli.EXIT_CHECK_FAILURE
     err = capsys.readouterr().err
     assert err.startswith("numerical error: rotation is not unitary")

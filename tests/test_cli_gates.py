@@ -125,6 +125,23 @@ def test_coherent_amplitude_whose_square_overflows_is_a_config_error(
     assert err == f"config error: initial.field: |alpha|^2 must be finite, got '{alpha}'\n"
 
 
+HUGE = "1" + "0" * 400  # an int that no float holds
+
+
+@pytest.mark.parametrize("key,old", [("atoms", "atoms = 1"), ("n_max", "n_max = 8"),
+                                     ("n_samples", "n_samples = 2001"), ("guard", "guard = 2"),
+                                     ("initial.field", "fock:0")])
+def test_integer_too_large_for_a_float_is_a_config_error(key, old, tmp_path, capsys):
+    """One config error line naming the key, not an OverflowError traceback."""
+    text = (CONFIGS / "vee.conf").read_text()
+    assert text.count(old) == 1
+    conf = tmp_path / "run.conf"
+    conf.write_text(text.replace(old, old.rstrip("0123456789") + HUGE))
+    assert main(["evolve", "--config", str(conf), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {key}: ") and err.count("\n") == 1
+
+
 def degenerate_spec(scheme):
     if scheme == "lambda":
         return HamiltonianSpec(scheme, (0.0, 0.0, 3.0), 1.0, g31=0.07, g32=0.11)

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 import trilevel.operators as operators
 from test_batched_kernels import reference_u3, same_bits
-from trilevel.hilbert import SpaceSpec, basis_table
+from trilevel.hilbert import SpaceSpec, index_map
 from trilevel.operators import (
     LAMBDA,
     TOL_ALGEBRA,
@@ -52,7 +52,7 @@ def block_path_reports(spec: SpaceSpec, mode: str, guard: int = 1) -> list[Ident
     if mode == "u3":
         return _reports(*zip(*reference_u3(spec)), 0)
     keep = guarded_states(spec, guard)
-    table = basis_table(spec)
+    table = index_map(spec)
     occ, num = table.occupations, table.photons
     s21, s32 = (lift(spec, atomic_operator(spec, i, j)) for i, j in ((2, 1), (3, 2)))
     x31, x23, x12 = (deformed_operator(spec, i, j) for i, j in ((3, 1), (2, 3), (1, 2)))

@@ -1,23 +1,25 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import trilevel.hamiltonian as hamiltonian
+import trilevel.operators as operators
 from trilevel.hilbert import SpaceSpec, index_map
-from trilevel.operators import (atomic_operator, commutator, exp_antihermitian, identity, lift,
+from trilevel.operators import (atomic_operator, commutator, identity, lift, unitary_exp,
                                 ATOMIC)
 from trilevel.hamiltonian import (
     LAMBDA,
     VEE,
     HamiltonianSpec,
+    _bright_coupling,
     build_hamiltonian,
     classical_hamiltonian,
     dark_block_residual,
     dark_state,
     excitation_operator,
-    extracted_coupling,
     free_hamiltonian,
     interaction_hamiltonian,
     mode_rotation_unitary,
@@ -148,7 +150,7 @@ def test_mode_rotation_unitary_and_decoupling(h):
     assert (u @ u.dag() - identity(spec, "product")).max_abs() <= 1e-12
     transformed = u @ build_hamiltonian(spec, h) @ u.dag()
     assert dark_block_residual(spec, transformed) <= 1e-10
-    assert abs(extracted_coupling(spec, h, u) - r.effective_coupling) <= 1e-10
+    assert abs(_bright_coupling(spec, transformed) - r.effective_coupling) <= 1e-10
 
 
 @pytest.mark.parametrize("atoms", [1, 2, 3])
@@ -171,9 +173,9 @@ def test_rotation_takes_the_known_sign_once(atoms, h, monkeypatch):
 
     def counted(gen, theta):
         calls.append(theta)
-        return exp_antihermitian(gen, theta)
+        return unitary_exp(gen, theta)
 
-    monkeypatch.setattr(hamiltonian, "exp_antihermitian", counted)
+    monkeypatch.setattr(hamiltonian, "unitary_exp", counted)
     u = rotation_report(spec, h).unitary.mat
     assert len(calls) == 1
     slot2 = np.zeros(spec.product_dim, dtype=complex)
@@ -183,10 +185,31 @@ def test_rotation_takes_the_known_sign_once(atoms, h, monkeypatch):
 
 def test_rotation_that_leaves_the_dark_mode_coupled_is_an_error(monkeypatch):
     spec = SpaceSpec(1, 2)
-    monkeypatch.setattr(hamiltonian, "exp_antihermitian",
+    monkeypatch.setattr(hamiltonian, "unitary_exp",
                         lambda gen, theta: identity(spec, "product"))
     with pytest.raises(RuntimeError, match="left the dark mode coupled"):
         rotation_report(spec, vee_spec(0.3, 0.4))
+
+
+@pytest.mark.parametrize("h", [lambda_spec(0.3, 0.4), vee_spec(0.3, 0.4)])
+def test_flipped_layout_sign_leaves_the_dark_mode_coupled(h, monkeypatch):
+    """The report's decoupling check catches a rotation by the wrong sign."""
+    lay = operators.LAYOUTS[h.scheme]
+    monkeypatch.setitem(operators.LAYOUTS, h.scheme, replace(lay, sign=-lay.sign))
+    with pytest.raises(RuntimeError, match="left the dark mode coupled"):
+        rotation_report(SpaceSpec(2, 2), h)
+
+
+@pytest.mark.parametrize("h", [HamiltonianSpec(LAMBDA, (0.0, 0.3, 2.0), 1.0, g31=0.3, g32=0.4),
+                               HamiltonianSpec(VEE, (0.0, 2.7, 3.0), 1.0, g31=0.3, g21=0.4)])
+def test_rotation_report_on_a_non_degenerate_pair_skips_the_decoupling_check(h):
+    """One warning, a NaN (unchecked) residual and no error, though the rotated
+    free energies couple the dark mode; the bright coupling is still read."""
+    with pytest.warns(UserWarning, match="not degenerate") as caught:
+        rep = rotation_report(SpaceSpec(2, 3), h)
+    assert len(caught) == 1
+    assert math.isnan(rep.dark_coupling_residual) and not rep.degenerate
+    assert abs(rep.extracted_coupling - 0.5) <= 1e-10
 
 
 def test_mode_rotation_warns_when_not_degenerate():

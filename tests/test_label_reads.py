@@ -17,7 +17,7 @@ import pytest
 from test_batched_kernels import same_bits
 from trilevel.dispersive import DispersiveParams, analytic_effective
 from trilevel.hamiltonian import LAMBDA, VEE, HamiltonianSpec
-from trilevel.hilbert import IndexMap, SpaceSpec, basis_table, enumerate_atomic_basis
+from trilevel.hilbert import IndexMap, SpaceSpec, enumerate_atomic_basis, index_map
 from trilevel.operators import (
     ATOMIC,
     DEFORMED_PAIRS,
@@ -155,7 +155,7 @@ def test_transfer_operator_equals_the_swap_times_the_diagonal(scheme, spec):
                         g31=0.1, g32=0.1, g21=0.1)
     p = DispersiveParams(scheme, 0.0, {}, {(3, 1): -0.05, (2, 1): -0.05}, 1.0)
     la, lb = h.degenerate_pair
-    table = basis_table(spec)
+    table = index_map(spec)
     swap = tensor_sum(spec, [atomic_term(spec, la, lb), atomic_term(spec, lb, la)])
     reference = swap @ diagonal(spec, enhancement_factor(scheme, table.occupations,
                                                          table.photons))

@@ -3,20 +3,22 @@
 ``perfbench/tracing.py`` replaces package functions and methods by name, and
 ``install()`` raises AttributeError when one of them is gone, which would
 break ``perfbench/run.py --trace 1``.  Install it, build a few operators
-through the wrapped names, and uninstall it again.
+through the wrapped names, and uninstall it again; a traced ``verify`` records
+the mode rotation inside the rotation report.
 """
 
 import importlib.util
 import sys
 from pathlib import Path
 
-import trilevel.cli  # noqa: F401  (imports every traced module)
+import trilevel.cli as cli  # imports every traced module
 import trilevel.weights as weights
 from trilevel.hamiltonian import LAMBDA
 from trilevel.hilbert import IndexMap, SpaceSpec
 from trilevel.operators import OperatorMatrix
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def load_tracing():
@@ -48,3 +50,19 @@ def test_recorder_installs_and_uninstalls():
         recorder.uninstall()
     assert package_attributes() == before
     assert (OperatorMatrix.__matmul__, OperatorMatrix.__post_init__, IndexMap.split) == methods
+
+
+def test_traced_verify_records_one_mode_rotation_inside_the_report(tmp_path):
+    recorder = load_tracing().Recorder()
+    recorder.install()
+    try:
+        status = cli.main(["verify", "--config", str(ROOT / "configs" / "vee.conf"),
+                           "--out", str(tmp_path)])
+    finally:
+        recorder.uninstall()
+    assert status == 0
+    names = {span[0]: span[3] for span in recorder.spans}
+    rotations = [span for span in recorder.spans
+                 if span[3] == "hamiltonian.mode_rotation_unitary"]
+    assert len(rotations) == 1
+    assert names[rotations[0][1]] == "hamiltonian.rotation_report"

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from trilevel.hilbert import SpaceSpec, basis_table
+from trilevel.hilbert import SpaceSpec, index_map
 from trilevel.operators import (
     PRODUCT,
     OperatorMatrix,
@@ -64,7 +64,7 @@ def written_second_order(scheme, spec):
 def test_writer_equals_the_truncated_commutator_below_the_top_slab(scheme, spec):
     reference = commutator_second_order(scheme, spec, None).mat
     written = written_second_order(scheme, spec).mat
-    below = basis_table(spec).photons < spec.n_max
+    below = index_map(spec).photons < spec.n_max
     difference = np.abs(reference - written)
     assert difference[np.ix_(below, below)].max() <= 1e-12
     assert difference[:, below][~below].max() == 0 and difference[below][:, ~below].max() == 0

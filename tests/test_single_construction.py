@@ -6,7 +6,9 @@ the excitation count from lifted collective and field operators, the way
 they were written before the diagonal forms.
 """
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,10 +36,10 @@ from trilevel.operators import (
     PRODUCT,
     OperatorMatrix,
     atomic_operator,
-    exp_antihermitian,
     field_operator,
     identity,
     lift,
+    unitary_exp,
 )
 
 LAMBDA_H = HamiltonianSpec(LAMBDA, (0.0, 0.0, 3.0), 1.0, g31=0.1, g32=0.15)
@@ -131,17 +133,13 @@ def test_analytic_effective_matches_the_lift_product(h, atoms, n_max):
     assert np.max(np.abs(model.transfer_operator.mat - ref.mat)) <= 1e-15
 
 
-def _non_unitary_exp(h, t):
-    return 2.0 * identity(h.spec, h.space)
-
-
 def test_shared_rotation_checks_unitarity(monkeypatch):
     spec = SpaceSpec(1, 2)
-    gen = s(spec, 1, 2) - s(spec, 2, 1)
-    exp_antihermitian(gen, 0.3)  # a true rotation passes
-    monkeypatch.setattr(operators, "exp_hermitian", _non_unitary_exp)
+    gen = 1j * (s(spec, 1, 2) - s(spec, 2, 1))
+    unitary_exp(gen, 0.3)  # a true rotation passes
+    monkeypatch.setattr(operators, "TOL_UNITARY", -1.0)
     with pytest.raises(RuntimeError, match="not unitary"):
-        exp_antihermitian(gen, 0.3)
+        unitary_exp(gen, 0.3)
 
 
 @pytest.mark.parametrize("build", [
@@ -149,6 +147,32 @@ def test_shared_rotation_checks_unitarity(monkeypatch):
     lambda spec: mode_rotation_unitary(spec, LAMBDA_H, rotation_parameters(LAMBDA_H)),
 ], ids=["small_rotation", "mode_rotation_unitary"])
 def test_both_rotations_go_through_the_check(build, monkeypatch):
-    monkeypatch.setattr(operators, "exp_hermitian", _non_unitary_exp)
+    monkeypatch.setattr(operators, "TOL_UNITARY", -1.0)
     with pytest.raises(RuntimeError, match="not unitary"):
         build(SpaceSpec(1, 2))
+
+
+def test_one_exponential_and_one_eigendecomposition():
+    """No function is named exp_* (unitary_exp is the one exponential), and only
+    operators.hermitian_blocks refers to an eigh or eigvalsh."""
+    package = Path(operators.__file__).parent
+    exp_functions, eigen_users = [], []
+
+    def visit(node, scope):  # scope: "module.function[.nested]"
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if node.name.startswith("exp_"):
+                exp_functions.append(f"{scope}.{node.name}")
+            scope = f"{scope}.{node.name}"
+        names = ([a.name for a in node.names] if isinstance(node, ast.ImportFrom)
+                 else [node.id] if isinstance(node, ast.Name)
+                 else [node.attr] if isinstance(node, ast.Attribute) else [])
+        if {"eigh", "eigvalsh"} & set(names):
+            eigen_users.append(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    for path in sorted(package.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem)
+    assert len(list(package.glob("*.py"))) >= 8
+    assert exp_functions == []
+    assert eigen_users == ["operators.hermitian_blocks"]

@@ -37,7 +37,7 @@ from trilevel.hamiltonian import (
     free_hamiltonian,
     interaction_hamiltonian,
 )
-from trilevel.hilbert import SpaceSpec, basis_table, index_map
+from trilevel.hilbert import SpaceSpec, index_map
 from trilevel.operators import (
     DEFORMED_PAIRS,
     LEVELS,
@@ -50,10 +50,10 @@ from trilevel.operators import (
     deformed_operator,
     diagonal,
     enhancement_factor,
-    exp_antihermitian,
     field_operator,
     lift,
     tensor_sum,
+    unitary_exp,
 )
 
 ALL_PAIRS = DEFORMED_PAIRS + tuple((j, i) for i, j in DEFORMED_PAIRS)
@@ -82,7 +82,7 @@ def old_deformed(spec, i, j):
 
 
 def old_free(spec, h):
-    table = basis_table(spec)
+    table = index_map(spec)
     diag = h.omega * table.photons
     for level, e in enumerate(h.energies):
         diag = diag + e * table.occupations[:, level]
@@ -103,12 +103,13 @@ def old_build(spec, h):
 
 def old_rotation_generator(spec, h):
     la, lb = h.degenerate_pair
-    return old_lift_atomic(spec, atomic_operator(spec, la, lb) - atomic_operator(spec, lb, la))
+    return old_lift_atomic(spec, 1j * atomic_operator(spec, la, lb)
+                           - 1j * atomic_operator(spec, lb, la))
 
 
 def old_small_rotation(spec, i, j, eps):
     x = old_deformed(spec, i, j)
-    return exp_antihermitian(x - x.dag(), eps)
+    return unitary_exp(1j * x - 1j * x.dag(), eps)
 
 
 def search_labels(mat):
@@ -213,9 +214,9 @@ def test_building_operators_uses_no_dense_arithmetic(scheme, arithmetic_calls, m
 
     def recording(gen, theta):
         seen.append(dict(arithmetic_calls))
-        return exp_antihermitian(gen, theta)
+        return unitary_exp(gen, theta)
 
-    monkeypatch.setattr(dispersive, "exp_antihermitian", recording)
+    monkeypatch.setattr(dispersive, "unitary_exp", recording)
     small_rotation(spec, 3, 1, 0.05)
     assert seen == [{}]
 
@@ -272,8 +273,8 @@ def dense_terms(spec, h):
         "free": (free, free_hamiltonian(spec, h)),
         "interaction": (interaction, interaction_hamiltonian(spec, h)),
         "H": (free + interaction, build_hamiltonian(spec, h)),
-        "rotation generator": ([(1, dense_atomic(spec, la, lb), eye_field),
-                                (-1, dense_atomic(spec, lb, la), eye_field)],
+        "rotation generator": ([(1j, dense_atomic(spec, la, lb), eye_field),
+                                (-1j, dense_atomic(spec, lb, la), eye_field)],
                                _rotation_generator(spec, h)),
     }
     for i, j in ALL_PAIRS:
@@ -333,7 +334,7 @@ def test_dispersive_operators_store_the_bits_of_the_dense_factor_sum(spec, h, ep
             small_rotation(spec, i, j, eps)
         transfer = analytic_effective(spec, h, DispersiveParams(
             h.scheme, 0.0, {}, {(3, 1): eps, (2, 1): eps}, 1.0)).transfer_operator
-    references = [[dense_dressed(spec, i, j), dense_dressed(spec, j, i, -1)]
+    references = [[dense_dressed(spec, i, j, 1j), dense_dressed(spec, j, i, -1j)]
                   for i, j in DEFORMED_PAIRS]  # the small-rotation generators
     assert len(written) == len(references)
     for k, (op, terms) in enumerate(zip(written, references)):
@@ -341,7 +342,7 @@ def test_dispersive_operators_store_the_bits_of_the_dense_factor_sum(spec, h, ep
 
     # the transfer operator: the dense swap of the degenerate pair times diag(f)
     la, lb = h.degenerate_pair
-    table = basis_table(spec)
+    table = index_map(spec)
     swap = np.kron(dense_atomic(spec, la, lb) + dense_atomic(spec, lb, la), np.eye(spec.field_dim))
     f = enhancement_factor(h.scheme, table.occupations, table.photons)
     assert_same_storage(transfer, dense_storage(spec, swap @ np.diag(f.astype(np.complex128))),

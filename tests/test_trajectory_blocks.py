@@ -35,7 +35,7 @@ from trilevel.hamiltonian import (
     build_hamiltonian,
     excitation_operator,
 )
-from trilevel.hilbert import SpaceSpec, basis_table
+from trilevel.hilbert import SpaceSpec, index_map
 from trilevel.operators import CHUNK_ENTRIES, field_operator, lift
 
 TOL = 1e-12
@@ -48,7 +48,7 @@ def dense_record(ham, excitation, psi0, times) -> dict:
     expected = v @ (np.exp(-1j * np.outer(w, times)) * (v.conj().T @ psi0)[:, None])
     assert np.max(np.abs(states - expected)) <= TOL * max(1.0, times[-1] * ham.max_abs())
     weights = np.abs(states) ** 2
-    table = basis_table(ham.spec)
+    table = index_map(ham.spec)
     occ, photons = table.occupations.astype(float), table.photons.astype(float)
 
     def expect(mat):
