@@ -24,8 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .hilbert import SpaceSpec
-from .operators import SCHEMES, apply, eigenvalues, layout, verify_algebra
+from .hilbert import Occupation, SpaceSpec
+from .operators import apply, eigenvalues, verify_algebra
 from .hamiltonian import (
     TOL_DARK_BLOCK,
     HamiltonianSpec,
@@ -59,12 +59,6 @@ DEFAULT_SWEEP_NBARS = (4.0, 8.0, 16.0, 32.0)
 TOL_CONSERVATION = 1e-10
 CSV_ROWS = 512  # rows formatted per column call, which bounds the strings held at once
 
-KNOWN_KEYS = {
-    "scheme", "atoms", "n_max", "omega", "E1", "E2", "E3",
-    "g31", "g32", "g21", "classical_alpha", "t_max", "n_samples",
-    "initial.atom", "initial.field", "guard", "out", "sweep.n_bar",
-}
-
 
 class ConfigError(ValueError):
     """Config parse or validation failure; the message names the key."""
@@ -72,54 +66,25 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunConfig:
-    """Validated run parameters aggregated from one config document."""
+    """A config's model space and Hamiltonian as the library's own specs, and
+    its other keys as parsed (None where a key is absent)."""
 
-    scheme: str
-    atoms: int
-    n_max: int
-    omega: float
-    energies: tuple[float, float, float]
-    g31: float = 0.0
-    g32: float = 0.0
-    g21: float = 0.0
+    space: SpaceSpec
+    hamiltonian: HamiltonianSpec
     classical_alpha: complex | None = None
     t_max: float | None = None
     n_samples: int | None = None
-    initial_atom: str | None = None
-    initial_field: str | None = None
+    initial_atom: Occupation | str | None = None
+    initial_field: tuple[str, complex] | None = None
     guard: int | None = None
-    out_dir: str | None = None
     n_bars: tuple[float, ...] | None = None
-
-    def space_spec(self) -> SpaceSpec:
-        return SpaceSpec(self.atoms, self.n_max)
-
-    def hamiltonian_spec(self) -> HamiltonianSpec:
-        return HamiltonianSpec(
-            scheme=self.scheme, energies=self.energies, omega=self.omega,
-            g31=self.g31, g32=self.g32, g21=self.g21,
-        )
 
     def initial_state(self) -> InitialState:
         if self.initial_atom is None:
             raise ConfigError("initial.atom: required for this command")
         if self.initial_field is None:
             raise ConfigError("initial.field: required for this command")
-        atomic: str | tuple[int, int, int]
-        if self.initial_atom in ("dark", "bright"):
-            atomic = self.initial_atom
-        else:
-            try:
-                parts = tuple(int(v.strip()) for v in self.initial_atom.split(","))
-            except ValueError:
-                raise ConfigError(
-                    f"initial.atom: expected a triple like 1,0,0 or 'dark', got "
-                    f"{self.initial_atom!r}"
-                ) from None
-            if len(parts) != 3:
-                raise ConfigError("initial.atom: occupation must have three entries")
-            atomic = parts  # type: ignore[assignment]
-        return InitialState(atomic, _parse_field(self.initial_field))
+        return InitialState(self.initial_atom, self.initial_field)
 
     def time_grid(self) -> TimeGrid:
         if self.t_max is None:
@@ -133,35 +98,76 @@ class RunConfig:
         return abs(value) ** 2 if kind == "coherent" else float(value.real)
 
 
-def _parse_scalar(key: str, raw: str, kind):
-    try:
-        value = kind(raw)
-        finite = cmath.isfinite(value)  # OverflowError for an int beyond the float range
-    except ValueError:
-        raise ConfigError(f"{key}: cannot parse {raw!r} as {kind.__name__}") from None
-    except OverflowError:
-        raise ConfigError(f"{key}: integer too large for a float") from None
-    if not finite:
-        raise ConfigError(f"{key}: must be finite, got {raw!r}")
-    return value
+def _scalar(kind, nonnegative: bool = False):
+    """The parser of one finite ``kind`` (int, float or complex) value."""
+    def parse(key: str, raw: str):
+        try:
+            value = kind(raw)
+            finite = cmath.isfinite(value)  # OverflowError for an int beyond the float range
+        except ValueError:
+            raise ConfigError(f"{key}: cannot parse {raw!r} as {kind.__name__}") from None
+        except OverflowError:
+            raise ConfigError(f"{key}: integer too large for a float") from None
+        if not finite:
+            raise ConfigError(f"{key}: must be finite, got {raw!r}")
+        if nonnegative and value < 0:
+            raise ConfigError(f"{key}: must be >= 0")
+        return value
+    return parse
 
 
-def _parse_field(text: str) -> tuple[str, complex]:
+def _n_bars(key: str, raw: str) -> tuple[float, ...]:
+    """Comma-separated mean photon numbers, each >= 0."""
+    return tuple(_scalar(float, nonnegative=True)(key, v.strip()) for v in raw.split(","))
+
+
+def _atom(key: str, raw: str) -> Occupation | str:
+    """``dark``, ``bright`` or three integers like ``1,0,0`` (IndexMap checks the triple)."""
+    if raw in ("dark", "bright"):
+        return raw
+    parts = tuple(_scalar(int)(key, v.strip()) for v in raw.split(","))
+    if len(parts) != 3:
+        raise ConfigError(f"{key}: occupation must have three entries")
+    return parts  # type: ignore[return-value]
+
+
+def _field(key: str, raw: str) -> tuple[str, complex]:
     """``fock:<n>`` or ``coherent:<alpha>`` as (kind, value)."""
-    kind, _, raw = text.partition(":")
-    if kind not in ("fock", "coherent") or not raw:
-        raise ConfigError(
-            f"initial.field: expected fock:<n> or coherent:<alpha>, got {text!r}"
-        )
-    value = _parse_scalar("initial.field", raw, complex if kind == "coherent" else int)
+    kind, _, number = raw.partition(":")
+    if kind not in ("fock", "coherent") or not number:
+        raise ConfigError(f"{key}: expected fock:<n> or coherent:<alpha>, got {raw!r}")
+    value = _scalar(complex if kind == "coherent" else int)(key, number)
     if kind == "coherent" and not math.isfinite(value.real * value.real + value.imag * value.imag):
-        raise ConfigError(f"initial.field: |alpha|^2 must be finite, got {raw!r}")
+        raise ConfigError(f"{key}: |alpha|^2 must be finite, got {number!r}")
     return kind, complex(value)
+
+
+# Every config key with the parser that converts its text, once, to the value
+# parse_config passes on; a key not listed here is unknown.
+KEYS = {
+    "scheme": lambda key, raw: raw.lower(),
+    "atoms": _scalar(int),
+    "n_max": _scalar(int),
+    "omega": _scalar(float),
+    "E1": _scalar(float),
+    "E2": _scalar(float),
+    "E3": _scalar(float),
+    "g31": _scalar(float),
+    "g32": _scalar(float),
+    "g21": _scalar(float),
+    "classical_alpha": _scalar(complex),
+    "t_max": _scalar(float),
+    "n_samples": _scalar(int),
+    "initial.atom": _atom,
+    "initial.field": _field,
+    "guard": _scalar(int, nonnegative=True),
+    "sweep.n_bar": _n_bars,
+}
 
 
 def parse_config(text: str) -> RunConfig:
     """Parse a flat key = value document into a validated RunConfig."""
-    values: dict[str, str] = {}
+    values: dict = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -170,77 +176,41 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"line {lineno}: expected key = value, got {line!r}")
         key, _, raw = stripped.partition("=")
         key, raw = key.strip(), raw.strip()
-        if key not in KNOWN_KEYS:
+        if key not in KEYS:
             raise ConfigError(f"{key}: unknown key")
         if key in values:
             raise ConfigError(f"{key}: duplicate key")
-        values[key] = raw
+        values[key] = KEYS[key](key, raw)
 
-    for required in ("scheme", "atoms", "n_max", "omega", "E1", "E2", "E3"):
-        if required not in values:
-            raise ConfigError(f"{required}: missing required key")
-
-    scheme = values["scheme"].lower()
-    if scheme not in SCHEMES:
-        raise ConfigError(f"scheme: must be 'lambda' or 'vee', got {values['scheme']!r}")
-
-    atoms = _parse_scalar("atoms", values["atoms"], int)
-    n_max = _parse_scalar("n_max", values["n_max"], int)
-    if atoms < 1:
-        raise ConfigError("atoms: must be >= 1")
-    if n_max < 1:
-        raise ConfigError("n_max: must be >= 1")
-
-    energies = tuple(_parse_scalar(k, values[k], float) for k in ("E1", "E2", "E3"))
-    if not (energies[0] <= energies[1] <= energies[2]):
-        raise ConfigError("E2: energies must be ordered E1 <= E2 <= E3")
-
-    couplings = {}
-    for name in ("g31", "g32", "g21"):
-        couplings[name] = _parse_scalar(name, values[name], float) if name in values else 0.0
-    for name in (f"g{i}{j}" for i, j in layout(scheme).pairs):
+    try:  # the keys the two specs read are the required ones
+        space = SpaceSpec(values["atoms"], values["n_max"])
+        hamiltonian = HamiltonianSpec(
+            scheme=values["scheme"],
+            energies=(values["E1"], values["E2"], values["E3"]),
+            omega=values["omega"],
+            g31=values.get("g31", 0.0),
+            g32=values.get("g32", 0.0),
+            g21=values.get("g21", 0.0),
+        )
+    except KeyError as exc:
+        raise ConfigError(f"{exc.args[0]}: missing required key") from None
+    except ValueError as exc:  # the library's own rule and text
+        raise ConfigError(str(exc)) from None
+    for name in (f"g{i}{j}" for i, j in hamiltonian.coupled_pairs()):
         if name not in values:
-            raise ConfigError(f"{name}: required for scheme '{scheme}'")
-        if couplings[name] <= 0:
+            raise ConfigError(f"{name}: required for scheme '{hamiltonian.scheme}'")
+        if values[name] <= 0:
             raise ConfigError(f"{name}: must be > 0")
-
-    n_bars = None
-    if "sweep.n_bar" in values:
-        n_bars = tuple(_parse_scalar("sweep.n_bar", v.strip(), float)
-                       for v in values["sweep.n_bar"].split(","))
-        if any(nb < 0 for nb in n_bars):
-            raise ConfigError("sweep.n_bar: values must be >= 0")
-
-    if "initial.field" in values:
-        _parse_field(values["initial.field"])
-
-    guard = _parse_scalar("guard", values["guard"], int) if "guard" in values else None
-    if guard is not None and guard < 0:
-        raise ConfigError("guard: must be >= 0")
-
     return RunConfig(
-        scheme=scheme,
-        atoms=atoms,
-        n_max=n_max,
-        omega=_parse_scalar("omega", values["omega"], float),
-        energies=energies,  # type: ignore[arg-type]
-        g31=couplings["g31"],
-        g32=couplings["g32"],
-        g21=couplings["g21"],
-        classical_alpha=(
-            _parse_scalar("classical_alpha", values["classical_alpha"], complex)
-            if "classical_alpha" in values else None
-        ),
-        t_max=_parse_scalar("t_max", values["t_max"], float) if "t_max" in values else None,
-        n_samples=(
-            _parse_scalar("n_samples", values["n_samples"], int)
-            if "n_samples" in values else None
-        ),
+        space=space,
+        hamiltonian=hamiltonian,
+        classical_alpha=values.get("classical_alpha"),
+        t_max=values.get("t_max"),
+        n_samples=values.get("n_samples"),
         initial_atom=values.get("initial.atom"),
         initial_field=values.get("initial.field"),
-        guard=guard,
-        out_dir=values.get("out"),
-        n_bars=n_bars,
+        guard=values.get("guard"),
+        n_bars=values.get("sweep.n_bar"),
     )
 
 
@@ -285,8 +255,8 @@ def _applied_norm(op, psi: np.ndarray) -> float:
 
 
 def cmd_verify(cfg: RunConfig, out: Path) -> int:
-    spec = cfg.space_spec()
-    h = cfg.hamiltonian_spec()
+    spec = cfg.space
+    h = cfg.hamiltonian
     guard = cfg.guard if cfg.guard is not None else DEFAULT_VERIFY_GUARD
     checks = [_check(r.name, r.residual, r.tolerance, r.passed)
               for r in verify_algebra(spec, "u3")]
@@ -336,8 +306,8 @@ def _conserved(records: dict[str, TrajectoryRecord]) -> bool:
 
 
 def cmd_evolve(cfg: RunConfig, out: Path) -> int:
-    spec = cfg.space_spec()
-    h = cfg.hamiltonian_spec()
+    spec = cfg.space
+    h = cfg.hamiltonian
     record = evolve(
         build_hamiltonian(spec, h),
         prepare_initial(spec, cfg.initial_state(), h),
@@ -353,8 +323,8 @@ def cmd_evolve(cfg: RunConfig, out: Path) -> int:
 
 
 def cmd_dispersive_compare(cfg: RunConfig, out: Path) -> int:
-    spec = cfg.space_spec()
-    h = cfg.hamiltonian_spec()
+    spec = cfg.space
+    h = cfg.hamiltonian
     guard = cfg.guard if cfg.guard is not None else DEFAULT_GUARD
     p = dispersive_params(h, cfg.mean_photon_number(), spec.atoms)
     ham, model, residual, order = compare(spec, h, p, guard)
@@ -392,12 +362,11 @@ def cmd_dispersive_compare(cfg: RunConfig, out: Path) -> int:
 
 
 def cmd_weights(cfg: RunConfig, out: Path) -> int:
-    spec = cfg.space_spec()
     classical = cfg.classical_alpha is not None
     if cfg.classical_alpha == 0:
         raise ConfigError("classical_alpha: must be nonzero (a zero operator has no weight)")
     alpha = cfg.classical_alpha if classical else 1.0
-    layout = diagram_layout(cfg.scheme, classical, spec, alpha=alpha)
+    layout = diagram_layout(cfg.hamiltonian.scheme, classical, cfg.space, alpha=alpha)
     (out / "weights.csv").write_text(weight_table(layout))
     (out / "weights.svg").write_bytes(render_svg(layout))
     print(f"weights: wrote {out / 'weights.csv'} and {out / 'weights.svg'}")
@@ -405,11 +374,10 @@ def cmd_weights(cfg: RunConfig, out: Path) -> int:
 
 
 def cmd_sweep(cfg: RunConfig, out: Path) -> int:
-    h = cfg.hamiltonian_spec()
     n_bars = list(cfg.n_bars) if cfg.n_bars else list(DEFAULT_SWEEP_NBARS)
-    specs = [SpaceSpec(cfg.atoms, max(1, required_fock_cutoff(math.sqrt(nb))))
+    specs = [SpaceSpec(cfg.space.atoms, max(1, required_fock_cutoff(math.sqrt(nb))))
              for nb in n_bars]
-    result = semiclassical_sweep(specs, h, n_bars)
+    result = semiclassical_sweep(specs, cfg.hamiltonian, n_bars)
     _dump_json(out / "sweep.json", {
         "command": "sweep",
         "rows": [asdict(row) for row in result.rows],
@@ -421,7 +389,7 @@ def cmd_sweep(cfg: RunConfig, out: Path) -> int:
 
 
 def cmd_spectrum(cfg: RunConfig, out: Path) -> int:
-    spectrum = eigenvalues(build_hamiltonian(cfg.space_spec(), cfg.hamiltonian_spec()))
+    spectrum = eigenvalues(build_hamiltonian(cfg.space, cfg.hamiltonian))
     _write_csv(out / "spectrum.csv", "index,eigenvalue", len(spectrum),
                lambda k: [list(map(str, range(len(spectrum))[k])), _fmt(spectrum[k])])
     print(f"spectrum: wrote {out / 'spectrum.csv'} ({len(spectrum)} eigenvalues)")
@@ -446,19 +414,17 @@ def largest_array_bytes(command: str, cfg: RunConfig) -> int:
     """Bytes of the largest dense array a command allocates: one complex
     product-space matrix or, for the trajectory commands, the complex
     (product_dim, n_samples) state matrix if that is larger."""
-    dim = cfg.space_spec().product_dim
+    dim = cfg.space.product_dim
     samples = (cfg.n_samples or 0) if command in ("evolve", "dispersive-compare") else 0
     return 16 * dim * max(dim, samples)
 
 
-def run(command: str, cfg: RunConfig) -> int:
+def run(command: str, cfg: RunConfig, out: Path) -> int:
     """Dispatch one command; returns the process exit status.
 
     Every command but sweep, which builds no matrices, is refused before it
     builds anything when its largest dense array exceeds physical memory.
     """
-    if command not in COMMANDS:
-        raise ConfigError(f"unknown command {command!r}")
     if command != "sweep":
         need, memory = largest_array_bytes(command, cfg), _physical_memory()
         if need > memory:
@@ -466,7 +432,6 @@ def run(command: str, cfg: RunConfig) -> int:
                 f"problem size: the largest dense array needs {need:.3e} bytes, "
                 f"more than the {memory:.3e} bytes of physical memory"
             )
-    out = Path(cfg.out_dir or "out")
     out.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
     status = COMMANDS[command](cfg, out)
@@ -481,8 +446,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", required=True, help="path to a key = value config file")
-    parser.add_argument("--out", default=None, help="output directory (default: out)")
-    parser.add_argument("--guard", type=int, default=None, help="photon guard band override")
+    parser.add_argument("--out", default="out", help="output directory (default: out)")
+    parser.add_argument("--guard", default=None, help="photon guard band; overrides the guard key")
     args = parser.parse_args(argv)
 
     try:
@@ -492,14 +457,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG_ERROR
     try:
         cfg = parse_config(text)
-        if args.out is not None:
-            cfg.out_dir = args.out
         if args.guard is not None:
-            cfg.guard = args.guard
-        return run(args.command, cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
+            cfg.guard = KEYS["guard"]("guard", args.guard)
+        return run(args.command, cfg, Path(args.out))
     except MemoryError as exc:
         print(f"config error: problem size: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
@@ -510,7 +470,7 @@ def main(argv: list[str] | None = None) -> int:
         # LinAlgError subclasses ValueError, so it must be caught first
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILURE
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigError included
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
 

@@ -109,8 +109,16 @@ def coherent_amplitudes(alpha: complex, n_max: int) -> tuple[np.ndarray, float]:
 
 
 def required_fock_cutoff(alpha: complex, limit: float = COHERENT_TAIL_LIMIT) -> int:
-    """Smallest cutoff keeping the coherent tail below ``limit``."""
+    """Smallest cutoff keeping the coherent tail below ``limit``.
+
+    The Poisson weights are summed up from exp(-|alpha|^2); past |alpha|^2 of
+    about 708 that start is no longer a normal float, the sum loses the tail,
+    and a ValueError is raised instead of a cutoff that would be too small.
+    """
     weight = math.exp(-abs(alpha) ** 2)
+    if weight < np.finfo(float).smallest_normal:
+        raise ValueError(f"|alpha|^2 = {abs(alpha) ** 2:.6g} is too large for a sensible "
+                         "cutoff (at most about 708)")
     total = weight
     n = 0
     while 1.0 - total > limit:

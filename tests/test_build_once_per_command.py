@@ -99,7 +99,7 @@ def test_dispersive_json_matches_residual_and_order(text, guard, tmp_path):
     assert run("dispersive-compare", text, tmp_path) == cli.EXIT_OK
     written = json.loads((tmp_path / "o" / "dispersive.json").read_text())
     cfg = parse_config(text)
-    spec, h = cfg.space_spec(), cfg.hamiltonian_spec()
+    spec, h = cfg.space, cfg.hamiltonian
     p = dispersive_params(h, cfg.mean_photon_number(), spec.atoms)
     residual, order = residual_and_order(spec, h, p, guard)
     assert written["block_residual"] == residual

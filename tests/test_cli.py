@@ -49,9 +49,9 @@ def write_conf(tmp_path, text, name="run.conf"):
 
 def test_parse_minimal_lambda_config():
     cfg = parse_config(LAMBDA_CONF)
-    assert cfg.scheme == "lambda"
-    assert cfg.atoms == 1 and cfg.n_max == 4
-    assert cfg.energies == (0.0, 0.0, 3.0)
+    assert cfg.hamiltonian.scheme == "lambda"
+    assert cfg.space.atoms == 1 and cfg.space.n_max == 4
+    assert cfg.hamiltonian.energies == (0.0, 0.0, 3.0)
     assert cfg.initial_state().field == ("fock", 1)
 
 
