@@ -1,75 +1,2 @@
 """Numerical operator algebra and dynamics for collective three-level atoms
 coupled to one quantized field mode."""
-
-from .hilbert import SpaceSpec, enumerate_atomic_basis, index_map
-from .operators import (
-    IdentityReport,
-    OperatorMatrix,
-    atomic_operator,
-    commutator,
-    deformed_operator,
-    field_operator,
-    guarded_projector,
-    lift,
-    verify_algebra,
-)
-from .hamiltonian import (
-    LAMBDA,
-    VEE,
-    HamiltonianSpec,
-    RotationResult,
-    build_hamiltonian,
-    classical_hamiltonian,
-    dark_state,
-    excitation_operator,
-    interaction_hamiltonian,
-    mode_rotation_unitary,
-    rotation_parameters,
-)
-from .dispersive import (
-    DispersiveParams,
-    EffectiveModel,
-    analytic_effective,
-    dispersive_params,
-    effective_transform,
-    residual_and_order,
-    small_rotation,
-)
-from .dynamics import (
-    InitialState,
-    TimeGrid,
-    TrajectoryRecord,
-    evolve,
-    prepare_initial,
-    semiclassical_sweep,
-    transfer_experiment,
-)
-from .weights import (
-    CartanChoice,
-    DiagramLayout,
-    WeightVector,
-    cartan_choice,
-    diagram_layout,
-    find_reflection,
-    render_svg,
-    weight_of,
-    weight_table,
-)
-
-__all__ = [
-    "SpaceSpec", "enumerate_atomic_basis", "index_map",
-    "IdentityReport", "OperatorMatrix", "atomic_operator", "commutator",
-    "deformed_operator", "field_operator", "guarded_projector", "lift",
-    "verify_algebra",
-    "LAMBDA", "VEE", "HamiltonianSpec", "RotationResult", "build_hamiltonian",
-    "classical_hamiltonian", "dark_state", "excitation_operator",
-    "interaction_hamiltonian", "mode_rotation_unitary", "rotation_parameters",
-    "DispersiveParams", "EffectiveModel", "analytic_effective",
-    "dispersive_params", "effective_transform", "residual_and_order",
-    "small_rotation",
-    "InitialState", "TimeGrid", "TrajectoryRecord", "evolve", "prepare_initial",
-    "semiclassical_sweep", "transfer_experiment",
-    "CartanChoice", "DiagramLayout", "WeightVector", "cartan_choice",
-    "diagram_layout", "find_reflection", "render_svg", "weight_of",
-    "weight_table",
-]

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .hilbert import Occupation, SpaceSpec
-from .operators import apply, eigenvalues, verify_algebra
+from .operators import TOL_ALGEBRA, apply, eigenvalues, verify_algebra
 from .hamiltonian import (
     TOL_DARK_BLOCK,
     HamiltonianSpec,
@@ -214,8 +214,14 @@ def parse_config(text: str) -> RunConfig:
     )
 
 
+def _create(path: Path) -> Path:
+    """``path``, its directory created: ``--out`` appears with a command's first file."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return path
+
+
 def _dump_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _create(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _fmt(values: np.ndarray) -> list[str]:
@@ -227,7 +233,7 @@ def _fmt(values: np.ndarray) -> list[str]:
 
 def _write_csv(path: Path, header: str, rows: int, columns) -> None:
     """``header``, then the cells ``columns(k)`` of each column for the rows in slice k."""
-    with path.open("w") as fh:
+    with _create(path).open("w") as fh:
         fh.write(header + "\n")
         for k in (slice(start, start + CSV_ROWS) for start in range(0, rows, CSV_ROWS)):
             fh.write("".join(",".join(row) + "\n" for row in zip(*columns(k))))
@@ -240,9 +246,10 @@ def write_trajectory_csv(path: Path, record: TrajectoryRecord) -> None:
                           _fmt(record.excitation[k]), _fmt(record.leakage[k])])
 
 
-def _check(name: str, residual: float | None, tolerance: float, passed: bool) -> dict:
+def _check(name: str, residual: float | None, tolerance: float) -> dict:
+    """One report row; a None residual is a skipped check and passes, NaN fails."""
     return {"name": name, "residual": None if residual is None else float(residual),
-            "tolerance": tolerance, "passed": bool(passed)}
+            "tolerance": tolerance, "passed": bool(residual is None or residual <= tolerance)}
 
 
 def _applied_norm(op, psi: np.ndarray) -> float:
@@ -258,27 +265,24 @@ def cmd_verify(cfg: RunConfig, out: Path) -> int:
     spec = cfg.space
     h = cfg.hamiltonian
     guard = cfg.guard if cfg.guard is not None else DEFAULT_VERIFY_GUARD
-    checks = [_check(r.name, r.residual, r.tolerance, r.passed)
-              for r in verify_algebra(spec, "u3")]
-    checks += [_check(f"{r.name} (guard={guard})", r.residual, r.tolerance, r.passed)
+    checks = [_check(r.name, r.residual, r.tolerance) for r in verify_algebra(spec, "u3")]
+    checks += [_check(f"{r.name} (guard={guard})", r.residual, r.tolerance)
                for r in verify_algebra(spec, "second_order", guard=guard)]
 
     if h.degenerate:
         rep = rotation_report(spec, h)
         checks.append(_check("dark-mode decoupling after rotation",
-                             rep.dark_coupling_residual, TOL_DARK_BLOCK,
-                             rep.dark_coupling_residual <= TOL_DARK_BLOCK))
+                             rep.dark_coupling_residual, TOL_DARK_BLOCK))
         coupling_err = abs(rep.extracted_coupling - rep.expected_coupling)
         checks.append(_check("bright coupling equals root-sum-square",
-                             coupling_err, 1e-10, coupling_err <= 1e-10))
+                             coupling_err, TOL_DARK_BLOCK))
         h_int = interaction_hamiltonian(spec, h)
         worst = max(_applied_norm(h_int, dark_state(spec, h, n)) for n in range(spec.n_max))
-        checks.append(_check("dark state annihilated by the interaction",
-                             worst, 1e-12, worst <= 1e-12))
+        checks.append(_check("dark state annihilated by the interaction", worst, TOL_ALGEBRA))
     else:
         checks.append(_check(
             "dark-mode decoupling after rotation (skipped: non-degenerate "
-            "pair energies)", None, TOL_DARK_BLOCK, True))
+            "pair energies)", None, TOL_DARK_BLOCK))
 
     overall = all(c["passed"] for c in checks)
     _dump_json(out / "report.json", {
@@ -367,7 +371,7 @@ def cmd_weights(cfg: RunConfig, out: Path) -> int:
         raise ConfigError("classical_alpha: must be nonzero (a zero operator has no weight)")
     alpha = cfg.classical_alpha if classical else 1.0
     layout = diagram_layout(cfg.hamiltonian.scheme, classical, cfg.space, alpha=alpha)
-    (out / "weights.csv").write_text(weight_table(layout))
+    _create(out / "weights.csv").write_text(weight_table(layout))
     (out / "weights.svg").write_bytes(render_svg(layout))
     print(f"weights: wrote {out / 'weights.csv'} and {out / 'weights.svg'}")
     return EXIT_OK
@@ -432,7 +436,6 @@ def run(command: str, cfg: RunConfig, out: Path) -> int:
                 f"problem size: the largest dense array needs {need:.3e} bytes, "
                 f"more than the {memory:.3e} bytes of physical memory"
             )
-    out.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
     status = COMMANDS[command](cfg, out)
     print(f"{command}: done in {time.perf_counter() - started:.2f}s")

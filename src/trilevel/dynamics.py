@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import Occupation, SpaceSpec, index_map
+from .hilbert import Occupation, SpaceSpec, fock_vector, index_map
 from .operators import (CHUNK_ENTRIES, LAMBDA, PRODUCT, VEE, OperatorMatrix,
                         enhancement_factor, exact_stacks, hermitian_blocks)
 from .hamiltonian import (
@@ -151,11 +151,7 @@ def prepare_initial(spec: SpaceSpec, init: InitialState,
 
     kind, value = init.field
     if kind == "fock":
-        n = int(value.real) if isinstance(value, complex) else int(value)
-        if not 0 <= n <= spec.n_max:
-            raise ValueError(f"photon number {n} outside [0, {spec.n_max}]")
-        field = np.zeros(spec.field_dim, dtype=np.complex128)
-        field[n] = 1.0
+        field = fock_vector(spec, int(value.real) if isinstance(value, complex) else int(value))
     elif kind == "coherent":
         alpha = complex(value)
         field, tail = coherent_amplitudes(alpha, spec.n_max)

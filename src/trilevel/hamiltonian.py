@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import SpaceSpec, index_map
+from .hilbert import SpaceSpec, fock_vector, index_map
 from .operators import (  # LAMBDA and VEE are re-exported
     ATOMIC,
     LAMBDA,
@@ -188,11 +188,7 @@ def bright_atomic_vector(h: HamiltonianSpec, atoms: int) -> np.ndarray:
 
 def dark_state(spec: SpaceSpec, h: HamiltonianSpec, fock_n: int) -> np.ndarray:
     """Unit product-space vector annihilated by the interaction Hamiltonian."""
-    if not 0 <= fock_n <= spec.n_max:
-        raise ValueError(f"photon number {fock_n} outside [0, {spec.n_max}]")
-    field = np.zeros(spec.field_dim, dtype=np.complex128)
-    field[fock_n] = 1.0
-    return np.kron(dark_atomic_vector(h, spec.atoms), field)
+    return np.kron(dark_atomic_vector(h, spec.atoms), fock_vector(spec, fock_n))
 
 
 def _rotation_generator(spec: SpaceSpec, h: HamiltonianSpec) -> OperatorMatrix:
@@ -240,16 +236,14 @@ class RotationReport:
 
 def rotation_report(spec: SpaceSpec, h: HamiltonianSpec) -> RotationReport:
     """Rotate one Hamiltonian once and read both checks off U H U^dag: the dark-block
-    residual (NaN, unchecked, unless the pair is degenerate) and the bright coupling."""
+    residual (NaN, unchecked, unless the pair is degenerate) and the bright coupling.
+    Neither is compared with a tolerance here; ``trilevel verify`` does that."""
     r = rotation_parameters(h)
     u = mode_rotation_unitary(spec, h, r)
     rotated = u @ build_hamiltonian(spec, h) @ u.dag()
-    residual = dark_block_residual(spec, rotated) if r.degenerate else math.nan
-    if residual > TOL_DARK_BLOCK:  # False for NaN
-        raise RuntimeError(f"mode rotation left the dark mode coupled (residual {residual:.2e})")
     return RotationReport(
         unitary=u,
-        dark_coupling_residual=residual,
+        dark_coupling_residual=dark_block_residual(spec, rotated) if r.degenerate else math.nan,
         extracted_coupling=_bright_coupling(spec, rotated),
         expected_coupling=r.effective_coupling,
         degenerate=r.degenerate,

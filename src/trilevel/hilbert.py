@@ -48,6 +48,12 @@ class SpaceSpec:
     def product_dim(self) -> int:
         return self.atomic_dim * self.field_dim
 
+    def photon_index(self, fock_n: int) -> int:
+        """Field index of photon number ``fock_n``, which must lie in [0, n_max]."""
+        if not 0 <= fock_n <= self.n_max:
+            raise ValueError(f"photon number {fock_n} outside [0, {self.n_max}]")
+        return fock_n
+
 
 def enumerate_atomic_basis(atoms: int) -> list[Occupation]:
     """All occupation triples summing to ``atoms``, descending lexicographic.
@@ -55,8 +61,7 @@ def enumerate_atomic_basis(atoms: int) -> list[Occupation]:
     The ordering is part of the package contract: index 0 is (atoms, 0, 0)
     and the last index is (0, 0, atoms).
     """
-    if atoms < 1:
-        raise ValueError(f"atoms must be >= 1, got {atoms}")
+    SpaceSpec(atoms, 1)  # the one atom-count rule; the cutoff plays no part
     return [
         (n1, n2, atoms - n1 - n2)
         for n1 in range(atoms, -1, -1)
@@ -94,9 +99,8 @@ class IndexMap:
         return int(self.atomic_table[occ[0], occ[1]])
 
     def flat(self, occupation: Occupation, fock_n: int) -> int:
-        if not 0 <= fock_n <= self.spec.n_max:
-            raise ValueError(f"photon number {fock_n} outside [0, {self.spec.n_max}]")
-        return self.atomic_index(occupation) * self.spec.field_dim + fock_n
+        n = self.spec.photon_index(fock_n)
+        return self.atomic_index(occupation) * self.spec.field_dim + n
 
     def split(self, flat: int) -> tuple[Occupation, int]:
         if not 0 <= flat < self.spec.product_dim:
@@ -105,6 +109,13 @@ class IndexMap:
             )
         k, n = divmod(flat, self.spec.field_dim)
         return self.states[k], n
+
+
+def fock_vector(spec: SpaceSpec, fock_n: int) -> np.ndarray:
+    """The unit field-space vector |fock_n>."""
+    field = np.zeros(spec.field_dim, dtype=np.complex128)
+    field[spec.photon_index(fock_n)] = 1.0
+    return field
 
 
 @lru_cache(maxsize=32)

@@ -1,7 +1,12 @@
-"""Numerical failures exit 1 without a traceback, and dispersive-compare
-gates the conservation of both of its trajectories."""
+"""Numerical failures exit 1 without a traceback, dispersive-compare
+gates the conservation of both of its trajectories, a failed mode rotation
+is a report row, and a command that fails before it writes creates no
+output directory."""
 
+import json
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +14,8 @@ import pytest
 import trilevel.cli as cli
 import trilevel.operators as operators
 from trilevel.cli import main
+
+VEE_CONF = (Path(__file__).resolve().parents[1] / "configs" / "vee.conf").read_text()
 
 LAMBDA_CONF = """\
 scheme = lambda
@@ -84,3 +91,52 @@ def test_dispersive_compare_gates_conservation(drifting_call, label, tmp_path,
 
 def test_dispersive_compare_passes_the_gate(tmp_path):
     assert run("dispersive-compare", tmp_path) == cli.EXIT_OK
+
+
+def test_flipped_layout_sign_is_reported_by_verify(tmp_path, monkeypatch, capsys):
+    """A rotation by the wrong sign fails two report rows, not the whole command."""
+    lay = operators.LAYOUTS["vee"]
+    monkeypatch.setitem(operators.LAYOUTS, "vee", replace(lay, sign=-lay.sign))
+    conf = tmp_path / "vee.conf"
+    conf.write_text(VEE_CONF)
+    status = main(["verify", "--config", str(conf), "--out", str(tmp_path / "o")])
+    assert status == cli.EXIT_CHECK_FAILURE
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.count("FAIL") == 2
+    checks = json.loads((tmp_path / "o" / "report.json").read_text())["checks"]
+    failed = {c["name"]: c["residual"] for c in checks if not c["passed"]}
+    assert len(checks) == 88
+    assert failed.keys() == {"dark-mode decoupling after rotation",
+                             "bright coupling equals root-sum-square"}
+    assert abs(failed["dark-mode decoupling after rotation"] - 0.4) <= 1e-10
+
+
+def _edit(key, value):
+    """configs/vee.conf with ``key`` set to ``value``, or removed when value is None."""
+    text = re.sub(rf"^{re.escape(key)} = .*\n", "", VEE_CONF, flags=re.M)
+    return text if value is None else text + f"{key} = {value}\n"
+
+
+@pytest.mark.parametrize("command,text,extra,status,error", [
+    ("evolve", _edit("t_max", "-1"), [], 2, "config error: t_max must be > 0"),
+    ("evolve", _edit("n_samples", "1"), [], 2, "config error: n_samples must be >= 2"),
+    ("evolve", _edit("t_max", None), [], 2, "config error: t_max: required"),
+    ("evolve", _edit("initial.field", "fock:9"), [], 2, "config error: photon number 9"),
+    ("evolve", _edit("initial.field", "coherent:3"), [], 3, "truncation error: coherent tail"),
+    ("verify", VEE_CONF, ["--guard", "9"], 2, "config error: guard must be in [0, 8]"),
+    ("dispersive-compare", VEE_CONF, ["--guard", "1"], 2, "config error: guard must be >= 2"),
+    ("dispersive-compare", _edit("E3", "3.5"), [], 2, "config error: order probe requires"),
+    ("weights", _edit("classical_alpha", "0"), [], 2, "config error: classical_alpha: must be"),
+    ("sweep", _edit("sweep.n_bar", "744"), [], 2, "config error: |alpha|^2 = 744"),
+], ids=["negative-t_max", "one-sample", "no-t_max", "fock-beyond-n_max", "coherent-tail",
+        "verify-guard-9", "compare-guard-1", "unequal-detunings", "zero-alpha", "large-n_bar"])
+def test_a_command_that_fails_before_writing_creates_no_output_directory(
+        command, text, extra, status, error, tmp_path, capsys):
+    conf = tmp_path / "run.conf"
+    conf.write_text(text)
+    out = tmp_path / "o"
+    assert main([command, "--config", str(conf), "--out", str(out), *extra]) == status
+    err = capsys.readouterr().err
+    assert err.startswith(error) and err.count("\n") == 1
+    assert not out.exists()

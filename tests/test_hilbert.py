@@ -1,6 +1,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from trilevel.dynamics import InitialState, prepare_initial
+from trilevel.hamiltonian import VEE, HamiltonianSpec, dark_state
 from trilevel.hilbert import SpaceSpec, enumerate_atomic_basis, index_map
 
 
@@ -75,6 +77,19 @@ def test_fock_out_of_range():
         imap.flat((1, 0, 0), 3)
     with pytest.raises(ValueError):
         imap.split(9)
+
+
+@pytest.mark.parametrize("n", [-1, 4])
+def test_every_entry_point_raises_the_one_photon_range_text(n):
+    spec = SpaceSpec(1, 3)
+    h = HamiltonianSpec(VEE, (0.0, 3.0, 3.0), 1.0, g31=0.1, g21=0.1)
+    text = rf"^photon number {n} outside \[0, 3\]$"
+    with pytest.raises(ValueError, match=text):
+        index_map(spec).flat((1, 0, 0), n)
+    with pytest.raises(ValueError, match=text):
+        prepare_initial(spec, InitialState((1, 0, 0), ("fock", complex(n))), h)
+    with pytest.raises(ValueError, match=text):
+        dark_state(spec, h, n)
 
 
 def test_unknown_occupation_rejected():
