@@ -53,6 +53,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILURE = 1
 EXIT_CONFIG_ERROR = 2
 EXIT_TRUNCATION = 3
+EXIT_CLOSED_STDOUT = 141  # the shell's status of a process ended by SIGPIPE (128 + 13)
 
 DEFAULT_VERIFY_GUARD = 2
 DEFAULT_SWEEP_NBARS = (4.0, 8.0, 16.0, 32.0)
@@ -438,7 +439,8 @@ def run(command: str, cfg: RunConfig, out: Path) -> int:
             )
     started = time.perf_counter()
     status = COMMANDS[command](cfg, out)
-    print(f"{command}: done in {time.perf_counter() - started:.2f}s")
+    # the flush meets a closed stdout here, in main's handler, not at interpreter exit
+    print(f"{command}: done in {time.perf_counter() - started:.2f}s", flush=True)
     return status
 
 
@@ -463,6 +465,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.guard is not None:
             cfg.guard = KEYS["guard"]("guard", args.guard)
         return run(args.command, cfg, Path(args.out))
+    except BrokenPipeError:  # whatever is left to print goes nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_STDOUT
     except MemoryError as exc:
         print(f"config error: problem size: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

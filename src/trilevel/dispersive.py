@@ -57,6 +57,10 @@ class DispersiveParams:
     small_params: dict[tuple[int, int], float]
     validity_margin: float
 
+    def check_scheme(self, h: HamiltonianSpec) -> None:
+        if self.scheme != h.scheme:
+            raise ValueError(f"params are for scheme {self.scheme!r}, Hamiltonian is {h.scheme!r}")
+
 
 def dispersive_params(h: HamiltonianSpec, n_bar: float, atoms: int) -> DispersiveParams:
     """Compute Delta_ij = E_i - E_j - omega and eps_ij = g_ij / Delta_ij.
@@ -106,8 +110,7 @@ def _conjugated(spec: SpaceSpec, h: HamiltonianSpec, p: DispersiveParams,
     """H and U_outer U_inner H U_inner^dag U_outer^dag, U = exp(-i eps G) for the
     ``generators`` G in their (outer, inner) order (see _generators),
     which is normative for reproducibility: (3,1) is innermost for lambda, (2,1) for vee."""
-    if p.scheme != h.scheme:
-        raise ValueError(f"params are for scheme {p.scheme!r}, Hamiltonian is {h.scheme!r}")
+    p.check_scheme(h)
     outer, inner = (unitary_exp(gen, p.small_params[pair])
                     for pair, gen in generators.items())
     ham = build_hamiltonian(spec, h)
@@ -135,8 +138,7 @@ class EffectiveModel:
 def transfer_prefactor(h: HamiltonianSpec, p: DispersiveParams) -> float:
     """eps_inner g_outer of the rotation order (operators.LAYOUTS): eps31 g32
     (lambda) or eps21 g31 (vee), the prefactor of the closed form."""
-    if p.scheme != h.scheme:
-        raise ValueError(f"params are for scheme {p.scheme!r}, Hamiltonian is {h.scheme!r}")
+    p.check_scheme(h)
     outer, inner = layout(h.scheme).rotation_order
     return p.small_params[inner] * h.coupling(*outer)
 

@@ -91,16 +91,6 @@ class SpaceMismatchError(ValueError):
     """Raised when operators living on different spaces are combined."""
 
 
-def _space_dim(spec: SpaceSpec, space: str) -> int:
-    if space == ATOMIC:
-        return spec.atomic_dim
-    if space == FIELD:
-        return spec.field_dim
-    if space == PRODUCT:
-        return spec.product_dim
-    raise ValueError(f"unknown space tag {space!r}")
-
-
 def _component_labels(dim: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Smallest member of the connected component of every index, for the
     undirected graph with edges rows[k] -- cols[k].
@@ -217,23 +207,15 @@ def _write(layout: BlockPartition, rows: np.ndarray, cols: np.ndarray,
 class OperatorMatrix:
     """Complex square matrix tagged with the space it acts on, stored as its blocks.
 
-    ``OperatorMatrix(space, spec, mat)`` copies a dense array into one block;
-    with a ``layout``, ``mat`` is instead the flat storage in that partition.
-    The storage is read-only, so values can be shared freely between workers;
-    ``mat`` reads back a read-only dense matrix, built on each access.
+    ``data`` is the flat complex storage in the partition ``layout`` (one block is
+    ``_one_block(dim)``), read-only, so values can be shared freely between workers;
+    ``mat`` reads back a read-only dense matrix, built on each access, for the
+    tests and the benchmark's byte count.
     """
 
-    def __init__(self, space: str, spec: SpaceSpec, mat: np.ndarray,
-                 layout: BlockPartition | None = None) -> None:
-        if layout is None:
-            dim = _space_dim(spec, space)
-            mat = np.array(mat, dtype=np.complex128)
-            if mat.shape != (dim, dim):
-                raise ValueError(
-                    f"expected shape {(dim, dim)} on the {space} space, got {mat.shape}"
-                )
-            layout, mat = _one_block(dim), mat.ravel()
-        self.space, self.spec, self._layout, self._data = space, spec, layout, mat
+    def __init__(self, space: str, spec: SpaceSpec, data: np.ndarray,
+                 layout: BlockPartition) -> None:
+        self.space, self.spec, self._layout, self._data = space, spec, layout, data
         self.__post_init__()
 
     def __post_init__(self) -> None:
@@ -357,11 +339,6 @@ def _dense(op: OperatorMatrix) -> np.ndarray:
     return mat
 
 
-def identity(spec: SpaceSpec, space: str) -> OperatorMatrix:
-    dim = _space_dim(spec, space)
-    return OperatorMatrix(space, spec, np.ones(dim, dtype=np.complex128), _singletons(dim))
-
-
 def diagonal(spec: SpaceSpec, values: np.ndarray) -> OperatorMatrix:
     """Product-space operator with ``values`` on the diagonal, one block per state."""
     return OperatorMatrix(PRODUCT, spec, np.array(values, dtype=np.complex128),
@@ -396,14 +373,9 @@ def element_sum(space: str, spec: SpaceSpec, parts: list[tuple]) -> OperatorMatr
     stored in the connected components of the nonzero values (a zero writes a zero)."""
     rows, cols, values = (np.concatenate(x) for x in zip(*parts))
     written = values != 0
-    layout = BlockPartition.from_labels(
-        _component_labels(_space_dim(spec, space), rows[written], cols[written]))
+    dim = {ATOMIC: spec.atomic_dim, FIELD: spec.field_dim, PRODUCT: spec.product_dim}[space]
+    layout = BlockPartition.from_labels(_component_labels(dim, rows[written], cols[written]))
     return OperatorMatrix(space, spec, _write(layout, rows, cols, values), layout)
-
-
-def atomic_operator(spec: SpaceSpec, i: int, j: int) -> OperatorMatrix:
-    """Collective transition S_ij (see transition_elements), stored in its blocks."""
-    return element_sum(ATOMIC, spec, [transition_elements(spec, i, j)])
 
 
 def field_elements(spec: SpaceSpec, kind: str) -> tuple:
@@ -418,11 +390,6 @@ def field_elements(spec: SpaceSpec, kind: str) -> tuple:
     if kind == "number":
         return n, n, n.astype(np.complex128)
     raise ValueError(f"unknown field operator kind {kind!r}")
-
-
-def field_operator(spec: SpaceSpec, kind: str) -> OperatorMatrix:
-    """Truncated ladder operator (see field_elements), stored in its blocks."""
-    return element_sum(FIELD, spec, [field_elements(spec, kind)])
 
 
 def tensor_sum(spec: SpaceSpec, terms: list[tuple]) -> OperatorMatrix:
@@ -490,10 +457,6 @@ def deformed_operator(spec: SpaceSpec, i: int, j: int) -> OperatorMatrix:
     return tensor_sum(spec, [dressed_term(spec, i, j)])
 
 
-def commutator(m: OperatorMatrix, n: OperatorMatrix) -> OperatorMatrix:
-    return (m @ n) - (n @ m)
-
-
 def exact_stacks(op: OperatorMatrix, support: np.ndarray | None = None):
     """(idx, stack) per group of the exact blocks of ``op``; with a boolean
     ``support`` mask, only the blocks holding a supported index."""
@@ -552,11 +515,6 @@ def guarded_states(spec: SpaceSpec, guard: int) -> np.ndarray:
     if not 0 <= guard <= spec.n_max:
         raise ValueError(f"guard must be in [0, {spec.n_max}], got {guard}")
     return index_map(spec).photons <= spec.n_max - guard
-
-
-def guarded_projector(spec: SpaceSpec, guard: int) -> OperatorMatrix:
-    """Orthogonal projector onto product states with photon number <= n_max - guard."""
-    return diagonal(spec, guarded_states(spec, guard))
 
 
 def enhancement_factor(scheme: str, occupations: np.ndarray | tuple[int, int, int],

@@ -28,6 +28,7 @@ from .operators import (
     ATOMIC,
     PRODUCT,
     OperatorMatrix,
+    SpaceMismatchError,
     conserved_product,
     deformed_operator,
     element_sum,
@@ -57,11 +58,14 @@ class NotAWeightVectorError(ValueError):
 
 @dataclass(frozen=True)
 class CartanChoice:
-    """Commuting inversion pair defining the weight components for a scheme."""
+    """Commuting inversion pair defining the weight components for a scheme, each the
+    real diagonal of one inversion over the basis states of ``space`` of ``spec``."""
 
     scheme: str
-    h1: OperatorMatrix
-    h2: OperatorMatrix
+    h1: np.ndarray
+    h2: np.ndarray
+    space: str
+    spec: SpaceSpec
 
 
 def cartan_choice(scheme: str, spec: SpaceSpec, space: str = ATOMIC) -> CartanChoice:
@@ -71,10 +75,8 @@ def cartan_choice(scheme: str, spec: SpaceSpec, space: str = ATOMIC) -> CartanCh
     sign = layout(scheme).sign
     imap = index_map(spec)
     occ = imap.occupations if space == PRODUCT else imap.atomic_occupations
-    every = np.arange(len(occ))
-    h1, h2 = (element_sum(space, spec, [(every, every, sign * (occ[:, i] - occ[:, i + 1]))])
-              for i in (0, 1))
-    return CartanChoice(scheme, h1, h2)
+    h1, h2 = ((sign * (occ[:, i] - occ[:, i + 1])).astype(float) for i in (0, 1))
+    return CartanChoice(scheme, h1, h2, space, spec)
 
 
 @dataclass(frozen=True)
@@ -102,23 +104,21 @@ def _snap_rational(value: float, max_denominator: int = 4) -> Fraction:
 def weight_of(op: OperatorMatrix, cartan: CartanChoice, label: str = "",
               order: str = FIRST) -> WeightVector:
     """Read kappa_k off the label gap h_k[r] - h_k[c] of the nonzeros (r, c) of op,
-    as [h_k, op]_rc = (h_k[r] - h_k[c]) op_rc for diagonal h_k (else ValueError).
+    as [h_k, op]_rc = (h_k[r] - h_k[c]) op_rc for the diagonal h_k.
 
-    Raises NotAWeightVectorError when op is zero, when a gap spreads wider than
+    Raises SpaceMismatchError unless op acts on the space of the h_k, and
+    NotAWeightVectorError when op is zero, when a gap spreads wider than
     TOL_WEIGHT ([h_k, op] is not proportional to op) or is not a small rational.
     """
+    if (op.space, op.spec.atoms, op.dim) != (cartan.space, cartan.spec.atoms, len(cartan.h1)):
+        raise SpaceMismatchError(f"cannot combine a {op.space} operator on {op.spec} with "
+                                 f"the {cartan.space} Cartan labels of {cartan.spec}")
     rows, cols, _ = op.elements()
     if not len(rows):
         raise NotAWeightVectorError("zero operator has no weight")
     kappas = []
     for h in (cartan.h1, cartan.h2):
-        op._joined(h)  # raises unless both act on the same space
-        h_rows, h_cols, h_values = h.elements()
-        if (h_rows != h_cols).any() or h_values.imag.any():
-            raise ValueError("Cartan element is not a real diagonal")
-        diag = np.zeros(h.dim)
-        diag[h_rows] = h_values.real
-        gaps = diag[rows] - diag[cols]
+        gaps = h[rows] - h[cols]
         spread = np.ptp(gaps)
         if spread > TOL_WEIGHT:
             raise NotAWeightVectorError(

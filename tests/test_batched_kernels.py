@@ -2,10 +2,10 @@
 
 Re-blocking by slots must store the same bits as writing the nonzero
 elements (zero signs included), a batched ``eigh`` the same bits as one call
-per block, the stacked u3 check the same residuals as one OperatorMatrix
-commutator per identity, the label-array ``atomic_operator`` the same values
-as its per-state loop, and the column-wise CSV writers the same bytes as the
-per-element ``repr`` writer.  Each reference is kept here, not in the package.
+per block, the stacked u3 check the same residuals as one dense commutator
+per identity (``dense_reference``), and the column-wise CSV writers the same
+bytes as the per-element ``repr`` writer.  Each reference is kept in the tests,
+not in the package.
 """
 
 import itertools
@@ -17,20 +17,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dense_reference as dr
 import trilevel.cli as cli
 import trilevel.operators as operators
 from test_block_storage import operator_pools
 from trilevel.cli import main, write_trajectory_csv
 from trilevel.dynamics import TrajectoryRecord
 from trilevel.hamiltonian import HamiltonianSpec, build_hamiltonian
-from trilevel.hilbert import SpaceSpec, index_map
+from trilevel.hilbert import SpaceSpec
 from trilevel.operators import (
     LEVELS,
     OperatorMatrix,
     _one_block,
     _write,
-    atomic_operator,
-    commutator,
     eigenvalues,
     hermitian_blocks,
     verify_algebra,
@@ -83,12 +82,12 @@ def test_batched_eigh_equals_one_call_per_block(model, seed):
 
 
 def reference_u3(spec: SpaceSpec) -> list[tuple[str, float]]:
-    """One OperatorMatrix commutator and right-hand side per identity."""
-    s = {(i, j): atomic_operator(spec, i, j) for i in LEVELS for j in LEVELS}
+    """One dense commutator and right-hand side per identity."""
+    s = {(i, j): dr.atomic(spec, i, j) for i in LEVELS for j in LEVELS}
     out = []
     for i, j, k, l in itertools.product(LEVELS, repeat=4):
         rhs = (j == k) * s[(i, l)] - (i == l) * s[(k, j)]
-        resid = (commutator(s[(i, j)], s[(k, l)]) - rhs).max_abs()
+        resid = float(np.max(np.abs(dr.commutator(s[(i, j)], s[(k, l)]) - rhs)))
         out.append((f"[S{i}{j}, S{k}{l}]", resid))
     return out
 
@@ -114,30 +113,6 @@ def test_u3_check_holds_a_few_atomic_stacks_at_once():
     finally:
         tracemalloc.stop()
     assert peak < 27 * matrix_bytes  # the nine S_ij and three-matrix temporaries, not 81 products
-
-
-def reference_atomic(spec: SpaceSpec, i: int, j: int) -> np.ndarray:
-    """S_ij from one occupation triple at a time."""
-    imap = index_map(spec)
-    mat = np.zeros((spec.atomic_dim, spec.atomic_dim), dtype=np.complex128)
-    for col, occ in enumerate(imap.states):
-        if i == j:
-            mat[col, col] = occ[i - 1]
-            continue
-        if occ[j - 1] == 0:
-            continue
-        target = list(occ)
-        target[j - 1] -= 1
-        target[i - 1] += 1
-        mat[imap.atomic_index(target), col] = np.sqrt((occ[i - 1] + 1) * occ[j - 1])
-    return mat
-
-
-@pytest.mark.parametrize("atoms", [1, 2, 5, 8])
-def test_atomic_operator_equals_the_per_state_loop(atoms):
-    spec = SpaceSpec(atoms, 1)
-    for i, j in itertools.product(LEVELS, repeat=2):
-        assert same_bits(atomic_operator(spec, i, j).mat, reference_atomic(spec, i, j))
 
 
 def reference_csv(record: TrajectoryRecord) -> str:
@@ -202,7 +177,8 @@ def test_reblocking_reads_no_elements(monkeypatch):
     ham = build_hamiltonian(spec, HamiltonianSpec("vee", (0.0, 3.0, 3.0), 1.0,
                                                   g31=0.1, g21=0.1))
     x = operators.deformed_operator(spec, 3, 1)
-    dense = OperatorMatrix(operators.PRODUCT, spec, ham.mat + x.mat)
+    dense = OperatorMatrix(operators.PRODUCT, spec, (ham.mat + x.mat).ravel(),
+                           _one_block(spec.product_dim))
     for op in (ham, x, dense):
         op.blocks  # the exact components are found from the elements, before the patch
 

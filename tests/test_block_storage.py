@@ -4,9 +4,8 @@ Every OperatorMatrix stores only its blocks.  Sums, differences, negation,
 scalar products, ``dag`` and ``max_abs`` (also under an index predicate)
 must equal the dense results exactly; products, exponentials and the block matvec ``apply`` agree with
 dense numpy to rounding.  Differences that cancel must leave one block per
-state.  The dense references and the component search live here, not in
-the package.  Outside ``operators``, only ``weights`` reads dense
-product-space matrices.
+state.  The exponential and the component search are those of
+``dense_reference``.  No command reads a dense product-space matrix.
 """
 
 import math
@@ -17,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dense_reference as dr
 import trilevel.dispersive as dispersive
 import trilevel.operators as operators
 from trilevel.cli import main
@@ -33,10 +33,13 @@ from trilevel.hilbert import SpaceSpec, index_map
 from trilevel.operators import (
     PRODUCT,
     OperatorMatrix,
+    FIELD,
+    _one_block,
     apply,
     deformed_operator,
     diagonal,
-    field_operator,
+    element_sum,
+    field_elements,
     guarded_states,
     lift,
     unitary_exp,
@@ -44,28 +47,6 @@ from trilevel.operators import (
 
 TOL = 1e-12
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
-
-
-def search_labels(mat: np.ndarray) -> np.ndarray:
-    """Smallest index of the connected component of every state, by search."""
-    adjacent = (mat != 0) | (mat != 0).T
-    labels = np.full(len(mat), -1)
-    for start in range(len(mat)):
-        if labels[start] >= 0:
-            continue
-        labels[start] = start
-        stack = [start]
-        while stack:
-            for k in np.flatnonzero(adjacent[stack.pop()]):
-                if labels[k] < 0:
-                    labels[k] = start
-                    stack.append(int(k))
-    return labels
-
-
-def dense_exp(h: np.ndarray, t: float) -> np.ndarray:
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(-1j * t * w)) @ v.conj().T
 
 
 def scale(*mats: np.ndarray) -> float:
@@ -89,12 +70,13 @@ def operator_pools(draw, max_atoms=4):
         "H": ham,
         "x": x,
         "x + x^dag": x + x.dag(),
-        "a": lift(spec, field_operator(spec, "annihilate")),
+        "a": lift(spec, element_sum(FIELD, spec, [field_elements(spec, "annihilate")])),
         "excitation": excitation_operator(spec, scheme),
         "generator": _rotation_generator(spec, h),
         "exp(H)": unitary_exp(ham, draw(st.floats(-2.0, 2.0))),
         "diagonal": diagonal(spec, rng.integers(-1, 2, size=spec.product_dim)),
-        "dense": OperatorMatrix(PRODUCT, spec, sparse + 1j * sparse.T),
+        "dense": OperatorMatrix(PRODUCT, spec, (sparse + 1j * sparse.T).ravel(),
+                                _one_block(spec.product_dim)),
     }
     names = sorted(pool)
     return spec, pool, draw(st.sampled_from(names)), draw(st.sampled_from(names))
@@ -108,7 +90,7 @@ def test_elementwise_operations_equal_the_dense_ones(model, c):
     for result, dense in ((m + n, m.mat + n.mat), (m - n, m.mat - n.mat), (-m, -m.mat),
                           (c * m, m.mat * c), (m.dag(), m.mat.conj().T)):
         assert np.array_equal(result.mat, dense)
-        assert np.array_equal(result.blocks.labels, search_labels(dense))
+        assert np.array_equal(result.blocks.labels, dr.component_labels(dense))
     assert m.max_abs() == float(np.max(np.abs(m.mat)))
     assert m.is_hermitian() == (float(np.max(np.abs(m.mat - m.mat.conj().T))) <= 1e-12)
     rows, cols, values = m.elements()
@@ -166,7 +148,7 @@ def test_products_match_dense(model):
     m, n = pool[first], pool[second]
     product = m @ n
     assert np.max(np.abs(product.mat - m.mat @ n.mat)) <= TOL * scale(m.mat, n.mat)
-    assert np.array_equal(product.blocks.labels, search_labels(product.mat))
+    assert np.array_equal(product.blocks.labels, dr.component_labels(product.mat))
 
 
 @settings(max_examples=40, deadline=None)
@@ -175,7 +157,7 @@ def test_exponentials_match_dense(model, t):
     _, pool, _, _ = model
     for h in (pool["H"], pool["x + x^dag"], pool["generator"], pool["diagonal"]):
         u = unitary_exp(h, t)
-        assert np.max(np.abs(u.mat - dense_exp(h.mat, t))) <= TOL * scale(t * h.mat)
+        assert np.max(np.abs(u.mat - dr.dense_exp(h.mat, t))) <= TOL * scale(t * h.mat)
         labels = h.blocks.labels
         assert np.all(u.mat[labels[:, None] != labels[None, :]] == 0.0)
 

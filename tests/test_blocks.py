@@ -3,9 +3,10 @@
 Every product-space operator splits into the connected components of its
 nonzero pattern; the spectra, exponentials, products, propagation and
 dispersive residuals computed block by block must agree with the plain
-dense computation on the same matrices.  The dense references live here,
-not in the package.  The loop versions of the basis-table masks are kept
-here as references too.
+dense computation on ``dense_reference``: the Hamiltonian, the lifted
+ladder operator, the dressed transitions and the excitation count are
+written there from the labels, and so are the exponential, the propagator
+and the component search.  The loop versions of the basis-table masks are kept here.
 """
 
 import math
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+import dense_reference as dr
 from trilevel.dispersive import (
     analytic_effective,
     block_residual,
@@ -36,13 +38,12 @@ from trilevel.hamiltonian import (
 )
 from trilevel.hilbert import SpaceSpec, index_map
 from trilevel.operators import (
-    PRODUCT,
-    commutator,
+    FIELD,
     deformed_operator,
+    diagonal,
     eigenvalues,
-    field_operator,
-    guarded_projector,
-    identity,
+    element_sum,
+    field_elements,
     lift,
     unitary_exp,
 )
@@ -52,41 +53,14 @@ TOL = 1e-12
 
 # --- dense references -------------------------------------------------------
 
-def dense_exp(h: np.ndarray, t: float) -> np.ndarray:
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(-1j * t * w)) @ v.conj().T
-
-
-def dense_propagate(h: np.ndarray, psi0: np.ndarray, times: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(h)
-    return v @ (np.exp(-1j * np.outer(w, times)) * (v.conj().T @ psi0)[:, None])
-
-
 def dense_block_residual(spec, h, p, guard) -> float:
     pairs = ((3, 2), (3, 1)) if h.scheme == LAMBDA else ((3, 1), (2, 1))  # (outer, inner)
     outer, inner = (small_rotation(spec, i, j, p.small_params[(i, j)]) for i, j in pairs)
     u = outer.mat @ inner.mat
-    transformed = u @ build_hamiltonian(spec, h).mat @ u.conj().T
+    transformed = u @ dr.hamiltonian(spec, h) @ u.conj().T
     diff = transformed - analytic_effective(spec, h, p).matrix().mat
     mask = transfer_block_mask(spec, h.scheme, guard)
     return float(np.max(np.abs(diff[mask]))) if mask.any() else 0.0
-
-
-def reference_labels(mat: np.ndarray) -> np.ndarray:
-    """Smallest index of the connected component of every state, by search."""
-    adjacent = (mat != 0) | (mat != 0).T
-    labels = np.full(len(mat), -1)
-    for start in range(len(mat)):
-        if labels[start] >= 0:
-            continue
-        labels[start] = start
-        stack = [start]
-        while stack:
-            for k in np.flatnonzero(adjacent[stack.pop()]):
-                if labels[k] < 0:
-                    labels[k] = start
-                    stack.append(int(k))
-    return labels
 
 
 def scale(*mats: np.ndarray) -> float:
@@ -119,7 +93,8 @@ def models(draw):
 def test_block_spectrum_matches_dense(model):
     spec, h = model
     ham = build_hamiltonian(spec, h)
-    dense = np.linalg.eigvalsh(ham.mat)
+    assert np.array_equal(ham.mat, dr.hamiltonian(spec, h))
+    dense = np.linalg.eigvalsh(dr.hamiltonian(spec, h))
     assert np.max(np.abs(eigenvalues(ham) - dense)) <= TOL * scale(ham.mat)
 
 
@@ -128,20 +103,24 @@ def test_block_exponential_matches_dense(model, t):
     spec, h = model
     ham = build_hamiltonian(spec, h)
     u = unitary_exp(ham, t)
-    assert np.max(np.abs(u.mat - dense_exp(ham.mat, t))) <= TOL * scale(t * ham.mat)
+    expected = dr.dense_exp(dr.hamiltonian(spec, h), t)
+    assert np.max(np.abs(u.mat - expected)) <= TOL * scale(t * ham.mat)
     assert np.all(u.mat[cross_block_mask(ham)] == 0.0)
 
 
 @given(models(), st.floats(-0.5, 0.5))
 def test_rotation_exponentials_match_dense(model, theta):
     spec, h = model
-    gens = [_rotation_generator(spec, h)]
+    la, lb = h.degenerate_pair
+    gens = [(_rotation_generator(spec, h),
+             1j * dr.lift_atomic(spec, dr.atomic(spec, la, lb) - dr.atomic(spec, lb, la)))]
     for (i, j) in h.coupled_pairs():
         x = deformed_operator(spec, i, j)
-        gens.append(1j * (x - x.dag()))
-    for g in gens:
+        gens.append((1j * (x - x.dag()), 1j * (dr.dressed(spec, i, j) - dr.dressed(spec, j, i))))
+    for g, dense in gens:
+        assert np.array_equal(g.mat, dense)
         u = unitary_exp(g, theta)
-        expected = dense_exp(g.mat, theta)
+        expected = dr.dense_exp(dense, theta)
         assert np.max(np.abs(u.mat - expected)) <= TOL * scale(theta * g.mat)
         assert np.all(u.mat[cross_block_mask(g)] == 0.0)
     rot = small_rotation(spec, *h.coupled_pairs()[0], theta)
@@ -153,19 +132,23 @@ def test_rotation_exponentials_match_dense(model, theta):
 def test_block_products_match_dense(model):
     spec, h = model
     ham = build_hamiltonian(spec, h)
-    a = lift(spec, field_operator(spec, "annihilate"))
+    a = lift(spec, element_sum(FIELD, spec, [field_elements(spec, "annihilate")]))
     n_exc = excitation_operator(spec, h.scheme)
     x = deformed_operator(spec, *h.coupled_pairs()[0])
     u = unitary_exp(ham, 0.7)
-    pairs = [(a, ham), (ham, x), (x, x.dag()), (u, ham), (ham, u.dag()),
-             (identity(spec, PRODUCT), x), (n_exc, ham)]
+    one = diagonal(spec, np.ones(spec.product_dim))
+    dense = {"a": dr.lift_field(spec, dr.field(spec, "annihilate")), "H": dr.hamiltonian(spec, h),
+             "x": dr.dressed(spec, *h.coupled_pairs()[0]), "n": dr.excitation(spec, h.scheme)}
+    for op, name in ((a, "a"), (ham, "H"), (x, "x"), (n_exc, "n")):
+        assert np.array_equal(op.mat, dense[name]), name
+    pairs = [(a, ham), (ham, x), (x, x.dag()), (u, ham), (ham, u.dag()), (one, x), (n_exc, ham)]
     # lift(a) @ H joins every excitation block into one component
     assert a.blocks.join(ham.blocks).count == 1
     for m, n in pairs:
         assert np.max(np.abs((m @ n).mat - m.mat @ n.mat)) <= TOL * scale(m.mat, n.mat)
-    comm = commutator(ham, n_exc)
-    dense = ham.mat @ n_exc.mat - n_exc.mat @ ham.mat
-    assert np.max(np.abs(comm.mat - dense)) <= TOL * scale(ham.mat, n_exc.mat)
+    comm = ham @ n_exc - n_exc @ ham
+    expected = dr.commutator(dense["H"], dense["n"])
+    assert np.max(np.abs(comm.mat - expected)) <= TOL * scale(dense["H"], dense["n"])
 
 
 @given(models())
@@ -175,16 +158,16 @@ def test_partitions_of_derived_operators_are_exact(model):
     x = deformed_operator(spec, *h.coupled_pairs()[-1])
     n_exc = excitation_operator(spec, h.scheme)
     hx, xh = ham @ x, x @ ham
-    a = lift(spec, field_operator(spec, "annihilate"))
+    a = lift(spec, element_sum(FIELD, spec, [field_elements(spec, "annihilate")]))
+    one = diagonal(spec, np.ones(spec.product_dim))
     # partitions of different patterns are known before the sums below use them
     assert all(op.blocks.count >= 1 for op in (a, ham, hx))
     ops = [ham, x, n_exc, hx, xh, hx + xh, hx - xh, -hx, 0.5 * xh, hx.dag(),
            a + ham, hx - a, a @ ham, (a + a.dag()) @ hx,
-           x + x.dag(), (x + x.dag()) @ (x - x.dag()), commutator(ham, x),
-           unitary_exp(ham, 0.3), unitary_exp(ham, 0.3).dag() @ x,
-           identity(spec, PRODUCT), identity(spec, PRODUCT) - n_exc]
+           x + x.dag(), (x + x.dag()) @ (x - x.dag()), ham @ x - x @ ham,
+           unitary_exp(ham, 0.3), unitary_exp(ham, 0.3).dag() @ x, one, one - n_exc]
     for op in ops:
-        assert np.array_equal(op.blocks.labels, reference_labels(op.mat))
+        assert np.array_equal(op.blocks.labels, dr.component_labels(op.mat))
     assert sum(idx.size for idx in ham.blocks.groups) == spec.product_dim
 
 
@@ -201,14 +184,15 @@ def test_propagate_matches_dense(model, seed, basis_state, t_max):
         psi0 /= np.linalg.norm(psi0)
     times = np.linspace(0.0, t_max, 9)
     states = propagate(ham, psi0, times)
-    expected = dense_propagate(ham.mat, psi0, times)
-    assert np.max(np.abs(states - expected)) <= TOL * scale(t_max * ham.mat)
+    dense_h = dr.hamiltonian(spec, h)
+    expected = dr.propagate(dense_h, psi0, times)
+    assert np.max(np.abs(states - expected)) <= TOL * scale(t_max * dense_h)
 
     record = evolve(ham, psi0, TimeGrid(t_max, 9), excitation_operator(spec, h.scheme))
-    n_exc = excitation_operator(spec, h.scheme).mat
-    for series, op in ((record.energy, ham.mat), (record.excitation, n_exc)):
+    n_exc = dr.excitation(spec, h.scheme)
+    for series, op in ((record.energy, dense_h), (record.excitation, n_exc)):
         dense = np.real(np.sum(expected.conj() * (op @ expected), axis=0))
-        assert np.max(np.abs(series - dense)) <= TOL * scale(t_max * ham.mat, op)
+        assert np.max(np.abs(series - dense)) <= TOL * scale(t_max * dense_h, op)
 
 
 @st.composite
@@ -233,7 +217,7 @@ def test_dispersive_residual_matches_dense(model, guard):
     assume(guard <= spec.n_max)
     block = block_residual(spec, h, p, guard)
     dense = dense_block_residual(spec, h, p, guard)
-    assert abs(block - dense) <= TOL * scale(build_hamiltonian(spec, h).mat)
+    assert abs(block - dense) <= TOL * scale(dr.hamiltonian(spec, h))
     transformed = effective_transform(spec, h, p)
     assert transformed.is_hermitian(TOL * scale(transformed.mat))
 
@@ -306,15 +290,12 @@ def test_transfer_block_mask_matches_loop(scheme, guard):
     assert np.array_equal(transfer_block_mask(spec, scheme, guard), expected)
 
 
-def test_guarded_projector_and_dark_residual_match_loops():
+def test_dark_residual_matches_the_loop():
     spec = SpaceSpec(2, 4)
     imap = index_map(spec)
     splits = [imap.split(k) for k in range(spec.product_dim)]
-    diag = [1.0 if n <= spec.n_max - 1 else 0.0 for (_occ, n) in splits]
-    assert np.array_equal(guarded_projector(spec, 1).mat, np.diag(diag))
-
     h = HamiltonianSpec(LAMBDA, (0.0, 0.0, 3.0), 1.0, g31=0.1, g32=0.05)
-    ham = build_hamiltonian(spec, h).mat
+    ham = dr.hamiltonian(spec, h)
     n2 = np.array([occ[1] for (occ, _n) in splits])
     expected = float(np.max(np.abs(ham[n2[:, None] != n2[None, :]])))
     assert dark_block_residual(spec, build_hamiltonian(spec, h)) == expected

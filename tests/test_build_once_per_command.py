@@ -1,9 +1,9 @@
 """dispersive-compare builds H once per detuning and the transfer operator
-once, the verify identities agree exactly with their lift-built form, and a
+once, the verify identities agree exactly with their dense form, and a
 run too large for physical memory is refused before anything is built.
 
-The identity reference rebuilds the right-hand sides from lifted collective
-and field operators, the way they were written before the label diagonals.
+The identity reference rebuilds both sides from the lifted collective and
+field operators and the dressed transitions of ``dense_reference``.
 """
 
 import json
@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+import dense_reference as dr
 import trilevel.cli as cli
 import trilevel.dispersive as dispersive
 import trilevel.dynamics as dynamics
@@ -19,17 +20,7 @@ import trilevel.hamiltonian as hamiltonian
 from trilevel.cli import main, parse_config
 from trilevel.dispersive import dispersive_params, residual_and_order
 from trilevel.hilbert import SpaceSpec
-from trilevel.operators import (
-    PRODUCT,
-    OperatorMatrix,
-    atomic_operator,
-    commutator,
-    deformed_operator,
-    field_operator,
-    identity,
-    lift,
-    verify_algebra,
-)
+from trilevel.operators import OperatorMatrix, verify_algebra
 
 LAMBDA_CONF = """\
 scheme = lambda
@@ -106,35 +97,31 @@ def test_dispersive_json_matches_residual_and_order(text, guard, tmp_path):
     assert written["order_estimate"] == (order if math.isfinite(order) else None)
 
 
-def lift_built_residuals(spec, guard):
-    s = {(i, j): lift(spec, atomic_operator(spec, i, j)) for (i, j)
+def dense_residuals(spec, guard):
+    s = {(i, j): dr.lift_atomic(spec, dr.atomic(spec, i, j)) for (i, j)
          in ((1, 1), (3, 3), (2, 1), (3, 2))}
-    num = lift(spec, field_operator(spec, "number"))
-    one = identity(spec, PRODUCT)
-    x31 = deformed_operator(spec, 3, 1)
-    x23 = deformed_operator(spec, 2, 3)
-    x12 = deformed_operator(spec, 1, 2)
+    num, one = dr.number(spec), np.eye(spec.product_dim)
+    x31, x23, x12 = (dr.dressed(spec, i, j) for i, j in ((3, 1), (2, 3), (1, 2)))
     diffs = [
         (x23 @ x31) - (num @ (s[3, 3] + one) @ s[2, 1]),
         (x31 @ x23) - ((num + one) @ s[3, 3] @ s[2, 1]),
-        commutator(x31, x23) - ((s[3, 3] - num) @ s[2, 1]),
-        commutator(x31, x12) - ((s[1, 1] + num + one) @ s[3, 2]),
+        dr.commutator(x31, x23) - ((s[3, 3] - num) @ s[2, 1]),
+        dr.commutator(x31, x12) - ((s[1, 1] + num + one) @ s[3, 2]),
     ]
-    photons = np.tile(np.arange(spec.field_dim), spec.atomic_dim)
-    keep = photons <= spec.n_max - guard
+    keep = np.diag(dr.guarded_projector(spec, guard)).real > 0
     out = []
     for diff in diffs:
-        sub = diff.mat[np.ix_(keep, keep)]
+        sub = diff[np.ix_(keep, keep)]
         out.append(float(np.max(np.abs(sub))) if sub.size else 0.0)
     return out
 
 
 @pytest.mark.parametrize("atoms,n_max", [(1, 4), (2, 3), (3, 3)])
-def test_second_order_residuals_equal_the_lift_built_ones(atoms, n_max):
+def test_second_order_residuals_equal_the_dense_ones(atoms, n_max):
     spec = SpaceSpec(atoms, n_max)
     for guard in range(n_max + 1):
         reports = verify_algebra(spec, "second_order", guard=guard)
-        assert [r.residual for r in reports] == lift_built_residuals(spec, guard)
+        assert [r.residual for r in reports] == dense_residuals(spec, guard)
 
 
 SMALL_CONF = LAMBDA_CONF.replace("atoms = 2", "atoms = 1").replace("1,1,0", "1,0,0")

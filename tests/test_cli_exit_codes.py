@@ -1,10 +1,13 @@
 """Numerical failures exit 1 without a traceback, dispersive-compare
 gates the conservation of both of its trajectories, a failed mode rotation
-is a report row, and a command that fails before it writes creates no
-output directory."""
+is a report row, a command that fails before it writes creates no
+output directory, and a closed stdout ends a run without a traceback."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -140,3 +143,22 @@ def test_a_command_that_fails_before_writing_creates_no_output_directory(
     err = capsys.readouterr().err
     assert err.startswith(error) and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+def test_closed_stdout_exits_without_a_traceback(unbuffered, tmp_path):
+    """``verify | head -c 0``: the reader is gone before the first line; block-buffered
+    stdout meets it at the flush in main, unbuffered stdout at the first print."""
+    conf = Path(__file__).resolve().parents[1] / "configs" / "lambda.conf"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        run = subprocess.run([sys.executable, "-m", "trilevel.cli", "verify", "--config",
+                              str(conf), "--out", str(tmp_path / "o")], stdout=write,
+                             stderr=subprocess.PIPE, text=True,
+                             env=dict(os.environ, PYTHONUNBUFFERED=unbuffered))
+    finally:
+        os.close(write)
+    assert run.stderr == ""
+    assert run.returncode == cli.EXIT_CLOSED_STDOUT == 141
+    assert json.loads((tmp_path / "o" / "report.json").read_text())["overall_pass"]

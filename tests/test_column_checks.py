@@ -5,7 +5,9 @@ column, products are gathers, and one residual helper evaluates an identity at
 every (row, column) pair that any of its terms touches.  The kernel must give
 the dense masked maximum bit for bit, and both modes must report exactly what
 the block path reported, with no block product, no re-blocking and no dense
-read.  The block-path check is kept here as the reference, not in the package.
+read.  The block-path check is kept here as the reference, not in the package:
+block products of the dressed transitions against the label diagonals times
+S21 or S32, and for u3 the dense commutators of ``dense_reference``.
 A last test runs the checks at 30 and 60 atoms in a fresh process.
 """
 
@@ -30,13 +32,12 @@ from trilevel.operators import (
     OperatorMatrix,
     _gather,
     _residual,
-    atomic_operator,
-    commutator,
+    atomic_term,
     deformed_operator,
     diagonal,
     enhancement_factor,
     guarded_states,
-    lift,
+    tensor_sum,
     verify_algebra,
 )
 
@@ -54,14 +55,14 @@ def block_path_reports(spec: SpaceSpec, mode: str, guard: int = 1) -> list[Ident
     keep = guarded_states(spec, guard)
     table = index_map(spec)
     occ, num = table.occupations, table.photons
-    s21, s32 = (lift(spec, atomic_operator(spec, i, j)) for i, j in ((2, 1), (3, 2)))
+    s21, s32 = (tensor_sum(spec, [atomic_term(spec, i, j)]) for i, j in ((2, 1), (3, 2)))
     x31, x23, x12 = (deformed_operator(spec, i, j) for i, j in ((3, 1), (2, 3), (1, 2)))
     checks = [
         ("X23 X31 = n (S33 + 1) S21", x23 @ x31, num * (occ[:, 2] + 1), s21),
         ("X31 X23 = (n + 1) S33 S21", x31 @ x23, (num + 1) * occ[:, 2], s21),
-        ("[X31, X23] = (S33 - n) S21", commutator(x31, x23),
+        ("[X31, X23] = (S33 - n) S21", x31 @ x23 - x23 @ x31,
          enhancement_factor(LAMBDA, occ, num), s21),
-        ("[X31, X12] = (S11 + n + 1) S32", commutator(x31, x12),
+        ("[X31, X12] = (S11 + n + 1) S32", x31 @ x12 - x12 @ x31,
          enhancement_factor(VEE, occ, num), s32),
     ]
     residuals = [(lhs - diagonal(spec, factor) @ s).max_abs(lambda r, c: keep[r] & keep[c])

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from trilevel.hilbert import SpaceSpec, index_map
-from trilevel.operators import identity, PRODUCT
 from trilevel.hamiltonian import (
     LAMBDA,
     VEE,

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import dense_reference as dr
 import trilevel.hamiltonian as hamiltonian
 import trilevel.operators as operators
 from trilevel.hilbert import SpaceSpec, index_map
-from trilevel.operators import (atomic_operator, commutator, identity, lift, unitary_exp,
-                                ATOMIC)
+from trilevel.operators import diagonal, unitary_exp
 from trilevel.hamiltonian import (
     LAMBDA,
     TOL_DARK_BLOCK,
@@ -101,7 +101,9 @@ def test_hamiltonian_hermitian_and_conserves_excitation(h):
     ham = build_hamiltonian(spec, h)
     assert ham.is_hermitian(1e-12)
     n_exc = excitation_operator(spec, h.scheme)
-    assert commutator(ham, n_exc).max_abs() <= 1e-12
+    assert (ham @ n_exc - n_exc @ ham).max_abs() <= 1e-12
+    dense = dr.commutator(dr.hamiltonian(spec, h), dr.excitation(spec, h.scheme))
+    assert np.max(np.abs(dense)) <= 1e-12
 
 
 def test_rotation_parameters_lambda():
@@ -140,7 +142,7 @@ def test_mode_rotation_zero_angle_is_identity():
     spec = SpaceSpec(1, 2)
     h = lambda_spec(g31=0.5, g32=0.0)
     u = mode_rotation_unitary(spec, h, rotation_parameters(h))
-    assert (u - identity(spec, "product")).max_abs() <= 1e-12
+    assert np.max(np.abs(u.mat - np.eye(spec.product_dim))) <= 1e-12
 
 
 @pytest.mark.parametrize("h", [lambda_spec(0.2, 0.2), vee_spec(0.3, 0.5)])
@@ -148,7 +150,7 @@ def test_mode_rotation_unitary_and_decoupling(h):
     spec = SpaceSpec(1, 2)
     r = rotation_parameters(h)
     u = mode_rotation_unitary(spec, h, r)
-    assert (u @ u.dag() - identity(spec, "product")).max_abs() <= 1e-12
+    assert np.max(np.abs((u @ u.dag()).mat - np.eye(spec.product_dim))) <= 1e-12
     transformed = u @ build_hamiltonian(spec, h) @ u.dag()
     assert dark_block_residual(spec, transformed) <= 1e-10
     assert abs(_bright_coupling(spec, transformed) - r.effective_coupling) <= 1e-10
@@ -188,7 +190,7 @@ def test_rotation_that_leaves_the_dark_mode_coupled_is_an_error(monkeypatch):
     """The report returns the failed residual; verify compares it with the tolerance."""
     spec = SpaceSpec(1, 2)
     monkeypatch.setattr(hamiltonian, "unitary_exp",
-                        lambda gen, theta: identity(spec, "product"))
+                        lambda gen, theta: diagonal(spec, np.ones(spec.product_dim)))
     assert rotation_report(spec, vee_spec(0.3, 0.4)).dark_coupling_residual > TOL_DARK_BLOCK
 
 
@@ -267,11 +269,11 @@ def test_classical_commutators_close_to_single_transition():
     # [alpha S31, conj(alpha) S12] = +|alpha|^2 S32 (vee route)
     spec = SpaceSpec(2, 1)
     alpha = 0.8 + 0.6j
-    s = lambda i, j: atomic_operator(spec, i, j)
-    lam = commutator(alpha * s(3, 1), np.conj(alpha) * s(2, 3))
-    assert (lam + abs(alpha) ** 2 * s(2, 1)).max_abs() <= 1e-12
-    vee = commutator(alpha * s(3, 1), np.conj(alpha) * s(1, 2))
-    assert (vee - abs(alpha) ** 2 * s(3, 2)).max_abs() <= 1e-12
+    s = lambda i, j: dr.atomic(spec, i, j)
+    lam = dr.commutator(alpha * s(3, 1), np.conj(alpha) * s(2, 3))
+    assert np.max(np.abs(lam + abs(alpha) ** 2 * s(2, 1))) <= 1e-12
+    vee = dr.commutator(alpha * s(3, 1), np.conj(alpha) * s(1, 2))
+    assert np.max(np.abs(vee - abs(alpha) ** 2 * s(3, 2))) <= 1e-12
 
 
 @pytest.mark.parametrize("h", [lambda_spec(0.5, 1.2), vee_spec(0.9, 0.4)])
@@ -282,15 +284,15 @@ def test_classical_first_order_set_closes_linearly(h):
     alpha = 0.3 - 0.9j
     firsts = []
     for (i, j) in h.coupled_pairs():
-        op = (alpha * h.coupling(i, j)) * atomic_operator(spec, i, j)
-        firsts += [op, op.dag()]
+        op = (alpha * h.coupling(i, j)) * dr.atomic(spec, i, j)
+        firsts += [op, op.conj().T]
     basis = np.column_stack([
-        atomic_operator(spec, i, j).mat.ravel()
+        dr.atomic(spec, i, j).ravel()
         for i in (1, 2, 3) for j in (1, 2, 3)
     ])
     for m in firsts:
         for n in firsts:
-            target = commutator(m, n).mat.ravel()
+            target = dr.commutator(m, n).ravel()
             coeffs, *_ = np.linalg.lstsq(basis, target, rcond=None)
             assert np.max(np.abs(basis @ coeffs - target)) <= 1e-10
 
@@ -300,12 +302,12 @@ def test_classical_hamiltonian_matches_alpha_substitution():
     h = vee_spec(0.4, 0.7)
     alpha = 1.1 + 0.2j
     ham = classical_hamiltonian(h, alpha, atoms=2)
-    s = lambda i, j: atomic_operator(spec, i, j)
+    s = lambda i, j: dr.atomic(spec, i, j)
     expected = 3.0 * (s(2, 2) + s(3, 3))
     for (i, j) in h.coupled_pairs():
         term = (alpha * h.coupling(i, j)) * s(i, j)
-        expected = expected + term + term.dag()
-    assert (ham - expected).max_abs() <= 1e-12
+        expected = expected + term + term.conj().T
+    assert np.max(np.abs(ham.mat - expected)) <= 1e-12
     assert ham.is_hermitian(1e-12)
 
 

@@ -1,11 +1,11 @@
 """Operators and weights read off the basis labels, against the matrix round trips
 they replace.
 
-The references are kept here: the ladder operators as ``np.diag`` arrays read
-back with ``np.nonzero``, the weights as the least-squares fit of
-``<M, [h, M]> / <M, M>`` with its proportionality residual, the transfer
-operator as the block product of the swap with ``diagonal(f)``, and the atomic
-index as a dict over ``enumerate_atomic_basis``.
+The references: the ladder operators of ``dense_reference`` read back with
+``np.nonzero``, the weights as the least-squares fit of ``<M, [h, M]> / <M, M>``
+on dense arrays with its proportionality residual, the transfer operator as the
+block product of the swap with ``diagonal(f)``, and the atomic index as a dict
+over ``enumerate_atomic_basis``.
 """
 
 import itertools
@@ -14,6 +14,7 @@ import re
 import numpy as np
 import pytest
 
+import dense_reference as dr
 from test_batched_kernels import same_bits
 from trilevel.dispersive import DispersiveParams, analytic_effective
 from trilevel.hamiltonian import LAMBDA, VEE, HamiltonianSpec
@@ -24,18 +25,16 @@ from trilevel.operators import (
     FIELD,
     LEVELS,
     PRODUCT,
-    OperatorMatrix,
-    atomic_operator,
+    SpaceMismatchError,
     atomic_term,
-    commutator,
     deformed_operator,
     diagonal,
+    element_sum,
     enhancement_factor,
     field_elements,
-    field_operator,
-    identity,
-    lift,
+    identity_elements,
     tensor_sum,
+    transition_elements,
 )
 from trilevel.weights import (
     TOL_WEIGHT,
@@ -51,25 +50,17 @@ KINDS = ("annihilate", "create", "number")
 
 # --- ladder operators ---------------------------------------------------------------
 
-def diag_field(spec, kind):
-    """The truncated ladder matrix as an np.diag array."""
-    n = np.arange(1, spec.field_dim)
-    if kind == "annihilate":
-        return np.diag(np.sqrt(n.astype(float)), k=1)
-    if kind == "create":
-        return np.diag(np.sqrt(n.astype(float)), k=-1)
-    return np.diag(np.arange(spec.field_dim, dtype=float))
-
-
 @pytest.mark.parametrize("n_max", [1, 2, 5, 16, 40])
 @pytest.mark.parametrize("kind", KINDS)
-def test_field_elements_are_the_nonzeros_of_the_diag_arrays(kind, n_max):
+def test_field_elements_are_the_nonzeros_of_the_dense_reference(kind, n_max):
     spec = SpaceSpec(1, n_max)
-    reference = OperatorMatrix(FIELD, spec, diag_field(spec, kind)).elements()
-    for got in (field_elements(spec, kind), field_operator(spec, kind).elements()):
-        assert np.array_equal(got[0], reference[0]) and np.array_equal(got[1], reference[1])
-        assert same_bits(got[2], reference[2])
-    assert same_bits(field_operator(spec, kind).mat, diag_field(spec, kind).astype(np.complex128))
+    dense = dr.field(spec, kind)
+    rows, cols = np.nonzero(dense)
+    stored = element_sum(FIELD, spec, [field_elements(spec, kind)])
+    for got in (field_elements(spec, kind), stored.elements()):
+        assert np.array_equal(got[0], rows) and np.array_equal(got[1], cols)
+        assert same_bits(got[2], dense[rows, cols])
+    assert same_bits(stored.mat, dense)
 
 
 def test_unknown_field_kind_rejected():
@@ -87,7 +78,7 @@ def fitted_weight(op, cartan):
         raise NotAWeightVectorError("zero operator has no weight")
     kappas = []
     for h in (cartan.h1, cartan.h2):
-        comm = h.mat @ m - m @ h.mat
+        comm = dr.commutator(np.diag(h), m)
         fit = np.vdot(m, comm) / np.vdot(m, m)
         if abs(fit.imag) > TOL_WEIGHT:
             raise NotAWeightVectorError(f"complex eigenvalue {fit!r}")
@@ -102,13 +93,15 @@ def candidate_operators(scheme, classical, spec, alpha):
     nonzero commutator of two transitions, and mixtures and zeros."""
     ops = [op for _, op, _ in _scheme_operators(scheme, classical, spec, alpha)]
     if classical:
-        singles = [atomic_operator(spec, i, j) for i, j in itertools.product(LEVELS, repeat=2)]
-        ops += singles + [identity(spec, ATOMIC)]
+        singles = [element_sum(ATOMIC, spec, [transition_elements(spec, i, j)])
+                   for i, j in itertools.product(LEVELS, repeat=2)]
+        ops += singles + [element_sum(ATOMIC, spec, [identity_elements(spec.atomic_dim)])]
     else:
         singles = [deformed_operator(spec, i, j) for i, j in DEFORMED_PAIRS]
         singles += [op.dag() for op in singles]
-        ops += singles + [lift(spec, atomic_operator(spec, 2, 2)), identity(spec, PRODUCT)]
-    ops += [commutator(m, n) for m, n in itertools.combinations(singles, 2)]
+        ops += singles + [tensor_sum(spec, [atomic_term(spec, 2, 2)]),
+                          diagonal(spec, np.ones(spec.product_dim))]
+    ops += [m @ n - n @ m for m, n in itertools.combinations(singles, 2)]
     ops += [singles[0] + singles[1], singles[0] - 2.0 * singles[-1], 0.0 * singles[0],
             singles[0] - singles[0]]
     return ops
@@ -132,18 +125,16 @@ def test_label_gap_weights_equal_the_least_squares_fit(scheme, classical, alpha,
     assert rejected >= 4  # two mixtures, two zeros
 
 
-def test_weight_of_rejects_a_cartan_element_off_the_diagonal():
-    spec = SpaceSpec(1, 2)
-    cartan = cartan_choice(LAMBDA, spec, ATOMIC)
-    bent = type(cartan)(LAMBDA, cartan.h1 + atomic_operator(spec, 1, 2), cartan.h2)
-    with pytest.raises(ValueError, match="not a real diagonal"):
-        weight_of(atomic_operator(spec, 3, 1), bent)
-
-
 def test_weight_of_rejects_operators_on_another_space():
     spec = SpaceSpec(1, 2)
     with pytest.raises(ValueError, match="cannot combine"):
         weight_of(deformed_operator(spec, 3, 1), cartan_choice(LAMBDA, spec, ATOMIC))
+    # the same dimension on other labels: product (1, 1) and atomic A = 2 have 6 states,
+    # products (1, 3) and (2, 1) have 12
+    for other, space in ((SpaceSpec(2, 1), ATOMIC), (SpaceSpec(2, 1), PRODUCT)):
+        small = deformed_operator(SpaceSpec(1, 1 if space == ATOMIC else 3), 3, 1)
+        with pytest.raises(SpaceMismatchError, match="cannot combine"):
+            weight_of(small, cartan_choice(LAMBDA, other, space))
 
 
 # --- transfer operator --------------------------------------------------------------

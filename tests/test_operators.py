@@ -1,25 +1,41 @@
+import ast
+import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import dense_reference as dr
+from test_batched_kernels import same_bits
 from trilevel.hilbert import SpaceSpec, enumerate_atomic_basis, index_map
 from trilevel.operators import (
     ATOMIC,
     FIELD,
-    PRODUCT,
+    LEVELS,
     OperatorMatrix,
     SpaceMismatchError,
-    atomic_operator,
-    commutator,
+    _one_block,
     deformed_operator,
-    field_operator,
-    guarded_projector,
-    identity,
+    diagonal,
+    element_sum,
+    field_elements,
+    guarded_states,
+    identity_elements,
     lift,
+    transition_elements,
     verify_algebra,
 )
+
+
+def transition(spec, i, j):
+    """S_ij stored in its blocks."""
+    return element_sum(ATOMIC, spec, [transition_elements(spec, i, j)])
+
+
+def ladder(spec, kind):
+    return element_sum(FIELD, spec, [field_elements(spec, kind)])
 
 
 def three_mode_boson_oracle(atoms, i, j):
@@ -40,18 +56,34 @@ def three_mode_boson_oracle(atoms, i, j):
     return full[np.ix_(select, select)]
 
 
-@pytest.mark.parametrize("atoms", [1, 2, 3])
-def test_atomic_operator_matches_boson_oracle(atoms):
+@pytest.mark.parametrize("atoms", [1, 2, 3, 4])
+def test_dense_reference_matches_boson_oracle(atoms):
+    for i, j in itertools.product(LEVELS, repeat=2):
+        oracle = three_mode_boson_oracle(atoms, i, j)
+        assert np.max(np.abs(dr.atomic(SpaceSpec(atoms, 1), i, j) - oracle)) <= 1e-13
+
+
+def test_dense_reference_imports_only_the_labels_and_sizes():
+    """dense_reference takes nothing from the package but hilbert, so it shares no
+    code path with element_sum, tensor_sum or transition_elements."""
+    imported = set()
+    for node in ast.walk(ast.parse(Path(dr.__file__).read_text())):
+        if isinstance(node, ast.Import):
+            imported.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module)
+    assert imported == {"numpy", "trilevel.hilbert"}
+
+
+@pytest.mark.parametrize("atoms", [1, 2, 3, 4, 5, 8])
+def test_transitions_equal_the_dense_reference(atoms):
     spec = SpaceSpec(atoms, 1)
-    for i in (1, 2, 3):
-        for j in (1, 2, 3):
-            ours = atomic_operator(spec, i, j).mat
-            oracle = three_mode_boson_oracle(atoms, i, j)
-            assert np.max(np.abs(ours - oracle)) <= 1e-13
+    for i, j in itertools.product(LEVELS, repeat=2):
+        assert same_bits(transition(spec, i, j).mat, dr.atomic(spec, i, j))
 
 
 def test_single_atom_transition_is_matrix_unit():
-    op = atomic_operator(SpaceSpec(1, 1), 3, 1)
+    op = transition(SpaceSpec(1, 1), 3, 1)
     # (1,0,0) is index 0, (0,0,1) is index 2
     expected = np.zeros((3, 3))
     expected[2, 0] = 1.0
@@ -61,7 +93,7 @@ def test_single_atom_transition_is_matrix_unit():
 def test_population_eigenvalue():
     spec = SpaceSpec(3, 1)
     imap = index_map(spec)
-    op = atomic_operator(spec, 1, 1)
+    op = transition(spec, 1, 1)
     k = imap.atomic_index((2, 0, 1))
     assert op.mat[k, k] == 2.0
 
@@ -69,7 +101,7 @@ def test_population_eigenvalue():
 def test_ladder_amplitude_sqrt2():
     spec = SpaceSpec(2, 1)
     imap = index_map(spec)
-    op = atomic_operator(spec, 3, 2)
+    op = transition(spec, 3, 2)
     row = imap.atomic_index((0, 1, 1))
     col = imap.atomic_index((0, 2, 0))
     assert op.mat[row, col] == pytest.approx(math.sqrt(2.0), abs=1e-15)
@@ -80,8 +112,8 @@ def test_dagger_symmetry_exact():
     for i in (1, 2, 3):
         for j in (1, 2, 3):
             assert np.array_equal(
-                atomic_operator(spec, i, j).mat,
-                atomic_operator(spec, j, i).mat.conj().T,
+                transition(spec, i, j).mat,
+                transition(spec, j, i).mat.conj().T,
             )
 
 
@@ -89,25 +121,25 @@ def test_dagger_symmetry_exact():
 def test_total_population_is_atom_count(atoms):
     spec = SpaceSpec(atoms, 1)
     total = sum(
-        (atomic_operator(spec, i, i) for i in (2, 3)), atomic_operator(spec, 1, 1)
+        (transition(spec, i, i) for i in (2, 3)), transition(spec, 1, 1)
     )
     assert np.array_equal(total.mat, atoms * np.eye(spec.atomic_dim))
 
 
 def test_vacuum_annihilation_and_ladder():
     spec = SpaceSpec(1, 3)
-    a = field_operator(spec, "annihilate")
+    a = ladder(spec, "annihilate")
     assert np.all(a.mat[:, 0] == 0.0)
     assert a.mat[1, 2] == pytest.approx(math.sqrt(2.0), abs=1e-15)
-    assert np.array_equal(field_operator(spec, "create").mat, a.mat.conj().T)
-    num = field_operator(spec, "number")
+    assert np.array_equal(ladder(spec, "create").mat, a.mat.conj().T)
+    num = ladder(spec, "number")
     assert np.array_equal(num.mat, np.diag(np.arange(4.0)))
 
 
 def test_field_commutator_truncation_artifact():
     spec = SpaceSpec(1, 5)
-    a = field_operator(spec, "annihilate")
-    comm = commutator(a, field_operator(spec, "create")).mat
+    a, a_dag = ladder(spec, "annihilate"), ladder(spec, "create")
+    comm = (a @ a_dag - a_dag @ a).mat
     # canonical on n < n_max, single corrupted diagonal entry at the cutoff
     assert np.max(np.abs(comm[:5, :5] - np.eye(5))) <= 1e-14
     assert comm[5, 5] == pytest.approx(-5.0)
@@ -116,32 +148,26 @@ def test_field_commutator_truncation_artifact():
     assert np.max(np.abs(off - np.diag(np.diag(off)))) == 0.0
 
 
-def test_lift_identity_and_commuting_factors():
-    spec = SpaceSpec(2, 3)
-    assert np.array_equal(
-        lift(spec, identity(spec, ATOMIC)).mat, np.eye(spec.product_dim)
-    )
-    s31 = lift(spec, atomic_operator(spec, 3, 1))
-    a = lift(spec, field_operator(spec, "annihilate"))
-    assert commutator(s31, a).max_abs() <= 1e-15
-
-
-def test_lift_trace_identity():
-    spec = SpaceSpec(2, 3)
-    s11 = atomic_operator(spec, 1, 1)
-    lifted = lift(spec, s11)
-    assert np.trace(lifted.mat) == pytest.approx(
-        np.trace(s11.mat) * spec.field_dim, abs=1e-12
-    )
+@pytest.mark.parametrize("atoms,n_max", [(1, 2), (2, 3), (3, 1), (4, 2)])
+def test_lift_equals_the_dense_reference(atoms, n_max):
+    spec = SpaceSpec(atoms, n_max)
+    identity = element_sum(ATOMIC, spec, [identity_elements(spec.atomic_dim)])
+    assert np.array_equal(lift(spec, identity).mat, np.eye(spec.product_dim))
+    for i, j in itertools.product(LEVELS, repeat=2):
+        assert np.array_equal(lift(spec, transition(spec, i, j)).mat,
+                              dr.lift_atomic(spec, dr.atomic(spec, i, j)))
+    for kind in ("annihilate", "create", "number"):
+        assert np.array_equal(lift(spec, ladder(spec, kind)).mat,
+                              dr.lift_field(spec, dr.field(spec, kind)))
 
 
 def test_lift_rejects_bad_input():
     spec = SpaceSpec(2, 3)
     other = SpaceSpec(2, 4)
     with pytest.raises(SpaceMismatchError):
-        lift(spec, atomic_operator(other, 1, 1))
+        lift(spec, transition(other, 1, 1))
     with pytest.raises(SpaceMismatchError):
-        lift(spec, lift(spec, atomic_operator(spec, 1, 1)))
+        lift(spec, lift(spec, transition(spec, 1, 1)))
 
 
 def test_deformed_absorbs_photon():
@@ -168,35 +194,32 @@ def test_deformed_conjugate_pair_and_bad_pair():
 
 def test_commutator_examples():
     spec = SpaceSpec(2, 1)
-    s = lambda i, j: atomic_operator(spec, i, j)
-    assert (commutator(s(1, 2), s(2, 1)) - (s(1, 1) - s(2, 2))).max_abs() <= 1e-14
-    assert commutator(s(1, 1), s(2, 2)).max_abs() == 0.0
+    s = lambda i, j: transition(spec, i, j)
+    assert ((s(1, 2) @ s(2, 1) - s(2, 1) @ s(1, 2)) - (s(1, 1) - s(2, 2))).max_abs() <= 1e-14
+    assert (s(1, 1) @ s(2, 2) - s(2, 2) @ s(1, 1)).max_abs() == 0.0
     spec3 = SpaceSpec(3, 1)
-    s3 = lambda i, j: atomic_operator(spec3, i, j)
-    assert (commutator(s3(3, 1), s3(1, 2)) - s3(3, 2)).max_abs() <= 1e-14
+    s3 = lambda i, j: transition(spec3, i, j)
+    assert ((s3(3, 1) @ s3(1, 2) - s3(1, 2) @ s3(3, 1)) - s3(3, 2)).max_abs() <= 1e-14
 
 
-def test_commutator_rejects_mismatched_spaces():
+def test_product_rejects_mismatched_spaces():
     spec = SpaceSpec(2, 2)
     with pytest.raises(SpaceMismatchError):
-        commutator(atomic_operator(spec, 1, 2), field_operator(spec, "number"))
+        transition(spec, 1, 2) @ ladder(spec, "number")
 
 
 @given(
-    atoms=st.integers(1, 3),
+    atoms=st.integers(1, 4),
     i=st.integers(1, 3), j=st.integers(1, 3),
     k=st.integers(1, 3), l=st.integers(1, 3),
 )
 def test_first_order_commutator_property(atoms, i, j, k, l):
     spec = SpaceSpec(atoms, 1)
-    s = lambda a, b: atomic_operator(spec, a, b)
-    lhs = commutator(s(i, j), s(k, l)).mat
-    rhs = np.zeros_like(lhs)
-    if j == k:
-        rhs = rhs + s(i, l).mat
-    if i == l:
-        rhs = rhs - s(k, j).mat
+    m, n = transition(spec, i, j), transition(spec, k, l)
+    lhs = (m @ n - n @ m).mat
+    rhs = (j == k) * dr.atomic(spec, i, l) - (i == l) * dr.atomic(spec, k, j)
     assert np.max(np.abs(lhs - rhs)) <= 1e-12
+    assert np.max(np.abs(lhs - dr.commutator(m.mat, n.mat))) <= 1e-12
 
 
 @pytest.mark.parametrize("atoms", [1, 2, 3])
@@ -238,18 +261,15 @@ def test_second_order_commutator_matrix_element():
     # acting on |level 1> x |n=1>, (S33 - n) S21 gives -1 |level 2> x |n=1>
     spec = SpaceSpec(1, 4)
     imap = index_map(spec)
-    num = lift(spec, field_operator(spec, "number"))
-    rhs = (lift(spec, atomic_operator(spec, 3, 3)) - num) @ lift(
-        spec, atomic_operator(spec, 2, 1)
-    )
-    col = rhs.mat[:, imap.flat((1, 0, 0), 1)]
+    rhs = (dr.lift_atomic(spec, dr.atomic(spec, 3, 3)) - dr.number(spec)) @ dr.lift_atomic(
+        spec, dr.atomic(spec, 2, 1))
+    col = rhs[:, imap.flat((1, 0, 0), 1)]
     expected = np.zeros(spec.product_dim, dtype=complex)
     expected[imap.flat((0, 1, 0), 1)] = -1.0
     assert np.max(np.abs(col - expected)) <= 1e-14
-    # the dressed commutator agrees inside the guarded zone
-    comm = commutator(
-        deformed_operator(spec, 3, 1), deformed_operator(spec, 2, 3)
-    )
+    # the dressed block commutator agrees inside the guarded zone
+    x31, x23 = deformed_operator(spec, 3, 1), deformed_operator(spec, 2, 3)
+    comm = x31 @ x23 - x23 @ x31
     assert np.max(np.abs(comm.mat[:, imap.flat((1, 0, 0), 1)] - expected)) <= 1e-14
 
 
@@ -258,48 +278,42 @@ def test_second_order_kernel_scan():
     # operator (S11 + n + 1) S32 never annihilates a state with n2 >= 1
     spec = SpaceSpec(2, 4)
     imap = index_map(spec)
-    num = lift(spec, field_operator(spec, "number"))
-    one = identity(spec, PRODUCT)
-    lam = (lift(spec, atomic_operator(spec, 3, 3)) - num) @ lift(
-        spec, atomic_operator(spec, 2, 1)
-    )
-    vee = (lift(spec, atomic_operator(spec, 1, 1)) + num + one) @ lift(
-        spec, atomic_operator(spec, 3, 2)
-    )
+    s = lambda i, j: dr.lift_atomic(spec, dr.atomic(spec, i, j))
+    num, one = dr.number(spec), np.eye(spec.product_dim)
+    lam = (s(3, 3) - num) @ s(2, 1)
+    vee = (s(1, 1) + num + one) @ s(3, 2)
     for flat in range(spec.product_dim):
         (n1, n2, n3), n = imap.split(flat)
         if n3 == n:
-            assert np.linalg.norm(lam.mat[:, flat]) <= 1e-12
+            assert np.linalg.norm(lam[:, flat]) <= 1e-12
         if n2 >= 1:
-            assert np.linalg.norm(vee.mat[:, flat]) > 0.5
+            assert np.linalg.norm(vee[:, flat]) > 0.5
 
 
-def test_guarded_projector():
+def test_guarded_states_equal_the_dense_projector():
     spec = SpaceSpec(2, 4)
-    assert np.array_equal(
-        guarded_projector(spec, 0).mat, np.eye(spec.product_dim)
-    )
-    slab = guarded_projector(spec, spec.n_max)
-    assert np.trace(slab.mat).real == spec.atomic_dim
     for guard in range(spec.n_max + 1):
-        p = guarded_projector(spec, guard)
+        p = diagonal(spec, guarded_states(spec, guard))
+        assert np.array_equal(p.mat, dr.guarded_projector(spec, guard))
         assert np.trace(p.mat).real == spec.atomic_dim * (spec.n_max - guard + 1)
         assert (p @ p - p).max_abs() == 0.0
     with pytest.raises(ValueError):
-        guarded_projector(spec, -1)
+        guarded_states(spec, -1)
 
 
-def test_operator_matrix_validation():
+def test_operator_storage_is_read_only():
     spec = SpaceSpec(1, 2)
+    op = transition(spec, 1, 2)
     with pytest.raises(ValueError):
-        OperatorMatrix(ATOMIC, spec, np.zeros((4, 4)))
-    op = atomic_operator(spec, 1, 2)
+        op.mat[0, 0] = 5.0
     with pytest.raises(ValueError):
-        op.mat[0, 0] = 5.0  # read-only storage
+        op._data[0] = 5.0
+    dense = OperatorMatrix(ATOMIC, spec, op.mat.ravel() + 0.0, _one_block(spec.atomic_dim))
+    assert (dense - op).max_abs() == 0.0 and dense.blocks.count == 2
 
 
 def test_hermiticity_helper():
     spec = SpaceSpec(1, 2)
-    s12 = atomic_operator(spec, 1, 2)
+    s12 = transition(spec, 1, 2)
     assert not s12.is_hermitian()
     assert (s12 + s12.dag()).is_hermitian()

@@ -2,8 +2,8 @@
 operator products they replace.
 
 The references rebuild the enhancement factors, the transfer operators and
-the excitation count from lifted collective and field operators, the way
-they were written before the diagonal forms.
+the excitation count from the lifted collective and field operators of
+``dense_reference``.
 """
 
 import ast
@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import dense_reference as dr
 import trilevel.hamiltonian as hamiltonian
 import trilevel.operators as operators
 from trilevel.dispersive import analytic_effective, dispersive_params, small_rotation
@@ -32,33 +33,21 @@ from trilevel.hamiltonian import (
     rotation_report,
 )
 from trilevel.hilbert import SpaceSpec
-from trilevel.operators import (
-    PRODUCT,
-    OperatorMatrix,
-    atomic_operator,
-    field_operator,
-    identity,
-    lift,
-    unitary_exp,
-)
+from trilevel.operators import OperatorMatrix, atomic_term, tensor_sum, unitary_exp
 
 LAMBDA_H = HamiltonianSpec(LAMBDA, (0.0, 0.0, 3.0), 1.0, g31=0.1, g32=0.15)
 VEE_H = HamiltonianSpec(VEE, (0.0, 3.0, 3.0), 1.0, g31=0.12, g21=0.1)
 
 
 def s(spec, i, j):
-    return lift(spec, atomic_operator(spec, i, j))
-
-
-def number(spec):
-    return lift(spec, field_operator(spec, "number"))
+    return dr.lift_atomic(spec, dr.atomic(spec, i, j))
 
 
 def factor_reference(spec, scheme):
-    """(S33 - n) for lambda, (S11 + n + 1) for vee, from lifted operators."""
+    """(S33 - n) for lambda, (S11 + n + 1) for vee, from lifted dense operators."""
     if scheme == LAMBDA:
-        return s(spec, 3, 3) - number(spec)
-    return s(spec, 1, 1) + number(spec) + identity(spec, PRODUCT)
+        return s(spec, 3, 3) - dr.number(spec)
+    return s(spec, 1, 1) + dr.number(spec) + np.eye(spec.product_dim)
 
 
 @pytest.mark.parametrize("h", [LAMBDA_H, VEE_H])
@@ -101,7 +90,7 @@ def test_sweep_factors_match_dense_expectation(atoms):
         for scheme, occ, value in ((LAMBDA, (atoms, 0, 0), row.factor_lambda),
                                    (VEE, (0, 0, atoms), row.factor_vee)):
             psi = prepare_initial(spec, InitialState(occ, field), LAMBDA_H)
-            expected = np.real(psi.conj() @ (factor_reference(spec, scheme).mat @ psi))
+            expected = np.real(psi.conj() @ (factor_reference(spec, scheme) @ psi))
             assert abs(value - expected) <= 1e-12
 
 
@@ -117,10 +106,11 @@ def test_sweep_rejects_a_cutoff_below_the_tail_rule():
 @pytest.mark.parametrize("atoms,n_max", [(1, 3), (3, 4)])
 def test_excitation_operator_equals_the_lift_sum(scheme, atoms, n_max):
     spec = SpaceSpec(atoms, n_max)
-    ref = number(spec) + s(spec, 3, 3)
+    ref = dr.number(spec) + s(spec, 3, 3)
     if scheme == VEE:
         ref = ref + s(spec, 2, 2)
-    assert np.array_equal(excitation_operator(spec, scheme).mat, ref.mat)
+    assert np.array_equal(excitation_operator(spec, scheme).mat, ref)
+    assert np.array_equal(excitation_operator(spec, scheme).mat, dr.excitation(spec, scheme))
 
 
 @pytest.mark.parametrize("h", [LAMBDA_H, VEE_H])
@@ -130,12 +120,12 @@ def test_analytic_effective_matches_the_lift_product(h, atoms, n_max):
     la, lb = h.degenerate_pair
     ref = (s(spec, la, lb) + s(spec, lb, la)) @ factor_reference(spec, h.scheme)
     model = analytic_effective(spec, h, dispersive_params(h, 0.0, atoms))
-    assert np.max(np.abs(model.transfer_operator.mat - ref.mat)) <= 1e-15
+    assert np.max(np.abs(model.transfer_operator.mat - ref)) <= 1e-15
 
 
 def test_shared_rotation_checks_unitarity(monkeypatch):
     spec = SpaceSpec(1, 2)
-    gen = 1j * (s(spec, 1, 2) - s(spec, 2, 1))
+    gen = tensor_sum(spec, [atomic_term(spec, 1, 2, 1j), atomic_term(spec, 2, 1, -1j)])
     unitary_exp(gen, 0.3)  # a true rotation passes
     monkeypatch.setattr(operators, "TOL_UNITARY", -1.0)
     with pytest.raises(RuntimeError, match="not unitary"):

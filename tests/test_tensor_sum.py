@@ -1,16 +1,14 @@
 """Every product-space operator is written from its atomic (x) field terms.
 
-The references below are the dense constructions the package used before
-tensor_sum: entries of one tensor product written from the nonzeros of both
-factors, conjugate pairs through ``dag()``, sums through ``+``/``-`` and
-scalar ``*`` starting from a zero operator.  The terms must reproduce them
-exactly (``np.array_equal``), and the partition hint must give the exact
-connected components.
+The first reference is ``dense_reference``: the Hamiltonian, its free and
+interaction parts, the dressed transitions and the rotation generators as
+dense arrays written from the labels.  The terms must reproduce them exactly
+(``np.array_equal``), and the stored partition must be the connected
+components that the dense search finds.
 
-The second reference is the construction just before the factors were
-given as their elements: each S_ij a dense ``np.zeros((d, d))`` matrix filled
-from the occupation labels, identity factors from ``np.eye`` and every factor
-read with ``np.nonzero``.  Writing the elements straight from the labels must
+The second reference reads the dense factors of ``dense_reference`` with
+``np.nonzero``, identity factors from ``np.eye``, and writes their tensor
+products in term order.  Writing the elements straight from the labels must
 store the same partition and the same bits, zero signs included.  A last test
 runs 60 atoms in a fresh process, where one dense S_ij alone is 57 MB.
 """
@@ -19,12 +17,14 @@ import itertools
 import os
 import subprocess
 import sys
-from collections import Counter, deque
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import dense_reference as dr
 import trilevel.dispersive as dispersive
 from test_batched_kernels import same_bits
 from trilevel.dispersive import DispersiveParams, analytic_effective, small_rotation
@@ -39,95 +39,25 @@ from trilevel.hamiltonian import (
 )
 from trilevel.hilbert import SpaceSpec, index_map
 from trilevel.operators import (
+    ATOMIC,
     DEFORMED_PAIRS,
+    FIELD,
     LEVELS,
-    PRODUCT,
     BlockPartition,
     OperatorMatrix,
     _component_labels,
     _write,
-    atomic_operator,
     deformed_operator,
-    diagonal,
+    element_sum,
     enhancement_factor,
-    field_operator,
+    field_elements,
     lift,
     tensor_sum,
+    transition_elements,
     unitary_exp,
 )
 
 ALL_PAIRS = DEFORMED_PAIRS + tuple((j, i) for i, j in DEFORMED_PAIRS)
-
-
-# --- the old dense constructions -------------------------------------------
-
-def old_product_operator(spec, atomic, field):
-    ar, ac = np.nonzero(atomic)
-    fr, fc = np.nonzero(field)
-    f = spec.field_dim
-    mat = np.zeros((spec.product_dim,) * 2, dtype=np.complex128)
-    mat[ar[:, None] * f + fr, ac[:, None] * f + fc] = atomic[ar, ac][:, None] * field[fr, fc]
-    return OperatorMatrix(PRODUCT, spec, mat)
-
-
-def old_lift_atomic(spec, op):
-    return old_product_operator(spec, op.mat, np.eye(spec.field_dim))
-
-
-def old_deformed(spec, i, j):
-    if (i, j) in DEFORMED_PAIRS:
-        return old_product_operator(spec, atomic_operator(spec, i, j).mat,
-                                    field_operator(spec, "annihilate").mat)
-    return old_deformed(spec, j, i).dag()
-
-
-def old_free(spec, h):
-    table = index_map(spec)
-    diag = h.omega * table.photons
-    for level, e in enumerate(h.energies):
-        diag = diag + e * table.occupations[:, level]
-    return diagonal(spec, diag)
-
-
-def old_interaction(spec, h):
-    out = OperatorMatrix(PRODUCT, spec, np.zeros((spec.product_dim,) * 2))
-    for (i, j) in h.coupled_pairs():
-        x = old_deformed(spec, i, j)
-        out = out + h.coupling(i, j) * (x + x.dag())
-    return out
-
-
-def old_build(spec, h):
-    return old_free(spec, h) + old_interaction(spec, h)
-
-
-def old_rotation_generator(spec, h):
-    la, lb = h.degenerate_pair
-    return old_lift_atomic(spec, 1j * atomic_operator(spec, la, lb)
-                           - 1j * atomic_operator(spec, lb, la))
-
-
-def old_small_rotation(spec, i, j, eps):
-    x = old_deformed(spec, i, j)
-    return unitary_exp(1j * x - 1j * x.dag(), eps)
-
-
-def search_labels(mat):
-    """Smallest member of each connected component of mat != 0, by search."""
-    adjacent = (mat != 0) | (mat != 0).T
-    labels = np.full(len(mat), -1)
-    for start in range(len(mat)):
-        if labels[start] >= 0:
-            continue
-        labels[start] = start
-        queue = deque([start])
-        while queue:
-            k = queue.popleft()
-            for m in np.flatnonzero(adjacent[k]):
-                if labels[m] < 0:
-                    labels[m] = start
-                    queue.append(m)
-    return labels
 
 
 # --- strategies --------------------------------------------------------------
@@ -144,43 +74,58 @@ def hamiltonians(draw):
                            g32=draw(couplings), g21=draw(couplings))
 
 
-def assert_same(new, old):
-    assert np.array_equal(new.mat, old.mat)
-    assert np.array_equal(new.blocks.labels, search_labels(new.mat))
+def assert_same(new, dense):
+    assert np.array_equal(new.mat, dense)
+    assert np.array_equal(new.blocks.labels, dr.component_labels(dense))
 
 
-# --- the operators equal the old constructions exactly -----------------------
+def uncoupled(h):
+    return replace(h, g31=0.0, g32=0.0, g21=0.0)
+
+
+def generator(spec, i, j):
+    """The dense i (X_ij - X_ji)."""
+    return 1j * (dr.dressed(spec, i, j) - dr.dressed(spec, j, i))
+
+
+# --- the operators equal the dense reference exactly -----------------------------
 
 @given(spec=sizes, h=hamiltonians())
 def test_hamiltonians_equal_the_dense_sums(spec, h):
-    assert_same(free_hamiltonian(spec, h), old_free(spec, h))
-    assert_same(interaction_hamiltonian(spec, h), old_interaction(spec, h))
-    assert_same(build_hamiltonian(spec, h), old_build(spec, h))
+    free = dr.hamiltonian(spec, uncoupled(h))
+    assert_same(free_hamiltonian(spec, h), free)
+    assert_same(interaction_hamiltonian(spec, h), dr.hamiltonian(spec, h) - free)
+    assert_same(build_hamiltonian(spec, h), dr.hamiltonian(spec, h))
 
 
 @pytest.mark.parametrize("scheme", [LAMBDA, VEE])
 def test_zero_coupling_writes_no_nonzero(scheme):
     spec = SpaceSpec(2, 3)
     h = HamiltonianSpec(scheme, (0.0, 1.0, 2.0), 1.0, g31=0.3)  # the second coupling is 0
-    assert_same(build_hamiltonian(spec, h), old_build(spec, h))
-    assert_same(interaction_hamiltonian(spec, h), old_interaction(spec, h))
+    assert_same(build_hamiltonian(spec, h), dr.hamiltonian(spec, h))
+    assert_same(interaction_hamiltonian(spec, h),
+                dr.hamiltonian(spec, h) - dr.hamiltonian(spec, uncoupled(h)))
 
 
-@pytest.mark.parametrize("atoms,n_max", [(1, 3), (2, 4), (3, 2)])
+@pytest.mark.parametrize("atoms,n_max", [(1, 3), (2, 4), (3, 2), (4, 2)])
 @pytest.mark.parametrize("pair", ALL_PAIRS)
-def test_dressed_transitions_equal_the_old_ones(atoms, n_max, pair):
+def test_dressed_transitions_equal_the_dense_reference(atoms, n_max, pair):
     spec = SpaceSpec(atoms, n_max)
-    assert_same(deformed_operator(spec, *pair), old_deformed(spec, *pair))
+    assert_same(deformed_operator(spec, *pair), dr.dressed(spec, *pair))
 
 
 @given(spec=sizes, h=hamiltonians())
 def test_rotation_generator_equals_the_lifted_difference(spec, h):
-    assert_same(_rotation_generator(spec, h), old_rotation_generator(spec, h))
+    la, lb = h.degenerate_pair
+    dense = 1j * (dr.lift_atomic(spec, dr.atomic(spec, la, lb) - dr.atomic(spec, lb, la)))
+    assert_same(_rotation_generator(spec, h), dense)
 
 
 @given(spec=sizes, pair=st.sampled_from(DEFORMED_PAIRS), eps=st.floats(-0.1, 0.1))
-def test_small_rotation_equals_the_old_one(spec, pair, eps):
-    assert_same(small_rotation(spec, *pair, eps), old_small_rotation(spec, *pair, eps))
+def test_small_rotation_equals_the_dense_exponential(spec, pair, eps):
+    u = small_rotation(spec, *pair, eps)
+    assert np.max(np.abs(u.mat - dr.dense_exp(generator(spec, *pair), eps))) <= 1e-13
+    assert np.array_equal(u.blocks.labels, dr.component_labels(generator(spec, *pair)))
 
 
 # --- no dense operator arithmetic while building ------------------------------
@@ -223,20 +168,6 @@ def test_building_operators_uses_no_dense_arithmetic(scheme, arithmetic_calls, m
 
 # --- bit for bit against the dense factors ----------------------------------------
 
-def dense_atomic(spec, i, j):
-    """S_ij as a dense matrix filled from the occupation labels."""
-    occ = index_map(spec).occupations[::spec.field_dim]
-    if i == j:
-        return np.diag(occ[:, i - 1]).astype(np.complex128)
-    index = np.zeros((spec.atoms + 1, spec.atoms + 1), dtype=np.intp)
-    index[occ[:, 0], occ[:, 1]] = np.arange(spec.atomic_dim)
-    cols = np.flatnonzero(occ[:, j - 1])
-    n1, n2 = (occ[cols, k] + (i == k + 1) - (j == k + 1) for k in (0, 1))
-    mat = np.zeros((spec.atomic_dim, spec.atomic_dim), dtype=np.complex128)
-    mat[index[n1, n2], cols] = np.sqrt((occ[cols, i - 1] + 1) * occ[cols, j - 1])
-    return mat
-
-
 def dense_factor_sum(spec, terms):
     """(labels, flat storage) of the sum of c (atomic (x) field) over dense factors,
     each read with np.nonzero and written in term order."""
@@ -257,7 +188,7 @@ def dense_factor_sum(spec, terms):
 
 def dense_dressed(spec, i, j, c=1):
     kind = "annihilate" if (i, j) in DEFORMED_PAIRS else "create"
-    return c, dense_atomic(spec, i, j), field_operator(spec, kind).mat
+    return c, dr.atomic(spec, i, j), dr.field(spec, kind)
 
 
 def dense_terms(spec, h):
@@ -265,26 +196,26 @@ def dense_terms(spec, h):
     operator under that name as the package builds it now."""
     eye_atomic, eye_field = np.eye(spec.atomic_dim), np.eye(spec.field_dim)
     la, lb = h.degenerate_pair
-    free = [(h.omega, eye_atomic, field_operator(spec, "number").mat)] + [
-        (e, dense_atomic(spec, i, i), eye_field) for i, e in enumerate(h.energies, start=1)]
+    free = [(h.omega, eye_atomic, dr.field(spec, "number"))] + [
+        (e, dr.atomic(spec, i, i), eye_field) for i, e in enumerate(h.energies, start=1)]
     interaction = [dense_dressed(spec, a, b, h.coupling(i, j))
                    for (i, j) in h.coupled_pairs() for a, b in ((i, j), (j, i))]
     terms = {
         "free": (free, free_hamiltonian(spec, h)),
         "interaction": (interaction, interaction_hamiltonian(spec, h)),
         "H": (free + interaction, build_hamiltonian(spec, h)),
-        "rotation generator": ([(1j, dense_atomic(spec, la, lb), eye_field),
-                                (-1j, dense_atomic(spec, lb, la), eye_field)],
+        "rotation generator": ([(1j, dr.atomic(spec, la, lb), eye_field),
+                                (-1j, dr.atomic(spec, lb, la), eye_field)],
                                _rotation_generator(spec, h)),
     }
     for i, j in ALL_PAIRS:
         terms[f"X{i}{j}"] = ([dense_dressed(spec, i, j)], deformed_operator(spec, i, j))
     for i, j in itertools.product(LEVELS, repeat=2):
-        terms[f"lift S{i}{j}"] = ([(1, dense_atomic(spec, i, j), eye_field)],
-                                  lift(spec, atomic_operator(spec, i, j)))
+        terms[f"lift S{i}{j}"] = ([(1, dr.atomic(spec, i, j), eye_field)], lift(
+            spec, element_sum(ATOMIC, spec, [transition_elements(spec, i, j)])))
     for kind in ("annihilate", "create", "number"):
-        terms[f"lift {kind}"] = ([(1, eye_atomic, field_operator(spec, kind).mat)],
-                                 lift(spec, field_operator(spec, kind)))
+        terms[f"lift {kind}"] = ([(1, eye_atomic, dr.field(spec, kind))], lift(
+            spec, element_sum(FIELD, spec, [field_elements(spec, kind)])))
     return terms
 
 
@@ -303,12 +234,6 @@ def assert_same_storage(op, reference, name):
 
 
 small_sizes = st.tuples(st.integers(1, 4), st.integers(1, 4)).map(lambda t: SpaceSpec(*t))
-
-
-@given(spec=small_sizes)
-def test_atomic_operators_equal_the_dense_label_build(spec):
-    for i, j in itertools.product(LEVELS, repeat=2):
-        assert same_bits(atomic_operator(spec, i, j).mat, dense_atomic(spec, i, j))
 
 
 @given(spec=small_sizes, h=hamiltonians())
@@ -343,7 +268,7 @@ def test_dispersive_operators_store_the_bits_of_the_dense_factor_sum(spec, h, ep
     # the transfer operator: the dense swap of the degenerate pair times diag(f)
     la, lb = h.degenerate_pair
     table = index_map(spec)
-    swap = np.kron(dense_atomic(spec, la, lb) + dense_atomic(spec, lb, la), np.eye(spec.field_dim))
+    swap = dr.lift_atomic(spec, dr.atomic(spec, la, lb) + dr.atomic(spec, lb, la))
     f = enhancement_factor(h.scheme, table.occupations, table.photons)
     assert_same_storage(transfer, dense_storage(spec, swap @ np.diag(f.astype(np.complex128))),
                         "transfer")

@@ -4,8 +4,8 @@
 series of its record must equal the dense formula evaluated on the full
 (dim, T) states of ``propagate``; starts that occupy several blocks (a
 random vector, a coherent field, the dark mode) are drawn beside basis
-states, and the dense states are checked against a dense eigendecomposition.
-The dense formulas live here, not in the package.  A Fock start
+states, and the dense states are checked against the propagator of
+``dense_reference``.  The dense formulas live here, not in the package.  A Fock start
 must never make ``evolve`` hold one dense (dim, T) state matrix, and time
 chunks of any length must give the one-chunk trajectory; ``evolve`` and the
 Hermiticity check must stay within their chunk budgets.
@@ -19,6 +19,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import dense_reference as dr
 import trilevel.dynamics as dynamics
 from trilevel.dynamics import (
     InitialState,
@@ -36,7 +37,7 @@ from trilevel.hamiltonian import (
     excitation_operator,
 )
 from trilevel.hilbert import SpaceSpec, index_map
-from trilevel.operators import CHUNK_ENTRIES, field_operator, lift
+from trilevel.operators import CHUNK_ENTRIES, FIELD, element_sum, field_elements, lift
 
 TOL = 1e-12
 
@@ -44,8 +45,7 @@ TOL = 1e-12
 def dense_record(ham, excitation, psi0, times) -> dict:
     """Every record series from the full (dim, T) states."""
     states = propagate(ham, psi0, times)
-    w, v = np.linalg.eigh(ham.mat)
-    expected = v @ (np.exp(-1j * np.outer(w, times)) * (v.conj().T @ psi0)[:, None])
+    expected = dr.propagate(ham.mat, psi0, times)
     assert np.max(np.abs(states - expected)) <= TOL * max(1.0, times[-1] * ham.max_abs())
     weights = np.abs(states) ** 2
     table = index_map(ham.spec)
@@ -107,7 +107,7 @@ def test_record_matches_dense_formulas(model):
     assert record.truncation_safe == bool(np.max(dense["leakage"]) <= 1e-6)
 
     # a field quadrature couples the occupied blocks to unoccupied ones
-    a = lift(spec, field_operator(spec, "annihilate"))
+    a = lift(spec, element_sum(FIELD, spec, [field_elements(spec, "annihilate")]))
     quadrature = a + a.dag()
     dense_quadrature = dense_record(ham, quadrature, psi0, grid.times)["excitation"]
     series = evolve(ham, psi0, grid, quadrature).excitation
@@ -190,7 +190,7 @@ def test_time_chunks_do_not_change_the_trajectory(model, zero, use_quadrature, s
         psi0 = np.zeros_like(psi0)
     ham = build_hamiltonian(spec, h)
     if use_quadrature:  # couples the occupied blocks to unoccupied ones
-        a = lift(spec, field_operator(spec, "annihilate"))
+        a = lift(spec, element_sum(FIELD, spec, [field_elements(spec, "annihilate")]))
         observable = a + a.dag()
     else:
         observable = excitation_operator(spec, h.scheme)

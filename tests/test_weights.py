@@ -4,14 +4,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import dense_reference as dr
 from trilevel.hilbert import SpaceSpec
 from trilevel.operators import (
     ATOMIC,
     PRODUCT,
-    atomic_operator,
-    commutator,
     deformed_operator,
-    identity,
+    element_sum,
+    identity_elements,
+    transition_elements,
 )
 from trilevel.hamiltonian import LAMBDA, VEE
 from trilevel.weights import (
@@ -36,15 +37,22 @@ def test_basis_vectors_are_120_degrees_apart():
 
 @pytest.mark.parametrize("scheme", [LAMBDA, VEE])
 @pytest.mark.parametrize("space", [ATOMIC, PRODUCT])
-def test_cartan_elements_commute_exactly(scheme, space):
-    cartan = cartan_choice(scheme, SpaceSpec(2, 3), space)
-    assert commutator(cartan.h1, cartan.h2).max_abs() == 0.0
+def test_cartan_elements_are_the_dense_inversions(scheme, space):
+    spec = SpaceSpec(2, 3)
+    cartan = cartan_choice(scheme, spec, space)
+    sign = 1 if scheme == LAMBDA else -1
+    s = {i: dr.atomic(spec, i, i) for i in (1, 2, 3)}
+    lifted = (lambda m: m) if space == ATOMIC else (lambda m: dr.lift_atomic(spec, m))
+    for h, (i, j) in zip((cartan.h1, cartan.h2), ((1, 2), (2, 3))):
+        assert np.array_equal(np.diag(h), sign * lifted(s[i] - s[j]))
+    assert not dr.commutator(np.diag(cartan.h1), np.diag(cartan.h2)).any()
 
 
 def test_identity_operator_has_zero_weight():
     spec = SpaceSpec(1, 3)
     cartan = cartan_choice(LAMBDA, spec, ATOMIC)
-    w = weight_of(identity(spec, ATOMIC), cartan, label="1")
+    identity = element_sum(ATOMIC, spec, [identity_elements(spec.atomic_dim)])
+    w = weight_of(identity, cartan, label="1")
     assert w.kappa == (Fraction(0), Fraction(0))
     assert w.coords == (0.0, 0.0)
 
@@ -57,7 +65,8 @@ def test_dressed_lowering_weight_matches_eigen_equation():
     w = weight_of(x31, cartan, label="aS31")
     assert w.kappa == (Fraction(-1), Fraction(-1))
     for h, kappa in zip((cartan.h1, cartan.h2), w.kappa):
-        assert (commutator(h, x31) - float(kappa) * x31).max_abs() <= 1e-12
+        dense = dr.commutator(np.diag(h), x31.mat) - float(kappa) * dr.dressed(spec, 3, 1)
+        assert np.max(np.abs(dense)) <= 1e-12
 
 
 def test_conjugate_operator_has_opposite_weight():
@@ -77,7 +86,7 @@ def test_second_order_weight_is_sum_of_parents():
     x23 = deformed_operator(spec, 2, 3)
     w31 = weight_of(x31, cartan)
     w23 = weight_of(x23, cartan)
-    w_comm = weight_of(commutator(x31, x23), cartan, order="second")
+    w_comm = weight_of(x31 @ x23 - x23 @ x31, cartan, order="second")
     assert w_comm.kappa == (w31.kappa[0] + w23.kappa[0], w31.kappa[1] + w23.kappa[1])
 
 
@@ -93,7 +102,7 @@ def test_weight_additivity_exhaustive_over_scheme_set():
             ops.append(deformed_operator(spec, j, i))
         for m in ops:
             for n in ops:
-                comm = commutator(m, n)
+                comm = m @ n - n @ m
                 if comm.max_abs() <= 1e-14:
                     continue
                 wm, wn = weight_of(m, cartan), weight_of(n, cartan)
@@ -106,10 +115,11 @@ def test_weight_additivity_exhaustive_over_scheme_set():
 def test_non_weight_vector_rejected():
     spec = SpaceSpec(1, 3)
     cartan = cartan_choice(LAMBDA, spec, ATOMIC)
-    mixed = atomic_operator(spec, 3, 1) + atomic_operator(spec, 2, 1)
+    mixed = element_sum(ATOMIC, spec, [transition_elements(spec, 3, 1),
+                                       transition_elements(spec, 2, 1)])
     with pytest.raises(NotAWeightVectorError):
         weight_of(mixed, cartan)
-    zero = 0.0 * atomic_operator(spec, 3, 1)
+    zero = element_sum(ATOMIC, spec, [transition_elements(spec, 3, 1, 0.0)])
     with pytest.raises(NotAWeightVectorError):
         weight_of(zero, cartan)
 
