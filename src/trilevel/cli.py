@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .hilbert import Occupation, SpaceSpec
-from .operators import TOL_ALGEBRA, apply, eigenvalues, verify_algebra
+from .operators import CHUNK_ENTRIES, TOL_ALGEBRA, apply, verify_algebra
 from .hamiltonian import (
     TOL_DARK_BLOCK,
     HamiltonianSpec,
@@ -34,7 +34,10 @@ from .hamiltonian import (
     excitation_operator,
     free_hamiltonian,
     interaction_hamiltonian,
+    ladder_storage_bytes,
+    reduced_hamiltonian,
     rotation_report,
+    spectrum,
 )
 from .dispersive import DEFAULT_GUARD, compare, dispersive_params
 from .dynamics import (
@@ -58,7 +61,7 @@ EXIT_CLOSED_STDOUT = 141  # the shell's status of a process ended by SIGPIPE (12
 DEFAULT_VERIFY_GUARD = 2
 DEFAULT_SWEEP_NBARS = (4.0, 8.0, 16.0, 32.0)
 TOL_CONSERVATION = 1e-10
-CSV_ROWS = 512  # rows formatted per column call, which bounds the strings held at once
+CSV_ROWS = 512  # rows formatted per _fmt call, which bounds the strings held at once
 
 
 class ConfigError(ValueError):
@@ -225,26 +228,32 @@ def _dump_json(path: Path, payload: dict) -> None:
     _create(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _fmt(values: np.ndarray) -> list[str]:
-    """repr of each value as a float64, once per distinct bit pattern (-0.0 is not 0.0)."""
-    bits, inverse = np.unique(np.asarray(values, float).view(np.int64), return_inverse=True)
+def _fmt(values: np.ndarray) -> np.ndarray:
+    """repr of each value as a float64, once per distinct bit pattern (-0.0 is not 0.0),
+    in an object array of the shape of ``values``."""
+    values = np.asarray(values, float)
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
     texts = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
-    return texts[inverse].tolist()
+    return texts[inverse.reshape(values.shape)]
 
 
-def _write_csv(path: Path, header: str, rows: int, columns) -> None:
-    """``header``, then the cells ``columns(k)`` of each column for the rows in slice k."""
+def _write_csv(path: Path, header: str, columns: list[np.ndarray], index: bool = False) -> None:
+    """``header``, then one row per entry of the equal-length float ``columns``, led by
+    the row number if ``index``; each chunk of CSV_ROWS rows is formatted by one _fmt
+    call over all of its columns."""
     with _create(path).open("w") as fh:
         fh.write(header + "\n")
-        for k in (slice(start, start + CSV_ROWS) for start in range(0, rows, CSV_ROWS)):
-            fh.write("".join(",".join(row) + "\n" for row in zip(*columns(k))))
+        for start in range(0, len(columns[0]), CSV_ROWS):
+            cells = _fmt([c[start:start + CSV_ROWS] for c in columns]).T.tolist()
+            if index:
+                cells = [[str(start + r), *row] for r, row in enumerate(cells)]
+            fh.write("".join(",".join(row) + "\n" for row in cells))
 
 
 def write_trajectory_csv(path: Path, record: TrajectoryRecord) -> None:
-    _write_csv(path, "t,pop1,pop2,pop3,n_photon,norm,excitation,leakage", len(record.times),
-               lambda k: [_fmt(record.times[k]), _fmt(record.pop1[k]), _fmt(record.pop2[k]),
-                          _fmt(record.pop3[k]), _fmt(record.n_photon[k]), _fmt(record.norm[k]),
-                          _fmt(record.excitation[k]), _fmt(record.leakage[k])])
+    _write_csv(path, "t,pop1,pop2,pop3,n_photon,norm,excitation,leakage",
+               [record.times, record.pop1, record.pop2, record.pop3, record.n_photon,
+                record.norm, record.excitation, record.leakage])
 
 
 def _check(name: str, residual: float | None, tolerance: float) -> dict:
@@ -394,10 +403,9 @@ def cmd_sweep(cfg: RunConfig, out: Path) -> int:
 
 
 def cmd_spectrum(cfg: RunConfig, out: Path) -> int:
-    spectrum = eigenvalues(build_hamiltonian(cfg.space, cfg.hamiltonian))
-    _write_csv(out / "spectrum.csv", "index,eigenvalue", len(spectrum),
-               lambda k: [list(map(str, range(len(spectrum))[k])), _fmt(spectrum[k])])
-    print(f"spectrum: wrote {out / 'spectrum.csv'} ({len(spectrum)} eigenvalues)")
+    values = spectrum(cfg.space, cfg.hamiltonian)
+    _write_csv(out / "spectrum.csv", "index,eigenvalue", [values], index=True)
+    print(f"spectrum: wrote {out / 'spectrum.csv'} ({len(values)} eigenvalues)")
     return EXIT_OK
 
 
@@ -416,25 +424,30 @@ def _physical_memory() -> int:
 
 
 def largest_array_bytes(command: str, cfg: RunConfig) -> int:
-    """Bytes of the largest dense array a command allocates: one complex
-    product-space matrix or, for the trajectory commands, the complex
-    (product_dim, n_samples) state matrix if that is larger."""
-    dim = cfg.space.product_dim
-    samples = (cfg.n_samples or 0) if command in ("evolve", "dispersive-compare") else 0
-    return 16 * dim * max(dim, samples)
+    """Bytes of the largest storage a command holds: for spectrum on the reduced
+    Hamiltonian, the ladder bound of its blocks; otherwise one dense complex
+    product-space matrix or, for the trajectory commands, their records
+    (9 * 8 * n_samples bytes each) plus one chunk of CHUNK_ENTRIES complex
+    states, if that is larger."""
+    if command == "spectrum" and reduced_hamiltonian(cfg.hamiltonian) is not None:
+        return ladder_storage_bytes(cfg.space)
+    records = {"evolve": 1, "dispersive-compare": 2}.get(command, 0)  # held at once
+    trajectories = (records * 9 * 8 * (cfg.n_samples or 0) + 16 * CHUNK_ENTRIES) if records else 0
+    return max(16 * cfg.space.product_dim ** 2, trajectories)
 
 
 def run(command: str, cfg: RunConfig, out: Path) -> int:
     """Dispatch one command; returns the process exit status.
 
     Every command but sweep, which builds no matrices, is refused before it
-    builds anything when its largest dense array exceeds physical memory.
+    builds anything when its largest storage (largest_array_bytes) exceeds
+    physical memory.
     """
     if command != "sweep":
         need, memory = largest_array_bytes(command, cfg), _physical_memory()
         if need > memory:
             raise ConfigError(
-                f"problem size: the largest dense array needs {need:.3e} bytes, "
+                f"problem size: the largest array needs {need:.3e} bytes, "
                 f"more than the {memory:.3e} bytes of physical memory"
             )
     started = time.perf_counter()

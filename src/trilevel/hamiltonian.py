@@ -8,14 +8,15 @@ the interaction into one bright mode, coupled to the field with the
 root-sum-square of the couplings, and one dark mode that the interaction
 annihilates.  The rotation convention used throughout maps the
 dark mode onto occupation slot 2, so "dark quanta" are counted by S22 in
-the rotated frame.
+the rotated frame, where H splits into ladders of at most A + 1 states;
+``spectrum`` diagonalizes it there.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -28,6 +29,7 @@ from .operators import (  # LAMBDA and VEE are re-exported
     atomic_term,
     diagonal,
     dressed_term,
+    eigenvalues,
     element_sum,
     field_elements,
     identity_elements,
@@ -148,6 +150,33 @@ def rotation_parameters(h: HamiltonianSpec) -> RotationResult:
     effective = math.hypot(ga, gb)
     composition = _on_degenerate_pair(h, (-math.sin(angle), math.cos(angle)))
     return RotationResult(angle, effective, h.degenerate_pair, composition, h.degenerate)
+
+
+def reduced_hamiltonian(h: HamiltonianSpec) -> HamiltonianSpec | None:
+    """``h`` in the frame of the mode rotation, where the bright mode takes the
+    root-sum-square coupling on the first coupled pair and the dark mode, on
+    occupation slot 2, none on the second; None unless the paired energies are
+    exactly equal (any split adds bright-dark terms) and a coupling is nonzero.
+    Its H splits into Tavis-Cummings ladders of one excitation and dark count,
+    each of at most A + 1 states (ladder_storage_bytes)."""
+    a, b = h.degenerate_pair
+    couplings = [h.coupling(i, j) for i, j in h.coupled_pairs()]
+    if h.energies[a - 1] != h.energies[b - 1] or not any(couplings):
+        return None
+    bright, dark = (f"g{i}{j}" for i, j in h.coupled_pairs())
+    return replace(h, **{bright: rotation_parameters(h).effective_coupling, dark: 0.0})
+
+
+def ladder_storage_bytes(spec: SpaceSpec) -> int:
+    """Upper bound on the block storage of a reduced_hamiltonian H: its blocks hold
+    at most A + 1 states, so their sizes b sum to dim and sum(b**2) <= (A + 1) dim."""
+    return 16 * spec.product_dim * (spec.atoms + 1)
+
+
+def spectrum(spec: SpaceSpec, h: HamiltonianSpec) -> np.ndarray:
+    """Ascending eigenvalues of H, diagonalized on the ladders of reduced_hamiltonian
+    where that applies (the same spectrum but for the last bits), else on H itself."""
+    return eigenvalues(build_hamiltonian(spec, reduced_hamiltonian(h) or h))
 
 
 def _on_degenerate_pair(h: HamiltonianSpec, amplitudes: tuple[float, float]) -> tuple:

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 import dense_reference as dr
 import trilevel.cli as cli
+import trilevel.hamiltonian as hamiltonian
 import trilevel.operators as operators
 from test_block_storage import operator_pools
 from trilevel.cli import main, write_trajectory_csv
@@ -30,7 +31,6 @@ from trilevel.operators import (
     OperatorMatrix,
     _one_block,
     _write,
-    eigenvalues,
     hermitian_blocks,
     verify_algebra,
 )
@@ -166,8 +166,8 @@ def test_spectrum_csv_matches_the_per_element_writer(tmp_path, monkeypatch, chun
     conf.write_text("scheme = vee\natoms = 2\nn_max = 4\nE1 = 0.0\nE2 = 3.0\nE3 = 3.0\n"
                     "omega = 1.0\ng31 = 0.1\ng21 = 0.1\n")
     assert main(["spectrum", "--config", str(conf), "--out", str(tmp_path)]) == 0
-    spectrum = eigenvalues(build_hamiltonian(
-        SpaceSpec(2, 4), HamiltonianSpec("vee", (0.0, 3.0, 3.0), 1.0, g31=0.1, g21=0.1)))
+    spectrum = hamiltonian.spectrum(
+        SpaceSpec(2, 4), HamiltonianSpec("vee", (0.0, 3.0, 3.0), 1.0, g31=0.1, g21=0.1))
     lines = ["index,eigenvalue", *(f"{k},{repr(float(v))}" for k, v in enumerate(spectrum))]
     assert (tmp_path / "spectrum.csv").read_text() == "\n".join(lines) + "\n"
 

@@ -20,7 +20,7 @@ import trilevel.hamiltonian as hamiltonian
 from trilevel.cli import main, parse_config
 from trilevel.dispersive import dispersive_params, residual_and_order
 from trilevel.hilbert import SpaceSpec
-from trilevel.operators import OperatorMatrix, verify_algebra
+from trilevel.operators import CHUNK_ENTRIES, OperatorMatrix, verify_algebra
 
 LAMBDA_CONF = """\
 scheme = lambda
@@ -128,17 +128,38 @@ SMALL_CONF = LAMBDA_CONF.replace("atoms = 2", "atoms = 1").replace("1,1,0", "1,0
 SMALL_DIM = 3 * 6  # atomic_dim 3, field_dim 6
 
 
-@pytest.mark.parametrize("command,expected", [
-    ("spectrum", 16 * SMALL_DIM ** 2),
-    ("verify", 16 * SMALL_DIM ** 2),
-    ("weights", 16 * SMALL_DIM ** 2),
-    ("evolve", 16 * SMALL_DIM * 101),
-    ("dispersive-compare", 16 * SMALL_DIM * 101),
+CHUNK = 16 * CHUNK_ENTRIES  # one chunk of complex trajectory states
+RECORD = 9 * 8  # bytes per sample of one trajectory record
+
+
+@pytest.mark.parametrize("command,expected,expected_fewer", [
+    ("spectrum", 16 * SMALL_DIM * 2, 16 * SMALL_DIM * 2),  # ladders of at most atoms + 1 = 2
+    ("verify", 16 * SMALL_DIM ** 2, 16 * SMALL_DIM ** 2),
+    ("weights", 16 * SMALL_DIM ** 2, 16 * SMALL_DIM ** 2),
+    ("evolve", RECORD * 101 + CHUNK, RECORD * 5 + CHUNK),
+    ("dispersive-compare", 2 * RECORD * 101 + CHUNK, 2 * RECORD * 5 + CHUNK),
 ])
-def test_largest_array_estimate(command, expected):
+def test_largest_array_estimate(command, expected, expected_fewer):
     assert cli.largest_array_bytes(command, parse_config(SMALL_CONF)) == expected
     fewer = SMALL_CONF.replace("n_samples = 101", "n_samples = 5")
-    assert cli.largest_array_bytes(command, parse_config(fewer)) == 16 * SMALL_DIM ** 2
+    assert cli.largest_array_bytes(command, parse_config(fewer)) == expected_fewer
+
+
+def test_spectrum_estimate_is_dense_unless_the_pair_is_exactly_degenerate():
+    split = SMALL_CONF.replace("E2 = 0.0", f"E2 = {float(np.nextafter(0.0, 1.0))!r}")
+    assert cli.largest_array_bytes("spectrum", parse_config(split)) == 16 * SMALL_DIM ** 2
+
+
+def test_sizes_the_dense_estimate_refused_now_fit():
+    """spectrum at A=32, n_max=40 and evolve at A=8, n_max=16 over 700,000 samples need
+    8.5e9 and 8.6e9 bytes as dense arrays; their stored forms take under 0.1 GB."""
+    big = SMALL_CONF.replace("atoms = 1", "atoms = 32").replace("n_max = 5", "n_max = 40")
+    assert cli.largest_array_bytes("spectrum", parse_config(big)) == 16 * 561 * 41 * 33
+    long = (SMALL_CONF.replace("atoms = 1", "atoms = 8").replace("n_max = 5", "n_max = 16")
+            .replace("n_samples = 101", "n_samples = 700000"))
+    assert cli.largest_array_bytes("evolve", parse_config(long)) == RECORD * 700000 + CHUNK
+    assert max(cli.largest_array_bytes("spectrum", parse_config(big)),
+               cli.largest_array_bytes("evolve", parse_config(long))) < 1e8
 
 
 def refuse_construction(op):
