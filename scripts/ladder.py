@@ -3,62 +3,53 @@
 
 Each rung runs, for the vee layout, the stage list of the ROADMAP tables:
 build_hamiltonian, second-order and u3 verify_algebra, rotation_report,
-evolve over 2001 samples from (0, 0, A) in the vacuum, the eigenvalues of the
-full H, hamiltonian.spectrum (the spectrum the CLI writes) and the quantum weight
-diagram (diagram_layout), each timed as the best of three runs, then run once
-more, untimed, under tracemalloc for its traced peak (the arrays the stage
-allocates and holds at once).  Every rung runs in a fresh process, which records
-its own peak RSS (getrusage) and the thread count of the loaded OpenBLAS.  The
-file goes to the root of the checkout this script lives in, and the package is
-imported from that checkout's src/, so a copy in another checkout measures that
-checkout.
+evolve over 2001 samples from (0, 0, A) in the vacuum, the spectrum, and
+the quantum weight diagram (diagram_layout), each timed as the best of three
+runs, then run once more, untimed, under tracemalloc for its traced peak (the
+arrays the stage allocates and holds at once).  Every rung runs in a fresh
+process, which records its own peak RSS (getrusage) and the thread count of the
+loaded OpenBLAS.  The file goes to the root of the checkout this script lives
+in, and the package is imported from that checkout's src/, so a copy in another
+checkout measures that checkout.
 
     python scripts/ladder.py
-    python scripts/ladder.py --parent HEAD~1
-
-With ``--parent`` (a git revision, extracted with ``git archive`` into a temporary
-directory, or the root of another checkout, used as it is), every rung runs
-RUNS times for the parent and for this checkout, in fresh processes that
-alternate which side goes first, with this script's stages and settings on both
-sides.  Per stage the file records both sides' median, the ratio change / parent and
-the spread, the sum of the two sides' (max - min) / median (a ratio below
-1 - spread means the two sides' ranges do not overlap), and every run.  A stage
-that one side lacks is null.  Ratios taken in one session compare code on one
-machine; ratios between BENCH files of different sessions include the machine's
-drift.
 """
 
 from __future__ import annotations
 
-import argparse
 import ctypes
 import glob
-import io
 import json
 import multiprocessing
 import os
 import platform
 import resource
-import statistics
-import subprocess
 import sys
-import tarfile
-import tempfile
 import time
 import tracemalloc
 from pathlib import Path
 
-import numpy as np
-
 ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+import numpy as np  # noqa: E402
+
+from trilevel.dynamics import TimeGrid, evolve, prepare_initial, InitialState  # noqa: E402
+from trilevel.hamiltonian import (  # noqa: E402
+    VEE,
+    HamiltonianSpec,
+    build_hamiltonian,
+    excitation_operator,
+    rotation_report,
+)
+from trilevel.hilbert import SpaceSpec  # noqa: E402
+from trilevel.operators import eigenvalues, verify_algebra  # noqa: E402
+from trilevel.weights import diagram_layout  # noqa: E402
 
 RUNGS = ((4, 12), (8, 16), (12, 20), (30, 40), (60, 2))  # (60, 2): the atomic space dominates
-SETUP = {"layout": "vee", "energies": (0.0, 3.0, 3.0), "omega": 1.0, "g31": 0.1, "g21": 0.1}
+H = HamiltonianSpec(VEE, (0.0, 3.0, 3.0), 1.0, g31=0.1, g21=0.1)
 T_MAX, N_SAMPLES = 1000.0, 2001
 REPEATS = 3  # the host's speed swings between runs; the best run is the steadiest figure
-# processes per side with --parent: under independent noise, a stage compared with
-# itself leaves 1 +- spread about 0.03 % of the time (3 runs: about 1.5 %)
-RUNS = 5
 
 
 def blas_threads() -> int | None:
@@ -73,18 +64,9 @@ def blas_threads() -> int | None:
     return None
 
 
-def run_rung(atoms: int, n_max: int, src: str = str(ROOT / "src")) -> dict:
-    """Wall time and traced peak of every stage at one size, in this process, with
-    the package imported from ``src``; a stage the package lacks is left out."""
-    sys.path.insert(0, src)
-    from trilevel import hamiltonian, operators
-    from trilevel.dynamics import InitialState, TimeGrid, evolve, prepare_initial
-    from trilevel.hilbert import SpaceSpec
-    from trilevel.weights import diagram_layout
-
+def run_rung(atoms: int, n_max: int) -> dict:
+    """Wall time and traced peak of every stage at one size, in this process."""
     spec = SpaceSpec(atoms, n_max)
-    h = hamiltonian.HamiltonianSpec(SETUP["layout"], SETUP["energies"], SETUP["omega"],
-                                    g31=SETUP["g31"], g21=SETUP["g21"])
     stages, peaks = {}, {}
 
     def timed(name, fn):
@@ -93,7 +75,7 @@ def run_rung(atoms: int, n_max: int, src: str = str(ROOT / "src")) -> dict:
             start = time.perf_counter()
             result = fn()
             times.append(time.perf_counter() - start)
-        stages[name] = round(min(times), 6)
+        stages[name] = round(min(times), 4)
         tracemalloc.start()
         try:
             fn()
@@ -102,51 +84,21 @@ def run_rung(atoms: int, n_max: int, src: str = str(ROOT / "src")) -> dict:
             tracemalloc.stop()
         return result
 
-    ham = timed("build_hamiltonian", lambda: hamiltonian.build_hamiltonian(spec, h))
-    timed("verify_algebra_second_order", lambda: operators.verify_algebra(spec, "second_order"))
-    timed("verify_algebra_u3", lambda: operators.verify_algebra(spec, "u3"))
-    timed("rotation_report", lambda: hamiltonian.rotation_report(spec, h))
-    psi0 = prepare_initial(spec, InitialState((0, 0, atoms), ("fock", 0)), h)
+    ham = timed("build_hamiltonian", lambda: build_hamiltonian(spec, H))
+    timed("verify_algebra_second_order", lambda: verify_algebra(spec, "second_order"))
+    timed("verify_algebra_u3", lambda: verify_algebra(spec, "u3"))
+    timed("rotation_report", lambda: rotation_report(spec, H))
+    psi0 = prepare_initial(spec, InitialState((0, 0, atoms), ("fock", 0)), H)
     timed("evolve", lambda: evolve(ham, psi0, TimeGrid(T_MAX, N_SAMPLES),
-                                   hamiltonian.excitation_operator(spec, h.scheme)))
-    timed("eigenvalues", lambda: operators.eigenvalues(ham))
-    if hasattr(hamiltonian, "spectrum"):  # checkouts before the ladder reduction lack it
-        timed("spectrum", lambda: hamiltonian.spectrum(spec, h))
-    timed("diagram_layout", lambda: diagram_layout(h.scheme, False, spec))
+                                   excitation_operator(spec, VEE)))
+    timed("eigenvalues", lambda: eigenvalues(ham))
+    timed("diagram_layout", lambda: diagram_layout(VEE, False, spec))
     return {
         "atoms": atoms, "n_max": n_max, "dim": spec.product_dim, "stages_s": stages,
         "traced_peak_mb": peaks,
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
         "blas_threads": blas_threads(),
     }
-
-
-def compare(parent: list[dict], change: list[dict]) -> dict:
-    """Per stage, both sides' median stage time over their runs, the ratio
-    change / parent and the spread, the sum of both sides' (max - min) / median;
-    null where a side lacks the stage."""
-    out = {}
-    for name in dict.fromkeys(n for run in parent + change for n in run["stages_s"]):
-        times = [[run["stages_s"][name] for run in side if name in run["stages_s"]]
-                 for side in (parent, change)]
-        p, c = (statistics.median(t) if t else None for t in times)
-        both = all(times)
-        out[name] = {"parent_s": p, "change_s": c, "ratio": c / p if both else None,
-                     "spread": sum((max(t) - min(t)) / statistics.median(t) for t in times)
-                     if both else None}
-    return out
-
-
-def parent_checkout(parent: str, scratch: Path) -> Path:
-    """The root of ``parent``: a directory as it is, or a git revision of this
-    checkout extracted with git archive under ``scratch``."""
-    if Path(parent).is_dir():
-        return Path(parent).resolve()
-    archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", parent],
-                             check=True, capture_output=True).stdout
-    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-        tar.extractall(scratch, filter="data")
-    return scratch
 
 
 def next_bench_path(root: Path) -> Path:
@@ -156,35 +108,18 @@ def next_bench_path(root: Path) -> Path:
     return root / f"BENCH_{k}.json"
 
 
-def main(root: Path = ROOT, rungs: tuple = RUNGS, parent: str | None = None) -> Path:
-    """Run every rung in its own fresh process and write the next BENCH file; with
-    ``parent``, RUNS alternating fresh processes per side and rung."""
+def main(root: Path = ROOT, rungs: tuple = RUNGS) -> Path:
+    """Run every rung in its own fresh process and write the next BENCH file."""
     context = multiprocessing.get_context("spawn")
-    setup = {**SETUP, "t_max": T_MAX, "n_samples": N_SAMPLES,
-             "initial": "(0, 0, A) in the vacuum", "second_order_guard": 1,
-             "timing": f"best of {REPEATS} runs per stage",
-             "traced_peak": "tracemalloc peak of one more run per stage, MiB"}
-    with tempfile.TemporaryDirectory() as scratch, \
-            context.Pool(1, maxtasksperchild=1) as pool:
-        if parent is None:
-            results = [pool.apply(run_rung, rung) for rung in rungs]
-        else:
-            sides = {"parent": str(parent_checkout(parent, Path(scratch)) / "src"),
-                     "change": str(ROOT / "src")}
-            setup.update(parent=parent, runs=RUNS,
-                         order="alternating fresh processes, the parent first in even runs")
-            results = []
-            for atoms, n_max in rungs:
-                done = {"parent": [], "change": []}
-                for k in range(RUNS):
-                    for side in (("parent", "change") if k % 2 == 0 else ("change", "parent")):
-                        done[side].append(pool.apply(run_rung, (atoms, n_max, sides[side])))
-                results.append({"atoms": atoms, "n_max": n_max,
-                                "dim": done["change"][0]["dim"],
-                                "stages": compare(done["parent"], done["change"]), **done})
+    with context.Pool(1, maxtasksperchild=1) as pool:
+        results = [pool.apply(run_rung, rung) for rung in rungs]
     path = next_bench_path(root)
     path.write_text(json.dumps({
-        "setup": setup,
+        "setup": {"layout": VEE, "energies": list(H.energies), "omega": H.omega,
+                  "g31": H.g31, "g21": H.g21, "t_max": T_MAX, "n_samples": N_SAMPLES,
+                  "initial": "(0, 0, A) in the vacuum", "second_order_guard": 1,
+                  "timing": f"best of {REPEATS} runs per stage",
+                  "traced_peak": "tracemalloc peak of one more run per stage, MiB"},
         "machine": {"nproc": os.cpu_count(), "python": platform.python_version(),
                     "numpy": np.__version__,
                     "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS")},
@@ -194,6 +129,4 @@ def main(root: Path = ROOT, rungs: tuple = RUNGS, parent: str | None = None) -> 
 
 
 if __name__ == "__main__":
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--parent", help="git revision or checkout directory to compare with")
-    print(f"wrote {main(parent=parser.parse_args().parent)}")
+    print(f"wrote {main()}")

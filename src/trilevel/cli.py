@@ -61,7 +61,7 @@ EXIT_CLOSED_STDOUT = 141  # the shell's status of a process ended by SIGPIPE (12
 DEFAULT_VERIFY_GUARD = 2
 DEFAULT_SWEEP_NBARS = (4.0, 8.0, 16.0, 32.0)
 TOL_CONSERVATION = 1e-10
-CSV_ROWS = 512  # rows formatted per _fmt call, which bounds the strings held at once
+CSV_ROWS = 512  # rows formatted per column call, which bounds the strings held at once
 
 
 class ConfigError(ValueError):
@@ -228,32 +228,26 @@ def _dump_json(path: Path, payload: dict) -> None:
     _create(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _fmt(values: np.ndarray) -> np.ndarray:
-    """repr of each value as a float64, once per distinct bit pattern (-0.0 is not 0.0),
-    in an object array of the shape of ``values``."""
-    values = np.asarray(values, float)
-    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+def _fmt(values: np.ndarray) -> list[str]:
+    """repr of each value as a float64, once per distinct bit pattern (-0.0 is not 0.0)."""
+    bits, inverse = np.unique(np.asarray(values, float).view(np.int64), return_inverse=True)
     texts = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
-    return texts[inverse.reshape(values.shape)]
+    return texts[inverse].tolist()
 
 
-def _write_csv(path: Path, header: str, columns: list[np.ndarray], index: bool = False) -> None:
-    """``header``, then one row per entry of the equal-length float ``columns``, led by
-    the row number if ``index``; each chunk of CSV_ROWS rows is formatted by one _fmt
-    call over all of its columns."""
+def _write_csv(path: Path, header: str, rows: int, columns) -> None:
+    """``header``, then the cells ``columns(k)`` of each column for the rows in slice k."""
     with _create(path).open("w") as fh:
         fh.write(header + "\n")
-        for start in range(0, len(columns[0]), CSV_ROWS):
-            cells = _fmt([c[start:start + CSV_ROWS] for c in columns]).T.tolist()
-            if index:
-                cells = [[str(start + r), *row] for r, row in enumerate(cells)]
-            fh.write("".join(",".join(row) + "\n" for row in cells))
+        for k in (slice(start, start + CSV_ROWS) for start in range(0, rows, CSV_ROWS)):
+            fh.write("".join(",".join(row) + "\n" for row in zip(*columns(k))))
 
 
 def write_trajectory_csv(path: Path, record: TrajectoryRecord) -> None:
-    _write_csv(path, "t,pop1,pop2,pop3,n_photon,norm,excitation,leakage",
-               [record.times, record.pop1, record.pop2, record.pop3, record.n_photon,
-                record.norm, record.excitation, record.leakage])
+    _write_csv(path, "t,pop1,pop2,pop3,n_photon,norm,excitation,leakage", len(record.times),
+               lambda k: [_fmt(record.times[k]), _fmt(record.pop1[k]), _fmt(record.pop2[k]),
+                          _fmt(record.pop3[k]), _fmt(record.n_photon[k]), _fmt(record.norm[k]),
+                          _fmt(record.excitation[k]), _fmt(record.leakage[k])])
 
 
 def _check(name: str, residual: float | None, tolerance: float) -> dict:
@@ -404,7 +398,8 @@ def cmd_sweep(cfg: RunConfig, out: Path) -> int:
 
 def cmd_spectrum(cfg: RunConfig, out: Path) -> int:
     values = spectrum(cfg.space, cfg.hamiltonian)
-    _write_csv(out / "spectrum.csv", "index,eigenvalue", [values], index=True)
+    _write_csv(out / "spectrum.csv", "index,eigenvalue", len(values),
+               lambda k: [list(map(str, range(len(values))[k])), _fmt(values[k])])
     print(f"spectrum: wrote {out / 'spectrum.csv'} ({len(values)} eigenvalues)")
     return EXIT_OK
 
