@@ -238,7 +238,7 @@ def _bright_coupling(spec: SpaceSpec, rotated: OperatorMatrix) -> float:
     after rotation, so this element isolates the bright 1 <-> 3 transition."""
     imap, a = index_map(spec), spec.atoms
     row, col = imap.flat((a - 1, 0, 1), 0), imap.flat((a, 0, 0), 1)
-    return rotated.max_abs(lambda r, c: (r == row) & (c == col)) / math.sqrt(a)
+    return float(abs(rotated.element(row, col))) / math.sqrt(a)
 
 
 def mode_rotation_unitary(spec: SpaceSpec, h: HamiltonianSpec,

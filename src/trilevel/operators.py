@@ -34,7 +34,8 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -54,6 +55,7 @@ DEFORMED_PAIRS = ((3, 1), (2, 1), (3, 2))
 TOL_ALGEBRA = 1e-12
 TOL_UNITARY = 1e-12
 CHUNK_ENTRIES = 2**14  # elements per array of one slice: Hermiticity check, trajectory chunks
+_LIVE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()  # live partitions by labels
 
 
 @dataclass(frozen=True)
@@ -122,16 +124,23 @@ class BlockPartition:
 
     labels: np.ndarray
     groups: tuple[np.ndarray, ...]
+    _joins: weakref.WeakKeyDictionary = field(  # join per other: operand by weakref, or new
+        default_factory=weakref.WeakKeyDictionary, init=False, repr=False)
 
     @classmethod
     def from_labels(cls, labels: np.ndarray) -> "BlockPartition":
-        order = np.argsort(labels, kind="stable")
-        ordered = labels[order]
-        starts = np.flatnonzero(np.concatenate([[True], ordered[1:] != ordered[:-1]]))
-        sizes = np.concatenate([starts[1:], [len(labels)]]) - starts
-        groups = tuple(order[starts[sizes == b][:, None] + np.arange(b)]
-                       for b in sorted(set(sizes.tolist())))
-        return cls(labels, groups)
+        """The live partition with these labels, made if there is none."""
+        key = (labels.dtype.str, labels.shape, labels.tobytes())
+        if (out := _LIVE.get(key)) is None:
+            labels.setflags(write=False)
+            order = np.argsort(labels, kind="stable")
+            ordered = labels[order]
+            starts = np.flatnonzero(np.concatenate([[True], ordered[1:] != ordered[:-1]]))
+            sizes = np.concatenate([starts[1:], [len(labels)]]) - starts
+            groups = tuple(order[starts[sizes == b][:, None] + np.arange(b)]
+                           for b in sorted(set(sizes.tolist())))
+            out = _LIVE[key] = cls(labels, groups)
+        return out
 
     @property
     def count(self) -> int:
@@ -163,9 +172,16 @@ class BlockPartition:
         return row, col
 
     def join(self, other: "BlockPartition") -> "BlockPartition":
-        """Finest partition that both partitions refine."""
+        """Finest partition that both partitions refine, kept while both live."""
         if other is self:
             return self
+        if (known := self._joins.get(other)) is None:
+            out = self._join(other)
+            known = weakref.ref(out) if out is self or out is other else out
+            self._joins[other] = other._joins[self] = known
+        return known() if isinstance(known, weakref.ref) else known
+
+    def _join(self, other: "BlockPartition") -> "BlockPartition":
         for a, b in ((self, other), (other, self)):
             if (b.labels[a.labels] == b.labels).all():
                 return b  # every block of a lies inside one block of b
@@ -178,7 +194,7 @@ class BlockPartition:
 
 @lru_cache(maxsize=64)
 def _one_block(dim: int) -> BlockPartition:
-    return BlockPartition(np.zeros(dim, dtype=np.intp), (np.arange(dim)[None, :],))
+    return BlockPartition.from_labels(np.zeros(dim, dtype=np.intp))
 
 
 @lru_cache(maxsize=64)
@@ -231,12 +247,10 @@ class OperatorMatrix:
 
     @cached_property
     def blocks(self) -> BlockPartition:
-        """Exact connected components of the nonzero pattern, from the stored elements."""
+        """Exact connected components of the nonzero pattern, from the stored elements
+        unless the writer recorded them (element_sum, diagonal)."""
         rows, cols, _ = self.elements()
-        labels = _component_labels(self.dim, rows, cols)
-        if (labels == self._layout.labels).all():
-            return self._layout
-        return BlockPartition.from_labels(labels)
+        return BlockPartition.from_labels(_component_labels(self.dim, rows, cols))
 
     def elements(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Row, column and value of every nonzero element."""
@@ -263,6 +277,12 @@ class OperatorMatrix:
         return np.concatenate([self._data[row[idx][:, :, None] + col[idx][:, None, :]].ravel()
                                for idx in layout.groups]) + 0.0
 
+    def element(self, row: int, col: int) -> complex:
+        """Stored element (row, col), 0.0 where the two lie in different blocks."""
+        rows, cols = self._layout.slots
+        same = self._layout.labels[row] == self._layout.labels[col]
+        return self._data[rows[row] + cols[col]] if same else 0.0
+
     def dag(self) -> "OperatorMatrix":
         data = [s.swapaxes(1, 2).conj().ravel() for _, s in _views(self._layout, self._data)]
         return OperatorMatrix(self.space, self.spec, np.concatenate(data), self._layout)
@@ -276,17 +296,21 @@ class OperatorMatrix:
                    for idx, stack in _views(self._layout, self._data))
 
     def is_hermitian(self, tol: float = 1e-12) -> bool:
-        """Whether |s - s^H| <= tol everywhere, checked in slices of at most
-        CHUNK_ENTRIES elements: whole blocks, or rows of one block."""
+        """Whether |s - s^H| <= tol everywhere; NaN fails."""
+        return self._hermitian_defect <= tol
+
+    @cached_property
+    def _hermitian_defect(self) -> float:
+        """Largest |s - s^H| (NaN if any), in CHUNK_ENTRIES slices: blocks, or rows of one."""
+        defect = 0.0
         for _, s in _views(self._layout, self._data):
             m, b, _ = s.shape
             rows = max(1, min(b, CHUNK_ENTRIES // b))
             count = max(1, CHUNK_ENTRIES // (rows * b))
             for k, r in itertools.product(range(0, m, count), range(0, b, rows)):
                 part, mirror = s[k:k + count, r:r + rows], s[k:k + count, :, r:r + rows]
-                if not np.max(np.abs(part - mirror.conj().swapaxes(1, 2))) <= tol:
-                    return False  # NaN fails too
-        return True
+                defect = np.maximum(defect, np.max(np.abs(part - mirror.conj().swapaxes(1, 2))))
+        return float(defect)
 
     @cached_property
     def eigenblocks(self) -> list:
@@ -340,9 +364,11 @@ def _dense(op: OperatorMatrix) -> np.ndarray:
 
 
 def diagonal(spec: SpaceSpec, values: np.ndarray) -> OperatorMatrix:
-    """Product-space operator with ``values`` on the diagonal, one block per state."""
-    return OperatorMatrix(PRODUCT, spec, np.array(values, dtype=np.complex128),
-                          _singletons(spec.product_dim))
+    """Product-space operator with ``values`` on the diagonal, one (exact) block per state."""
+    op = OperatorMatrix(PRODUCT, spec, np.array(values, dtype=np.complex128),
+                        _singletons(spec.product_dim))
+    op.blocks = op._layout
+    return op
 
 
 def transition_elements(spec: SpaceSpec, i: int, j: int, c: complex = 1) -> tuple:
@@ -369,13 +395,17 @@ def identity_elements(dim: int) -> tuple:
 
 
 def element_sum(space: str, spec: SpaceSpec, parts: list[tuple]) -> OperatorMatrix:
-    """Operator on ``space`` summing the ``(rows, cols, values)`` parts in part order,
-    stored in the connected components of the nonzero values (a zero writes a zero)."""
+    """Operator on ``space`` summing the ``(rows, cols, values)`` parts in part order, stored in
+    the components of the nonzero values (its exact blocks unless a written one sums to 0)."""
     rows, cols, values = (np.concatenate(x) for x in zip(*parts))
     written = values != 0
     dim = {ATOMIC: spec.atomic_dim, FIELD: spec.field_dim, PRODUCT: spec.product_dim}[space]
     layout = BlockPartition.from_labels(_component_labels(dim, rows[written], cols[written]))
-    return OperatorMatrix(space, spec, _write(layout, rows, cols, values), layout)
+    op = OperatorMatrix(space, spec, _write(layout, rows, cols, values), layout)
+    row, col = layout.slots
+    if op._data[row[rows[written]] + col[cols[written]]].all():
+        op.blocks = layout
+    return op
 
 
 def field_elements(spec: SpaceSpec, kind: str) -> tuple:

@@ -1,0 +1,219 @@
+"""Each fact about a block-stored operator is computed once, and lives no longer
+than what it describes.
+
+``element_sum`` records its layout as the exact blocks unless a written element
+sums to zero, and ``diagonal`` always records it; both must equal what the
+component search finds.  Equal labelings are one ``BlockPartition`` while one of
+them lives, joins are kept while both operands live, and the Hermiticity check
+runs once per operator.  Nothing of this may outlive a CLI command: the
+benchmark calls the CLI many times in one process, which a one-command process
+never does.
+"""
+
+import ast
+import gc
+from collections import Counter
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, strategies as st
+
+import trilevel.cli as cli
+import trilevel.operators as operators
+from trilevel.dispersive import compare, dispersive_params
+from trilevel.dynamics import InitialState, TimeGrid, evolve, prepare_initial
+from trilevel.hamiltonian import HamiltonianSpec, build_hamiltonian, excitation_operator
+from trilevel.hilbert import SpaceSpec
+from trilevel.operators import (
+    ATOMIC,
+    LEVELS,
+    PRODUCT,
+    BlockPartition,
+    OperatorMatrix,
+    _component_labels,
+    atomic_term,
+    diagonal,
+    dressed_term,
+    element_sum,
+    hermitian_blocks,
+    term_elements,
+    transition_elements,
+)
+
+ROOT = Path(__file__).resolve().parents[1]
+PAIRS = [(i, j) for i in LEVELS for j in LEVELS]
+TERMS = {  # space -> the makers of element_sum parts, (spec, c) -> (rows, cols, values)
+    ATOMIC: [lambda spec, c, p=p: transition_elements(spec, *p, c) for p in PAIRS],
+    PRODUCT: [lambda spec, c, p=p: term_elements(spec, atomic_term(spec, *p, c)) for p in PAIRS]
+    + [lambda spec, c, p=p: term_elements(spec, dressed_term(spec, *p, c))
+       for p in ((3, 1), (2, 1), (3, 2), (1, 3), (1, 2), (2, 3))],
+}
+VEE_H = HamiltonianSpec("vee", (0.0, 3.0, 3.0), 1.0, g31=0.1, g21=0.1)
+LAMBDA_H = HamiltonianSpec("lambda", (0.0, 0.0, 3.0), 1.0, g31=0.1, g32=0.1)
+
+
+def searched(op):
+    """The interned partition of the components of op's stored nonzeros."""
+    rows, cols, _ = op.elements()
+    return BlockPartition.from_labels(_component_labels(op.dim, rows, cols))
+
+
+def count_searches(monkeypatch):
+    calls = []
+    real = operators._component_labels
+
+    def counting(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(operators, "_component_labels", counting)
+    return calls
+
+
+# --- the recorded blocks equal the search ------------------------------------
+
+coefficients = st.sampled_from([1.0, -1.0, 0.5, 2j, 1 - 1j, 0.0])
+
+
+@st.composite
+def element_sums(draw):
+    """(space, spec, parts, whether a written element sums to zero) for element_sum,
+    with parts that cancel (c X and -c X in one call) drawn often."""
+    spec = SpaceSpec(draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    space = draw(st.sampled_from((ATOMIC, PRODUCT)))
+    makers = TERMS[space]
+    terms = draw(st.lists(st.tuples(st.sampled_from(makers), coefficients),
+                          min_size=1, max_size=4))
+    terms += [(make, -c) for make, c in terms[:draw(st.integers(0, len(terms)))]]
+    parts = [make(spec, c) for make, c in draw(st.permutations(terms))]
+    dim = spec.atomic_dim if space == ATOMIC else spec.product_dim
+    rows, cols, values = (np.concatenate(x) for x in zip(*parts))
+    dense = np.zeros((dim, dim), dtype=np.complex128)
+    np.add.at(dense, (rows, cols), values)
+    nonzero = values != 0
+    return space, spec, parts, not dense[rows[nonzero], cols[nonzero]].all()
+
+
+@given(case=element_sums())
+def test_recorded_blocks_equal_the_search(case):
+    space, spec, parts, cancelled = case
+    op = element_sum(space, spec, parts)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        calls = count_searches(monkeypatch)
+        blocks = op.blocks
+    assert len(calls) == cancelled  # a cancelled element takes the search path
+    assert np.array_equal(blocks.labels, searched(op).labels)
+    assert blocks is searched(op)
+
+
+def test_cancelling_parts_take_the_search_path(monkeypatch):
+    spec = SpaceSpec(2, 2)
+    x = term_elements(spec, dressed_term(spec, 3, 1))
+    minus_x = term_elements(spec, dressed_term(spec, 3, 1, -1))
+    op = element_sum(PRODUCT, spec, [x, minus_x])
+    assert op._layout.count < spec.product_dim  # written in the blocks of X
+    calls = count_searches(monkeypatch)
+    assert op.blocks is operators._singletons(spec.product_dim)  # every element is zero
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("values", [[0.0, 1.0, 0.0, 2.0, -1.0, 0.0] * 4, [0.0] * 24])
+def test_diagonal_records_its_blocks(values, monkeypatch):
+    spec = SpaceSpec(2, 3)
+    op = diagonal(spec, np.array(values[:spec.product_dim]))
+    calls = count_searches(monkeypatch)
+    blocks = op.blocks
+    assert calls == []
+    assert blocks is searched(op) is operators._singletons(spec.product_dim)
+
+
+def test_equal_labelings_are_one_partition():
+    spec = SpaceSpec(3, 4)
+    ham, again = build_hamiltonian(spec, VEE_H), build_hamiltonian(spec, VEE_H)
+    assert ham._layout is again._layout
+    assert BlockPartition.from_labels(ham._layout.labels.copy()) is ham._layout
+    x = element_sum(PRODUCT, spec, [term_elements(spec, dressed_term(spec, 3, 1))])
+    assert (x @ ham)._layout is ham._layout  # the join is H's layout itself
+
+
+# --- each fact is computed once ----------------------------------------------
+
+def test_hamiltonian_and_trajectory_compute_each_fact_once(monkeypatch):
+    searches = count_searches(monkeypatch)
+    checks = Counter()
+    body = OperatorMatrix._hermitian_defect.func
+
+    def counting_check(op):
+        checks[id(op)] += 1
+        return body(op)
+
+    monkeypatch.setattr(OperatorMatrix._hermitian_defect, "func", counting_check)
+    spec = SpaceSpec(3, 5)
+    ham = build_hamiltonian(spec, VEE_H)
+    list(hermitian_blocks(ham))
+    excitation = excitation_operator(spec, VEE_H.scheme)
+    psi0 = prepare_initial(spec, InitialState((0, 0, 3), ("fock", 0)), VEE_H)
+    evolve(ham, psi0, TimeGrid(10.0, 11), excitation)
+    assert searches == [spec.product_dim]  # H's, as it is written; none for the diagonal
+    assert checks == {id(ham): 1}  # one run serves build_hamiltonian and the trajectory
+
+
+@pytest.mark.parametrize("h", [LAMBDA_H, VEE_H], ids=["lambda", "vee"])
+def test_dispersive_compare_computes_each_join_once(h, monkeypatch):
+    joins = Counter()
+    real = BlockPartition._join
+
+    def counting(a, b):
+        joins[frozenset((a.labels.tobytes(), b.labels.tobytes()))] += 1
+        return real(a, b)
+
+    monkeypatch.setattr(BlockPartition, "_join", counting)
+    spec = SpaceSpec(3, 6)
+    compare(spec, h, dispersive_params(h, 1.0, spec.atoms))
+    assert len(joins) >= 3
+    assert set(joins.values()) == {1}
+
+
+# --- caches die with their operators ---------------------------------------
+
+def collective_conf(scheme: str) -> str:
+    """The committed config of ``scheme`` at the benchmark's collective size."""
+    text = (ROOT / "configs" / f"{scheme}.conf").read_text()
+    atom = {"lambda": "8,0,0", "vee": "0,0,8"}[scheme]
+    return (text.replace("atoms = 1", "atoms = 8").replace("n_max = 8", "n_max = 16")
+            .replace(f"initial.atom = {atom.replace('8', '1')}", f"initial.atom = {atom}"))
+
+
+def live_partitions() -> list:
+    gc.collect()
+    return [o for o in gc.get_objects() if isinstance(o, BlockPartition)]
+
+
+@pytest.mark.parametrize("command", ["verify", "evolve", "dispersive-compare", "spectrum"])
+@pytest.mark.parametrize("scheme", ["lambda", "vee"])
+def test_no_partition_outlives_a_command(command, scheme, tmp_path):
+    conf = tmp_path / "run.conf"
+    conf.write_text(collective_conf(scheme))
+    assert "atoms = 8" in conf.read_text() and "n_max = 16" in conf.read_text()
+    before = live_partitions()
+    assert cli.main([command, "--config", str(conf), "--out", str(tmp_path / "o")]) == 0
+    after = live_partitions()
+    cached = {id(p) for p in after if p is operators._singletons(len(p.labels))
+              or p is operators._one_block(len(p.labels))}
+    kept = {id(p) for p in before} | cached
+    assert [len(p.labels) for p in after if id(p) not in kept] == []
+    assert {id(p) for p in operators._LIVE.values()} <= kept
+
+
+# --- the benchmark's corruption anchor ---------------------------------------
+
+def test_benchmark_corruption_anchor_occurs_once_in_the_cli():
+    """perfbench/selftest.py corrupts the norm column by replacing this text in
+    cli.py; if it disappears or repeats, the self-test stops or corrupts more."""
+    tree = ast.parse((ROOT / "perfbench" / "selftest.py").read_text())
+    anchor, corrupted = next(
+        ast.literal_eval(node.value) for node in tree.body if isinstance(node, ast.Assign)
+        and any(getattr(t, "id", None) == "CORRUPTION" for t in node.targets))
+    assert anchor != corrupted
+    assert (ROOT / "src" / "trilevel" / "cli.py").read_text().count(anchor) == 1
