@@ -8,7 +8,8 @@ the quantum weight diagram (diagram_layout), each timed as the best of three
 runs, then run once more, untimed, under tracemalloc for its traced peak (the
 arrays the stage allocates and holds at once).  Every rung runs in a fresh
 process, which records its own peak RSS (getrusage) and the thread count of the
-loaded OpenBLAS.  The file goes to the root of the checkout this script lives
+loaded OpenBLAS; a rung whose process dies stops the run with
+BrokenProcessPool.  The file goes to the root of the checkout this script lives
 in, and the package is imported from that checkout's src/, so a copy in another
 checkout measures that checkout.
 
@@ -27,6 +28,7 @@ import resource
 import sys
 import time
 import tracemalloc
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -109,10 +111,12 @@ def next_bench_path(root: Path) -> Path:
 
 
 def main(root: Path = ROOT, rungs: tuple = RUNGS) -> Path:
-    """Run every rung in its own fresh process and write the next BENCH file."""
-    context = multiprocessing.get_context("spawn")
-    with context.Pool(1, maxtasksperchild=1) as pool:
-        results = [pool.apply(run_rung, rung) for rung in rungs]
+    """Run every rung in its own fresh process and write the next BENCH file; a
+    worker that dies raises BrokenProcessPool instead of being replaced."""
+    results = []
+    for rung in rungs:
+        with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn")) as pool:
+            results.append(pool.submit(run_rung, *rung).result())
     path = next_bench_path(root)
     path.write_text(json.dumps({
         "setup": {"layout": VEE, "energies": list(H.energies), "omega": H.omega,

@@ -185,15 +185,6 @@ def _residual(spec: SpaceSpec, h: HamiltonianSpec, p: DispersiveParams, block,
     return ham, (conjugated - transfer_prefactor(h, p) * transfer).max_abs(block)
 
 
-def block_residual(spec: SpaceSpec, h: HamiltonianSpec, p: DispersiveParams,
-                   guard: int) -> float:
-    """Max difference between the numeric conjugation and the closed form,
-    restricted to the guarded degenerate-transfer block."""
-    transfer = analytic_effective(spec, h, p).transfer_operator
-    return _residual(spec, h, p, _transfer_block(spec, h.scheme, guard), transfer,
-                     _generators(spec, h.scheme))[1]
-
-
 def compare(spec: SpaceSpec, h: HamiltonianSpec, p: DispersiveParams,
             guard: int = DEFAULT_GUARD) -> tuple[OperatorMatrix, EffectiveModel, float, float]:
     """H, the closed-form model, their transfer-block residual and its order

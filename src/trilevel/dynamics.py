@@ -366,40 +366,33 @@ class SweepResult:
     slope: float | None
 
 
-def semiclassical_sweep(specs: list[SpaceSpec], h: HamiltonianSpec,
-                        n_bars: list[float]) -> SweepResult:
+def semiclassical_sweep(atoms: int, n_bars: list[float]) -> SweepResult:
     """Relative difference of the two enhancement factors in coherent fields.
 
     For each mean photon number the factors (S33 - n) and (S11 + n + 1) are
-    evaluated with every atom in the respective initial transfer level (1
+    evaluated with all ``atoms`` in the respective initial transfer level (1
     for lambda, 3 for vee) and the field in a coherent state truncated at
-    required_fock_cutoff or above, from the truncated Poisson mean; the
+    max(1, required_fock_cutoff), from the truncated Poisson mean; the
     relative measure |f_vee - |f_lambda|| / n_bar decays like 1 / n_bar, and
     the fitted log-log slope is returned alongside the table.  Couplings are
     rescaled so g sqrt(n_bar) stays constant (recorded per row; the factors
-    themselves do not depend on the couplings, so h does not enter them).
+    themselves do not depend on the couplings).
     The n_bar = 0 endpoint is reported without a relative difference.
     """
-    if len(specs) != len(n_bars):
-        raise ValueError("one SpaceSpec is required per n_bar value")
     reference = next((nb for nb in n_bars if nb > 0), 1.0)
     rows = []
-    for spec, n_bar in zip(specs, n_bars):
+    for n_bar in n_bars:
         if n_bar < 0:
             raise ValueError(f"n_bar must be >= 0, got {n_bar}")
         alpha = math.sqrt(n_bar)
-        minimum = required_fock_cutoff(alpha)
-        if spec.n_max < minimum:
-            raise ValueError(
-                f"n_max={spec.n_max} below the minimum {minimum} for n_bar={n_bar}"
-            )
+        n_max = max(1, required_fock_cutoff(alpha))
         scale = math.sqrt(reference / n_bar) if n_bar > 0 else 1.0
-        weights = np.abs(coherent_amplitudes(alpha, spec.n_max)[0]) ** 2
-        mean_n = float(np.arange(spec.field_dim) @ weights / np.sum(weights))
-        f_lambda = float(enhancement_factor(LAMBDA, (spec.atoms, 0, 0), mean_n))
-        f_vee = float(enhancement_factor(VEE, (0, 0, spec.atoms), mean_n))
+        weights = np.abs(coherent_amplitudes(alpha, n_max)[0]) ** 2
+        mean_n = float(np.arange(n_max + 1) @ weights / np.sum(weights))
+        f_lambda = float(enhancement_factor(LAMBDA, (atoms, 0, 0), mean_n))
+        f_vee = float(enhancement_factor(VEE, (0, 0, atoms), mean_n))
         rel = abs(f_vee - abs(f_lambda)) / n_bar if n_bar > 0 else None
-        rows.append(SweepRow(n_bar, spec.n_max, scale, f_lambda, f_vee, rel))
+        rows.append(SweepRow(n_bar, n_max, scale, f_lambda, f_vee, rel))
 
     fit_rows = [(r.n_bar, r.rel_difference) for r in rows
                 if r.rel_difference is not None and r.rel_difference > 0]

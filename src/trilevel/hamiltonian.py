@@ -15,12 +15,11 @@ the rotated frame, where H splits into ladders of at most A + 1 states;
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .hilbert import SpaceSpec, fock_vector, index_map
+from .hilbert import SpaceSpec, index_map
 from .operators import (  # LAMBDA and VEE are re-exported
     ATOMIC,
     LAMBDA,
@@ -84,26 +83,18 @@ class HamiltonianSpec:
         """The level pair that must be degenerate for exact dark-state decoupling."""
         return layout(self.scheme).degenerate
 
-    @property
-    def degenerate(self) -> bool:
-        a, b = self.degenerate_pair
-        ea, eb = self.energies[a - 1], self.energies[b - 1]
-        return abs(ea - eb) <= 1e-12 * max(1.0, abs(ea), abs(eb))
-
 
 @dataclass(frozen=True)
 class RotationResult:
     """Mode-rotation angle, bright coupling, and dark-mode composition.
 
-    dark_composition holds the amplitudes of the dark single-atom state on
-    dark_levels, unit norm and orthogonal to the bright combination.
+    dark_composition holds the amplitudes of the dark single-atom state on the
+    degenerate pair, unit norm and orthogonal to the bright combination.
     """
 
     angle: float
     effective_coupling: float
-    dark_levels: tuple[int, int]
     dark_composition: tuple[float, float]
-    degenerate: bool
 
 
 def _free_terms(spec: SpaceSpec, h: HamiltonianSpec) -> list:
@@ -149,7 +140,7 @@ def rotation_parameters(h: HamiltonianSpec) -> RotationResult:
     angle = math.atan2(gb, ga)
     effective = math.hypot(ga, gb)
     composition = _on_degenerate_pair(h, (-math.sin(angle), math.cos(angle)))
-    return RotationResult(angle, effective, h.degenerate_pair, composition, h.degenerate)
+    return RotationResult(angle, effective, composition)
 
 
 def reduced_hamiltonian(h: HamiltonianSpec) -> HamiltonianSpec | None:
@@ -205,19 +196,21 @@ def _mode_pair_vector(atoms: int, levels: tuple[int, int],
 def dark_atomic_vector(h: HamiltonianSpec, atoms: int) -> np.ndarray:
     """Atomic-space vector with every atom in the dark mode."""
     r = rotation_parameters(h)
-    return _mode_pair_vector(atoms, r.dark_levels, r.dark_composition)
+    return _mode_pair_vector(atoms, h.degenerate_pair, r.dark_composition)
 
 
 def bright_atomic_vector(h: HamiltonianSpec, atoms: int) -> np.ndarray:
     """Atomic-space vector with every atom in the bright (coupled) mode."""
     r = rotation_parameters(h)
     amplitudes = _on_degenerate_pair(h, (math.cos(r.angle), math.sin(r.angle)))
-    return _mode_pair_vector(atoms, r.dark_levels, amplitudes)
+    return _mode_pair_vector(atoms, h.degenerate_pair, amplitudes)
 
 
-def dark_state(spec: SpaceSpec, h: HamiltonianSpec, fock_n: int) -> np.ndarray:
-    """Unit product-space vector annihilated by the interaction Hamiltonian."""
-    return np.kron(dark_atomic_vector(h, spec.atoms), fock_vector(spec, fock_n))
+def dark_states(spec: SpaceSpec, h: HamiltonianSpec) -> np.ndarray:
+    """(dim, n_max) array whose column n is the unit product-space vector with every
+    atom in the dark mode and n photons, annihilated by the interaction Hamiltonian."""
+    fock = np.eye(spec.field_dim, spec.n_max, dtype=np.complex128)
+    return np.kron(dark_atomic_vector(h, spec.atoms)[:, None], fock)
 
 
 def _rotation_generator(spec: SpaceSpec, h: HamiltonianSpec) -> OperatorMatrix:
@@ -226,57 +219,33 @@ def _rotation_generator(spec: SpaceSpec, h: HamiltonianSpec) -> OperatorMatrix:
     return tensor_sum(spec, [atomic_term(spec, la, lb, 1j), atomic_term(spec, lb, la, -1j)])
 
 
-def dark_block_residual(spec: SpaceSpec, transformed: OperatorMatrix) -> float:
-    """Largest matrix element of a rotated Hamiltonian that changes the
-    dark-mode occupation (slot 2 of the occupation triple)."""
-    n2 = index_map(spec).occupations[:, 1]
-    return transformed.max_abs(lambda r, c: n2[r] != n2[c])
-
-
-def _bright_coupling(spec: SpaceSpec, rotated: OperatorMatrix) -> float:
-    """<(A-1, 0, 1); 0| U H U^dag |(A, 0, 0); 1> / sqrt(A): slot 2 is the dark mode
-    after rotation, so this element isolates the bright 1 <-> 3 transition."""
-    imap, a = index_map(spec), spec.atoms
-    row, col = imap.flat((a - 1, 0, 1), 0), imap.flat((a, 0, 0), 1)
-    return float(abs(rotated.element(row, col))) / math.sqrt(a)
-
-
-def mode_rotation_unitary(spec: SpaceSpec, h: HamiltonianSpec,
-                          r: RotationResult) -> OperatorMatrix:
+def mode_rotation_unitary(spec: SpaceSpec, h: HamiltonianSpec) -> OperatorMatrix:
     """exp(theta (S_ab - S_ba)) of the degenerate pair (a, b), theta = the layout's sign
-    times the angle, which takes the dark mode to occupation slot 2; warns when the
-    paired energies are not degenerate, as the dark mode then need not decouple."""
-    if not r.degenerate:
-        warnings.warn("rotated pair is not degenerate; dark-mode decoupling is not "
-                      "guaranteed and was not checked", stacklevel=2)
-    return unitary_exp(_rotation_generator(spec, h), layout(h.scheme).sign * r.angle)
+    times the rotation angle, which takes the dark mode to occupation slot 2."""
+    theta = layout(h.scheme).sign * rotation_parameters(h).angle
+    return unitary_exp(_rotation_generator(spec, h), theta)
 
 
 @dataclass(frozen=True)
 class RotationReport:
-    """Numeric summary of the mode rotation for one Hamiltonian spec."""
+    """The mode rotation U of one Hamiltonian spec and the largest element of
+    U H U^dag - H_red, H_red the Hamiltonian of reduced_hamiltonian."""
 
     unitary: OperatorMatrix
-    dark_coupling_residual: float
-    extracted_coupling: float
-    expected_coupling: float
-    degenerate: bool
+    residual: float
 
 
 def rotation_report(spec: SpaceSpec, h: HamiltonianSpec) -> RotationReport:
-    """Rotate one Hamiltonian once and read both checks off U H U^dag: the dark-block
-    residual (NaN, unchecked, unless the pair is degenerate) and the bright coupling.
-    Neither is compared with a tolerance here; ``trilevel verify`` does that."""
-    r = rotation_parameters(h)
-    u = mode_rotation_unitary(spec, h, r)
+    """Rotate H once and compare it, every element, with the reduced Hamiltonian that
+    ``spectrum`` diagonalizes; the residual is not compared with a tolerance here,
+    ``trilevel verify`` does that.  Raises ValueError where there is no reduction."""
+    reduced = reduced_hamiltonian(h)
+    if reduced is None:
+        raise ValueError("no reduced Hamiltonian: the paired energies differ "
+                         "or every coupling is zero")
+    u = mode_rotation_unitary(spec, h)
     rotated = u @ build_hamiltonian(spec, h) @ u.dag()
-    return RotationReport(
-        unitary=u,
-        dark_coupling_residual=dark_block_residual(spec, rotated) if r.degenerate else math.nan,
-        extracted_coupling=_bright_coupling(spec, rotated),
-        expected_coupling=r.effective_coupling,
-        degenerate=r.degenerate,
-    )
+    return RotationReport(u, (rotated - build_hamiltonian(spec, reduced)).max_abs())
 
 
 def classical_hamiltonian(h: HamiltonianSpec, alpha: complex,

@@ -277,12 +277,6 @@ class OperatorMatrix:
         return np.concatenate([self._data[row[idx][:, :, None] + col[idx][:, None, :]].ravel()
                                for idx in layout.groups]) + 0.0
 
-    def element(self, row: int, col: int) -> complex:
-        """Stored element (row, col), 0.0 where the two lie in different blocks."""
-        rows, cols = self._layout.slots
-        same = self._layout.labels[row] == self._layout.labels[col]
-        return self._data[rows[row] + cols[col]] if same else 0.0
-
     def dag(self) -> "OperatorMatrix":
         data = [s.swapaxes(1, 2).conj().ravel() for _, s in _views(self._layout, self._data)]
         return OperatorMatrix(self.space, self.spec, np.concatenate(data), self._layout)

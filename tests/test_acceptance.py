@@ -17,9 +17,10 @@ from trilevel.hamiltonian import (
     VEE,
     HamiltonianSpec,
     build_hamiltonian,
-    dark_state,
+    dark_states,
     excitation_operator,
     interaction_hamiltonian,
+    reduced_hamiltonian,
     rotation_report,
 )
 from trilevel.dispersive import analytic_effective, dispersive_params, residual_and_order
@@ -125,32 +126,27 @@ def test_criterion_03_dark_state_decoupling():
     for atoms in (1, 2):
         spec = SpaceSpec(atoms, 4)
         for h in (lambda_spec(), vee_spec()):
-            h_int = interaction_hamiltonian(spec, h)
-            for n in range(spec.n_max):
-                worst = max(worst, float(np.linalg.norm(
-                    h_int.mat @ dark_state(spec, h, n)
-                )))
+            applied = interaction_hamiltonian(spec, h).mat @ dark_states(spec, h)
+            worst = max(worst, float(np.linalg.norm(applied, axis=0).max()))
     criterion(3, "dark states are annihilated by the interaction",
               worst <= 1e-12, f"max ||H_int psi|| {worst:.2e}")
 
 
 def test_criterion_04_rotated_hamiltonian():
-    worst_block = 0.0
-    worst_coupling = 0.0
+    worst = 0.0
+    couplings = set()
     for atoms in (1, 2):
         spec = SpaceSpec(atoms, 3)
         for scheme in (LAMBDA, VEE):
             h = (HamiltonianSpec(LAMBDA, (0.0, 0.0, 3.0), 1.0, g31=0.3, g32=0.4)
                  if scheme == LAMBDA
                  else HamiltonianSpec(VEE, (0.0, 3.0, 3.0), 1.0, g31=0.3, g21=0.4))
-            rep = rotation_report(spec, h)
-            worst_block = max(worst_block, rep.dark_coupling_residual)
-            worst_coupling = max(
-                worst_coupling, abs(rep.extracted_coupling - math.hypot(0.3, 0.4))
-            )
+            worst = max(worst, rotation_report(spec, h).residual)
+            reduced = reduced_hamiltonian(h)
+            couplings.add(tuple(reduced.coupling(i, j) for i, j in h.coupled_pairs()))
     criterion(4, "rotation decouples the dark mode and exposes the bright coupling",
-              worst_block <= 1e-10 and worst_coupling <= 1e-10,
-              f"block {worst_block:.2e}, coupling error {worst_coupling:.2e}")
+              worst <= 1e-10 and couplings == {(math.hypot(0.3, 0.4), 0.0)},
+              f"residual against the reduced H {worst:.2e}, couplings {sorted(couplings)}")
 
 
 def test_criterion_05_dispersive_convergence():
@@ -237,10 +233,8 @@ def test_criterion_09_classical_reflection_and_commutators():
 
 
 def test_criterion_10_semiclassical_convergence():
-    h = lambda_spec()
     n_bars = [4.0, 8.0, 16.0, 32.0]
-    specs = [SpaceSpec(1, math.ceil(nb + 8.0 * math.sqrt(nb)) + 4) for nb in n_bars]
-    result = semiclassical_sweep(specs, h, n_bars)
+    result = semiclassical_sweep(1, n_bars)
     criterion(10, "relative enhancement-factor difference fits slope -1 +/- 0.2",
               result.slope is not None and abs(result.slope + 1.0) <= 0.2,
               f"slope {result.slope:.3f}")

@@ -10,6 +10,7 @@ and the component search.  The loop versions of the basis-table masks are kept h
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,9 +18,12 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import dense_reference as dr
+import trilevel.operators as operators
 from trilevel.dispersive import (
+    _generators,
+    _residual,
+    _transfer_block,
     analytic_effective,
-    block_residual,
     dispersive_params,
     effective_transform,
     small_rotation,
@@ -32,8 +36,8 @@ from trilevel.hamiltonian import (
     HamiltonianSpec,
     _rotation_generator,
     build_hamiltonian,
-    dark_block_residual,
     excitation_operator,
+    reduced_hamiltonian,
     rotation_report,
 )
 from trilevel.hilbert import SpaceSpec, index_map
@@ -215,7 +219,9 @@ def test_dispersive_residual_matches_dense(model, guard):
     except ValueError:
         assume(False)
     assume(guard <= spec.n_max)
-    block = block_residual(spec, h, p, guard)
+    transfer = analytic_effective(spec, h, p).transfer_operator
+    block = _residual(spec, h, p, _transfer_block(spec, h.scheme, guard), transfer,
+                      _generators(spec, h.scheme))[1]
     dense = dense_block_residual(spec, h, p, guard)
     assert abs(block - dense) <= TOL * scale(dr.hamiltonian(spec, h))
     transformed = effective_transform(spec, h, p)
@@ -290,12 +296,18 @@ def test_transfer_block_mask_matches_loop(scheme, guard):
     assert np.array_equal(transfer_block_mask(spec, scheme, guard), expected)
 
 
-def test_dark_residual_matches_the_loop():
+@pytest.mark.parametrize("flip", [1, -1])
+@pytest.mark.parametrize("h", [HamiltonianSpec(LAMBDA, (0.0, 0.0, 3.0), 1.0, g31=0.1, g32=0.05),
+                               HamiltonianSpec(VEE, (0.0, 3.0, 3.0), 1.0, g31=0.1, g21=0.05)])
+def test_rotation_residual_matches_dense(h, flip, monkeypatch):
+    """max |U H U^dag - H_red| over every element, with the layout's sign and with the
+    wrong one, against the dense product of the same U."""
+    lay = operators.LAYOUTS[h.scheme]
+    monkeypatch.setitem(operators.LAYOUTS, h.scheme, replace(lay, sign=flip * lay.sign))
     spec = SpaceSpec(2, 4)
-    imap = index_map(spec)
-    splits = [imap.split(k) for k in range(spec.product_dim)]
-    h = HamiltonianSpec(LAMBDA, (0.0, 0.0, 3.0), 1.0, g31=0.1, g32=0.05)
-    ham = dr.hamiltonian(spec, h)
-    n2 = np.array([occ[1] for (occ, _n) in splits])
-    expected = float(np.max(np.abs(ham[n2[:, None] != n2[None, :]])))
-    assert dark_block_residual(spec, build_hamiltonian(spec, h)) == expected
+    rep = rotation_report(spec, h)
+    u = rep.unitary.mat
+    dense = np.max(np.abs(u @ dr.hamiltonian(spec, h) @ u.conj().T
+                          - dr.hamiltonian(spec, reduced_hamiltonian(h))))
+    assert abs(rep.residual - dense) <= TOL * scale(dr.hamiltonian(spec, h))
+    assert (rep.residual <= TOL) == (flip == 1)

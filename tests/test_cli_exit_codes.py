@@ -15,8 +15,10 @@ import numpy as np
 import pytest
 
 import trilevel.cli as cli
+import trilevel.hamiltonian as hamiltonian
 import trilevel.operators as operators
 from trilevel.cli import main
+from trilevel.operators import diagonal
 
 VEE_CONF = (Path(__file__).resolve().parents[1] / "configs" / "vee.conf").read_text()
 
@@ -96,8 +98,11 @@ def test_dispersive_compare_passes_the_gate(tmp_path):
     assert run("dispersive-compare", tmp_path) == cli.EXIT_OK
 
 
+ROTATION_ROW = "mode rotation maps H onto the reduced Hamiltonian"
+
+
 def test_flipped_layout_sign_is_reported_by_verify(tmp_path, monkeypatch, capsys):
-    """A rotation by the wrong sign fails two report rows, not the whole command."""
+    """A rotation by the wrong sign fails one report row, not the whole command."""
     lay = operators.LAYOUTS["vee"]
     monkeypatch.setitem(operators.LAYOUTS, "vee", replace(lay, sign=-lay.sign))
     conf = tmp_path / "vee.conf"
@@ -106,13 +111,54 @@ def test_flipped_layout_sign_is_reported_by_verify(tmp_path, monkeypatch, capsys
     assert status == cli.EXIT_CHECK_FAILURE
     captured = capsys.readouterr()
     assert captured.err == ""
-    assert captured.out.count("FAIL") == 2
+    assert captured.out.count("FAIL") == 1
     checks = json.loads((tmp_path / "o" / "report.json").read_text())["checks"]
     failed = {c["name"]: c["residual"] for c in checks if not c["passed"]}
-    assert len(checks) == 88
-    assert failed.keys() == {"dark-mode decoupling after rotation",
-                             "bright coupling equals root-sum-square"}
-    assert abs(failed["dark-mode decoupling after rotation"] - 0.4) <= 1e-10
+    assert len(checks) == 87
+    # the dark mode keeps the root-sum-square coupling: sqrt(2) 0.1 sqrt(n_max = 8)
+    assert failed.keys() == {ROTATION_ROW}
+    assert abs(failed[ROTATION_ROW] - 0.4) <= 1e-10
+
+
+def _identity_rotation(monkeypatch):
+    monkeypatch.setattr(hamiltonian, "unitary_exp",
+                        lambda gen, theta: diagonal(gen.spec, np.ones(gen.spec.product_dim)))
+
+
+def _wrong_bright_coupling(monkeypatch):
+    real = hamiltonian.reduced_hamiltonian
+    monkeypatch.setattr(hamiltonian, "reduced_hamiltonian",
+                        lambda h: replace(real(h), g31=1.001 * real(h).g31))
+
+
+@pytest.mark.parametrize("sabotage", [_identity_rotation, _wrong_bright_coupling])
+def test_a_wrong_rotated_frame_fails_the_one_rotation_row(sabotage, tmp_path, monkeypatch,
+                                                          capsys):
+    """An unrotated H, or a reduced H with the wrong bright coupling, fails the row
+    that compares U H U^dag with the reduced H, and only that row."""
+    sabotage(monkeypatch)
+    conf = tmp_path / "vee.conf"
+    conf.write_text(VEE_CONF)
+    status = main(["verify", "--config", str(conf), "--out", str(tmp_path / "o")])
+    assert status == cli.EXIT_CHECK_FAILURE
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.count("FAIL") == 1 and f"FAIL {ROTATION_ROW}:" in captured.out
+    checks = json.loads((tmp_path / "o" / "report.json").read_text())["checks"]
+    assert [c["name"] for c in checks if not c["passed"]] == [ROTATION_ROW]
+
+
+def test_a_one_ulp_split_skips_the_rotation_rows(tmp_path, capsys):
+    """Paired energies one ulp apart have no reduced H, so the rotation is not checked."""
+    conf = tmp_path / "vee.conf"
+    conf.write_text(_edit("E3", repr(float(np.nextafter(3.0, 4.0)))))
+    assert main(["verify", "--config", str(conf), "--out", str(tmp_path / "o")]) == cli.EXIT_OK
+    assert "FAIL" not in capsys.readouterr().out
+    checks = json.loads((tmp_path / "o" / "report.json").read_text())["checks"]
+    assert len(checks) == 86
+    assert checks[-1] == {"name": f"{ROTATION_ROW} (skipped: non-degenerate pair energies)",
+                          "residual": None, "tolerance": 1e-10, "passed": True}
+    assert not any("dark state" in c["name"] for c in checks)
 
 
 def _edit(key, value):

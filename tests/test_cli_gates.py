@@ -4,12 +4,14 @@ conservation gate, and the dark-state check of verify."""
 from dataclasses import replace
 from pathlib import Path
 
+import json
+
 import numpy as np
 import pytest
 
 import trilevel.cli as cli
 from trilevel.cli import ConfigError, main, parse_config
-from trilevel.hamiltonian import HamiltonianSpec, dark_state, interaction_hamiltonian
+from trilevel.hamiltonian import HamiltonianSpec, dark_states, interaction_hamiltonian
 from trilevel.hilbert import SpaceSpec
 from trilevel.operators import apply
 
@@ -148,23 +150,35 @@ def degenerate_spec(scheme):
     return HamiltonianSpec(scheme, (0.0, 3.0, 3.0), 1.0, g31=0.07, g21=0.11)
 
 
-def all_blocks_norm(op, psi):
-    out = np.zeros_like(psi)
-    for idx, block in apply(op, psi):
+def all_blocks_norms(op, states):
+    out = np.zeros_like(states)
+    for idx, block in apply(op, states):
         out[idx] = block
-    return float(np.linalg.norm(out))
+    return np.linalg.norm(out, axis=0)
+
+
+def verify_conf(tmp_path, scheme, atoms, n_max):
+    lines = [f"scheme = {scheme}", f"atoms = {atoms}", f"n_max = {n_max}", "omega = 1.0",
+             "E1 = 0.0", f"E2 = {0.0 if scheme == 'lambda' else 3.0}", "E3 = 3.0",
+             "g31 = 0.07", "g32 = 0.11" if scheme == "lambda" else "g21 = 0.11"]
+    conf = tmp_path / "run.conf"
+    conf.write_text("\n".join(lines) + "\n")
+    return conf
 
 
 @pytest.mark.parametrize("atoms", range(1, 7))
 @pytest.mark.parametrize("scheme", ["lambda", "vee"])
-def test_dark_state_norm_keeps_the_bits_of_every_block(scheme, atoms):
+def test_dark_state_norm_keeps_the_bits_of_every_block(scheme, atoms, tmp_path):
+    """verify's row is the largest column norm of the all-blocks product, bit for bit."""
     spec, h = SpaceSpec(atoms, 5), degenerate_spec(scheme)
-    h_int = interaction_hamiltonian(spec, h)
-    for n in range(spec.n_max):
-        psi = dark_state(spec, h, n)
-        norm = cli._applied_norm(h_int, psi)
-        assert norm.hex() == all_blocks_norm(h_int, psi).hex()
-        assert norm <= 1e-12
+    conf = verify_conf(tmp_path, scheme, atoms, spec.n_max)
+    assert main(["verify", "--config", str(conf), "--out", str(tmp_path / "o")]) == 0
+    rows = json.loads((tmp_path / "o" / "report.json").read_text())["checks"]
+    (norm,) = [c["residual"] for c in rows
+               if c["name"] == "dark state annihilated by the interaction"]
+    expected = all_blocks_norms(interaction_hamiltonian(spec, h), dark_states(spec, h))
+    assert norm.hex() == float(expected.max()).hex()
+    assert norm <= 1e-12
 
 
 @pytest.mark.parametrize("scheme", ["lambda", "vee"])
@@ -175,17 +189,13 @@ def test_dark_state_check_multiplies_only_the_occupied_blocks(scheme, tmp_path, 
     def recording(op, states, support=None):
         total.append(op.blocks.count)
         for idx, block in real_apply(op, states, support):
-            multiplied.append((states[idx] != 0).any(axis=1))  # per block: occupied?
+            multiplied.append((states[idx] != 0).any(axis=(1, 2)))  # per block: occupied?
             yield idx, block
 
     monkeypatch.setattr(cli, "apply", recording)
-    lines = [f"scheme = {scheme}", "atoms = 3", "n_max = 4", "omega = 1.0", "E1 = 0.0",
-             f"E2 = {0.0 if scheme == 'lambda' else 3.0}", "E3 = 3.0", "g31 = 0.07",
-             "g32 = 0.11" if scheme == "lambda" else "g21 = 0.11"]
-    conf = tmp_path / "run.conf"
-    conf.write_text("\n".join(lines) + "\n")
+    conf = verify_conf(tmp_path, scheme, 3, 4)
     assert main(["verify", "--config", str(conf), "--out", str(tmp_path / "o")]) == 0
-    assert len(total) == 4  # one dark state per photon number below n_max
+    assert len(total) == 1  # one call for the dark states of every photon number
     occupied = np.concatenate(multiplied)
     assert occupied.all()
     assert len(occupied) < sum(total)

@@ -211,17 +211,15 @@ def test_transfer_partner_is_unpopulated_pair_member():
     assert summary.predicted_half_period is None  # no period check for lambda
 
 
-def test_sweep_input_validation():
-    h = lambda_spec()
-    with pytest.raises(ValueError):
-        semiclassical_sweep([SpaceSpec(1, 8)], h, [4.0, 8.0])
-    with pytest.raises(ValueError):
-        semiclassical_sweep([SpaceSpec(1, 8)], h, [16.0])  # cutoff below minimum
+@pytest.mark.parametrize("n_bar,error", [(-1.0, "n_bar must be >= 0"),
+                                          (709.0, "too large for a sensible cutoff")])
+def test_sweep_rejects_an_n_bar_outside_the_sized_range(n_bar, error):
+    with pytest.raises(ValueError, match=error):
+        semiclassical_sweep(1, [4.0, n_bar])
 
 
 def test_sweep_quantum_endpoint():
-    h = lambda_spec()
-    result = semiclassical_sweep([SpaceSpec(1, 4)], h, [0.0])
+    result = semiclassical_sweep(1, [0.0])
     row = result.rows[0]
     assert row.rel_difference is None
     assert row.factor_lambda == pytest.approx(0.0, abs=1e-12)
@@ -230,10 +228,8 @@ def test_sweep_quantum_endpoint():
 
 
 def test_sweep_factors_and_slope():
-    h = lambda_spec()
     n_bars = [4.0, 8.0, 16.0]
-    specs = [SpaceSpec(1, math.ceil(nb + 8 * math.sqrt(nb)) + 4) for nb in n_bars]
-    result = semiclassical_sweep(specs, h, n_bars)
+    result = semiclassical_sweep(1, n_bars)
     for row in result.rows:
         assert row.factor_lambda == pytest.approx(-row.n_bar, abs=1e-8)
         assert row.factor_vee == pytest.approx(row.n_bar + 1.0, abs=1e-8)

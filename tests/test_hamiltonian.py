@@ -8,22 +8,22 @@ from hypothesis import given, strategies as st
 import dense_reference as dr
 import trilevel.hamiltonian as hamiltonian
 import trilevel.operators as operators
-from trilevel.hilbert import SpaceSpec, index_map
+from trilevel.hilbert import SpaceSpec, fock_vector, index_map
 from trilevel.operators import diagonal, unitary_exp
 from trilevel.hamiltonian import (
     LAMBDA,
     TOL_DARK_BLOCK,
     VEE,
     HamiltonianSpec,
-    _bright_coupling,
     build_hamiltonian,
     classical_hamiltonian,
-    dark_block_residual,
-    dark_state,
+    dark_atomic_vector,
+    dark_states,
     excitation_operator,
     free_hamiltonian,
     interaction_hamiltonian,
     mode_rotation_unitary,
+    reduced_hamiltonian,
     rotation_parameters,
     rotation_report,
 )
@@ -69,8 +69,9 @@ def test_spec_validation():
         HamiltonianSpec(LAMBDA, (0.0, 0.0, 1.0), 1.0, g31=-0.1, g32=0.1)
     with pytest.raises(ValueError):
         HamiltonianSpec("xi", (0.0, 0.0, 1.0), 1.0)
-    assert lambda_spec().degenerate
-    assert not HamiltonianSpec(LAMBDA, (0.0, 0.5, 1.0), 1.0, g31=0.1, g32=0.1).degenerate
+    assert reduced_hamiltonian(lambda_spec()) is not None
+    assert reduced_hamiltonian(HamiltonianSpec(LAMBDA, (0.0, 0.5, 1.0), 1.0,
+                                               g31=0.1, g32=0.1)) is None
 
 
 def test_free_hamiltonian_is_diagonal():
@@ -114,7 +115,6 @@ def test_rotation_parameters_lambda():
     assert 3.0 * math.cos(r.angle) + 4.0 * math.sin(r.angle) == pytest.approx(
         5.0, abs=1e-12
     )
-    assert r.dark_levels == (1, 2)
     c1, c2 = r.dark_composition
     assert c1**2 + c2**2 == pytest.approx(1.0, abs=1e-12)
 
@@ -130,7 +130,6 @@ def test_rotation_parameters_vee_symmetric():
     r = rotation_parameters(vee_spec(g31=0.2, g21=0.2))
     assert r.angle == pytest.approx(math.pi / 4.0, abs=1e-12)
     assert r.effective_coupling == pytest.approx(0.2 * math.sqrt(2.0), abs=1e-12)
-    assert r.dark_levels == (2, 3)
 
 
 def test_rotation_requires_some_coupling():
@@ -141,27 +140,26 @@ def test_rotation_requires_some_coupling():
 def test_mode_rotation_zero_angle_is_identity():
     spec = SpaceSpec(1, 2)
     h = lambda_spec(g31=0.5, g32=0.0)
-    u = mode_rotation_unitary(spec, h, rotation_parameters(h))
+    u = mode_rotation_unitary(spec, h)
     assert np.max(np.abs(u.mat - np.eye(spec.product_dim))) <= 1e-12
 
 
 @pytest.mark.parametrize("h", [lambda_spec(0.2, 0.2), vee_spec(0.3, 0.5)])
 def test_mode_rotation_unitary_and_decoupling(h):
     spec = SpaceSpec(1, 2)
-    r = rotation_parameters(h)
-    u = mode_rotation_unitary(spec, h, r)
+    u = mode_rotation_unitary(spec, h)
     assert np.max(np.abs((u @ u.dag()).mat - np.eye(spec.product_dim))) <= 1e-12
     transformed = u @ build_hamiltonian(spec, h) @ u.dag()
-    assert dark_block_residual(spec, transformed) <= 1e-10
-    assert abs(_bright_coupling(spec, transformed) - r.effective_coupling) <= 1e-10
+    reduced = build_hamiltonian(spec, reduced_hamiltonian(h))
+    assert np.max(np.abs(transformed.mat - reduced.mat)) <= 1e-10
 
 
 @pytest.mark.parametrize("atoms", [1, 2, 3])
 def test_rotation_report_scales_with_atoms(atoms):
     spec = SpaceSpec(atoms, 2)
-    rep = rotation_report(spec, lambda_spec(0.3, 0.4))
-    assert rep.dark_coupling_residual <= 1e-10
-    assert abs(rep.extracted_coupling - 0.5) <= 1e-10
+    h = lambda_spec(0.3, 0.4)
+    assert rotation_report(spec, h).residual <= 1e-10
+    assert reduced_hamiltonian(h) == lambda_spec(0.5, 0.0)
 
 
 @pytest.mark.parametrize("atoms", [1, 3])
@@ -183,7 +181,7 @@ def test_rotation_takes_the_known_sign_once(atoms, h, monkeypatch):
     assert len(calls) == 1
     slot2 = np.zeros(spec.product_dim, dtype=complex)
     slot2[index_map(spec).flat((0, atoms, 0), 1)] = 1.0
-    assert np.max(np.abs(u.conj().T @ slot2 - dark_state(spec, h, 1))) <= 1e-12
+    assert np.max(np.abs(u.conj().T @ slot2 - dark_states(spec, h)[:, 1])) <= 1e-12
 
 
 def test_rotation_that_leaves_the_dark_mode_coupled_is_an_error(monkeypatch):
@@ -191,40 +189,43 @@ def test_rotation_that_leaves_the_dark_mode_coupled_is_an_error(monkeypatch):
     spec = SpaceSpec(1, 2)
     monkeypatch.setattr(hamiltonian, "unitary_exp",
                         lambda gen, theta: diagonal(spec, np.ones(spec.product_dim)))
-    assert rotation_report(spec, vee_spec(0.3, 0.4)).dark_coupling_residual > TOL_DARK_BLOCK
+    assert rotation_report(spec, vee_spec(0.3, 0.4)).residual > TOL_DARK_BLOCK
 
 
 @pytest.mark.parametrize("h", [lambda_spec(0.3, 0.4), vee_spec(0.3, 0.4)])
 def test_flipped_layout_sign_leaves_the_dark_mode_coupled(h, monkeypatch):
-    """The report's decoupling residual catches a rotation by the wrong sign."""
+    """The report's residual catches a rotation by the wrong sign."""
     lay = operators.LAYOUTS[h.scheme]
     monkeypatch.setitem(operators.LAYOUTS, h.scheme, replace(lay, sign=-lay.sign))
-    assert rotation_report(SpaceSpec(2, 2), h).dark_coupling_residual > TOL_DARK_BLOCK
+    assert rotation_report(SpaceSpec(2, 2), h).residual > TOL_DARK_BLOCK
+
+
+@pytest.mark.parametrize("h", [lambda_spec(0.3, 0.4), vee_spec(0.3, 0.4)])
+def test_wrong_reduced_coupling_is_caught_by_the_report(h, monkeypatch):
+    """The residual compares every element with the reduced H, the bright coupling too."""
+    real = hamiltonian.reduced_hamiltonian
+    bright = "g{}{}".format(*h.coupled_pairs()[0])
+    monkeypatch.setattr(hamiltonian, "reduced_hamiltonian",
+                        lambda x: replace(real(x), **{bright: 0.51}))
+    assert rotation_report(SpaceSpec(2, 2), h).residual > TOL_DARK_BLOCK
 
 
 @pytest.mark.parametrize("h", [HamiltonianSpec(LAMBDA, (0.0, 0.3, 2.0), 1.0, g31=0.3, g32=0.4),
-                               HamiltonianSpec(VEE, (0.0, 2.7, 3.0), 1.0, g31=0.3, g21=0.4)])
-def test_rotation_report_on_a_non_degenerate_pair_skips_the_decoupling_check(h):
-    """One warning, a NaN (unchecked) residual and no error, though the rotated
-    free energies couple the dark mode; the bright coupling is still read."""
-    with pytest.warns(UserWarning, match="not degenerate") as caught:
-        rep = rotation_report(SpaceSpec(2, 3), h)
-    assert len(caught) == 1
-    assert math.isnan(rep.dark_coupling_residual) and not rep.degenerate
-    assert abs(rep.extracted_coupling - 0.5) <= 1e-10
-
-
-def test_mode_rotation_warns_when_not_degenerate():
-    spec = SpaceSpec(1, 2)
-    h = HamiltonianSpec(LAMBDA, (0.0, 0.3, 2.0), 1.0, g31=0.2, g32=0.2)
-    with pytest.warns(UserWarning):
-        mode_rotation_unitary(spec, h, rotation_parameters(h))
+                               HamiltonianSpec(VEE, (0.0, 2.7, 3.0), 1.0, g31=0.3, g21=0.4),
+                               HamiltonianSpec(VEE, (0.0, 3.0, float(np.nextafter(3.0, 4.0))),
+                                               1.0, g31=0.3, g21=0.4),
+                               HamiltonianSpec(LAMBDA, (0.0, 0.0, 2.0), 1.0)])
+def test_rotation_report_without_a_reduced_hamiltonian_raises(h):
+    """Split paired energies (one ulp is enough) or no coupling: nothing to compare with."""
+    assert reduced_hamiltonian(h) is None
+    with pytest.raises(ValueError, match="no reduced Hamiltonian"):
+        rotation_report(SpaceSpec(2, 3), h)
 
 
 def test_dark_state_symmetric_lambda():
     spec = SpaceSpec(1, 4)
     h = lambda_spec(g31=0.25, g32=0.25)
-    psi = dark_state(spec, h, 3)
+    psi = dark_states(spec, h)[:, 3]
     imap = index_map(spec)
     expected = np.zeros(spec.product_dim, dtype=complex)
     expected[imap.flat((1, 0, 0), 3)] = -1.0 / math.sqrt(2.0)
@@ -236,7 +237,7 @@ def test_dark_state_symmetric_lambda():
 
 def test_dark_state_decoupled_limit_is_level2():
     spec = SpaceSpec(1, 2)
-    psi = dark_state(spec, lambda_spec(g31=0.5, g32=0.0), 1)
+    psi = dark_states(spec, lambda_spec(g31=0.5, g32=0.0))[:, 1]
     imap = index_map(spec)
     assert abs(psi[imap.flat((0, 1, 0), 1)]) == pytest.approx(1.0, abs=1e-14)
 
@@ -247,15 +248,21 @@ def test_dark_state_decoupled_limit_is_level2():
 def test_dark_state_annihilated_for_all_fock(atoms, h):
     spec = SpaceSpec(atoms, 3)
     h_int = interaction_hamiltonian(spec, h)
-    for n in range(spec.n_max + 1):
-        psi = dark_state(spec, h, n)
-        assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-12)
-        assert np.linalg.norm(h_int.mat @ psi) <= 1e-12
+    top = np.kron(dark_atomic_vector(h, atoms), fock_vector(spec, spec.n_max))  # the last slab
+    psis = np.column_stack([dark_states(spec, h), top])
+    assert np.max(np.abs(np.linalg.norm(psis, axis=0) - 1.0)) <= 1e-12
+    assert np.max(np.linalg.norm(h_int.mat @ psis, axis=0)) <= 1e-12
 
 
-def test_dark_state_rejects_bad_fock():
-    with pytest.raises(ValueError):
-        dark_state(SpaceSpec(1, 2), lambda_spec(), 3)
+@pytest.mark.parametrize("h", [lambda_spec(0.3, 0.4), vee_spec(0.7, 0.2)])
+def test_dark_states_are_one_column_per_photon_number_below_the_cutoff(h):
+    """Column n is the dark atomic vector times the Fock vector |n>, bit for bit."""
+    spec = SpaceSpec(3, 4)
+    states = dark_states(spec, h)
+    assert states.shape == (spec.product_dim, spec.n_max)
+    for n in range(spec.n_max):
+        expected = np.kron(dark_atomic_vector(h, spec.atoms), fock_vector(spec, n))
+        assert np.array_equal(states[:, n], expected)
 
 
 def test_classical_free_limit():

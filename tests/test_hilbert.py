@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from trilevel.dynamics import InitialState, prepare_initial
-from trilevel.hamiltonian import VEE, HamiltonianSpec, dark_state
+from trilevel.hamiltonian import VEE, HamiltonianSpec
 from trilevel.hilbert import SpaceSpec, enumerate_atomic_basis, index_map
 
 
@@ -88,8 +88,6 @@ def test_every_entry_point_raises_the_one_photon_range_text(n):
         index_map(spec).flat((1, 0, 0), n)
     with pytest.raises(ValueError, match=text):
         prepare_initial(spec, InitialState((1, 0, 0), ("fock", complex(n))), h)
-    with pytest.raises(ValueError, match=text):
-        dark_state(spec, h, n)
 
 
 def test_unknown_occupation_rejected():

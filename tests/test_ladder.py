@@ -1,10 +1,12 @@
 """Smoke test of the size-ladder script on a tiny rung."""
 
 import json
+import subprocess
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+sys.path.insert(0, str(SCRIPTS))
 
 import ladder  # noqa: E402
 
@@ -23,3 +25,15 @@ def test_tiny_rung_writes_the_next_bench_file(tmp_path):
     assert set(rung["traced_peak_mb"]) == STAGES
     assert all(peak > 0 for peak in rung["traced_peak_mb"].values())
     assert rung["peak_rss_mb"] > 0
+
+
+def test_a_rung_whose_worker_dies_fails_at_once(tmp_path):
+    """Driven from stdin, each spawned worker dies at start (it cannot re-run a
+    ``__main__`` read from ``<stdin>``); the run must exit non-zero, not wait."""
+    script = (f"import sys; sys.path.insert(0, {str(SCRIPTS)!r}); import ladder; "
+              f"from pathlib import Path; ladder.main(Path({str(tmp_path)!r}), rungs=((1, 2),))")
+    done = subprocess.run([sys.executable, "-"], input=script, capture_output=True, text=True,
+                          cwd=tmp_path, timeout=60)
+    assert done.returncode != 0
+    assert "BrokenProcessPool" in done.stderr
+    assert not list(tmp_path.glob("BENCH_*.json"))

@@ -29,7 +29,6 @@ from trilevel.hamiltonian import (
     HamiltonianSpec,
     excitation_operator,
     mode_rotation_unitary,
-    rotation_parameters,
     rotation_report,
 )
 from trilevel.hilbert import SpaceSpec
@@ -52,7 +51,7 @@ def factor_reference(spec, scheme):
 
 @pytest.mark.parametrize("h", [LAMBDA_H, VEE_H])
 @pytest.mark.parametrize("atoms", [1, 2])
-def test_rotation_report_builds_the_hamiltonian_once(h, atoms, monkeypatch):
+def test_rotation_report_builds_each_hamiltonian_once(h, atoms, monkeypatch):
     calls = []
     real = hamiltonian.build_hamiltonian
 
@@ -62,9 +61,8 @@ def test_rotation_report_builds_the_hamiltonian_once(h, atoms, monkeypatch):
 
     monkeypatch.setattr(hamiltonian, "build_hamiltonian", counting)
     rep = rotation_report(SpaceSpec(atoms, 3), h)
-    assert len(calls) == 1
-    assert rep.dark_coupling_residual <= hamiltonian.TOL_DARK_BLOCK
-    assert abs(rep.extracted_coupling - rep.expected_coupling) <= 1e-10
+    assert [args[1] for args in calls] == [h, hamiltonian.reduced_hamiltonian(h)]  # one per spec
+    assert rep.residual <= hamiltonian.TOL_DARK_BLOCK
 
 
 def test_semiclassical_sweep_builds_no_operator(monkeypatch):
@@ -72,34 +70,22 @@ def test_semiclassical_sweep_builds_no_operator(monkeypatch):
         raise AssertionError("semiclassical_sweep built an OperatorMatrix")
 
     monkeypatch.setattr(OperatorMatrix, "__post_init__", refuse)
-    n_bars = [0.0, 4.0, 9.0]
-    specs = [SpaceSpec(2, max(1, required_fock_cutoff(math.sqrt(nb)))) for nb in n_bars]
-    assert len(semiclassical_sweep(specs, LAMBDA_H, n_bars).rows) == 3
+    assert len(semiclassical_sweep(2, [0.0, 4.0, 9.0]).rows) == 3
 
 
 @pytest.mark.parametrize("atoms", [1, 2])
 def test_sweep_factors_match_dense_expectation(atoms):
     n_bars = [0.0, 2.5, 4.0, 9.0]
-    # equal cutoffs for both computations, some above the minimum
-    specs = [SpaceSpec(atoms, required_fock_cutoff(math.sqrt(nb)) + extra)
-             for nb, extra in zip(n_bars, [1, 0, 3, 0])]
-    rows = semiclassical_sweep(specs, LAMBDA_H, n_bars).rows
-    for spec, n_bar, row in zip(specs, n_bars, rows):
-        assert row.n_max == spec.n_max
+    rows = semiclassical_sweep(atoms, n_bars).rows
+    for n_bar, row in zip(n_bars, rows):
+        assert row.n_max == max(1, required_fock_cutoff(math.sqrt(n_bar)))
+        spec = SpaceSpec(atoms, row.n_max)  # the cutoff of both computations
         field = ("coherent", complex(math.sqrt(n_bar)))
         for scheme, occ, value in ((LAMBDA, (atoms, 0, 0), row.factor_lambda),
                                    (VEE, (0, 0, atoms), row.factor_vee)):
             psi = prepare_initial(spec, InitialState(occ, field), LAMBDA_H)
             expected = np.real(psi.conj() @ (factor_reference(spec, scheme) @ psi))
             assert abs(value - expected) <= 1e-12
-
-
-def test_sweep_rejects_a_cutoff_below_the_tail_rule():
-    n_bar = 9.0
-    need = required_fock_cutoff(3.0)
-    semiclassical_sweep([SpaceSpec(1, need)], LAMBDA_H, [n_bar])
-    with pytest.raises(ValueError, match="below the minimum"):
-        semiclassical_sweep([SpaceSpec(1, need - 1)], LAMBDA_H, [n_bar])
 
 
 @pytest.mark.parametrize("scheme", [LAMBDA, VEE])
@@ -134,7 +120,7 @@ def test_shared_rotation_checks_unitarity(monkeypatch):
 
 @pytest.mark.parametrize("build", [
     lambda spec: small_rotation(spec, 3, 1, 0.05),
-    lambda spec: mode_rotation_unitary(spec, LAMBDA_H, rotation_parameters(LAMBDA_H)),
+    lambda spec: mode_rotation_unitary(spec, LAMBDA_H),
 ], ids=["small_rotation", "mode_rotation_unitary"])
 def test_both_rotations_go_through_the_check(build, monkeypatch):
     monkeypatch.setattr(operators, "TOL_UNITARY", -1.0)
