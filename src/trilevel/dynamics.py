@@ -12,6 +12,7 @@ vee always does, through the vacuum-triggered channel.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -19,7 +20,7 @@ import numpy as np
 
 from .hilbert import Occupation, SpaceSpec, fock_vector, index_map
 from .operators import (CHUNK_ENTRIES, LAMBDA, PRODUCT, VEE, OperatorMatrix,
-                        enhancement_factor, exact_stacks, hermitian_blocks)
+                        enhancement_factor, hermitian_blocks, stored_stacks)
 from .hamiltonian import (
     HamiltonianSpec,
     build_hamiltonian,
@@ -30,6 +31,7 @@ from .hamiltonian import (
 from .dispersive import DispersiveParams, transfer_prefactor
 
 COHERENT_TAIL_LIMIT = 1e-10
+MAX_CUTOFF = 100000  # photons: the largest cutoff required_fock_cutoff returns
 LEAKAGE_LIMIT = 1e-6
 MIN_TRANSFER_SAMPLES = 400
 
@@ -98,11 +100,27 @@ class TrajectoryRecord:
         return worst, drifts[worst]
 
 
+def _first_normal_term(lam: float, power: float) -> tuple[int, float]:
+    """(n, term) for the smallest n <= MAX_CUTOFF at which the Poisson weight
+    exp(-lam) lam^n / n!, raised to ``power`` (1 for the weight, 1/2 for the
+    amplitude), is a normal float: exp(-power lam) at n = 0, from log space (lgamma)
+    past it; n = MAX_CUTOFF + 1 if there is none."""
+    n, term = 0, math.exp(-power * lam)
+    while not term >= np.finfo(float).smallest_normal and n <= MAX_CUTOFF:
+        n += 1
+        term = math.exp(power * (n * math.log(lam) - math.lgamma(n + 1) - lam))
+    return n, term
+
+
 def coherent_amplitudes(alpha: complex, n_max: int) -> tuple[np.ndarray, float]:
-    """Truncated coherent-state amplitudes and the discarded tail weight."""
+    """Truncated coherent-state amplitudes and the discarded tail weight; the
+    recurrence starts at the first amplitude that is a normal float (those
+    before it are 0)."""
     amps = np.zeros(n_max + 1, dtype=np.complex128)
-    amps[0] = math.exp(-abs(alpha) ** 2 / 2.0)
-    for n in range(1, n_max + 1):
+    start, magnitude = _first_normal_term(abs(alpha) ** 2, 0.5)
+    if start <= n_max:
+        amps[start] = cmath.rect(magnitude, start * cmath.phase(alpha)) if start else magnitude
+    for n in range(start + 1, n_max + 1):
         amps[n] = amps[n - 1] * alpha / math.sqrt(n)
     tail = max(0.0, 1.0 - float(np.sum(np.abs(amps) ** 2)))
     return amps, tail
@@ -111,22 +129,19 @@ def coherent_amplitudes(alpha: complex, n_max: int) -> tuple[np.ndarray, float]:
 def required_fock_cutoff(alpha: complex, limit: float = COHERENT_TAIL_LIMIT) -> int:
     """Smallest cutoff keeping the coherent tail below ``limit``.
 
-    The Poisson weights are summed up from exp(-|alpha|^2); past |alpha|^2 of
-    about 708 that start is no longer a normal float, the sum loses the tail,
-    and a ValueError is raised instead of a cutoff that would be too small.
+    The Poisson weights are summed up from the first one that is a normal float,
+    exp(-|alpha|^2) up to |alpha|^2 of about 708; the ones before it sum to less
+    than 1e-300.  ValueError for a cutoff above MAX_CUTOFF photons.
     """
-    weight = math.exp(-abs(alpha) ** 2)
-    if weight < np.finfo(float).smallest_normal:
-        raise ValueError(f"|alpha|^2 = {abs(alpha) ** 2:.6g} is too large for a sensible "
-                         "cutoff (at most about 708)")
+    n, weight = _first_normal_term(abs(alpha) ** 2, 1.0)
     total = weight
-    n = 0
-    while 1.0 - total > limit:
+    while 1.0 - total > limit and n <= MAX_CUTOFF:
         n += 1
         weight *= abs(alpha) ** 2 / n
         total += weight
-        if n > 100000:
-            raise ValueError("coherent amplitude too large for a sensible cutoff")
+    if n > MAX_CUTOFF:
+        raise ValueError(f"|alpha|^2 = {abs(alpha) ** 2:.6g} is too large for a sensible "
+                         f"cutoff (at most {MAX_CUTOFF} photons)")
     return n
 
 
@@ -189,7 +204,7 @@ def _trajectory(ham: OperatorMatrix, psi0: np.ndarray, times: np.ndarray,
     rows = np.concatenate([np.zeros(0, np.intp)] + [idx.ravel() for idx, *_ in groups])
     pos = np.full(ham.dim, len(rows))  # indices off the blocks read the zero row
     pos[rows] = np.arange(len(rows))
-    stacks = [[(pos[idx], stack) for idx, stack in exact_stacks(op, pos < len(rows))]
+    stacks = [[(pos[idx], stack) for idx, stack in stored_stacks(op, pos < len(rows))]
               for op in observables]
     # Chunks start at multiples of 8 samples where they can, and a one-sample tail
     # joins the chunk before it, so that every sample meets the column blocking of one

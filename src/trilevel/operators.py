@@ -10,14 +10,13 @@ with absorption of one photon, X_ij = a S_ij for the pairs (3,1), (2,1),
 Operators are written from the (row, column, value) of their nonzeros, with
 no dense factor: S_ij from the occupation labels, a, a^dag and n from the
 photon number, and every product-space operator as a short sum of
-c (atomic (x) field) terms by tensor_sum, stored in the connected components
-of what is written; for a Hamiltonian these are the decoupled blocks of a
-conserved excitation count.  An OperatorMatrix holds a BlockPartition with
-every nonzero and one (m, b, b) stack per block size b, and makes one numpy
-call per stack: sums and products scatter both operands into the joined
-partition by slot arithmetic, and hermitian_blocks gathers the exact blocks
-(found from the stored elements, no tolerance) into stacks, one eigh call
-each.  ``mat`` builds a dense copy.
+c (atomic (x) field) terms by tensor_sum.  An OperatorMatrix holds one
+BlockPartition, the one its writer stored it in (see OperatorMatrix), and one
+(m, b, b) stack per block size b; for a Hamiltonian the blocks are the
+decoupled sectors of a conserved excitation count.  Every kernel makes one
+numpy call per stored stack: sums and products scatter both operands into the
+joined partition by slot arithmetic, and hermitian_blocks hands the stored
+stacks to eigh.  ``mat`` builds a dense copy.
 
 verify_algebra re-derives the operator identities numerically.  The
 first-order commutators are exact on the (untruncated) atomic space.  The
@@ -142,10 +141,6 @@ class BlockPartition:
             out = _LIVE[key] = cls(labels, groups)
         return out
 
-    @property
-    def count(self) -> int:
-        return sum(idx.shape[0] for idx in self.groups)
-
     @cached_property
     def stacks(self) -> list[tuple[np.ndarray, slice, tuple[int, int, int]]]:
         """(idx, where, shape) per group: ``data[where].reshape(shape)`` is
@@ -226,7 +221,11 @@ class OperatorMatrix:
     ``data`` is the flat complex storage in the partition ``layout`` (one block is
     ``_one_block(dim)``), read-only, so values can be shared freely between workers;
     ``mat`` reads back a read-only dense matrix, built on each access, for the
-    tests and the benchmark's byte count.
+    tests and the benchmark's byte count.  The layout is the only partition, and
+    every kernel reads its stacks.  Each writer sets it: ``element_sum`` to the
+    components of its written nonzero values, ``diagonal`` to singletons, sums and
+    products to the join of the operands' partitions, and ``unitary_exp`` to the
+    generator's partition.
     """
 
     def __init__(self, space: str, spec: SpaceSpec, data: np.ndarray,
@@ -245,13 +244,6 @@ class OperatorMatrix:
     def mat(self) -> np.ndarray:
         return _dense(self)
 
-    @cached_property
-    def blocks(self) -> BlockPartition:
-        """Exact connected components of the nonzero pattern, from the stored elements
-        unless the writer recorded them (element_sum, diagonal)."""
-        rows, cols, _ = self.elements()
-        return BlockPartition.from_labels(_component_labels(self.dim, rows, cols))
-
     def elements(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Row, column and value of every nonzero element."""
         rows, cols, values = [], [], []
@@ -263,19 +255,15 @@ class OperatorMatrix:
         return np.concatenate(rows), np.concatenate(cols), np.concatenate(values)
 
     def _in(self, layout: BlockPartition) -> np.ndarray:
-        """Flat storage in ``layout``, nested with the stored partition: scattered into
-        a coarser one, or gathered into a finer one holding every nonzero; zeros are +0.0."""
+        """Flat storage in ``layout``, coarser than or equal to the stored partition:
+        each stored block scattered into the block holding it; zeros are +0.0."""
         if layout is self._layout:
             return self._data
-        if layout.count <= self._layout.count:  # nested, so coarser or the same
-            row, col = layout.slots
-            data = np.zeros(layout.size, dtype=np.complex128)
-            for idx, stack in _views(self._layout, self._data):
-                data[row[idx][:, :, None] + col[idx][:, None, :]] = stack + 0.0
-            return data
-        row, col = self._layout.slots
-        return np.concatenate([self._data[row[idx][:, :, None] + col[idx][:, None, :]].ravel()
-                               for idx in layout.groups]) + 0.0
+        row, col = layout.slots
+        data = np.zeros(layout.size, dtype=np.complex128)
+        for idx, stack in _views(self._layout, self._data):
+            data[row[idx][:, :, None] + col[idx][:, None, :]] = stack + 0.0
+        return data
 
     def dag(self) -> "OperatorMatrix":
         data = [s.swapaxes(1, 2).conj().ravel() for _, s in _views(self._layout, self._data)]
@@ -358,11 +346,9 @@ def _dense(op: OperatorMatrix) -> np.ndarray:
 
 
 def diagonal(spec: SpaceSpec, values: np.ndarray) -> OperatorMatrix:
-    """Product-space operator with ``values`` on the diagonal, one (exact) block per state."""
-    op = OperatorMatrix(PRODUCT, spec, np.array(values, dtype=np.complex128),
-                        _singletons(spec.product_dim))
-    op.blocks = op._layout
-    return op
+    """Product-space operator with ``values`` on the diagonal, one block per state."""
+    return OperatorMatrix(PRODUCT, spec, np.array(values, dtype=np.complex128),
+                          _singletons(spec.product_dim))
 
 
 def transition_elements(spec: SpaceSpec, i: int, j: int, c: complex = 1) -> tuple:
@@ -390,16 +376,12 @@ def identity_elements(dim: int) -> tuple:
 
 def element_sum(space: str, spec: SpaceSpec, parts: list[tuple]) -> OperatorMatrix:
     """Operator on ``space`` summing the ``(rows, cols, values)`` parts in part order, stored in
-    the components of the nonzero values (its exact blocks unless a written one sums to 0)."""
+    the components of the nonzero values."""
     rows, cols, values = (np.concatenate(x) for x in zip(*parts))
     written = values != 0
     dim = {ATOMIC: spec.atomic_dim, FIELD: spec.field_dim, PRODUCT: spec.product_dim}[space]
     layout = BlockPartition.from_labels(_component_labels(dim, rows[written], cols[written]))
-    op = OperatorMatrix(space, spec, _write(layout, rows, cols, values), layout)
-    row, col = layout.slots
-    if op._data[row[rows[written]] + col[cols[written]]].all():
-        op.blocks = layout
-    return op
+    return OperatorMatrix(space, spec, _write(layout, rows, cols, values), layout)
 
 
 def field_elements(spec: SpaceSpec, kind: str) -> tuple:
@@ -481,10 +463,10 @@ def deformed_operator(spec: SpaceSpec, i: int, j: int) -> OperatorMatrix:
     return tensor_sum(spec, [dressed_term(spec, i, j)])
 
 
-def exact_stacks(op: OperatorMatrix, support: np.ndarray | None = None):
-    """(idx, stack) per group of the exact blocks of ``op``; with a boolean
+def stored_stacks(op: OperatorMatrix, support: np.ndarray | None = None):
+    """(idx, stack) per group of the stored blocks of ``op``; with a boolean
     ``support`` mask, only the blocks holding a supported index."""
-    for idx, stack in _views(op.blocks, op._in(op.blocks)):
+    for idx, stack in _views(op._layout, op._data):
         if support is not None:
             keep = support[idx].any(axis=1)
             if not keep.any():
@@ -501,7 +483,7 @@ def hermitian_blocks(op: OperatorMatrix, support: np.ndarray | None = None):
     (m, b, b) eigenvector columns.  With a boolean ``support`` mask only
     blocks holding a supported index are diagonalized.
     """
-    for idx, blocks in exact_stacks(op, support):
+    for idx, blocks in stored_stacks(op, support):
         yield idx, *np.linalg.eigh(blocks)
 
 
@@ -510,7 +492,7 @@ def apply(op: OperatorMatrix, states: np.ndarray, support: np.ndarray | None = N
     (idx as in ``hermitian_blocks``), for states of shape (dim,) or (dim, T); the
     rows of op @ states outside every idx are zero.  A boolean ``support`` mask keeps
     the blocks holding a supported index."""
-    for idx, stack in exact_stacks(op, support):
+    for idx, stack in stored_stacks(op, support):
         x = states[idx]
         x = stack @ x if x.ndim == 3 else (stack @ x[..., None])[..., 0]  # frees the gathered rows
         yield idx, x
@@ -521,7 +503,7 @@ def unitary_exp(h: OperatorMatrix, t: float) -> OperatorMatrix:
     product per block, elements between blocks are 0), checked unitary to TOL_UNITARY."""
     data = [((v * np.exp(-1j * t * w)[:, None, :]) @ v.conj().swapaxes(1, 2)).ravel()
             for _, w, v in h.eigenblocks]
-    out = OperatorMatrix(h.space, h.spec, np.concatenate(data), h.blocks)
+    out = OperatorMatrix(h.space, h.spec, np.concatenate(data), h._layout)
     defect = max(float(np.max(np.abs(u @ u.conj().swapaxes(1, 2) - np.eye(u.shape[1]))))
                  for _, u in _views(out._layout, out._data))
     if defect > TOL_UNITARY:

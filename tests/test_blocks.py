@@ -1,12 +1,11 @@
 """Block kernels against dense numpy references.
 
-Every product-space operator splits into the connected components of its
-nonzero pattern; the spectra, exponentials, products, propagation and
-dispersive residuals computed block by block must agree with the plain
-dense computation on ``dense_reference``: the Hamiltonian, the lifted
+Every product-space operator is stored in the blocks its writer found; the
+spectra, exponentials, products, propagation and dispersive residuals
+computed block by block must agree with the plain dense computation on ``dense_reference``: the Hamiltonian, the lifted
 ladder operator, the dressed transitions and the excitation count are
-written there from the labels, and so are the exponential, the propagator
-and the component search.  The loop versions of the basis-table masks are kept here.
+written there from the labels, and so are the exponential and the
+propagator.  The loop versions of the basis-table masks are kept here.
 """
 
 import math
@@ -18,7 +17,9 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import dense_reference as dr
+import trilevel.dynamics as dynamics
 import trilevel.operators as operators
+from trilevel.cli import main
 from trilevel.dispersive import (
     _generators,
     _residual,
@@ -37,6 +38,9 @@ from trilevel.hamiltonian import (
     _rotation_generator,
     build_hamiltonian,
     excitation_operator,
+    free_hamiltonian,
+    interaction_hamiltonian,
+    mode_rotation_unitary,
     reduced_hamiltonian,
     rotation_report,
 )
@@ -72,7 +76,7 @@ def scale(*mats: np.ndarray) -> float:
 
 
 def cross_block_mask(op) -> np.ndarray:
-    labels = op.blocks.labels
+    labels = op._layout.labels
     return labels[:, None] != labels[None, :]
 
 
@@ -147,7 +151,7 @@ def test_block_products_match_dense(model):
         assert np.array_equal(op.mat, dense[name]), name
     pairs = [(a, ham), (ham, x), (x, x.dag()), (u, ham), (ham, u.dag()), (one, x), (n_exc, ham)]
     # lift(a) @ H joins every excitation block into one component
-    assert a.blocks.join(ham.blocks).count == 1
+    assert not a._layout.join(ham._layout).labels.any()
     for m, n in pairs:
         assert np.max(np.abs((m @ n).mat - m.mat @ n.mat)) <= TOL * scale(m.mat, n.mat)
     comm = ham @ n_exc - n_exc @ ham
@@ -155,24 +159,52 @@ def test_block_products_match_dense(model):
     assert np.max(np.abs(comm.mat - expected)) <= TOL * scale(dense["H"], dense["n"])
 
 
-@given(models())
-def test_partitions_of_derived_operators_are_exact(model):
-    spec, h = model
-    ham = build_hamiltonian(spec, h)
-    x = deformed_operator(spec, *h.coupled_pairs()[-1])
-    n_exc = excitation_operator(spec, h.scheme)
-    hx, xh = ham @ x, x @ ham
-    a = lift(spec, element_sum(FIELD, spec, [field_elements(spec, "annihilate")]))
-    one = diagonal(spec, np.ones(spec.product_dim))
-    # partitions of different patterns are known before the sums below use them
-    assert all(op.blocks.count >= 1 for op in (a, ham, hx))
-    ops = [ham, x, n_exc, hx, xh, hx + xh, hx - xh, -hx, 0.5 * xh, hx.dag(),
-           a + ham, hx - a, a @ ham, (a + a.dag()) @ hx,
-           x + x.dag(), (x + x.dag()) @ (x - x.dag()), ham @ x - x @ ham,
-           unitary_exp(ham, 0.3), unitary_exp(ham, 0.3).dag() @ x, one, one - n_exc]
-    for op in ops:
-        assert np.array_equal(op.blocks.labels, dr.component_labels(op.mat))
-    assert sum(idx.size for idx in ham.blocks.groups) == spec.product_dim
+# --- the stored partition is the exact one where a kernel reads it ------------
+
+PAIR_ENERGIES = {(LAMBDA, False): (0.0, 0.0, 3.0), (LAMBDA, True): (0.0, 0.5, 3.0),
+                 (VEE, False): (0.0, 3.0, 3.0), (VEE, True): (0.0, 2.5, 3.0)}
+
+
+@pytest.mark.parametrize("atoms", [1, 2, 3])
+@pytest.mark.parametrize("split", [False, True], ids=["degenerate", "split"])
+@pytest.mark.parametrize("scheme", [LAMBDA, VEE])
+def test_every_operator_a_command_hands_to_a_kernel_is_stored_exactly(scheme, split, atoms,
+                                                                     tmp_path, monkeypatch):
+    """The stored labels equal a dense component search: for H, the reduced H, the
+    generators, U, the interaction, the excitation count and free + prefactor transfer,
+    and for every operator that verify, evolve, spectrum and dispersive-compare read."""
+    spec, second = SpaceSpec(atoms, atoms + 2), "g32" if scheme == LAMBDA else "g21"
+    h = HamiltonianSpec(scheme, PAIR_ENERGIES[scheme, split], 1.0, g31=0.1, **{second: 0.07})
+    generators = [_rotation_generator(spec, h), *_generators(spec, scheme).values()]
+    p = dispersive_params(h, 0.0, atoms)
+    seen = [build_hamiltonian(spec, h), *generators, mode_rotation_unitary(spec, h),
+            *(unitary_exp(g, 0.05) for g in generators), interaction_hamiltonian(spec, h),
+            excitation_operator(spec, scheme),
+            free_hamiltonian(spec, h) + analytic_effective(spec, h, p).matrix()]
+    if not split:
+        seen.append(build_hamiltonian(spec, reduced_hamiltonian(h)))
+    real = operators.stored_stacks
+
+    def recording(op, support=None):
+        seen.append(op)
+        return real(op, support)
+
+    monkeypatch.setattr(operators, "stored_stacks", recording)
+    monkeypatch.setattr(dynamics, "stored_stacks", recording)
+    start = f"{atoms},0,0" if scheme == LAMBDA else f"0,0,{atoms}"
+    conf = tmp_path / "run.conf"
+    conf.write_text("".join(f"{k} = {v}\n" for k, v in (
+        ("scheme", scheme), ("atoms", atoms), ("n_max", spec.n_max), ("omega", h.omega),
+        *((f"E{i}", e) for i, e in enumerate(h.energies, start=1)), ("g31", h.g31),
+        (second, h.coupling(*h.coupled_pairs()[1])), ("guard", 2), ("t_max", 10.0),
+        ("n_samples", 11), ("initial.atom", start), ("initial.field", "fock:0"))))
+    built = len(seen)
+    commands = ["verify", "evolve", "spectrum"] + ([] if split else ["dispersive-compare"])
+    for command in commands:
+        assert main([command, "--config", str(conf), "--out", str(tmp_path / command)]) == 0
+    assert len(seen) >= built + 4  # evolve: H, its excitation count, H again; spectrum: H
+    for op in seen:
+        assert np.array_equal(op._layout.labels, dr.component_labels(op.mat))
 
 
 @given(models(), st.integers(0, 2**32 - 1), st.booleans(), st.floats(0.5, 10.0))

@@ -4,6 +4,7 @@ is a report row, a command that fails before it writes creates no
 output directory, and a closed stdout ends a run without a traceback."""
 
 import json
+import math
 import os
 import re
 import subprocess
@@ -18,6 +19,7 @@ import trilevel.cli as cli
 import trilevel.hamiltonian as hamiltonian
 import trilevel.operators as operators
 from trilevel.cli import main
+from trilevel.dynamics import required_fock_cutoff
 from trilevel.operators import diagonal
 
 VEE_CONF = (Path(__file__).resolve().parents[1] / "configs" / "vee.conf").read_text()
@@ -177,7 +179,7 @@ def _edit(key, value):
     ("dispersive-compare", VEE_CONF, ["--guard", "1"], 2, "config error: guard must be >= 2"),
     ("dispersive-compare", _edit("E3", "3.5"), [], 2, "config error: order probe requires"),
     ("weights", _edit("classical_alpha", "0"), [], 2, "config error: classical_alpha: must be"),
-    ("sweep", _edit("sweep.n_bar", "744"), [], 2, "config error: |alpha|^2 = 744"),
+    ("sweep", _edit("sweep.n_bar", "200000"), [], 2, "config error: |alpha|^2 = 200000"),
 ], ids=["negative-t_max", "one-sample", "no-t_max", "fock-beyond-n_max", "coherent-tail",
         "verify-guard-9", "compare-guard-1", "unequal-detunings", "zero-alpha", "large-n_bar"])
 def test_a_command_that_fails_before_writing_creates_no_output_directory(
@@ -189,6 +191,34 @@ def test_a_command_that_fails_before_writing_creates_no_output_directory(
     err = capsys.readouterr().err
     assert err.startswith(error) and err.count("\n") == 1
     assert not out.exists()
+
+
+def test_a_coherent_field_past_708_needs_the_cutoff_of_its_tail(tmp_path, capsys):
+    """|alpha|^2 = 729 is past the normal range of exp(-|alpha|^2); the estimate is the
+    smallest cutoff whose Poisson tail, summed from lgamma, is below 1e-10."""
+    conf = tmp_path / "run.conf"
+    conf.write_text(_edit("initial.field", "coherent:27"))
+    assert main(["evolve", "--config", str(conf), "--out", str(tmp_path / "o")]) == 3
+    need = int(re.search(r"need n_max >= (\d+)\n$", capsys.readouterr().err).group(1))
+    assert lgamma_tail(729.0, need) <= 1e-10 < lgamma_tail(729.0, need - 1)
+
+
+def lgamma_tail(lam: float, n: int) -> float:
+    """P(N > n) for N ~ Poisson(lam), each term exp(-lam + k log lam - lgamma(k + 1))."""
+    return math.fsum(math.exp(-lam + k * math.log(lam) - math.lgamma(k + 1))
+                     for k in range(n + 1, int(lam + 60 * math.sqrt(lam))))
+
+
+def test_a_coherent_field_past_1416_evolves_at_a_sufficient_cutoff(tmp_path):
+    """exp(-|alpha|^2 / 2) underflows at |alpha|^2 = 1521: the amplitudes start at the
+    first normal one, so the tail is small and the run is truncation-safe."""
+    text = VEE_CONF
+    for key, value in (("n_max", required_fock_cutoff(39.0) + 20), ("t_max", 10.0),
+                       ("n_samples", 101), ("initial.field", "coherent:39")):
+        text = re.sub(rf"^{re.escape(key)} = .*$", f"{key} = {value}", text, flags=re.M)
+    conf = tmp_path / "run.conf"
+    conf.write_text(text)
+    assert main(["evolve", "--config", str(conf), "--out", str(tmp_path / "o")]) == 0
 
 
 @pytest.mark.parametrize("unbuffered", ["1", ""])

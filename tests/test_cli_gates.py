@@ -187,7 +187,7 @@ def test_dark_state_check_multiplies_only_the_occupied_blocks(scheme, tmp_path, 
     real_apply = cli.apply
 
     def recording(op, states, support=None):
-        total.append(op.blocks.count)
+        total.append(sum(idx.shape[0] for idx in op._layout.groups))
         for idx, block in real_apply(op, states, support):
             multiplied.append((states[idx] != 0).any(axis=(1, 2)))  # per block: occupied?
             yield idx, block

@@ -1,9 +1,8 @@
 """Each fact about a block-stored operator is computed once, and lives no longer
 than what it describes.
 
-``element_sum`` records its layout as the exact blocks unless a written element
-sums to zero, and ``diagonal`` always records it; both must equal what the
-component search finds.  Equal labelings are one ``BlockPartition`` while one of
+The component search runs once per written operator, in ``element_sum``; no
+kernel searches again.  Equal labelings are one ``BlockPartition`` while one of
 them lives, joins are kept while both operands live, and the Hermiticity check
 runs once per operator.  Nothing of this may outlive a CLI command: the
 benchmark calls the CLI many times in one process, which a one-command process
@@ -15,9 +14,7 @@ import gc
 from collections import Counter
 from pathlib import Path
 
-import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 import trilevel.cli as cli
 import trilevel.operators as operators
@@ -26,37 +23,18 @@ from trilevel.dynamics import InitialState, TimeGrid, evolve, prepare_initial
 from trilevel.hamiltonian import HamiltonianSpec, build_hamiltonian, excitation_operator
 from trilevel.hilbert import SpaceSpec
 from trilevel.operators import (
-    ATOMIC,
-    LEVELS,
     PRODUCT,
     BlockPartition,
     OperatorMatrix,
-    _component_labels,
-    atomic_term,
-    diagonal,
     dressed_term,
     element_sum,
     hermitian_blocks,
     term_elements,
-    transition_elements,
 )
 
 ROOT = Path(__file__).resolve().parents[1]
-PAIRS = [(i, j) for i in LEVELS for j in LEVELS]
-TERMS = {  # space -> the makers of element_sum parts, (spec, c) -> (rows, cols, values)
-    ATOMIC: [lambda spec, c, p=p: transition_elements(spec, *p, c) for p in PAIRS],
-    PRODUCT: [lambda spec, c, p=p: term_elements(spec, atomic_term(spec, *p, c)) for p in PAIRS]
-    + [lambda spec, c, p=p: term_elements(spec, dressed_term(spec, *p, c))
-       for p in ((3, 1), (2, 1), (3, 2), (1, 3), (1, 2), (2, 3))],
-}
 VEE_H = HamiltonianSpec("vee", (0.0, 3.0, 3.0), 1.0, g31=0.1, g21=0.1)
 LAMBDA_H = HamiltonianSpec("lambda", (0.0, 0.0, 3.0), 1.0, g31=0.1, g32=0.1)
-
-
-def searched(op):
-    """The interned partition of the components of op's stored nonzeros."""
-    rows, cols, _ = op.elements()
-    return BlockPartition.from_labels(_component_labels(op.dim, rows, cols))
 
 
 def count_searches(monkeypatch):
@@ -71,62 +49,7 @@ def count_searches(monkeypatch):
     return calls
 
 
-# --- the recorded blocks equal the search ------------------------------------
-
-coefficients = st.sampled_from([1.0, -1.0, 0.5, 2j, 1 - 1j, 0.0])
-
-
-@st.composite
-def element_sums(draw):
-    """(space, spec, parts, whether a written element sums to zero) for element_sum,
-    with parts that cancel (c X and -c X in one call) drawn often."""
-    spec = SpaceSpec(draw(st.integers(1, 3)), draw(st.integers(1, 3)))
-    space = draw(st.sampled_from((ATOMIC, PRODUCT)))
-    makers = TERMS[space]
-    terms = draw(st.lists(st.tuples(st.sampled_from(makers), coefficients),
-                          min_size=1, max_size=4))
-    terms += [(make, -c) for make, c in terms[:draw(st.integers(0, len(terms)))]]
-    parts = [make(spec, c) for make, c in draw(st.permutations(terms))]
-    dim = spec.atomic_dim if space == ATOMIC else spec.product_dim
-    rows, cols, values = (np.concatenate(x) for x in zip(*parts))
-    dense = np.zeros((dim, dim), dtype=np.complex128)
-    np.add.at(dense, (rows, cols), values)
-    nonzero = values != 0
-    return space, spec, parts, not dense[rows[nonzero], cols[nonzero]].all()
-
-
-@given(case=element_sums())
-def test_recorded_blocks_equal_the_search(case):
-    space, spec, parts, cancelled = case
-    op = element_sum(space, spec, parts)
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        calls = count_searches(monkeypatch)
-        blocks = op.blocks
-    assert len(calls) == cancelled  # a cancelled element takes the search path
-    assert np.array_equal(blocks.labels, searched(op).labels)
-    assert blocks is searched(op)
-
-
-def test_cancelling_parts_take_the_search_path(monkeypatch):
-    spec = SpaceSpec(2, 2)
-    x = term_elements(spec, dressed_term(spec, 3, 1))
-    minus_x = term_elements(spec, dressed_term(spec, 3, 1, -1))
-    op = element_sum(PRODUCT, spec, [x, minus_x])
-    assert op._layout.count < spec.product_dim  # written in the blocks of X
-    calls = count_searches(monkeypatch)
-    assert op.blocks is operators._singletons(spec.product_dim)  # every element is zero
-    assert len(calls) == 1
-
-
-@pytest.mark.parametrize("values", [[0.0, 1.0, 0.0, 2.0, -1.0, 0.0] * 4, [0.0] * 24])
-def test_diagonal_records_its_blocks(values, monkeypatch):
-    spec = SpaceSpec(2, 3)
-    op = diagonal(spec, np.array(values[:spec.product_dim]))
-    calls = count_searches(monkeypatch)
-    blocks = op.blocks
-    assert calls == []
-    assert blocks is searched(op) is operators._singletons(spec.product_dim)
-
+# --- equal labelings ---------------------------------------------------------
 
 def test_equal_labelings_are_one_partition():
     spec = SpaceSpec(3, 4)

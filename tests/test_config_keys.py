@@ -2,6 +2,7 @@
 left to the library's specs, overrides through the same parsers, the README's
 key table and examples in step with the parser, and the sweep's cutoff range."""
 
+import json
 import math
 import re
 from pathlib import Path
@@ -183,12 +184,32 @@ def test_fock_cutoff_is_the_smallest_safe_one_up_to_708():
     assert [required_fock_cutoff(math.sqrt(nb)) for nb in (4, 8, 16, 32)] == [22, 32, 47, 74]
 
 
-@pytest.mark.parametrize("n_bar", [709, 744, 746, 800, 2000])
-def test_fock_cutoff_beyond_708_is_refused(n_bar):
-    with pytest.raises(ValueError, match="too large for a sensible cutoff"):
-        required_fock_cutoff(math.sqrt(n_bar))
+@pytest.mark.parametrize("n_bar", [708.5, 709, 744, 746, 800, 1521, 2000])
+def test_fock_cutoff_beyond_708_is_the_smallest_safe_one(n_bar):
+    n = required_fock_cutoff(math.sqrt(n_bar))
+    assert poisson_tail(n_bar, n) <= COHERENT_TAIL_LIMIT < poisson_tail(n_bar, n - 1)
 
 
-def test_sweep_beyond_708_exits_2(tmp_path, capsys):
-    assert run(tmp_path, "sweep", with_value("sweep.n_bar", "4,744")) == 2
-    assert capsys.readouterr().err.startswith("config error: |alpha|^2 = 744 ")
+def summed_from_zero(n_bar: float) -> int:
+    """The cutoff with the Poisson sum started at exp(-|alpha|^2), n = 0."""
+    lam = math.sqrt(n_bar) ** 2
+    weight = total = math.exp(-lam)
+    n = 0
+    while 1.0 - total > COHERENT_TAIL_LIMIT:
+        n += 1
+        weight *= lam / n
+        total += weight
+    return n
+
+
+def test_fock_cutoff_up_to_708_keeps_the_sum_from_zero():
+    """Where exp(-|alpha|^2) is a normal float the sum starts there, as it always did."""
+    n_bars = np.arange(1, 2833) / 4  # 0.25 ... 708
+    assert [required_fock_cutoff(math.sqrt(nb)) for nb in n_bars] == [
+        summed_from_zero(nb) for nb in n_bars]
+
+
+def test_sweep_beyond_708_runs(tmp_path):
+    assert run(tmp_path, "sweep", with_value("sweep.n_bar", "4,744")) == 0
+    rows = json.loads((tmp_path / "o" / "sweep.json").read_text())["rows"]
+    assert [row["n_max"] for row in rows] == [22, required_fock_cutoff(math.sqrt(744))]

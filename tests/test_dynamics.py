@@ -70,6 +70,30 @@ def test_coherent_tail_matches_oracle():
         assert tail == pytest.approx(poisson_tail_oracle(alpha, n_max), abs=1e-12)
 
 
+@pytest.mark.parametrize("alpha", [0.0, 1.5, -2.0 + 0.5j, 3j, 26.5, 37.6 - 1.0j])
+def test_coherent_amplitudes_keep_the_recurrence_from_zero(alpha):
+    """Up to |alpha|^2 of about 1416, exp(-|alpha|^2 / 2) is a normal float and the
+    amplitudes keep the bits of the recurrence started there."""
+    expected = np.zeros(1601, dtype=np.complex128)
+    expected[0] = math.exp(-abs(alpha) ** 2 / 2.0)
+    for n in range(1, len(expected)):
+        expected[n] = expected[n - 1] * alpha / math.sqrt(n)
+    amps, _ = coherent_amplitudes(alpha, len(expected) - 1)
+    assert np.array_equal(amps.view(np.uint64), expected.view(np.uint64))
+
+
+def test_coherent_amplitudes_start_at_the_first_normal_one():
+    """At |alpha|^2 = 1521 exp(-|alpha|^2 / 2) underflows to 0; the amplitudes below the
+    normal range are 0, the rest keep the phase of alpha^n and the tail is below 1e-10."""
+    amps, tail = coherent_amplitudes(39.0 * np.exp(0.3j), required_fock_cutoff(39.0) + 20)
+    first = np.flatnonzero(amps)[0]
+    assert abs(amps[first]) >= np.finfo(float).smallest_normal > abs(amps[first - 1])
+    assert tail <= 1e-10
+    n = np.arange(len(amps))
+    assert abs(np.angle(amps[first]) - math.remainder(0.3 * first, 2 * math.pi)) <= 1e-9
+    assert abs(np.abs(amps) ** 2 @ n - 1521.0) <= 1e-7
+
+
 def test_coherent_state_accepted_with_wide_cutoff():
     spec = SpaceSpec(1, 32)
     psi = prepare_initial(spec, InitialState((1, 0, 0), ("coherent", 2.0)), lambda_spec())
@@ -212,7 +236,7 @@ def test_transfer_partner_is_unpopulated_pair_member():
 
 
 @pytest.mark.parametrize("n_bar,error", [(-1.0, "n_bar must be >= 0"),
-                                          (709.0, "too large for a sensible cutoff")])
+                                          (2e5, "too large for a sensible cutoff")])
 def test_sweep_rejects_an_n_bar_outside_the_sized_range(n_bar, error):
     with pytest.raises(ValueError, match=error):
         semiclassical_sweep(1, [4.0, n_bar])

@@ -151,8 +151,8 @@ def test_transfer_operator_equals_the_swap_times_the_diagonal(scheme, spec):
     reference = swap @ diagonal(spec, enhancement_factor(scheme, table.occupations,
                                                          table.photons))
     op = analytic_effective(spec, h, p).transfer_operator
-    assert np.array_equal(op.blocks.labels, reference.blocks.labels)
-    assert same_bits(op._in(op.blocks), reference._in(reference.blocks))
+    assert np.array_equal(op._layout.labels, dr.component_labels(reference.mat))
+    assert same_bits(op.mat, reference.mat)
 
 
 # --- atomic index table -------------------------------------------------------------

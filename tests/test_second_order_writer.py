@@ -125,6 +125,8 @@ UNREFERENCED = {
                                          "semiclassical sweep is to evolve",
     "weights.find_reflection": "the acceptance check that the classical weight sets "
                                "reflect onto each other",
+    "hilbert.IndexMap.flat": "the inverse of split, through which the tests address basis "
+                             "states by their labels",
 }
 
 
@@ -144,9 +146,15 @@ def referred(tree, strings: bool = False) -> set[str]:
     return names
 
 
+def attributes(node) -> set[str]:
+    return {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+
+
 def test_every_public_library_name_has_a_caller_outside_the_tests():
     """Each public module-level function and class in src/trilevel is referred to
-    outside its own definition: by the package, by scripts/ or by perfbench/."""
+    outside its own definition, and each public method and property of those classes
+    is read as an attribute outside its own definition: by the package, by scripts/
+    or by perfbench/."""
     root = PACKAGE.parents[1]
     statements = [(stem, node) for stem, tree in (
         (path.stem, ast.parse(path.read_text())) for path in sorted(PACKAGE.glob("*.py")))
@@ -154,9 +162,16 @@ def test_every_public_library_name_has_a_caller_outside_the_tests():
     outside = set().union(*(referred(ast.parse(path.read_text()), strings=True) for folder in
                             ("scripts", "perfbench") for path in (root / folder).glob("*.py")))
     names = [referred(node) for _, node in statements]
-    unreferenced = [
-        f"{stem}.{node.name}" for k, (stem, node) in enumerate(statements)
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
-        and node.name not in outside.union(*names[:k], *names[k + 1:])]
+    defined = [(f"{stem}.{node.name}", node, outside.union(*names[:k], *names[k + 1:]))
+               for k, (stem, node) in enumerate(statements)
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    read = [attributes(node) for _, node in statements]
+    defined += [(f"{stem}.{node.name}.{member.name}", member, outside.union(
+                    *read[:k], *read[k + 1:], *(attributes(m) for m in node.body if m is not member)))
+                for k, (stem, node) in enumerate(statements) if isinstance(node, ast.ClassDef)
+                for member in node.body if isinstance(member, ast.FunctionDef)]
+    unreferenced = [name for name, node, elsewhere in defined
+                    if not node.name.startswith("_") and node.name not in elsewhere]
     assert len(statements) > 100 and "lift" in outside
+    assert "operators.OperatorMatrix.dag" in {name for name, _, _ in defined}
     assert sorted(unreferenced) == sorted(UNREFERENCED)

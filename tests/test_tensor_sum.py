@@ -76,7 +76,7 @@ def hamiltonians(draw):
 
 def assert_same(new, dense):
     assert np.array_equal(new.mat, dense)
-    assert np.array_equal(new.blocks.labels, dr.component_labels(dense))
+    assert np.array_equal(new._layout.labels, dr.component_labels(dense))
 
 
 def uncoupled(h):
@@ -125,7 +125,7 @@ def test_rotation_generator_equals_the_lifted_difference(spec, h):
 def test_small_rotation_equals_the_dense_exponential(spec, pair, eps):
     u = small_rotation(spec, *pair, eps)
     assert np.max(np.abs(u.mat - dr.dense_exp(generator(spec, *pair), eps))) <= 1e-13
-    assert np.array_equal(u.blocks.labels, dr.component_labels(generator(spec, *pair)))
+    assert np.array_equal(u._layout.labels, dr.component_labels(generator(spec, *pair)))
 
 
 # --- no dense operator arithmetic while building ------------------------------

@@ -165,7 +165,7 @@ def test_fock_start_holds_no_dense_state_matrix(scheme, atomic, monkeypatch):
 
 def occupied_rows(ham, psi0) -> int:
     """Rows of the Hamiltonian blocks psi0 occupies."""
-    labels = ham.blocks.labels
+    labels = ham._layout.labels
     return int(np.isin(labels, labels[psi0 != 0]).sum())
 
 
@@ -260,7 +260,7 @@ def test_evolve_memory_grows_only_with_the_record():
 def test_hermiticity_check_peaks_below_one_size_group():
     spec = SpaceSpec(12, 20)
     ham = build_hamiltonian(spec, VEE_H)
-    largest = max(m * b * b * 16 for m, b in (idx.shape for idx in ham.blocks.groups))
+    largest = max(m * b * b * 16 for m, b in (idx.shape for idx in ham._layout.groups))
     assert largest > 16 * 2 * CHUNK_ENTRIES  # the gate can tell the two apart
     unchecked = OperatorMatrix(ham.space, ham.spec, ham._data, ham._layout)  # H's is kept
     assert traced_peak(lambda: unchecked.is_hermitian()) < largest
