@@ -3,13 +3,15 @@
 
 Each rung runs, for the vee layout, the stage list of the ROADMAP tables:
 build_hamiltonian, second-order and u3 verify_algebra, rotation_report,
-evolve over 2001 samples from (0, 0, A) in the vacuum, the spectrum, and
-the quantum weight diagram (diagram_layout), each timed as the best of three
-runs, then run once more, untimed, under tracemalloc for its traced peak (the
-arrays the stage allocates and holds at once).  Every rung runs in a fresh
-process, which records its own peak RSS (getrusage) and the thread count of the
-loaded OpenBLAS; a rung whose process dies stops the run with
-BrokenProcessPool.  The file goes to the root of the checkout this script lives
+evolve over 2001 samples from (0, 0, A) in the vacuum, the eigenvalues of H,
+the quantum weight diagram (diagram_layout), hamiltonian.spectrum and the
+dark-state check of verify (hamiltonian.dark_state_residual), each timed as the
+best of three runs, then run once more, untimed, under tracemalloc for its
+traced peak (the arrays the stage allocates and holds at once).  A stage whose
+function the checkout lacks records null, so the script runs on older ones.
+Every rung runs in a fresh process, which records its own peak RSS (getrusage)
+and the thread count of the loaded OpenBLAS; a rung whose process dies stops
+the run with BrokenProcessPool.  The file goes to the root of the checkout this script lives
 in, and the package is imported from that checkout's src/, so a copy in another
 checkout measures that checkout.
 
@@ -36,6 +38,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
+import trilevel.hamiltonian as hamiltonian  # noqa: E402
 from trilevel.dynamics import TimeGrid, evolve, prepare_initial, InitialState  # noqa: E402
 from trilevel.hamiltonian import (  # noqa: E402
     VEE,
@@ -95,6 +98,11 @@ def run_rung(atoms: int, n_max: int) -> dict:
                                    excitation_operator(spec, VEE)))
     timed("eigenvalues", lambda: eigenvalues(ham))
     timed("diagram_layout", lambda: diagram_layout(VEE, False, spec))
+    for name in ("spectrum", "dark_state_residual"):
+        if hasattr(hamiltonian, name):
+            timed(name, lambda: getattr(hamiltonian, name)(spec, H))
+        else:
+            stages[name] = peaks[name] = None
     return {
         "atoms": atoms, "n_max": n_max, "dim": spec.product_dim, "stages_s": stages,
         "traced_peak_mb": peaks,

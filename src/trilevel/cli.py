@@ -25,15 +25,14 @@ from pathlib import Path
 import numpy as np
 
 from .hilbert import Occupation, SpaceSpec
-from .operators import CHUNK_ENTRIES, TOL_ALGEBRA, apply, verify_algebra
+from .operators import CHUNK_ENTRIES, TOL_ALGEBRA, verify_algebra
 from .hamiltonian import (
     TOL_DARK_BLOCK,
     HamiltonianSpec,
     build_hamiltonian,
-    dark_states,
+    dark_state_residual,
     excitation_operator,
     free_hamiltonian,
-    interaction_hamiltonian,
     ladder_storage_bytes,
     reduced_hamiltonian,
     rotation_report,
@@ -266,13 +265,8 @@ def cmd_verify(cfg: RunConfig, out: Path) -> int:
     if reduced_hamiltonian(h) is not None:  # where spectrum uses the rotated frame
         checks.append(_check("mode rotation maps H onto the reduced Hamiltonian",
                              rotation_report(spec, h).residual, TOL_DARK_BLOCK))
-        states = dark_states(spec, h)
-        applied = np.zeros_like(states)  # zero outside the blocks the dark states occupy
-        for idx, block in apply(interaction_hamiltonian(spec, h), states,
-                                support=states.any(axis=1)):
-            applied[idx] = block
         checks.append(_check("dark state annihilated by the interaction",
-                             np.linalg.norm(applied, axis=0).max(), TOL_ALGEBRA))
+                             dark_state_residual(spec, h), TOL_ALGEBRA))
     else:
         checks.append(_check(
             "mode rotation maps H onto the reduced Hamiltonian (skipped: non-degenerate "
@@ -408,12 +402,15 @@ def _physical_memory() -> int:
 
 def largest_array_bytes(command: str, cfg: RunConfig) -> int:
     """Bytes of the largest storage a command holds: for spectrum on the reduced
-    Hamiltonian, the ladder bound of its blocks; otherwise one dense complex
-    product-space matrix or, for the trajectory commands, their records
-    (9 * 8 * n_samples bytes each) plus one chunk of CHUNK_ENTRIES complex
-    states, if that is larger."""
+    Hamiltonian, the ladder bound of its blocks; for weights, the elements of its six
+    operators, at most one (row, column, complex value) of 32 bytes per column each;
+    otherwise one dense complex product-space matrix or, for the trajectory commands,
+    their records (9 * 8 * n_samples bytes each) plus one chunk of CHUNK_ENTRIES
+    complex states, if that is larger."""
     if command == "spectrum" and reduced_hamiltonian(cfg.hamiltonian) is not None:
         return ladder_storage_bytes(cfg.space)
+    if command == "weights":
+        return 6 * 32 * cfg.space.product_dim
     records = {"evolve": 1, "dispersive-compare": 2}.get(command, 0)  # held at once
     trajectories = (records * 9 * 8 * (cfg.n_samples or 0) + 16 * CHUNK_ENTRIES) if records else 0
     return max(16 * cfg.space.product_dim ** 2, trajectories)

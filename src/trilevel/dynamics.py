@@ -100,24 +100,16 @@ class TrajectoryRecord:
         return worst, drifts[worst]
 
 
-def _first_normal_term(lam: float, power: float) -> tuple[int, float]:
-    """(n, term) for the smallest n <= MAX_CUTOFF at which the Poisson weight
-    exp(-lam) lam^n / n!, raised to ``power`` (1 for the weight, 1/2 for the
-    amplitude), is a normal float: exp(-power lam) at n = 0, from log space (lgamma)
-    past it; n = MAX_CUTOFF + 1 if there is none."""
-    n, term = 0, math.exp(-power * lam)
-    while not term >= np.finfo(float).smallest_normal and n <= MAX_CUTOFF:
-        n += 1
-        term = math.exp(power * (n * math.log(lam) - math.lgamma(n + 1) - lam))
-    return n, term
-
-
 def coherent_amplitudes(alpha: complex, n_max: int) -> tuple[np.ndarray, float]:
     """Truncated coherent-state amplitudes and the discarded tail weight; the
-    recurrence starts at the first amplitude that is a normal float (those
-    before it are 0)."""
+    recurrence starts at the first amplitude that is a normal float (those before
+    it are 0): exp(-|alpha|^2 / 2) at n = 0, from log space (lgamma) past it."""
+    lam = abs(alpha) ** 2
     amps = np.zeros(n_max + 1, dtype=np.complex128)
-    start, magnitude = _first_normal_term(abs(alpha) ** 2, 0.5)
+    start, magnitude = 0, math.exp(-lam / 2)
+    while not magnitude >= np.finfo(float).smallest_normal and start <= n_max:
+        start += 1
+        magnitude = math.exp((start * math.log(lam) - math.lgamma(start + 1) - lam) / 2)
     if start <= n_max:
         amps[start] = cmath.rect(magnitude, start * cmath.phase(alpha)) if start else magnitude
     for n in range(start + 1, n_max + 1):
@@ -129,18 +121,25 @@ def coherent_amplitudes(alpha: complex, n_max: int) -> tuple[np.ndarray, float]:
 def required_fock_cutoff(alpha: complex, limit: float = COHERENT_TAIL_LIMIT) -> int:
     """Smallest cutoff keeping the coherent tail below ``limit``.
 
-    The Poisson weights are summed up from the first one that is a normal float,
-    exp(-|alpha|^2) up to |alpha|^2 of about 708; the ones before it sum to less
-    than 1e-300.  ValueError for a cutoff above MAX_CUTOFF photons.
+    The tail is summed from the top, smallest weights first, so it carries the rounding
+    of its own terms only: down from the first photon number past |alpha|^2 whose
+    Poisson weight exp(-lam) lam^n / n! (from log space) is below 1e-40, as the weights
+    past it sum to less than 1e-34.  ValueError for a cutoff above MAX_CUTOFF photons.
     """
-    n, weight = _first_normal_term(abs(alpha) ** 2, 1.0)
-    total = weight
-    while 1.0 - total > limit and n <= MAX_CUTOFF:
-        n += 1
-        weight *= abs(alpha) ** 2 / n
-        total += weight
+    lam = abs(alpha) ** 2
+    if not 0 < lam <= MAX_CUTOFF:  # the vacuum, or a cutoff past |alpha|^2 > MAX_CUTOFF
+        n = 0 if lam == 0 else MAX_CUTOFF + 1
+    else:
+        n = math.ceil(lam)
+        while n * math.log(lam) - math.lgamma(n + 1) - lam > -92.0:  # e^-92 < 1e-40
+            n += 1
+        weight, tail = math.exp(n * math.log(lam) - math.lgamma(n + 1) - lam), 0.0
+        while n and tail + weight <= limit:  # tail: the weights past n
+            tail += weight
+            weight *= n / lam
+            n -= 1
     if n > MAX_CUTOFF:
-        raise ValueError(f"|alpha|^2 = {abs(alpha) ** 2:.6g} is too large for a sensible "
+        raise ValueError(f"|alpha|^2 = {lam:.6g} is too large for a sensible "
                          f"cutoff (at most {MAX_CUTOFF} photons)")
     return n
 

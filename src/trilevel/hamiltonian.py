@@ -34,6 +34,7 @@ from .operators import (  # LAMBDA and VEE are re-exported
     identity_elements,
     layout,
     tensor_sum,
+    term_elements,
     transition_elements,
     unitary_exp,
 )
@@ -113,11 +114,6 @@ def _interaction_terms(spec: SpaceSpec, h: HamiltonianSpec) -> list:
 def free_hamiltonian(spec: SpaceSpec, h: HamiltonianSpec) -> OperatorMatrix:
     """Sum of level energies times populations plus omega times photon number."""
     return tensor_sum(spec, _free_terms(spec, h))
-
-
-def interaction_hamiltonian(spec: SpaceSpec, h: HamiltonianSpec) -> OperatorMatrix:
-    """Sum over coupled pairs of g_ij (X_ij + X_ij^dag)."""
-    return tensor_sum(spec, _interaction_terms(spec, h))
 
 
 def build_hamiltonian(spec: SpaceSpec, h: HamiltonianSpec) -> OperatorMatrix:
@@ -206,11 +202,20 @@ def bright_atomic_vector(h: HamiltonianSpec, atoms: int) -> np.ndarray:
     return _mode_pair_vector(atoms, h.degenerate_pair, amplitudes)
 
 
-def dark_states(spec: SpaceSpec, h: HamiltonianSpec) -> np.ndarray:
-    """(dim, n_max) array whose column n is the unit product-space vector with every
-    atom in the dark mode and n photons, annihilated by the interaction Hamiltonian."""
-    fock = np.eye(spec.field_dim, spec.n_max, dtype=np.complex128)
-    return np.kron(dark_atomic_vector(h, spec.atoms)[:, None], fock)
+def dark_state_residual(spec: SpaceSpec, h: HamiltonianSpec) -> float:
+    """Largest norm over n < n_max of H_int |dark, n>, every atom in the dark mode and n
+    photons, which H_int annihilates: the elements of the interaction terms that
+    build_hamiltonian writes, applied to the A + 1 nonzeros of each of these states."""
+    dark = dark_atomic_vector(h, spec.atoms)
+    rows, cols, values = (np.concatenate(x) for x in zip(
+        *(term_elements(spec, term) for term in _interaction_terms(spec, h))))
+    atom, photons = np.divmod(cols, spec.field_dim)
+    keep = (dark[atom] != 0) & (photons < spec.n_max)
+    keys, at = np.unique(photons[keep] * spec.product_dim + rows[keep], return_inverse=True)
+    applied = np.zeros(len(keys), dtype=np.complex128)  # by (state, row), in key order
+    np.add.at(applied, at, values[keep] * dark[atom[keep]])
+    squares = np.bincount(keys // spec.product_dim, np.abs(applied) ** 2, minlength=spec.n_max)
+    return float(np.sqrt(squares.max()))
 
 
 def _rotation_generator(spec: SpaceSpec, h: HamiltonianSpec) -> OperatorMatrix:

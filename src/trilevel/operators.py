@@ -10,7 +10,9 @@ with absorption of one photon, X_ij = a S_ij for the pairs (3,1), (2,1),
 Operators are written from the (row, column, value) of their nonzeros, with
 no dense factor: S_ij from the occupation labels, a, a^dag and n from the
 photon number, and every product-space operator as a short sum of
-c (atomic (x) field) terms by tensor_sum.  An OperatorMatrix holds one
+c (atomic (x) field) terms by tensor_sum.  Results that need only those
+elements (the weight diagram, the dark-state check of verify) read them as
+written and store no operator.  An OperatorMatrix holds one
 BlockPartition, the one its writer stored it in (see OperatorMatrix), and one
 (m, b, b) stack per block size b; for a Hamiltonian the blocks are the
 decoupled sectors of a conserved excitation count.  Every kernel makes one
@@ -485,17 +487,6 @@ def hermitian_blocks(op: OperatorMatrix, support: np.ndarray | None = None):
     """
     for idx, blocks in stored_stacks(op, support):
         yield idx, *np.linalg.eigh(blocks)
-
-
-def apply(op: OperatorMatrix, states: np.ndarray, support: np.ndarray | None = None):
-    """Yield (idx, block @ states[idx]) per group of equal-size blocks of ``op``
-    (idx as in ``hermitian_blocks``), for states of shape (dim,) or (dim, T); the
-    rows of op @ states outside every idx are zero.  A boolean ``support`` mask keeps
-    the blocks holding a supported index."""
-    for idx, stack in stored_stacks(op, support):
-        x = states[idx]
-        x = stack @ x if x.ndim == 3 else (stack @ x[..., None])[..., 0]  # frees the gathered rows
-        yield idx, x
 
 
 def unitary_exp(h: OperatorMatrix, t: float) -> OperatorMatrix:

@@ -3,7 +3,8 @@
 Each scheme fixes a commuting pair of population inversions (h1, h2), the
 sign of operators.LAYOUTS times (S11 - S22, S22 - S33); an
 operator M is a weight vector when [h_k, M] = kappa_k M, read off as the one
-label gap h_k[r] - h_k[c] over the nonzeros (r, c) of M (the h_k are diagonal).
+label gap h_k[r] - h_k[c] over the nonzeros (r, c) of M (the h_k are diagonal),
+from the (rows, cols, values) that the operator writers produce; none is stored.
 The pair (kappa1, kappa2) is drawn in a planar basis whose two directions are
 angled at 120 degrees.  First-order (photon-dressed or classical) transitions
 appear as thick solid vectors, the second-order commutators (written from the
@@ -27,13 +28,11 @@ from .hilbert import SpaceSpec, index_map
 from .operators import (
     ATOMIC,
     PRODUCT,
-    OperatorMatrix,
-    SpaceMismatchError,
     conserved_product,
-    deformed_operator,
-    element_sum,
+    dressed_term,
     enhancement_factor,
     layout,
+    term_elements,
     transition_elements,
 )
 
@@ -59,13 +58,11 @@ class NotAWeightVectorError(ValueError):
 @dataclass(frozen=True)
 class CartanChoice:
     """Commuting inversion pair defining the weight components for a scheme, each the
-    real diagonal of one inversion over the basis states of ``space`` of ``spec``."""
+    real diagonal of one inversion over the basis states of one space (cartan_choice)."""
 
     scheme: str
     h1: np.ndarray
     h2: np.ndarray
-    space: str
-    spec: SpaceSpec
 
 
 def cartan_choice(scheme: str, spec: SpaceSpec, space: str = ATOMIC) -> CartanChoice:
@@ -76,7 +73,7 @@ def cartan_choice(scheme: str, spec: SpaceSpec, space: str = ATOMIC) -> CartanCh
     imap = index_map(spec)
     occ = imap.occupations if space == PRODUCT else imap.atomic_occupations
     h1, h2 = ((sign * (occ[:, i] - occ[:, i + 1])).astype(float) for i in (0, 1))
-    return CartanChoice(scheme, h1, h2, space, spec)
+    return CartanChoice(scheme, h1, h2)
 
 
 @dataclass(frozen=True)
@@ -101,19 +98,17 @@ def _snap_rational(value: float, max_denominator: int = 4) -> Fraction:
     return best
 
 
-def weight_of(op: OperatorMatrix, cartan: CartanChoice, label: str = "",
+def weight_of(elements: tuple, cartan: CartanChoice, label: str = "",
               order: str = FIRST) -> WeightVector:
-    """Read kappa_k off the label gap h_k[r] - h_k[c] of the nonzeros (r, c) of op,
-    as [h_k, op]_rc = (h_k[r] - h_k[c]) op_rc for the diagonal h_k.
+    """Read kappa_k off the label gap h_k[r] - h_k[c] of the nonzeros (r, c) of an operator M,
+    as [h_k, M]_rc = (h_k[r] - h_k[c]) M_rc for the diagonal h_k; ``elements`` are the
+    (rows, cols, values) of M on the space of the h_k, each position written once.
 
-    Raises SpaceMismatchError unless op acts on the space of the h_k, and
-    NotAWeightVectorError when op is zero, when a gap spreads wider than
-    TOL_WEIGHT ([h_k, op] is not proportional to op) or is not a small rational.
+    Raises NotAWeightVectorError when no value is nonzero, when a gap spreads wider
+    than TOL_WEIGHT ([h_k, M] is not proportional to M) or is not a small rational.
     """
-    if (op.space, op.spec.atoms, op.dim) != (cartan.space, cartan.spec.atoms, len(cartan.h1)):
-        raise SpaceMismatchError(f"cannot combine a {op.space} operator on {op.spec} with "
-                                 f"the {cartan.space} Cartan labels of {cartan.spec}")
-    rows, cols, _ = op.elements()
+    rows, cols, values = elements
+    rows, cols = rows[values != 0], cols[values != 0]
     if not len(rows):
         raise NotAWeightVectorError("zero operator has no weight")
     kappas = []
@@ -142,32 +137,34 @@ class DiagramLayout:
 
 
 def _scheme_operators(scheme: str, classical: bool, spec: SpaceSpec,
-                      alpha: complex) -> list[tuple[str, OperatorMatrix, str]]:
+                      alpha: complex) -> list[tuple[str, tuple, str]]:
     """The scheme's two first-order transitions (its coupled pairs in operators.LAYOUTS),
     their conjugates, and the second-order operator [first, second^dag] with its conjugate,
-    as (label, operator, order).  The second-order operator is written from the labels on the
-    degenerate pair (a, b): f S_ba (operators.conserved_product) for the enhancement factor f,
-    or -|alpha|^2 S_ba in a classical field, + where the shared level emits the photon."""
+    as (label, (rows, cols, values), order), the conjugate (cols, rows, conj(values)).  The
+    second-order operator is written from the labels on the degenerate pair (a, b): f S_ba
+    (operators.conserved_product) for the enhancement factor f, or -|alpha|^2 S_ba in a
+    classical field, + where the shared level emits the photon."""
     lay = layout(scheme)
     pairs, s, absorbs = lay.pairs, lay.shared, lay.shared_is_upper
     la, lb = lay.degenerate
     if classical:
-        ops = [element_sum(ATOMIC, spec, [transition_elements(spec, *ij, alpha)]) for ij in pairs]
+        ops = [transition_elements(spec, *ij, alpha) for ij in pairs]
         prefix, conj_prefix = "alpha", "alpha*"
         factor = "-|alpha|^2 " if absorbs else "+|alpha|^2 "
         c = -abs(alpha) * abs(alpha) if absorbs else abs(alpha) * abs(alpha)  # ** 2 can raise
-        second = element_sum(ATOMIC, spec, [transition_elements(spec, lb, la, c)])
+        second = transition_elements(spec, lb, la, c)
     else:
-        ops = [deformed_operator(spec, i, j) for i, j in pairs]
+        ops = [term_elements(spec, dressed_term(spec, i, j)) for i, j in pairs]
         prefix, conj_prefix = "a", "a+"
         factor = f"(S{s}{s}-n)" if absorbs else f"(S{s}{s}+n+1)"
         f = functools.partial(enhancement_factor, scheme)
-        second = element_sum(PRODUCT, spec, [conserved_product(spec, lb, la, f)])
+        second = conserved_product(spec, lb, la, f)
+    conjugates = [(cols, rows, values.conj()) for rows, cols, values in ops + [second]]
     return (
         [(f"{prefix}S{i}{j}", op, FIRST) for (i, j), op in zip(pairs, ops)]
-        + [(f"{conj_prefix}S{j}{i}", op.dag(), FIRST) for (i, j), op in zip(pairs, ops)]
+        + [(f"{conj_prefix}S{j}{i}", op, FIRST) for (i, j), op in zip(pairs, conjugates)]
         + [(f"{factor}S{lb}{la}", second, SECOND),
-           (f"{factor}S{la}{lb}", second.dag(), SECOND)]
+           (f"{factor}S{la}{lb}", conjugates[2], SECOND)]
     )
 
 
@@ -182,8 +179,8 @@ def diagram_layout(scheme: str, classical: bool, spec: SpaceSpec,
     space = ATOMIC if classical else PRODUCT
     cartan = cartan_choice(scheme, spec, space)
     vectors = tuple(
-        weight_of(op, cartan, label=label, order=order)
-        for label, op, order in _scheme_operators(scheme, classical, spec, alpha)
+        weight_of(elements, cartan, label=label, order=order)
+        for label, elements, order in _scheme_operators(scheme, classical, spec, alpha)
     )
     return DiagramLayout(scheme, classical, vectors)
 

@@ -3,8 +3,9 @@
 Every operator here is a dense numpy array written straight from the basis labels,
 one basis state at a time: the collective transitions S_ij, the ladder operators
 a, a^dag and n, the lift of an atomic or field matrix, the dressed transitions X_ij,
-the excitation count, the Hamiltonian H, the guarded projector, the commutator, the
-exponential exp(-i t H), the propagator and the connected-component search.  It
+the excitation count, the interaction, the Hamiltonian H, the guarded projector, the
+commutator, the exponential exp(-i t H), the propagator and the connected-component
+search.  It
 imports nothing from ``trilevel`` but ``hilbert`` (the labels and the sizes), so it
 shares no code path with the block writers it checks (``element_sum``,
 ``tensor_sum``, ``transition_elements``); ``test_operators`` checks S_ij once
@@ -78,16 +79,23 @@ def excitation(spec: SpaceSpec, scheme: str) -> np.ndarray:
     return number(spec) + sum(lift_atomic(spec, atomic(spec, i, i)) for i in upper)
 
 
-def hamiltonian(spec: SpaceSpec, h) -> np.ndarray:
-    """omega n + sum_i E_i S_ii + sum g_ij (X_ij + X_ji) over the scheme's coupled pairs,
-    read from the fields of a HamiltonianSpec."""
+def interaction(spec: SpaceSpec, h) -> np.ndarray:
+    """sum g_ij (X_ij + X_ji) over the scheme's coupled pairs, read from the fields of
+    a HamiltonianSpec."""
     couplings = {(3, 1): h.g31, (3, 2): h.g32, (2, 1): h.g21}
-    out = h.omega * number(spec)
-    for i, e in enumerate(h.energies, start=1):
-        out = out + e * lift_atomic(spec, atomic(spec, i, i))
+    out = np.zeros((spec.product_dim,) * 2, dtype=np.complex128)
     for i, j in COUPLED[h.scheme]:
         out = out + couplings[i, j] * (dressed(spec, i, j) + dressed(spec, j, i))
     return out
+
+
+def hamiltonian(spec: SpaceSpec, h) -> np.ndarray:
+    """omega n + sum_i E_i S_ii + the interaction, read from the fields of a
+    HamiltonianSpec."""
+    out = h.omega * number(spec)
+    for i, e in enumerate(h.energies, start=1):
+        out = out + e * lift_atomic(spec, atomic(spec, i, i))
+    return out + interaction(spec, h)
 
 
 def guarded_projector(spec: SpaceSpec, guard: int) -> np.ndarray:

@@ -2,7 +2,7 @@
 
 Every OperatorMatrix stores only its blocks.  Sums, differences, negation,
 scalar products, ``dag`` and ``max_abs`` (also under an index predicate)
-must equal the dense results exactly; products, exponentials and the block matvec ``apply`` agree with
+must equal the dense results exactly; products and exponentials agree with
 dense numpy to rounding.  The exponential is that of ``dense_reference``.
 No command reads a dense product-space matrix.
 """
@@ -34,7 +34,6 @@ from trilevel.operators import (
     OperatorMatrix,
     FIELD,
     _one_block,
-    apply,
     deformed_operator,
     diagonal,
     element_sum,
@@ -146,25 +145,6 @@ def test_exponentials_match_dense(model, t):
         assert np.max(np.abs(u.mat - dr.dense_exp(h.mat, t))) <= TOL * scale(t * h.mat)
         labels = h._layout.labels
         assert np.all(u.mat[labels[:, None] != labels[None, :]] == 0.0)
-
-
-@settings(max_examples=60, deadline=None)
-@given(operator_pools(), st.integers(0, 2**32 - 1), st.booleans())
-def test_block_matvec_matches_dense(model, seed, matrix):
-    spec, pool, first, _ = model
-    m = pool[first]
-    rng = np.random.default_rng(seed)
-    shape = (spec.product_dim, 3) if matrix else (spec.product_dim,)
-    states = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * (rng.random(shape) < 0.3)
-    support = np.any(states != 0, axis=1) if matrix else states != 0
-    full, reached = np.zeros_like(states), np.zeros_like(states)
-    for idx, block in apply(m, states):
-        full[idx] = block
-    for idx, block in apply(m, states, support):
-        reached[idx] = block
-    dense = m.mat @ states
-    assert np.max(np.abs(full - dense)) <= TOL * scale(m.mat, states)
-    assert np.array_equal(reached, full)  # blocks the states miss give exact zeros
 
 
 # --- the guard band of the transfer block --------------------------------------

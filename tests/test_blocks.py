@@ -39,7 +39,6 @@ from trilevel.hamiltonian import (
     build_hamiltonian,
     excitation_operator,
     free_hamiltonian,
-    interaction_hamiltonian,
     mode_rotation_unitary,
     reduced_hamiltonian,
     rotation_report,
@@ -171,15 +170,14 @@ PAIR_ENERGIES = {(LAMBDA, False): (0.0, 0.0, 3.0), (LAMBDA, True): (0.0, 0.5, 3.
 def test_every_operator_a_command_hands_to_a_kernel_is_stored_exactly(scheme, split, atoms,
                                                                      tmp_path, monkeypatch):
     """The stored labels equal a dense component search: for H, the reduced H, the
-    generators, U, the interaction, the excitation count and free + prefactor transfer,
-    and for every operator that verify, evolve, spectrum and dispersive-compare read."""
+    generators, U, the excitation count and free + prefactor transfer, and for every
+    operator that verify, evolve, spectrum and dispersive-compare read."""
     spec, second = SpaceSpec(atoms, atoms + 2), "g32" if scheme == LAMBDA else "g21"
     h = HamiltonianSpec(scheme, PAIR_ENERGIES[scheme, split], 1.0, g31=0.1, **{second: 0.07})
     generators = [_rotation_generator(spec, h), *_generators(spec, scheme).values()]
     p = dispersive_params(h, 0.0, atoms)
     seen = [build_hamiltonian(spec, h), *generators, mode_rotation_unitary(spec, h),
-            *(unitary_exp(g, 0.05) for g in generators), interaction_hamiltonian(spec, h),
-            excitation_operator(spec, scheme),
+            *(unitary_exp(g, 0.05) for g in generators), excitation_operator(spec, scheme),
             free_hamiltonian(spec, h) + analytic_effective(spec, h, p).matrix()]
     if not split:
         seen.append(build_hamiltonian(spec, reduced_hamiltonian(h)))

@@ -135,7 +135,7 @@ RECORD = 9 * 8  # bytes per sample of one trajectory record
 @pytest.mark.parametrize("command,expected,expected_fewer", [
     ("spectrum", 16 * SMALL_DIM * 2, 16 * SMALL_DIM * 2),  # ladders of at most atoms + 1 = 2
     ("verify", 16 * SMALL_DIM ** 2, 16 * SMALL_DIM ** 2),
-    ("weights", 16 * SMALL_DIM ** 2, 16 * SMALL_DIM ** 2),
+    ("weights", 6 * 32 * SMALL_DIM, 6 * 32 * SMALL_DIM),  # six operators' (row, col, value)
     ("evolve", RECORD * 101 + CHUNK, RECORD * 5 + CHUNK),
     ("dispersive-compare", 2 * RECORD * 101 + CHUNK, 2 * RECORD * 5 + CHUNK),
 ])
@@ -152,14 +152,18 @@ def test_spectrum_estimate_is_dense_unless_the_pair_is_exactly_degenerate():
 
 def test_sizes_the_dense_estimate_refused_now_fit():
     """spectrum at A=32, n_max=40 and evolve at A=8, n_max=16 over 700,000 samples need
-    8.5e9 and 8.6e9 bytes as dense arrays; their stored forms take under 0.1 GB."""
+    8.5e9 and 8.6e9 bytes as dense arrays, weights at A=60, n_max=100 5.8e11; their
+    stored forms take under 0.1 GB."""
     big = SMALL_CONF.replace("atoms = 1", "atoms = 32").replace("n_max = 5", "n_max = 40")
     assert cli.largest_array_bytes("spectrum", parse_config(big)) == 16 * 561 * 41 * 33
     long = (SMALL_CONF.replace("atoms = 1", "atoms = 8").replace("n_max = 5", "n_max = 16")
             .replace("n_samples = 101", "n_samples = 700000"))
     assert cli.largest_array_bytes("evolve", parse_config(long)) == RECORD * 700000 + CHUNK
+    scale = SMALL_CONF.replace("atoms = 1", "atoms = 60").replace("n_max = 5", "n_max = 100")
+    assert cli.largest_array_bytes("weights", parse_config(scale)) == 6 * 32 * 1891 * 101
     assert max(cli.largest_array_bytes("spectrum", parse_config(big)),
-               cli.largest_array_bytes("evolve", parse_config(long))) < 1e8
+               cli.largest_array_bytes("evolve", parse_config(long)),
+               cli.largest_array_bytes("weights", parse_config(scale))) < 1e8
 
 
 def refuse_construction(op):

@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 
 import trilevel.cli as cli
+import trilevel.hamiltonian as hamiltonian
 from trilevel.cli import ConfigError, main, parse_config
-from trilevel.hamiltonian import HamiltonianSpec, dark_states, interaction_hamiltonian
+from trilevel.hamiltonian import HamiltonianSpec, bright_atomic_vector, dark_state_residual
 from trilevel.hilbert import SpaceSpec
-from trilevel.operators import apply
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -150,13 +150,6 @@ def degenerate_spec(scheme):
     return HamiltonianSpec(scheme, (0.0, 3.0, 3.0), 1.0, g31=0.07, g21=0.11)
 
 
-def all_blocks_norms(op, states):
-    out = np.zeros_like(states)
-    for idx, block in apply(op, states):
-        out[idx] = block
-    return np.linalg.norm(out, axis=0)
-
-
 def verify_conf(tmp_path, scheme, atoms, n_max):
     lines = [f"scheme = {scheme}", f"atoms = {atoms}", f"n_max = {n_max}", "omega = 1.0",
              "E1 = 0.0", f"E2 = {0.0 if scheme == 'lambda' else 3.0}", "E3 = 3.0",
@@ -166,36 +159,28 @@ def verify_conf(tmp_path, scheme, atoms, n_max):
     return conf
 
 
+def dark_row(out):
+    rows = json.loads((out / "report.json").read_text())["checks"]
+    (row,) = [c for c in rows if c["name"] == "dark state annihilated by the interaction"]
+    return row
+
+
 @pytest.mark.parametrize("atoms", range(1, 7))
 @pytest.mark.parametrize("scheme", ["lambda", "vee"])
-def test_dark_state_norm_keeps_the_bits_of_every_block(scheme, atoms, tmp_path):
-    """verify's row is the largest column norm of the all-blocks product, bit for bit."""
+def test_dark_state_row_is_the_residual_of_the_writer_elements(scheme, atoms, tmp_path):
+    """verify's row is dark_state_residual, bit for bit."""
     spec, h = SpaceSpec(atoms, 5), degenerate_spec(scheme)
     conf = verify_conf(tmp_path, scheme, atoms, spec.n_max)
     assert main(["verify", "--config", str(conf), "--out", str(tmp_path / "o")]) == 0
-    rows = json.loads((tmp_path / "o" / "report.json").read_text())["checks"]
-    (norm,) = [c["residual"] for c in rows
-               if c["name"] == "dark state annihilated by the interaction"]
-    expected = all_blocks_norms(interaction_hamiltonian(spec, h), dark_states(spec, h))
-    assert norm.hex() == float(expected.max()).hex()
+    norm = dark_row(tmp_path / "o")["residual"]
+    assert norm.hex() == dark_state_residual(spec, h).hex()
     assert norm <= 1e-12
 
 
 @pytest.mark.parametrize("scheme", ["lambda", "vee"])
-def test_dark_state_check_multiplies_only_the_occupied_blocks(scheme, tmp_path, monkeypatch):
-    multiplied, total = [], []
-    real_apply = cli.apply
-
-    def recording(op, states, support=None):
-        total.append(sum(idx.shape[0] for idx in op._layout.groups))
-        for idx, block in real_apply(op, states, support):
-            multiplied.append((states[idx] != 0).any(axis=(1, 2)))  # per block: occupied?
-            yield idx, block
-
-    monkeypatch.setattr(cli, "apply", recording)
+def test_bright_vector_in_place_of_the_dark_one_fails_the_row(scheme, tmp_path, monkeypatch):
+    monkeypatch.setattr(hamiltonian, "dark_atomic_vector", bright_atomic_vector)
     conf = verify_conf(tmp_path, scheme, 3, 4)
-    assert main(["verify", "--config", str(conf), "--out", str(tmp_path / "o")]) == 0
-    assert len(total) == 1  # one call for the dark states of every photon number
-    occupied = np.concatenate(multiplied)
-    assert occupied.all()
-    assert len(occupied) < sum(total)
+    assert main(["verify", "--config", str(conf), "--out", str(tmp_path / "o")]) == 1
+    row = dark_row(tmp_path / "o")
+    assert not row["passed"] and row["residual"] > 0.01

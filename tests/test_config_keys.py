@@ -190,6 +190,23 @@ def test_fock_cutoff_beyond_708_is_the_smallest_safe_one(n_bar):
     assert poisson_tail(n_bar, n) <= COHERENT_TAIL_LIMIT < poisson_tail(n_bar, n - 1)
 
 
+def lgamma_tail(n_bar: float, n: int) -> float:
+    """P(N > n) for N ~ Poisson(n_bar): math.fsum of exp(-n_bar + k log n_bar - lgamma(k + 1))
+    over k > n, to 60 standard deviations past the mean."""
+    top = int(n_bar + 60 * math.sqrt(n_bar)) + 60
+    return math.fsum(math.exp(-n_bar + k * math.log(n_bar) - math.lgamma(k + 1))
+                     for k in range(n + 1, top))
+
+
+@pytest.mark.parametrize("n_bar,cutoff", [(10_000, 10_643), (50_000, 51_429)])
+def test_fock_cutoff_is_the_smallest_safe_one_past_thousands_of_terms(n_bar, cutoff):
+    """A sum of 1 - total from n = 0 carried the rounding of every addition: it gave
+    10,641 (tail 1.08e-10) and 51,443 here."""
+    n = required_fock_cutoff(math.sqrt(n_bar))
+    assert lgamma_tail(n_bar, n) <= COHERENT_TAIL_LIMIT < lgamma_tail(n_bar, n - 1)
+    assert n == cutoff
+
+
 def summed_from_zero(n_bar: float) -> int:
     """The cutoff with the Poisson sum started at exp(-|alpha|^2), n = 0."""
     lam = math.sqrt(n_bar) ** 2

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import dense_reference as dr
 from trilevel.hilbert import SpaceSpec, index_map
 from trilevel.hamiltonian import (
     LAMBDA,
@@ -10,7 +11,6 @@ from trilevel.hamiltonian import (
     HamiltonianSpec,
     build_hamiltonian,
     excitation_operator,
-    interaction_hamiltonian,
     rotation_parameters,
 )
 from trilevel.dispersive import dispersive_params
@@ -119,7 +119,7 @@ def test_dark_initial_state_is_interaction_free():
     spec = SpaceSpec(2, 3)
     h = lambda_spec()
     psi = prepare_initial(spec, InitialState("dark", ("fock", 2)), h)
-    assert np.linalg.norm(interaction_hamiltonian(spec, h).mat @ psi) <= 1e-12
+    assert np.linalg.norm(dr.interaction(spec, h) @ psi) <= 1e-12
 
 
 def test_prepare_initial_validation():

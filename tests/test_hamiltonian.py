@@ -9,24 +9,28 @@ import dense_reference as dr
 import trilevel.hamiltonian as hamiltonian
 import trilevel.operators as operators
 from trilevel.hilbert import SpaceSpec, fock_vector, index_map
-from trilevel.operators import diagonal, unitary_exp
+from trilevel.operators import OperatorMatrix, diagonal, unitary_exp
 from trilevel.hamiltonian import (
     LAMBDA,
     TOL_DARK_BLOCK,
     VEE,
     HamiltonianSpec,
+    bright_atomic_vector,
     build_hamiltonian,
     classical_hamiltonian,
-    dark_atomic_vector,
-    dark_states,
+    dark_state_residual,
     excitation_operator,
     free_hamiltonian,
-    interaction_hamiltonian,
     mode_rotation_unitary,
     reduced_hamiltonian,
     rotation_parameters,
     rotation_report,
 )
+
+
+def dark_state(spec, h, n):
+    """Every atom in the dark mode and n photons, as a dense product-space vector."""
+    return np.kron(hamiltonian.dark_atomic_vector(h, spec.atoms), fock_vector(spec, n))
 
 
 def lambda_spec(g31=0.3, g32=0.4, e3=3.0, omega=1.0):
@@ -181,7 +185,7 @@ def test_rotation_takes_the_known_sign_once(atoms, h, monkeypatch):
     assert len(calls) == 1
     slot2 = np.zeros(spec.product_dim, dtype=complex)
     slot2[index_map(spec).flat((0, atoms, 0), 1)] = 1.0
-    assert np.max(np.abs(u.conj().T @ slot2 - dark_states(spec, h)[:, 1])) <= 1e-12
+    assert np.max(np.abs(u.conj().T @ slot2 - dark_state(spec, h, 1))) <= 1e-12
 
 
 def test_rotation_that_leaves_the_dark_mode_coupled_is_an_error(monkeypatch):
@@ -225,19 +229,18 @@ def test_rotation_report_without_a_reduced_hamiltonian_raises(h):
 def test_dark_state_symmetric_lambda():
     spec = SpaceSpec(1, 4)
     h = lambda_spec(g31=0.25, g32=0.25)
-    psi = dark_states(spec, h)[:, 3]
+    psi = dark_state(spec, h, 3)
     imap = index_map(spec)
     expected = np.zeros(spec.product_dim, dtype=complex)
     expected[imap.flat((1, 0, 0), 3)] = -1.0 / math.sqrt(2.0)
     expected[imap.flat((0, 1, 0), 3)] = 1.0 / math.sqrt(2.0)
     assert np.max(np.abs(psi - expected)) <= 1e-14
-    h_int = interaction_hamiltonian(spec, h)
-    assert np.linalg.norm(h_int.mat @ psi) <= 1e-14
+    assert np.linalg.norm(dr.interaction(spec, h) @ psi) <= 1e-14
 
 
 def test_dark_state_decoupled_limit_is_level2():
     spec = SpaceSpec(1, 2)
-    psi = dark_states(spec, lambda_spec(g31=0.5, g32=0.0))[:, 1]
+    psi = dark_state(spec, lambda_spec(g31=0.5, g32=0.0), 1)
     imap = index_map(spec)
     assert abs(psi[imap.flat((0, 1, 0), 1)]) == pytest.approx(1.0, abs=1e-14)
 
@@ -247,22 +250,46 @@ def test_dark_state_decoupled_limit_is_level2():
                                vee_spec(0.7, 0.2)])
 def test_dark_state_annihilated_for_all_fock(atoms, h):
     spec = SpaceSpec(atoms, 3)
-    h_int = interaction_hamiltonian(spec, h)
-    top = np.kron(dark_atomic_vector(h, atoms), fock_vector(spec, spec.n_max))  # the last slab
-    psis = np.column_stack([dark_states(spec, h), top])
+    psis = np.column_stack([dark_state(spec, h, n) for n in range(spec.n_max + 1)])
     assert np.max(np.abs(np.linalg.norm(psis, axis=0) - 1.0)) <= 1e-12
-    assert np.max(np.linalg.norm(h_int.mat @ psis, axis=0)) <= 1e-12
+    assert np.max(np.linalg.norm(dr.interaction(spec, h) @ psis, axis=0)) <= 1e-12
 
 
-@pytest.mark.parametrize("h", [lambda_spec(0.3, 0.4), vee_spec(0.7, 0.2)])
-def test_dark_states_are_one_column_per_photon_number_below_the_cutoff(h):
-    """Column n is the dark atomic vector times the Fock vector |n>, bit for bit."""
-    spec = SpaceSpec(3, 4)
-    states = dark_states(spec, h)
-    assert states.shape == (spec.product_dim, spec.n_max)
-    for n in range(spec.n_max):
-        expected = np.kron(dark_atomic_vector(h, spec.atoms), fock_vector(spec, n))
-        assert np.array_equal(states[:, n], expected)
+def dense_residual(spec, h):
+    """Largest norm of the dense interaction on the dark states below the cutoff."""
+    states = np.column_stack([dark_state(spec, h, n) for n in range(spec.n_max)])
+    return float(np.linalg.norm(dr.interaction(spec, h) @ states, axis=0).max())
+
+
+UNEQUAL = [HamiltonianSpec(LAMBDA, (0.0, 0.0, 3.0), 1.0, g31=0.07, g32=0.11),
+           HamiltonianSpec(LAMBDA, (0.0, 0.4, 3.0), 1.0, g31=0.3, g32=0.05),
+           HamiltonianSpec(VEE, (0.0, 3.0, 3.0), 1.0, g31=0.07, g21=0.11),
+           HamiltonianSpec(VEE, (0.0, 2.5, 3.0), 1.0, g31=0.6, g21=0.2)]
+
+
+@pytest.mark.parametrize("n_max", [2, 4])
+@pytest.mark.parametrize("atoms", [1, 2, 3, 4])
+@pytest.mark.parametrize("h", UNEQUAL)
+def test_dark_state_residual_equals_the_dense_interaction_on_the_dark_states(h, atoms, n_max,
+                                                                            monkeypatch):
+    """Also with the bright vector in place of the dark one, where the norms are O(g)."""
+    spec = SpaceSpec(atoms, n_max)
+    residual = dark_state_residual(spec, h)
+    assert abs(residual - dense_residual(spec, h)) <= 1e-14
+    assert residual <= 1e-14
+    monkeypatch.setattr(hamiltonian, "dark_atomic_vector", bright_atomic_vector)
+    bright = dark_state_residual(spec, h)
+    assert abs(bright - dense_residual(spec, h)) <= 1e-14
+    assert bright > 0.01
+
+
+@pytest.mark.parametrize("h", UNEQUAL)
+def test_dark_state_residual_builds_no_operator(h, monkeypatch):
+    def refuse(self, *args):
+        raise AssertionError("dark_state_residual built an OperatorMatrix")
+
+    monkeypatch.setattr(OperatorMatrix, "__init__", refuse)
+    assert dark_state_residual(SpaceSpec(3, 4), h) <= 1e-14
 
 
 def test_classical_free_limit():

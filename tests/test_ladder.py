@@ -11,7 +11,8 @@ sys.path.insert(0, str(SCRIPTS))
 import ladder  # noqa: E402
 
 STAGES = {"build_hamiltonian", "verify_algebra_second_order", "verify_algebra_u3",
-          "rotation_report", "evolve", "eigenvalues", "diagram_layout"}
+          "rotation_report", "evolve", "eigenvalues", "diagram_layout", "spectrum",
+          "dark_state_residual"}
 
 
 def test_tiny_rung_writes_the_next_bench_file(tmp_path):
@@ -37,3 +38,11 @@ def test_a_rung_whose_worker_dies_fails_at_once(tmp_path):
     assert done.returncode != 0
     assert "BrokenProcessPool" in done.stderr
     assert not list(tmp_path.glob("BENCH_*.json"))
+
+
+def test_a_stage_the_checkout_lacks_records_null(monkeypatch):
+    monkeypatch.delattr(ladder.hamiltonian, "dark_state_residual")
+    rung = ladder.run_rung(1, 2)
+    assert rung["stages_s"]["dark_state_residual"] is None
+    assert rung["traced_peak_mb"]["dark_state_residual"] is None
+    assert rung["stages_s"]["spectrum"] >= 0

@@ -2,9 +2,9 @@
 
 ``perfbench/tracing.py`` replaces package functions and methods by name, and
 ``install()`` raises AttributeError when one of them is gone, which would
-break ``perfbench/run.py --trace 1``.  Install it, build a few operators
-through the wrapped names, and uninstall it again; a traced ``verify`` records
-the mode rotation inside the rotation report.
+break ``perfbench/run.py --trace 1``.  Install it, build a Hamiltonian and a
+weight diagram through the wrapped names, and uninstall it again; a traced
+``verify`` records the mode rotation inside the rotation report.
 """
 
 import importlib.util
@@ -12,8 +12,9 @@ import sys
 from pathlib import Path
 
 import trilevel.cli as cli  # imports every traced module
+import trilevel.hamiltonian as hamiltonian
 import trilevel.weights as weights
-from trilevel.hamiltonian import LAMBDA
+from trilevel.hamiltonian import LAMBDA, HamiltonianSpec
 from trilevel.hilbert import IndexMap, SpaceSpec
 from trilevel.operators import OperatorMatrix
 
@@ -41,11 +42,13 @@ def test_recorder_installs_and_uninstalls():
     recorder = tracing.Recorder()
     recorder.install()
     try:
+        h = HamiltonianSpec(LAMBDA, (0.0, 0.0, 3.0), 1.0, g31=0.1, g32=0.1)
+        assert len(hamiltonian.spectrum(SpaceSpec(1, 3), h)) == 12
         layout = weights.diagram_layout(LAMBDA, False, SpaceSpec(1, 3))
         assert len(layout.vectors) == 6
         assert recorder.counters["operators.matrices_built"] > 0
         assert {span[3] for span in recorder.spans} >= {"weights.diagram_layout",
-                                                       "operators.deformed_operator"}
+                                                       "hamiltonian.build_hamiltonian"}
     finally:
         recorder.uninstall()
     assert package_attributes() == before

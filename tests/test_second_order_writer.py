@@ -89,7 +89,8 @@ def test_diagram_bytes_equal_those_of_the_commutator_operators(scheme, spec, alp
     ops = _scheme_operators(scheme, classical, spec, alpha or 1.0)
     assert [order for _, _, order in ops[4:]] == [SECOND, SECOND]
     second = commutator_second_order(scheme, spec, alpha)
-    reference_ops = ops[:4] + [(ops[4][0], second, SECOND), (ops[5][0], second.dag(), SECOND)]
+    reference_ops = ops[:4] + [(ops[4][0], second.elements(), SECOND),
+                               (ops[5][0], second.dag().elements(), SECOND)]
     reference = DiagramLayout(scheme, classical, tuple(
         weight_of(op, cartan, label=label, order=order) for label, op, order in reference_ops))
     new = diagram_layout(scheme, classical, spec, alpha=alpha or 1.0)
@@ -100,11 +101,12 @@ def test_diagram_bytes_equal_those_of_the_commutator_operators(scheme, spec, alp
 @pytest.mark.parametrize("alpha", ALPHAS)
 @pytest.mark.parametrize("atoms", range(1, 5))
 @pytest.mark.parametrize("scheme", [LAMBDA, VEE])
-def test_diagram_makes_no_operator_product(scheme, atoms, alpha, monkeypatch):
-    def refuse(self, other):
-        raise AssertionError("diagram_layout multiplied two operators")
+def test_diagram_builds_no_operator(scheme, atoms, alpha, monkeypatch):
+    """The weights are read from the writers' elements: no OperatorMatrix, so no product."""
+    def refuse(self, *args):
+        raise AssertionError("diagram_layout built an OperatorMatrix")
 
-    monkeypatch.setattr(OperatorMatrix, "__matmul__", refuse)
+    monkeypatch.setattr(OperatorMatrix, "__init__", refuse)
     layout_ = diagram_layout(scheme, alpha is not None, SpaceSpec(atoms, 3), alpha=alpha or 1.0)
     assert len(layout_.vectors) == 6
 

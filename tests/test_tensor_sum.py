@@ -35,7 +35,6 @@ from trilevel.hamiltonian import (
     _rotation_generator,
     build_hamiltonian,
     free_hamiltonian,
-    interaction_hamiltonian,
 )
 from trilevel.hilbert import SpaceSpec, index_map
 from trilevel.operators import (
@@ -94,7 +93,6 @@ def generator(spec, i, j):
 def test_hamiltonians_equal_the_dense_sums(spec, h):
     free = dr.hamiltonian(spec, uncoupled(h))
     assert_same(free_hamiltonian(spec, h), free)
-    assert_same(interaction_hamiltonian(spec, h), dr.hamiltonian(spec, h) - free)
     assert_same(build_hamiltonian(spec, h), dr.hamiltonian(spec, h))
 
 
@@ -103,8 +101,6 @@ def test_zero_coupling_writes_no_nonzero(scheme):
     spec = SpaceSpec(2, 3)
     h = HamiltonianSpec(scheme, (0.0, 1.0, 2.0), 1.0, g31=0.3)  # the second coupling is 0
     assert_same(build_hamiltonian(spec, h), dr.hamiltonian(spec, h))
-    assert_same(interaction_hamiltonian(spec, h),
-                dr.hamiltonian(spec, h) - dr.hamiltonian(spec, uncoupled(h)))
 
 
 @pytest.mark.parametrize("atoms,n_max", [(1, 3), (2, 4), (3, 2), (4, 2)])
@@ -202,7 +198,6 @@ def dense_terms(spec, h):
                    for (i, j) in h.coupled_pairs() for a, b in ((i, j), (j, i))]
     terms = {
         "free": (free, free_hamiltonian(spec, h)),
-        "interaction": (interaction, interaction_hamiltonian(spec, h)),
         "H": (free + interaction, build_hamiltonian(spec, h)),
         "rotation generator": ([(1j, dr.atomic(spec, la, lb), eye_field),
                                 (-1j, dr.atomic(spec, lb, la), eye_field)],

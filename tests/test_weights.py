@@ -52,7 +52,7 @@ def test_identity_operator_has_zero_weight():
     spec = SpaceSpec(1, 3)
     cartan = cartan_choice(LAMBDA, spec, ATOMIC)
     identity = element_sum(ATOMIC, spec, [identity_elements(spec.atomic_dim)])
-    w = weight_of(identity, cartan, label="1")
+    w = weight_of(identity.elements(), cartan, label="1")
     assert w.kappa == (Fraction(0), Fraction(0))
     assert w.coords == (0.0, 0.0)
 
@@ -62,7 +62,7 @@ def test_dressed_lowering_weight_matches_eigen_equation():
     spec = SpaceSpec(1, 3)
     cartan = cartan_choice(LAMBDA, spec, PRODUCT)
     x31 = deformed_operator(spec, 3, 1)
-    w = weight_of(x31, cartan, label="aS31")
+    w = weight_of(x31.elements(), cartan, label="aS31")
     assert w.kappa == (Fraction(-1), Fraction(-1))
     for h, kappa in zip((cartan.h1, cartan.h2), w.kappa):
         dense = dr.commutator(np.diag(h), x31.mat) - float(kappa) * dr.dressed(spec, 3, 1)
@@ -73,8 +73,8 @@ def test_conjugate_operator_has_opposite_weight():
     spec = SpaceSpec(1, 3)
     cartan = cartan_choice(LAMBDA, spec, PRODUCT)
     x32 = deformed_operator(spec, 3, 2)
-    w = weight_of(x32, cartan)
-    w_dag = weight_of(x32.dag(), cartan)
+    w = weight_of(x32.elements(), cartan)
+    w_dag = weight_of(x32.dag().elements(), cartan)
     assert w_dag.kappa == (-w.kappa[0], -w.kappa[1])
     assert w_dag.coords == (-w.coords[0], -w.coords[1])
 
@@ -84,9 +84,9 @@ def test_second_order_weight_is_sum_of_parents():
     cartan = cartan_choice(LAMBDA, spec, PRODUCT)
     x31 = deformed_operator(spec, 3, 1)
     x23 = deformed_operator(spec, 2, 3)
-    w31 = weight_of(x31, cartan)
-    w23 = weight_of(x23, cartan)
-    w_comm = weight_of(x31 @ x23 - x23 @ x31, cartan, order="second")
+    w31 = weight_of(x31.elements(), cartan)
+    w23 = weight_of(x23.elements(), cartan)
+    w_comm = weight_of((x31 @ x23 - x23 @ x31).elements(), cartan, order="second")
     assert w_comm.kappa == (w31.kappa[0] + w23.kappa[0], w31.kappa[1] + w23.kappa[1])
 
 
@@ -105,8 +105,8 @@ def test_weight_additivity_exhaustive_over_scheme_set():
                 comm = m @ n - n @ m
                 if comm.max_abs() <= 1e-14:
                     continue
-                wm, wn = weight_of(m, cartan), weight_of(n, cartan)
-                wc = weight_of(comm, cartan)
+                wm, wn = weight_of(m.elements(), cartan), weight_of(n.elements(), cartan)
+                wc = weight_of(comm.elements(), cartan)
                 assert wc.kappa == (
                     wm.kappa[0] + wn.kappa[0], wm.kappa[1] + wn.kappa[1]
                 )
@@ -118,10 +118,10 @@ def test_non_weight_vector_rejected():
     mixed = element_sum(ATOMIC, spec, [transition_elements(spec, 3, 1),
                                        transition_elements(spec, 2, 1)])
     with pytest.raises(NotAWeightVectorError):
-        weight_of(mixed, cartan)
+        weight_of(mixed.elements(), cartan)
     zero = element_sum(ATOMIC, spec, [transition_elements(spec, 3, 1, 0.0)])
     with pytest.raises(NotAWeightVectorError):
-        weight_of(zero, cartan)
+        weight_of(zero.elements(), cartan)
 
 
 @pytest.mark.parametrize("scheme", [LAMBDA, VEE])
