@@ -4,9 +4,11 @@
 Each rung runs, for the vee layout, the stage list of the ROADMAP tables:
 build_hamiltonian, second-order and u3 verify_algebra, rotation_report,
 evolve over 2001 samples from (0, 0, A) in the vacuum, the eigenvalues of H,
-the quantum weight diagram (diagram_layout), hamiltonian.spectrum and the
-dark-state check of verify (hamiltonian.dark_state_residual), each timed as the
-best of three runs, then run once more, untimed, under tracemalloc for its
+the quantum weight diagram (diagram_layout), hamiltonian.spectrum, the
+dark-state check of verify (hamiltonian.dark_state_residual) and the
+transfer-block probe of dispersive-compare (dispersive.compare at n_bar = 0 with
+guard 2, which the rung with n_max = 2 allows), each timed as the best of
+three runs, then run once more, untimed, under tracemalloc for its
 traced peak (the arrays the stage allocates and holds at once).  A stage whose
 function the checkout lacks records null, so the script runs on older ones.
 Every rung runs in a fresh process, which records its own peak RSS (getrusage)
@@ -39,6 +41,7 @@ sys.path.insert(0, str(ROOT / "src"))
 import numpy as np  # noqa: E402
 
 import trilevel.hamiltonian as hamiltonian  # noqa: E402
+from trilevel.dispersive import compare, dispersive_params  # noqa: E402
 from trilevel.dynamics import TimeGrid, evolve, prepare_initial, InitialState  # noqa: E402
 from trilevel.hamiltonian import (  # noqa: E402
     VEE,
@@ -103,6 +106,7 @@ def run_rung(atoms: int, n_max: int) -> dict:
             timed(name, lambda: getattr(hamiltonian, name)(spec, H))
         else:
             stages[name] = peaks[name] = None
+    timed("dispersive_compare", lambda: compare(spec, H, dispersive_params(H, 0.0, atoms), guard=2))
     return {
         "atoms": atoms, "n_max": n_max, "dim": spec.product_dim, "stages_s": stages,
         "traced_peak_mb": peaks,

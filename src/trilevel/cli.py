@@ -32,13 +32,12 @@ from .hamiltonian import (
     build_hamiltonian,
     dark_state_residual,
     excitation_operator,
-    free_hamiltonian,
     ladder_storage_bytes,
     reduced_hamiltonian,
     rotation_report,
     spectrum,
 )
-from .dispersive import DEFAULT_GUARD, compare, dispersive_params
+from .dispersive import DEFAULT_GUARD, compare, dispersive_params, effective_hamiltonian
 from .dynamics import (
     InitialState,
     TimeGrid,
@@ -326,8 +325,7 @@ def cmd_dispersive_compare(cfg: RunConfig, out: Path) -> int:
     n_exc = excitation_operator(spec, h.scheme)
     psi0 = prepare_initial(spec, init, h)
     exact = evolve(ham, psi0, grid, n_exc)
-    effective_ham = free_hamiltonian(spec, h) + model.matrix()
-    effective = evolve(effective_ham, psi0, grid, n_exc)
+    effective = evolve(effective_hamiltonian(spec, h, model.prefactor), psi0, grid, n_exc)
     write_trajectory_csv(out / "dispersive_exact.csv", exact)
     write_trajectory_csv(out / "dispersive_effective.csv", effective)
 

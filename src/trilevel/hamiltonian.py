@@ -23,10 +23,11 @@ from .hilbert import SpaceSpec, index_map
 from .operators import (  # LAMBDA and VEE are re-exported
     ATOMIC,
     LAMBDA,
+    PRODUCT,
     VEE,
     OperatorMatrix,
     atomic_term,
-    diagonal,
+    conjugation_residual,
     dressed_term,
     eigenvalues,
     element_sum,
@@ -109,11 +110,6 @@ def _interaction_terms(spec: SpaceSpec, h: HamiltonianSpec) -> list:
     """tensor_sum terms of g_ij (X_ij + X_ji) over the coupled pairs."""
     return [dressed_term(spec, a, b, h.coupling(i, j))
             for (i, j) in h.coupled_pairs() for a, b in ((i, j), (j, i))]
-
-
-def free_hamiltonian(spec: SpaceSpec, h: HamiltonianSpec) -> OperatorMatrix:
-    """Sum of level energies times populations plus omega times photon number."""
-    return tensor_sum(spec, _free_terms(spec, h))
 
 
 def build_hamiltonian(spec: SpaceSpec, h: HamiltonianSpec) -> OperatorMatrix:
@@ -249,8 +245,9 @@ def rotation_report(spec: SpaceSpec, h: HamiltonianSpec) -> RotationReport:
         raise ValueError("no reduced Hamiltonian: the paired energies differ "
                          "or every coupling is zero")
     u = mode_rotation_unitary(spec, h)
-    rotated = u @ build_hamiltonian(spec, h) @ u.dag()
-    return RotationReport(u, (rotated - build_hamiltonian(spec, reduced)).max_abs())
+    return RotationReport(u, conjugation_residual(build_hamiltonian(spec, h), [u],
+                                                  build_hamiltonian(spec, reduced),
+                                                  excitation_count(spec, h.scheme)))
 
 
 def classical_hamiltonian(h: HamiltonianSpec, alpha: complex,
@@ -267,10 +264,16 @@ def classical_hamiltonian(h: HamiltonianSpec, alpha: complex,
     return element_sum(ATOMIC, spec, [transition_elements(spec, i, j, c) for c, i, j in terms])
 
 
-def excitation_operator(spec: SpaceSpec, scheme: str) -> OperatorMatrix:
-    """Conserved excitation count: photon number plus the populations of the upper
-    levels of the coupled pairs (operators.LAYOUTS), n + S33 for lambda and
+def excitation_count(spec: SpaceSpec, scheme: str) -> np.ndarray:
+    """Conserved excitation count per product index: photon number plus the populations
+    of the upper levels of the coupled pairs (operators.LAYOUTS), n + S33 for lambda and
     n + S22 + S33 for vee, as each absorption promotes one atom to one of them."""
     upper = {i for i, _ in layout(scheme).pairs}
     table = index_map(spec)
-    return diagonal(spec, table.photons + sum(table.occupations[:, i - 1] for i in upper))
+    return table.photons + sum(table.occupations[:, i - 1] for i in upper)
+
+
+def excitation_operator(spec: SpaceSpec, scheme: str) -> OperatorMatrix:
+    """The diagonal operator of excitation_count, one block per state."""
+    every = np.arange(spec.product_dim)
+    return element_sum(PRODUCT, spec, [(every, every, excitation_count(spec, scheme))])

@@ -16,9 +16,9 @@ written and store no operator.  An OperatorMatrix holds one
 BlockPartition, the one its writer stored it in (see OperatorMatrix), and one
 (m, b, b) stack per block size b; for a Hamiltonian the blocks are the
 decoupled sectors of a conserved excitation count.  Every kernel makes one
-numpy call per stored stack: sums and products scatter both operands into the
-joined partition by slot arithmetic, and hermitian_blocks hands the stored
-stacks to eigh.  ``mat`` builds a dense copy.
+numpy call per stored stack: hermitian_blocks hands them to eigh, and
+conjugation_residual compares W H W^dag with a reference in the sectors of a conserved
+label, storing no product.  ``mat`` builds a dense copy, ``@`` multiplies two.
 
 verify_algebra re-derives the operator identities numerically.  The
 first-order commutators are exact on the (untruncated) atomic space.  The
@@ -36,7 +36,7 @@ from __future__ import annotations
 import functools
 import itertools
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -55,7 +55,7 @@ DEFORMED_PAIRS = ((3, 1), (2, 1), (3, 2))
 
 TOL_ALGEBRA = 1e-12
 TOL_UNITARY = 1e-12
-CHUNK_ENTRIES = 2**14  # elements per array of one slice: Hermiticity check, trajectory chunks
+CHUNK_ENTRIES = 2**14  # elements per slice: Hermiticity check, trajectory chunks, sector runs
 _LIVE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()  # live partitions by labels
 
 
@@ -116,17 +116,15 @@ def _component_labels(dim: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarra
 
 @dataclass(frozen=True, eq=False)
 class BlockPartition:
-    """Connected components of a nonzero pattern, grouped by size.
+    """Blocks (components of a nonzero pattern, or conserved sectors), grouped by size.
 
-    ``labels[k]`` is the smallest index of the component holding k; each
-    entry of ``groups`` is an (m, b) index array listing the m components
+    ``labels[k]`` is the smallest index of the block holding k; each
+    entry of ``groups`` is an (m, b) index array listing the m blocks
     of size b, members in ascending order.  ``stacks`` lays out storage.
     """
 
     labels: np.ndarray
     groups: tuple[np.ndarray, ...]
-    _joins: weakref.WeakKeyDictionary = field(  # join per other: operand by weakref, or new
-        default_factory=weakref.WeakKeyDictionary, init=False, repr=False)
 
     @classmethod
     def from_labels(cls, labels: np.ndarray) -> "BlockPartition":
@@ -168,40 +166,17 @@ class BlockPartition:
             row[idx] = where.start + np.arange(m * b).reshape(m, b) * b
         return row, col
 
-    def join(self, other: "BlockPartition") -> "BlockPartition":
-        """Finest partition that both partitions refine, kept while both live."""
-        if other is self:
-            return self
-        if (known := self._joins.get(other)) is None:
-            out = self._join(other)
-            known = weakref.ref(out) if out is self or out is other else out
-            self._joins[other] = other._joins[self] = known
-        return known() if isinstance(known, weakref.ref) else known
-
-    def _join(self, other: "BlockPartition") -> "BlockPartition":
-        for a, b in ((self, other), (other, self)):
-            if (b.labels[a.labels] == b.labels).all():
-                return b  # every block of a lies inside one block of b
-        dim = len(self.labels)
-        every = np.arange(dim)
-        rows = np.concatenate([every, every])
-        cols = np.concatenate([self.labels, other.labels])
-        return BlockPartition.from_labels(_component_labels(dim, rows, cols))
-
 
 @lru_cache(maxsize=64)
 def _one_block(dim: int) -> BlockPartition:
     return BlockPartition.from_labels(np.zeros(dim, dtype=np.intp))
 
 
-@lru_cache(maxsize=64)
-def _singletons(dim: int) -> BlockPartition:
-    return BlockPartition.from_labels(np.arange(dim))
-
-
-def _views(layout: BlockPartition, data: np.ndarray) -> list:
-    """(idx, stack) per group of ``layout``, each stack a view of ``data``."""
-    return [(idx, data[where].reshape(shape)) for idx, where, shape in layout.stacks]
+def _views(layout: BlockPartition, data: np.ndarray, run: slice = slice(None)) -> list:
+    """(idx, stack) per size group in ``run`` (a slice of layout.stacks), views of its storage."""
+    start = layout.stacks[run][0][1].start
+    return [(idx, data[where.start - start:where.stop - start].reshape(shape))
+            for idx, where, shape in layout.stacks[run]]
 
 
 def _write(layout: BlockPartition, rows: np.ndarray, cols: np.ndarray,
@@ -225,9 +200,8 @@ class OperatorMatrix:
     ``mat`` reads back a read-only dense matrix, built on each access, for the
     tests and the benchmark's byte count.  The layout is the only partition, and
     every kernel reads its stacks.  Each writer sets it: ``element_sum`` to the
-    components of its written nonzero values, ``diagonal`` to singletons, sums and
-    products to the join of the operands' partitions, and ``unitary_exp`` to the
-    generator's partition.
+    components of its written nonzero values, ``unitary_exp`` to the generator's
+    partition, and ``@`` to one block.
     """
 
     def __init__(self, space: str, spec: SpaceSpec, data: np.ndarray,
@@ -256,28 +230,27 @@ class OperatorMatrix:
             values.append(stack[k, r, c])
         return np.concatenate(rows), np.concatenate(cols), np.concatenate(values)
 
-    def _in(self, layout: BlockPartition) -> np.ndarray:
-        """Flat storage in ``layout``, coarser than or equal to the stored partition:
-        each stored block scattered into the block holding it; zeros are +0.0."""
-        if layout is self._layout:
-            return self._data
+    def _in(self, layout: BlockPartition, runs: list = (slice(None),)):
+        """Flat storage, in turn, of the ``runs`` (ascending slices covering layout.stacks) of
+        ``layout``, which the stored partition refines: stored blocks scattered, zeros +0.0."""
         row, col = layout.slots
-        data = np.zeros(layout.size, dtype=np.complex128)
+        starts = [layout.stacks[run][0][1].start for run in runs]
+        parts = [[] for _ in runs]  # per run: the stored stacks with blocks in it
         for idx, stack in _views(self._layout, self._data):
-            data[row[idx][:, :, None] + col[idx][:, None, :]] = stack + 0.0
-        return data
+            at = np.searchsorted(starts, row[idx[:, 0]], side="right") - 1
+            for k in set(at.tolist()):
+                parts[k].append((idx, stack, at == k))
+        for run, start, stored in zip(runs, starts, parts):
+            data = np.zeros(layout.stacks[run][-1][1].stop - start, dtype=np.complex128)
+            for idx, stack, keep in stored:
+                idx, stack = (idx, stack) if keep.all() else (idx[keep], stack[keep])
+                data[(row[idx] - start)[:, :, None] + col[idx][:, None, :]] = stack
+            data += 0.0  # -0.0 stored as +0.0
+            yield data
 
     def dag(self) -> "OperatorMatrix":
         data = [s.swapaxes(1, 2).conj().ravel() for _, s in _views(self._layout, self._data)]
         return OperatorMatrix(self.space, self.spec, np.concatenate(data), self._layout)
-
-    def max_abs(self, where=None) -> float:
-        """Largest |element| where ``where(rows, cols)`` holds (everywhere if None),
-        0.0 where it holds nowhere; the predicate gets index arrays broadcast
-        over each stored (m, b, b) stack and returns a boolean mask."""
-        return max(float(np.max(np.abs(stack), initial=0.0, where=True if where is None
-                                else where(idx[:, :, None], idx[:, None, :])))
-                   for idx, stack in _views(self._layout, self._data))
 
     def is_hermitian(self, tol: float = 1e-12) -> bool:
         """Whether |s - s^H| <= tol everywhere; NaN fails."""
@@ -301,56 +274,20 @@ class OperatorMatrix:
         """hermitian_blocks(self), made once: unitary_exp forms every time from it."""
         return list(hermitian_blocks(self))
 
-    def _joined(self, other: "OperatorMatrix") -> BlockPartition:
-        if not isinstance(other, OperatorMatrix):
-            raise TypeError(f"expected OperatorMatrix, got {type(other).__name__}")
-        if self.space != other.space:
-            raise SpaceMismatchError(f"cannot combine {self.space} and {other.space} operators")
-        a, b = self.spec, other.spec
-        if ((self.space != FIELD and a.atoms != b.atoms)
-                or (self.space != ATOMIC and a.n_max != b.n_max)):
-            raise SpaceMismatchError(
-                f"operators live on different {self.space} spaces: {a} vs {b}")
-        return self._layout.join(other._layout)  # both act on the same space
-
-    def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        layout = self._joined(other)
-        return OperatorMatrix(self.space, self.spec, self._in(layout) + other._in(layout), layout)
-
-    def __sub__(self, other: "OperatorMatrix") -> "OperatorMatrix":  # the bits of self + (-other)
-        layout = self._joined(other)
-        return OperatorMatrix(self.space, self.spec, self._in(layout) - other._in(layout), layout)
-
-    def __neg__(self) -> "OperatorMatrix":
-        return OperatorMatrix(self.space, self.spec, -self._data, self._layout)
-
-    def __mul__(self, scalar: complex) -> "OperatorMatrix":
-        return OperatorMatrix(self.space, self.spec, self._data * complex(scalar), self._layout)
-
-    __rmul__ = __mul__
-
     def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        """Matrix product, one block of the joined partitions at a time."""
-        joined = self._joined(other)
-        a, b = self._in(joined), other._in(joined)
-        data = np.empty(joined.size, dtype=np.complex128)
-        for _, where, shape in joined.stacks:
-            np.matmul(a[where].reshape(shape), b[where].reshape(shape),
-                      out=data[where].reshape(shape))
-        return OperatorMatrix(self.space, self.spec, data, joined)
+        """Matrix product of the dense copies, stored as one block."""
+        if (self.space, self.spec) != (other.space, other.spec):
+            raise SpaceMismatchError(
+                f"cannot multiply {self.space} {self.spec} by {other.space} {other.spec}")
+        return OperatorMatrix(self.space, self.spec, (_dense(self) @ _dense(other)).ravel(),
+                              _one_block(self.dim))
 
 
 def _dense(op: OperatorMatrix) -> np.ndarray:
     """Read-only dense matrix of ``op``: its storage in one block."""
-    mat = op._in(_one_block(op.dim)).reshape(op.dim, op.dim)
+    mat = next(op._in(_one_block(op.dim))).reshape(op.dim, op.dim)
     mat.setflags(write=False)
     return mat
-
-
-def diagonal(spec: SpaceSpec, values: np.ndarray) -> OperatorMatrix:
-    """Product-space operator with ``values`` on the diagonal, one block per state."""
-    return OperatorMatrix(PRODUCT, spec, np.array(values, dtype=np.complex128),
-                          _singletons(spec.product_dim))
 
 
 def transition_elements(spec: SpaceSpec, i: int, j: int, c: complex = 1) -> tuple:
@@ -505,6 +442,40 @@ def unitary_exp(h: OperatorMatrix, t: float) -> OperatorMatrix:
 def eigenvalues(h: OperatorMatrix) -> np.ndarray:
     """Ascending spectrum of a Hermitian operator, collected block by block."""
     return np.sort(np.concatenate([w.ravel() for _, w, _ in hermitian_blocks(h)]))
+
+
+def _runs(layout: BlockPartition):
+    """Contiguous runs (slices of ``layout.stacks``) of size groups holding at most
+    CHUNK_ENTRIES entries together; a larger group runs alone."""
+    first = 0
+    for k, (_, where, _) in enumerate(layout.stacks):
+        if k > first and where.stop - layout.stacks[first][1].start > CHUNK_ENTRIES:
+            yield slice(first, k)
+            first = k
+    yield slice(first, len(layout.stacks))
+
+
+def conjugation_residual(h: OperatorMatrix, unitaries: list[OperatorMatrix],
+                         reference: OperatorMatrix, conserved: np.ndarray, where=None) -> float:
+    """Largest |W H W^dag - reference| (0.0 if none) where ``where(rows, cols)`` holds on
+    index arrays broadcast over each (m, b, b) stack (everywhere if None), W the product of
+    ``unitaries``: (((W1 W2) H) W2^dag) W1^dag per sector of ``conserved`` (a label per state),
+    _runs of sectors scattered in turn.  ValueError on a stored block across two sectors."""
+    _, first, inverse = np.unique(conserved, return_index=True, return_inverse=True)
+    sectors = BlockPartition.from_labels(first[inverse])
+    for op in (h, *unitaries, reference):
+        if (sectors.labels[op._layout.labels] != sectors.labels).any():
+            raise ValueError("an operand has a stored block across sectors of the conserved label")
+    out, runs = 0.0, list(_runs(sectors))
+    for run, *parts in zip(runs, *(op._in(sectors, runs) for op in (h, reference, *unitaries))):
+        stacks = [[s for _, s in _views(sectors, part, run)] for part in parts]
+        for idx, ham, ref, *w in zip(sectors.groups[run], *stacks):
+            product = functools.reduce(np.matmul, w) @ ham
+            for u in reversed(w):
+                product = product @ np.conjugate(u.swapaxes(1, 2), order="C")
+            mask = True if where is None else where(idx[:, :, None], idx[:, None, :])
+            out = max(out, float(np.max(np.abs(product - ref), initial=0.0, where=mask)))
+    return out
 
 
 def guarded_states(spec: SpaceSpec, guard: int) -> np.ndarray:

@@ -11,7 +11,7 @@ import pytest
 
 import dense_reference as dr
 from trilevel.hilbert import SpaceSpec, index_map
-from trilevel.operators import verify_algebra
+from trilevel.operators import PRODUCT, element_sum, verify_algebra
 from trilevel.hamiltonian import (
     LAMBDA,
     VEE,
@@ -191,18 +191,19 @@ def test_criterion_08_kernel_structure():
     spec = SpaceSpec(2, 4)
     imap = index_map(spec)
     h_l, h_v = lambda_spec(), vee_spec()
-    lam = analytic_effective(spec, h_l, dispersive_params(h_l, 0.0, 2)).matrix()
-    vee = analytic_effective(spec, h_v, dispersive_params(h_v, 0.0, 2)).matrix()
+    lam, vee = (analytic_effective(spec, h, dispersive_params(h, 0.0, 2))
+                for h in (h_l, h_v))
+    lam, vee = (model.prefactor * model.transfer_operator.mat for model in (lam, vee))
     worst_kernel = 0.0
     min_action = math.inf
     for flat in range(spec.product_dim):
         (n1, n2, n3), n = imap.split(flat)
         if n3 == n:
             worst_kernel = max(worst_kernel,
-                               float(np.linalg.norm(lam.mat[:, flat])))
+                               float(np.linalg.norm(lam[:, flat])))
         if n2 + n3 >= 1:
             min_action = min(min_action,
-                             float(np.linalg.norm(vee.mat[:, flat])))
+                             float(np.linalg.norm(vee[:, flat])))
     criterion(8, "lambda transfer has the exact kernel, vee transfer has none",
               worst_kernel <= 1e-12 and min_action > 0.0,
               f"kernel residual {worst_kernel:.2e}, smallest vee action "
@@ -255,7 +256,8 @@ def test_criterion_11_conservation_suite(lambda_kernel_runs, vee_run):
         worst = max(worst, float(np.max(np.abs(total - total[0]))))
     ends = np.array([0.0, grid.t_max])
     psi_t = propagate(ham, psi0, ends)[:, 1]
-    psi_back = propagate(-1.0 * ham, psi_t, ends)[:, 1]
+    rows, cols, values = ham.elements()
+    psi_back = propagate(element_sum(PRODUCT, spec, [(rows, cols, -values)]), psi_t, ends)[:, 1]
     fidelity = abs(np.vdot(psi0, psi_back)) ** 2
     criterion(11, "norm, energy, and excitation conserved; time reversal returns",
               worst <= 1e-10 and fidelity >= 1.0 - 1e-9,

@@ -21,17 +21,21 @@ import dense_reference as dr
 import trilevel.cli as cli
 import trilevel.hamiltonian as hamiltonian
 import trilevel.operators as operators
-from test_block_storage import operator_pools
+from test_block_storage import cancelled, conserves, operator_pools, sectors
 from trilevel.cli import main, write_trajectory_csv
 from trilevel.dynamics import TrajectoryRecord
-from trilevel.hamiltonian import HamiltonianSpec, build_hamiltonian
+from trilevel.hamiltonian import HamiltonianSpec, build_hamiltonian, excitation_count
 from trilevel.hilbert import SpaceSpec
 from trilevel.operators import (
     LEVELS,
     OperatorMatrix,
     _one_block,
+    _runs,
     _write,
+    conjugation_residual,
+    element_sum,
     hermitian_blocks,
+    unitary_exp,
     verify_algebra,
 )
 
@@ -46,20 +50,26 @@ def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
 
 def reblocked_operators(pool, first, second):
     m, n = pool[first], pool[second]
-    return [m, n, -(0 * m), m - m, m + n, m - n, m @ n, pool["exp(H)"], pool["dense"]]
+    negated_zeros = OperatorMatrix(m.space, m.spec, -(0 * m._data), m._layout)
+    return [m, n, negated_zeros, cancelled(m), m @ n, pool["exp(H)"], pool["dense"]]
 
 
 @settings(max_examples=60, deadline=None)
 @given(operator_pools())
 def test_reblocking_equals_writing_the_elements(model):
     _, pool, first, second = model
-    other = pool[second]
+    count = np.rint(pool["excitation"].mat.diagonal().real)
     for op in reblocked_operators(pool, first, second):
-        for layout in (op._layout.join(other._layout), other._layout.join(op._layout),
-                       _one_block(op.dim)):
-            if layout is op._layout:
-                continue  # no re-blocking: the stored bits are handed on as they are
-            assert same_bits(op._in(layout), _write(layout, *op.elements()))
+        for layout in (sectors(count), _one_block(op.dim)):
+            if layout is op._layout or not conserves(op, layout):
+                continue  # no re-blocking, or a stored block across two blocks of the layout
+            written = _write(layout, *op.elements())
+            assert same_bits(next(op._in(layout)), written)
+            every_group = [slice(k, k + 1) for k in range(len(layout.stacks))]
+            for runs in (list(_runs(layout)), every_group):  # a run of size groups at a time
+                for run, data in zip(runs, op._in(layout, runs), strict=True):
+                    stacks = layout.stacks[run]
+                    assert same_bits(data, written[stacks[0][1].start:stacks[-1][1].stop])
 
 
 @settings(max_examples=40, deadline=None)
@@ -68,8 +78,11 @@ def test_batched_eigh_equals_one_call_per_block(model, seed):
     spec, pool, _, _ = model
     support = np.random.default_rng(seed).random(spec.product_dim) < 0.3
     dense = pool["dense"]
+    rows, cols, values = pool["generator"].elements()
     for op in (pool["H"], pool["x + x^dag"], pool["excitation"], pool["diagonal"],
-               1j * pool["generator"], dense + dense.dag()):
+               element_sum(operators.PRODUCT, spec, [(rows, cols, 1j * values)]),
+               OperatorMatrix(operators.PRODUCT, spec, (dense.mat + dense.mat.conj().T).ravel(),
+                              _one_block(spec.product_dim))):
         for mask in (None, support):
             stacks = list(operators.stored_stacks(op, mask))
             batched = list(hermitian_blocks(op, mask))
@@ -183,8 +196,10 @@ def test_reblocking_reads_no_elements(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("re-blocking read the elements")
 
+    u = unitary_exp(ham, 0.3)
     monkeypatch.setattr(OperatorMatrix, "elements", refuse)
     monkeypatch.setattr(operators, "_write", refuse)
-    for op in (ham + x, ham - x, ham @ x, x @ dense, dense - ham):
+    for op in (ham @ x, x @ dense, dense @ ham):
         assert op.mat.shape == (spec.product_dim,) * 2
+    assert conjugation_residual(ham, [u], ham, excitation_count(spec, "vee")) <= 1e-12
     assert len(list(hermitian_blocks(ham))) == len(ham._layout.groups)

@@ -1,9 +1,9 @@
 """Block storage against dense numpy on the read-back ``mat``.
 
-Every OperatorMatrix stores only its blocks.  Sums, differences, negation,
-scalar products, ``dag`` and ``max_abs`` (also under an index predicate)
-must equal the dense results exactly; products and exponentials agree with
-dense numpy to rounding.  The exponential is that of ``dense_reference``.
+Every OperatorMatrix stores only its blocks.  ``dag`` and the masked maximum of
+``conjugation_residual`` must equal the dense results exactly; products and
+exponentials agree with dense numpy to rounding.  The exponential is that of
+``dense_reference``.
 No command reads a dense product-space matrix.
 """
 
@@ -31,14 +31,16 @@ from trilevel.hamiltonian import (
 from trilevel.hilbert import SpaceSpec, index_map
 from trilevel.operators import (
     PRODUCT,
+    BlockPartition,
     OperatorMatrix,
     FIELD,
     _one_block,
+    conjugation_residual,
     deformed_operator,
-    diagonal,
     element_sum,
     field_elements,
     guarded_states,
+    identity_elements,
     lift,
     unitary_exp,
 )
@@ -64,15 +66,17 @@ def operator_pools(draw, max_atoms=4):
     x = deformed_operator(spec, *h.coupled_pairs()[0])
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     sparse = rng.normal(size=(spec.product_dim,) * 2) * (rng.random((spec.product_dim,) * 2) < 0.05)
+    every = np.arange(spec.product_dim)
     pool = {
         "H": ham,
         "x": x,
-        "x + x^dag": x + x.dag(),
+        "x + x^dag": element_sum(PRODUCT, spec, [x.elements(), x.dag().elements()]),
         "a": lift(spec, element_sum(FIELD, spec, [field_elements(spec, "annihilate")])),
         "excitation": excitation_operator(spec, scheme),
         "generator": _rotation_generator(spec, h),
         "exp(H)": unitary_exp(ham, draw(st.floats(-2.0, 2.0))),
-        "diagonal": diagonal(spec, rng.integers(-1, 2, size=spec.product_dim)),
+        "diagonal": element_sum(PRODUCT, spec,
+                                [(every, every, rng.integers(-1, 2, size=len(every)))]),
         "dense": OperatorMatrix(PRODUCT, spec, (sparse + 1j * sparse.T).ravel(),
                                 _one_block(spec.product_dim)),
     }
@@ -80,15 +84,28 @@ def operator_pools(draw, max_atoms=4):
     return spec, pool, draw(st.sampled_from(names)), draw(st.sampled_from(names))
 
 
+def sectors(count: np.ndarray) -> BlockPartition:
+    """The partition of the states by the value of ``count``."""
+    _, first, inverse = np.unique(count, return_index=True, return_inverse=True)
+    return BlockPartition.from_labels(first[inverse])
+
+
+def conserves(op: OperatorMatrix, layout: BlockPartition) -> bool:
+    """Whether every stored block of ``op`` lies inside one block of ``layout``."""
+    return bool((layout.labels[op._layout.labels] == layout.labels).all())
+
+
+def cancelled(m: OperatorMatrix) -> OperatorMatrix:
+    """m - m, stored in m's blocks: zeros where m has its nonzeros."""
+    return OperatorMatrix(m.space, m.spec, m._data - m._data, m._layout)
+
+
 @settings(max_examples=60, deadline=None)
-@given(operator_pools(), st.complex_numbers(max_magnitude=3.0, allow_nan=False))
-def test_elementwise_operations_equal_the_dense_ones(model, c):
-    _, pool, first, second = model
-    m, n = pool[first], pool[second]
-    for result, dense in ((m + n, m.mat + n.mat), (m - n, m.mat - n.mat), (-m, -m.mat),
-                          (c * m, m.mat * c), (m.dag(), m.mat.conj().T)):
-        assert np.array_equal(result.mat, dense)
-    assert m.max_abs() == float(np.max(np.abs(m.mat)))
+@given(operator_pools())
+def test_elementwise_operations_equal_the_dense_ones(model):
+    _, pool, first, _ = model
+    m = pool[first]
+    assert np.array_equal(m.dag().mat, m.mat.conj().T)
     assert m.is_hermitian() == (float(np.max(np.abs(m.mat - m.mat.conj().T))) <= 1e-12)
     rows, cols, values = m.elements()
     assert sorted(zip(rows.tolist(), cols.tolist())) == list(zip(*map(list, np.nonzero(m.mat))))
@@ -97,18 +114,28 @@ def test_elementwise_operations_equal_the_dense_ones(model, c):
 
 @settings(max_examples=60, deadline=None)
 @given(operator_pools(max_atoms=3), st.integers(0, 2**32 - 1))
-def test_masked_max_abs_equals_the_dense_masked_max(model, seed):
+def test_masked_residual_equals_the_dense_masked_max(model, seed):
+    """conjugation_residual by the identity is the masked maximum of op - reference over
+    the sectors of the excitation count, exactly the dense masked max."""
     spec, pool, first, second = model
-    m, n = pool[first], pool[second]
+    count = np.rint(pool["excitation"].mat.diagonal().real)
+    layout = sectors(count)
     rng = np.random.default_rng(seed)
     guard = int(rng.integers(0, spec.n_max + 1))
     keep = guarded_states(spec, guard)
     n2 = index_map(spec).occupations[:, 1]
     every = np.arange(spec.product_dim)
-    # stored layouts that are not the exact blocks: joined partitions, cancelled
-    # values, one dense block, and the exponential's copy of H's blocks
-    for op in (m @ n, m + n, m - m, pool["dense"], pool["exp(H)"]):
-        labels = op._layout.labels
+    one = element_sum(PRODUCT, spec, [identity_elements(spec.product_dim)])
+    reference = pool[second] if conserves(pool[second], layout) else cancelled(pool["H"])
+    # stored layouts that are not the sectors: cancelled values, the exponential's copy
+    # of H's blocks, H's own components and the excitation count's singletons
+    for op in (pool[first], cancelled(pool[first]), pool["exp(H)"], pool["H"],
+               pool["excitation"]):
+        if not conserves(op, layout):
+            with pytest.raises(ValueError, match="across sectors"):
+                conjugation_residual(op, [one], reference, count)
+            continue
+        labels = layout.labels
         inside = rng.choice(np.flatnonzero(labels == labels[rng.integers(len(labels))]), 2)
         predicates = [
             lambda r, c: n2[r] != n2[c],
@@ -122,9 +149,11 @@ def test_masked_max_abs_equals_the_dense_masked_max(model, seed):
         if len(outside):
             row, col = outside[rng.integers(len(outside))]
             predicates.append(lambda r, c: (r == row) & (c == col))
+        difference = op.mat - reference.mat
         for where in predicates:
             mask = np.broadcast_to(where(every[:, None], every[None, :]), op.mat.shape)
-            assert op.max_abs(where) == float(np.max(np.abs(op.mat[mask]), initial=0.0))
+            assert conjugation_residual(op, [one], reference, count, where) == float(
+                np.max(np.abs(difference[mask]), initial=0.0))
 
 
 @settings(max_examples=60, deadline=None)

@@ -21,14 +21,17 @@ import trilevel.dynamics as dynamics
 import trilevel.operators as operators
 from trilevel.cli import main
 from trilevel.dispersive import (
+    _generator,
     _generators,
     _residual,
     _transfer_block,
     analytic_effective,
     dispersive_params,
+    effective_hamiltonian,
     effective_transform,
     small_rotation,
     transfer_block_mask,
+    transfer_prefactor,
 )
 from trilevel.dynamics import TimeGrid, evolve, propagate
 from trilevel.hamiltonian import (
@@ -38,7 +41,6 @@ from trilevel.hamiltonian import (
     _rotation_generator,
     build_hamiltonian,
     excitation_operator,
-    free_hamiltonian,
     mode_rotation_unitary,
     reduced_hamiltonian,
     rotation_report,
@@ -46,11 +48,12 @@ from trilevel.hamiltonian import (
 from trilevel.hilbert import SpaceSpec, index_map
 from trilevel.operators import (
     FIELD,
+    PRODUCT,
     deformed_operator,
-    diagonal,
     eigenvalues,
     element_sum,
     field_elements,
+    identity_elements,
     lift,
     unitary_exp,
 )
@@ -65,7 +68,8 @@ def dense_block_residual(spec, h, p, guard) -> float:
     outer, inner = (small_rotation(spec, i, j, p.small_params[(i, j)]) for i, j in pairs)
     u = outer.mat @ inner.mat
     transformed = u @ dr.hamiltonian(spec, h) @ u.conj().T
-    diff = transformed - analytic_effective(spec, h, p).matrix().mat
+    model = analytic_effective(spec, h, p)
+    diff = transformed - model.prefactor * model.transfer_operator.mat
     mask = transfer_block_mask(spec, h.scheme, guard)
     return float(np.max(np.abs(diff[mask]))) if mask.any() else 0.0
 
@@ -122,8 +126,8 @@ def test_rotation_exponentials_match_dense(model, theta):
     gens = [(_rotation_generator(spec, h),
              1j * dr.lift_atomic(spec, dr.atomic(spec, la, lb) - dr.atomic(spec, lb, la)))]
     for (i, j) in h.coupled_pairs():
-        x = deformed_operator(spec, i, j)
-        gens.append((1j * (x - x.dag()), 1j * (dr.dressed(spec, i, j) - dr.dressed(spec, j, i))))
+        gens.append((_generator(spec, i, j),
+                     1j * (dr.dressed(spec, i, j) - dr.dressed(spec, j, i))))
     for g, dense in gens:
         assert np.array_equal(g.mat, dense)
         u = unitary_exp(g, theta)
@@ -131,8 +135,7 @@ def test_rotation_exponentials_match_dense(model, theta):
         assert np.max(np.abs(u.mat - expected)) <= TOL * scale(theta * g.mat)
         assert np.all(u.mat[cross_block_mask(g)] == 0.0)
     rot = small_rotation(spec, *h.coupled_pairs()[0], theta)
-    x = deformed_operator(spec, *h.coupled_pairs()[0])
-    assert np.all(rot.mat[cross_block_mask(x - x.dag())] == 0.0)
+    assert np.all(rot.mat[cross_block_mask(_generator(spec, *h.coupled_pairs()[0]))] == 0.0)
 
 
 @given(models())
@@ -143,19 +146,17 @@ def test_block_products_match_dense(model):
     n_exc = excitation_operator(spec, h.scheme)
     x = deformed_operator(spec, *h.coupled_pairs()[0])
     u = unitary_exp(ham, 0.7)
-    one = diagonal(spec, np.ones(spec.product_dim))
+    one = element_sum(PRODUCT, spec, [identity_elements(spec.product_dim)])
     dense = {"a": dr.lift_field(spec, dr.field(spec, "annihilate")), "H": dr.hamiltonian(spec, h),
              "x": dr.dressed(spec, *h.coupled_pairs()[0]), "n": dr.excitation(spec, h.scheme)}
     for op, name in ((a, "a"), (ham, "H"), (x, "x"), (n_exc, "n")):
         assert np.array_equal(op.mat, dense[name]), name
     pairs = [(a, ham), (ham, x), (x, x.dag()), (u, ham), (ham, u.dag()), (one, x), (n_exc, ham)]
-    # lift(a) @ H joins every excitation block into one component
-    assert not a._layout.join(ham._layout).labels.any()
     for m, n in pairs:
         assert np.max(np.abs((m @ n).mat - m.mat @ n.mat)) <= TOL * scale(m.mat, n.mat)
-    comm = ham @ n_exc - n_exc @ ham
+    comm = (ham @ n_exc).mat - (n_exc @ ham).mat
     expected = dr.commutator(dense["H"], dense["n"])
-    assert np.max(np.abs(comm.mat - expected)) <= TOL * scale(dense["H"], dense["n"])
+    assert np.max(np.abs(comm - expected)) <= TOL * scale(dense["H"], dense["n"])
 
 
 # --- the stored partition is the exact one where a kernel reads it ------------
@@ -178,7 +179,7 @@ def test_every_operator_a_command_hands_to_a_kernel_is_stored_exactly(scheme, sp
     p = dispersive_params(h, 0.0, atoms)
     seen = [build_hamiltonian(spec, h), *generators, mode_rotation_unitary(spec, h),
             *(unitary_exp(g, 0.05) for g in generators), excitation_operator(spec, scheme),
-            free_hamiltonian(spec, h) + analytic_effective(spec, h, p).matrix()]
+            effective_hamiltonian(spec, h, transfer_prefactor(h, p))]
     if not split:
         seen.append(build_hamiltonian(spec, reduced_hamiltonian(h)))
     real = operators.stored_stacks
@@ -249,8 +250,7 @@ def test_dispersive_residual_matches_dense(model, guard):
     except ValueError:
         assume(False)
     assume(guard <= spec.n_max)
-    transfer = analytic_effective(spec, h, p).transfer_operator
-    block = _residual(spec, h, p, _transfer_block(spec, h.scheme, guard), transfer,
+    block = _residual(spec, h, p, _transfer_block(spec, h.scheme, guard),
                       _generators(spec, h.scheme))[1]
     dense = dense_block_residual(spec, h, p, guard)
     assert abs(block - dense) <= TOL * scale(dr.hamiltonian(spec, h))

@@ -20,7 +20,7 @@ import trilevel.hamiltonian as hamiltonian
 import trilevel.operators as operators
 from trilevel.cli import main
 from trilevel.dynamics import required_fock_cutoff
-from trilevel.operators import diagonal
+from trilevel.operators import PRODUCT, element_sum, identity_elements
 
 VEE_CONF = (Path(__file__).resolve().parents[1] / "configs" / "vee.conf").read_text()
 
@@ -124,7 +124,8 @@ def test_flipped_layout_sign_is_reported_by_verify(tmp_path, monkeypatch, capsys
 
 def _identity_rotation(monkeypatch):
     monkeypatch.setattr(hamiltonian, "unitary_exp",
-                        lambda gen, theta: diagonal(gen.spec, np.ones(gen.spec.product_dim)))
+                        lambda gen, theta: element_sum(
+                            PRODUCT, gen.spec, [identity_elements(gen.spec.product_dim)]))
 
 
 def _wrong_bright_coupling(monkeypatch):

@@ -6,7 +6,7 @@ every (row, column) pair that any of its terms touches.  The kernel must give
 the dense masked maximum bit for bit, and both modes must report exactly what
 the block path reported, with no block product, no re-blocking and no dense
 read.  The block-path check is kept here as the reference, not in the package:
-block products of the dressed transitions against the label diagonals times
+dense products of the dressed transitions against the label diagonals times
 S21 or S32, and for u3 the dense commutators of ``dense_reference``.
 A last test runs the checks at 30 and 60 atoms in a fresh process.
 """
@@ -34,7 +34,6 @@ from trilevel.operators import (
     _residual,
     atomic_term,
     deformed_operator,
-    diagonal,
     enhancement_factor,
     guarded_states,
     tensor_sum,
@@ -48,8 +47,8 @@ def _reports(names, residuals, guard):
 
 
 def block_path_reports(spec: SpaceSpec, mode: str, guard: int = 1) -> list[IdentityReport]:
-    """The check on block-stored operators: OperatorMatrix products, differences
-    and masked maxima, with the right-hand sides as label diagonals times S21 or S32."""
+    """The check on the stored operators: their dense products, differences and masked
+    maxima, with the right-hand sides as label diagonals times S21 or S32."""
     if mode == "u3":
         return _reports(*zip(*reference_u3(spec)), 0)
     keep = guarded_states(spec, guard)
@@ -58,14 +57,15 @@ def block_path_reports(spec: SpaceSpec, mode: str, guard: int = 1) -> list[Ident
     s21, s32 = (tensor_sum(spec, [atomic_term(spec, i, j)]) for i, j in ((2, 1), (3, 2)))
     x31, x23, x12 = (deformed_operator(spec, i, j) for i, j in ((3, 1), (2, 3), (1, 2)))
     checks = [
-        ("X23 X31 = n (S33 + 1) S21", x23 @ x31, num * (occ[:, 2] + 1), s21),
-        ("X31 X23 = (n + 1) S33 S21", x31 @ x23, (num + 1) * occ[:, 2], s21),
-        ("[X31, X23] = (S33 - n) S21", x31 @ x23 - x23 @ x31,
+        ("X23 X31 = n (S33 + 1) S21", (x23 @ x31).mat, num * (occ[:, 2] + 1), s21),
+        ("X31 X23 = (n + 1) S33 S21", (x31 @ x23).mat, (num + 1) * occ[:, 2], s21),
+        ("[X31, X23] = (S33 - n) S21", (x31 @ x23).mat - (x23 @ x31).mat,
          enhancement_factor(LAMBDA, occ, num), s21),
-        ("[X31, X12] = (S11 + n + 1) S32", x31 @ x12 - x12 @ x31,
+        ("[X31, X12] = (S11 + n + 1) S32", (x31 @ x12).mat - (x12 @ x31).mat,
          enhancement_factor(VEE, occ, num), s32),
     ]
-    residuals = [(lhs - diagonal(spec, factor) @ s).max_abs(lambda r, c: keep[r] & keep[c])
+    mask = keep[:, None] & keep[None, :]
+    residuals = [float(np.max(np.abs(lhs - factor[:, None] * s.mat), where=mask, initial=0.0))
                  for _, lhs, factor, s in checks]
     return _reports([name for name, *_ in checks], residuals, guard)
 

@@ -3,10 +3,9 @@ than what it describes.
 
 The component search runs once per written operator, in ``element_sum``; no
 kernel searches again.  Equal labelings are one ``BlockPartition`` while one of
-them lives, joins are kept while both operands live, and the Hermiticity check
-runs once per operator.  Nothing of this may outlive a CLI command: the
-benchmark calls the CLI many times in one process, which a one-command process
-never does.
+them lives, and the Hermiticity check runs once per operator.  Nothing of this
+may outlive a CLI command: the benchmark calls the CLI many times in one
+process, which a one-command process never does.
 """
 
 import ast
@@ -18,19 +17,10 @@ import pytest
 
 import trilevel.cli as cli
 import trilevel.operators as operators
-from trilevel.dispersive import compare, dispersive_params
 from trilevel.dynamics import InitialState, TimeGrid, evolve, prepare_initial
 from trilevel.hamiltonian import HamiltonianSpec, build_hamiltonian, excitation_operator
 from trilevel.hilbert import SpaceSpec
-from trilevel.operators import (
-    PRODUCT,
-    BlockPartition,
-    OperatorMatrix,
-    dressed_term,
-    element_sum,
-    hermitian_blocks,
-    term_elements,
-)
+from trilevel.operators import BlockPartition, OperatorMatrix, hermitian_blocks
 
 ROOT = Path(__file__).resolve().parents[1]
 VEE_H = HamiltonianSpec("vee", (0.0, 3.0, 3.0), 1.0, g31=0.1, g21=0.1)
@@ -56,8 +46,6 @@ def test_equal_labelings_are_one_partition():
     ham, again = build_hamiltonian(spec, VEE_H), build_hamiltonian(spec, VEE_H)
     assert ham._layout is again._layout
     assert BlockPartition.from_labels(ham._layout.labels.copy()) is ham._layout
-    x = element_sum(PRODUCT, spec, [term_elements(spec, dressed_term(spec, 3, 1))])
-    assert (x @ ham)._layout is ham._layout  # the join is H's layout itself
 
 
 # --- each fact is computed once ----------------------------------------------
@@ -78,24 +66,8 @@ def test_hamiltonian_and_trajectory_compute_each_fact_once(monkeypatch):
     excitation = excitation_operator(spec, VEE_H.scheme)
     psi0 = prepare_initial(spec, InitialState((0, 0, 3), ("fock", 0)), VEE_H)
     evolve(ham, psi0, TimeGrid(10.0, 11), excitation)
-    assert searches == [spec.product_dim]  # H's, as it is written; none for the diagonal
+    assert searches == [spec.product_dim] * 2  # H's and the excitation count's, as written
     assert checks == {id(ham): 1}  # one run serves build_hamiltonian and the trajectory
-
-
-@pytest.mark.parametrize("h", [LAMBDA_H, VEE_H], ids=["lambda", "vee"])
-def test_dispersive_compare_computes_each_join_once(h, monkeypatch):
-    joins = Counter()
-    real = BlockPartition._join
-
-    def counting(a, b):
-        joins[frozenset((a.labels.tobytes(), b.labels.tobytes()))] += 1
-        return real(a, b)
-
-    monkeypatch.setattr(BlockPartition, "_join", counting)
-    spec = SpaceSpec(3, 6)
-    compare(spec, h, dispersive_params(h, 1.0, spec.atoms))
-    assert len(joins) >= 3
-    assert set(joins.values()) == {1}
 
 
 # --- caches die with their operators ---------------------------------------
@@ -122,8 +94,7 @@ def test_no_partition_outlives_a_command(command, scheme, tmp_path):
     before = live_partitions()
     assert cli.main([command, "--config", str(conf), "--out", str(tmp_path / "o")]) == 0
     after = live_partitions()
-    cached = {id(p) for p in after if p is operators._singletons(len(p.labels))
-              or p is operators._one_block(len(p.labels))}
+    cached = {id(p) for p in after if p is operators._one_block(len(p.labels))}
     kept = {id(p) for p in before} | cached
     assert [len(p.labels) for p in after if id(p) not in kept] == []
     assert {id(p) for p in operators._LIVE.values()} <= kept

@@ -14,6 +14,7 @@ from trilevel.hamiltonian import (
     rotation_parameters,
 )
 from trilevel.dispersive import dispersive_params
+from trilevel.operators import PRODUCT, element_sum
 from trilevel.dynamics import (
     InitialState,
     TimeGrid,
@@ -184,14 +185,16 @@ def test_conservation_and_time_reversal():
     # forward then backward propagation returns the initial state
     times = np.array([0.0, grid.t_max])
     psi_t = propagate(ham, psi0, times)[:, 1]
-    psi_back = propagate(-1.0 * ham, psi_t, times)[:, 1]
+    rows, cols, values = ham.elements()
+    psi_back = propagate(element_sum(PRODUCT, spec, [(rows, cols, -values)]), psi_t, times)[:, 1]
     fidelity = abs(np.vdot(psi0, psi_back)) ** 2
     assert fidelity >= 1.0 - 1e-9
 
 
 def test_evolve_rejects_non_hermitian():
     spec = SpaceSpec(1, 2)
-    bad = 1j * build_hamiltonian(spec, lambda_spec())
+    rows, cols, values = build_hamiltonian(spec, lambda_spec()).elements()
+    bad = element_sum(PRODUCT, spec, [(rows, cols, 1j * values)])
     psi0 = prepare_initial(spec, InitialState((1, 0, 0), ("fock", 0)), lambda_spec())
     with pytest.raises(ValueError):
         evolve(bad, psi0, TimeGrid(1.0, 10), excitation_operator(spec, LAMBDA))

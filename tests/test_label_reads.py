@@ -4,7 +4,7 @@ they replace.
 The references: the ladder operators of ``dense_reference`` read back with
 ``np.nonzero``, the weights as the least-squares fit of ``<M, [h, M]> / <M, M>``
 on dense arrays with its proportionality residual, the transfer operator as the
-block product of the swap with ``diagonal(f)``, and the atomic index as a dict
+dense product of the swap with the diagonal of f, and the atomic index as a dict
 over ``enumerate_atomic_basis``.
 """
 
@@ -25,9 +25,10 @@ from trilevel.operators import (
     FIELD,
     LEVELS,
     PRODUCT,
+    OperatorMatrix,
+    _one_block,
     atomic_term,
     deformed_operator,
-    diagonal,
     element_sum,
     enhancement_factor,
     field_elements,
@@ -101,10 +102,15 @@ def candidate_operators(scheme, classical, spec, alpha):
         singles = [deformed_operator(spec, i, j) for i, j in DEFORMED_PAIRS]
         singles += [op.dag() for op in singles]
         ops += singles + [tensor_sum(spec, [atomic_term(spec, 2, 2)]),
-                          diagonal(spec, np.ones(spec.product_dim))]
-    ops += [m @ n - n @ m for m, n in itertools.combinations(singles, 2)]
-    ops += [singles[0] + singles[1], singles[0] - 2.0 * singles[-1], 0.0 * singles[0],
-            singles[0] - singles[0]]
+                          element_sum(PRODUCT, spec, [identity_elements(spec.product_dim)])]
+
+    def dense(mat):
+        return OperatorMatrix(space, spec, mat.ravel(), _one_block(len(mat)))
+
+    ops += [dense(m.mat @ n.mat - n.mat @ m.mat) for m, n in itertools.combinations(singles, 2)]
+    first, second, last = (singles[k].mat for k in (0, 1, -1))
+    ops += [dense(first + second), dense(first - 2.0 * last), dense(0.0 * first),
+            dense(first - first)]
     return ops
 
 
@@ -137,11 +143,11 @@ def test_transfer_operator_equals_the_swap_times_the_diagonal(scheme, spec):
     la, lb = h.degenerate_pair
     table = index_map(spec)
     swap = tensor_sum(spec, [atomic_term(spec, la, lb), atomic_term(spec, lb, la)])
-    reference = swap @ diagonal(spec, enhancement_factor(scheme, table.occupations,
-                                                         table.photons))
+    reference = swap.mat @ np.diag(enhancement_factor(scheme, table.occupations,
+                                                      table.photons)).astype(complex)
     op = analytic_effective(spec, h, p).transfer_operator
-    assert np.array_equal(op._layout.labels, dr.component_labels(reference.mat))
-    assert same_bits(op.mat, reference.mat)
+    assert np.array_equal(op._layout.labels, dr.component_labels(reference))
+    assert same_bits(op.mat, reference + 0.0)
 
 
 # --- atomic index table -------------------------------------------------------------

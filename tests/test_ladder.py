@@ -12,7 +12,7 @@ import ladder  # noqa: E402
 
 STAGES = {"build_hamiltonian", "verify_algebra_second_order", "verify_algebra_u3",
           "rotation_report", "evolve", "eigenvalues", "diagram_layout", "spectrum",
-          "dark_state_residual"}
+          "dark_state_residual", "dispersive_compare"}
 
 
 def test_tiny_rung_writes_the_next_bench_file(tmp_path):
