@@ -47,7 +47,7 @@ from trilevel.hamiltonian import (  # noqa: E402
     VEE,
     HamiltonianSpec,
     build_hamiltonian,
-    excitation_operator,
+    excitation_count,
     rotation_report,
 )
 from trilevel.hilbert import SpaceSpec  # noqa: E402
@@ -98,7 +98,7 @@ def run_rung(atoms: int, n_max: int) -> dict:
     timed("rotation_report", lambda: rotation_report(spec, H))
     psi0 = prepare_initial(spec, InitialState((0, 0, atoms), ("fock", 0)), H)
     timed("evolve", lambda: evolve(ham, psi0, TimeGrid(T_MAX, N_SAMPLES),
-                                   excitation_operator(spec, VEE)))
+                                   excitation_count(spec, VEE)))
     timed("eigenvalues", lambda: eigenvalues(ham))
     timed("diagram_layout", lambda: diagram_layout(VEE, False, spec))
     for name in ("spectrum", "dark_state_residual"):

@@ -31,13 +31,13 @@ from .hamiltonian import (
     HamiltonianSpec,
     build_hamiltonian,
     dark_state_residual,
-    excitation_operator,
+    excitation_count,
     ladder_storage_bytes,
     reduced_hamiltonian,
     rotation_report,
     spectrum,
 )
-from .dispersive import DEFAULT_GUARD, compare, dispersive_params, effective_hamiltonian
+from .dispersive import DEFAULT_GUARD, compare, dispersive_params, transfer_prefactor
 from .dynamics import (
     InitialState,
     TimeGrid,
@@ -263,7 +263,7 @@ def cmd_verify(cfg: RunConfig, out: Path) -> int:
 
     if reduced_hamiltonian(h) is not None:  # where spectrum uses the rotated frame
         checks.append(_check("mode rotation maps H onto the reduced Hamiltonian",
-                             rotation_report(spec, h).residual, TOL_DARK_BLOCK))
+                             rotation_report(spec, h), TOL_DARK_BLOCK))
         checks.append(_check("dark state annihilated by the interaction",
                              dark_state_residual(spec, h), TOL_ALGEBRA))
     else:
@@ -303,7 +303,7 @@ def cmd_evolve(cfg: RunConfig, out: Path) -> int:
         build_hamiltonian(spec, h),
         prepare_initial(spec, cfg.initial_state(), h),
         cfg.time_grid(),
-        excitation_operator(spec, h.scheme),
+        excitation_count(spec, h.scheme),
     )
     write_trajectory_csv(out / "trajectory.csv", record)
     print(f"evolve: wrote {out / 'trajectory.csv'} "
@@ -318,14 +318,14 @@ def cmd_dispersive_compare(cfg: RunConfig, out: Path) -> int:
     h = cfg.hamiltonian
     guard = cfg.guard if cfg.guard is not None else DEFAULT_GUARD
     p = dispersive_params(h, cfg.mean_photon_number(), spec.atoms)
-    ham, model, residual, order = compare(spec, h, p, guard)
+    ham, h_eff, residual, order = compare(spec, h, p, guard)
 
     init = cfg.initial_state()
     grid = cfg.time_grid()
-    n_exc = excitation_operator(spec, h.scheme)
+    count = excitation_count(spec, h.scheme)
     psi0 = prepare_initial(spec, init, h)
-    exact = evolve(ham, psi0, grid, n_exc)
-    effective = evolve(effective_hamiltonian(spec, h, model.prefactor), psi0, grid, n_exc)
+    exact = evolve(ham, psi0, grid, count)
+    effective = evolve(h_eff, psi0, grid, count)
     write_trajectory_csv(out / "dispersive_exact.csv", exact)
     write_trajectory_csv(out / "dispersive_effective.csv", effective)
 
@@ -338,7 +338,7 @@ def cmd_dispersive_compare(cfg: RunConfig, out: Path) -> int:
         "scheme": h.scheme,
         "guard": guard,
         "small_params": {f"eps{i}{j}": eps for (i, j), eps in p.small_params.items()},
-        "prefactor": model.prefactor,
+        "prefactor": transfer_prefactor(h, p),
         "validity_margin": p.validity_margin,
         "block_residual": residual,
         "order_estimate": order if math.isfinite(order) else None,

@@ -1,20 +1,21 @@
-"""Dispersive-regime machinery: small rotations and effective Hamiltonians.
+"""Dispersive-regime machinery: small rotations and the effective Hamiltonian.
 
 When every coupled transition is far detuned, conjugating the Hamiltonian
 by the small unitaries exp[eps_ij (X_ij - X_ij^dag)], eps_ij = g_ij /
 Delta_ij, removes the first-order atom-field exchange and leaves an
 effective transfer between the degenerate levels.  The closed-form
-leading-order transfer operators are
+leading-order transfer terms are
 
   lambda: eps31 g32 (S12 + S21)(S33 - n)      -- vanishes whenever the
           level-3 population equals the photon number;
   vee:    eps21 g31 (S32 + S23)(S11 + n + 1)  -- never vanishes on states
           with population in the (2, 3) pair.
 
-Diagonal (Stark-shift) terms of the same order are never reconstructed
-here; comparisons against the numeric conjugation are restricted to the
-degenerate-transfer block, where the closed forms are complete at first
-order in eps.
+analytic_effective writes them once, with the free Hamiltonian: the one operator
+that ``compare`` probes and ``trilevel dispersive-compare`` evolves.  Diagonal
+(Stark-shift) terms of the same order are never reconstructed; comparisons against
+the numeric conjugation are restricted to the degenerate-transfer block, which holds
+no diagonal element and where the closed forms are complete at first order in eps.
 """
 
 from __future__ import annotations
@@ -121,15 +122,6 @@ def effective_transform(spec: SpaceSpec, h: HamiltonianSpec,
     return outer @ inner @ build_hamiltonian(spec, h) @ inner.dag() @ outer.dag()
 
 
-@dataclass(frozen=True)
-class EffectiveModel:
-    """Closed-form leading-order transfer term, prefactor kept separate."""
-
-    scheme: str
-    transfer_operator: OperatorMatrix
-    prefactor: float
-
-
 def transfer_prefactor(h: HamiltonianSpec, p: DispersiveParams) -> float:
     """eps_inner g_outer of the rotation order (operators.LAYOUTS): eps31 g32
     (lambda) or eps21 g31 (vee), the prefactor of the closed form."""
@@ -138,25 +130,21 @@ def transfer_prefactor(h: HamiltonianSpec, p: DispersiveParams) -> float:
     return p.small_params[inner] * h.coupling(*outer)
 
 
-def effective_hamiltonian(spec: SpaceSpec, h: HamiltonianSpec, prefactor: float,
-                          free: bool = True) -> OperatorMatrix:
-    """prefactor f (S_ab + S_ba), plus the free terms first if ``free``, by one element_sum: the
-    degenerate pair's swap times the enhancement factor f it conserves, by conserved_product."""
+def analytic_effective(spec: SpaceSpec, h: HamiltonianSpec,
+                       p: DispersiveParams) -> OperatorMatrix:
+    """The closed-form effective Hamiltonian: the free terms, then transfer_prefactor times
+    f (S_ab + S_ba), by one element_sum; the degenerate pair's swap times the enhancement
+    factor f it conserves, by conserved_product."""
     la, lb = h.degenerate_pair
     f = functools.partial(enhancement_factor, h.scheme)
-    parts = [term_elements(spec, term) for term in _free_terms(spec, h)] if free else []
-    return element_sum(PRODUCT, spec, parts + [
-        (rows, cols, values * complex(prefactor)) for rows, cols, values in
+    prefactor = complex(transfer_prefactor(h, p))
+    free = [term_elements(spec, term) for term in _free_terms(spec, h)]
+    op = element_sum(PRODUCT, spec, free + [
+        (rows, cols, values * prefactor) for rows, cols, values in
         (conserved_product(spec, a, b, f) for a, b in ((la, lb), (lb, la)))])
-
-
-def analytic_effective(spec: SpaceSpec, h: HamiltonianSpec,
-                       p: DispersiveParams) -> EffectiveModel:
-    """Closed-form transfer operator (effective_hamiltonian, no free terms) and prefactor."""
-    op = effective_hamiltonian(spec, h, 1.0, free=False)
     if not op.is_hermitian():
-        raise RuntimeError("analytic transfer operator is not Hermitian")
-    return EffectiveModel(h.scheme, op, transfer_prefactor(h, p))
+        raise RuntimeError("analytic effective Hamiltonian is not Hermitian")
+    return op
 
 
 def _transfer_block(spec: SpaceSpec, scheme: str, guard: int):
@@ -180,22 +168,22 @@ def transfer_block_mask(spec: SpaceSpec, scheme: str, guard: int) -> np.ndarray:
 
 
 def _residual(spec: SpaceSpec, h: HamiltonianSpec, p: DispersiveParams, block,
-              generators: dict) -> tuple[OperatorMatrix, float]:
-    """H and the largest |U H U^dag - prefactor T| on ``block``, U the small rotations."""
-    ham = build_hamiltonian(spec, h)
-    reference = effective_hamiltonian(spec, h, transfer_prefactor(h, p), free=False)
-    return ham, conjugation_residual(ham, _rotations(h, p, generators), reference,
-                                     excitation_count(spec, h.scheme), block)
+              generators: dict) -> tuple[OperatorMatrix, OperatorMatrix, float]:
+    """H, the analytic_effective H_eff and the largest |U H U^dag - H_eff| on ``block``, U the
+    small rotations; the free part of H_eff is diagonal, off the block's pairs."""
+    ham, effective = build_hamiltonian(spec, h), analytic_effective(spec, h, p)
+    return ham, effective, conjugation_residual(ham, _rotations(h, p, generators), effective,
+                                                excitation_count(spec, h.scheme), block)
 
 
 def compare(spec: SpaceSpec, h: HamiltonianSpec, p: DispersiveParams,
-            guard: int = DEFAULT_GUARD) -> tuple[OperatorMatrix, EffectiveModel, float, float]:
-    """H, the closed-form model, their transfer-block residual and its order
-    log2(residual(eps) / residual(eps/2)), 2 or more (measured 2.98 to 4.27 at A <= 8), as
-    the closed form is the whole first-order off-diagonal term.  The block and model
-    serve both detunings, and each rotation generator is built and diagonalized
-    once for both; the eps/2 probe's own H and rotations are released before the
-    returned H is built."""
+            guard: int = DEFAULT_GUARD) -> tuple[OperatorMatrix, OperatorMatrix, float, float]:
+    """H, the closed-form effective Hamiltonian (analytic_effective), their transfer-block
+    residual and its order log2(residual(eps) / residual(eps/2)), 2 or more (measured 2.98
+    to 4.27 at A <= 8), as the closed form is the whole first-order off-diagonal term.  The
+    block serves both detunings, and each rotation generator is built and diagonalized
+    once for both; the eps/2 probe's own H, H_eff and rotations are released before the
+    returned ones are built."""
     if guard < 2:
         raise ValueError(f"guard must be >= 2 for dispersive comparisons, got {guard}")
     if any(abs(e) > 0.1 for e in p.small_params.values()):
@@ -205,14 +193,13 @@ def compare(spec: SpaceSpec, h: HamiltonianSpec, p: DispersiveParams,
     if abs(deltas[0] - deltas[1]) > 1e-9 * max(1.0, abs(deltas[0])):
         raise ValueError("order probe requires equal detunings on the two coupled pairs; "
                          f"got {deltas[0]:.6g} and {deltas[1]:.6g}")
-    model = analytic_effective(spec, h, p)
     h_half = replace(h, omega=h.omega - deltas[0])
     p_half = dispersive_params(h_half, p.n_bar, spec.atoms)
     block = _transfer_block(spec, h.scheme, guard)
     generators = _generators(spec, h.scheme)
-    r2 = _residual(spec, h_half, p_half, block, generators)[1]
-    ham, r1 = _residual(spec, h, p, block, generators)
-    return ham, model, r1, math.inf if r1 < 1e-14 or r2 < 1e-14 else math.log2(r1 / r2)
+    r2 = _residual(spec, h_half, p_half, block, generators)[2]
+    ham, effective, r1 = _residual(spec, h, p, block, generators)
+    return ham, effective, r1, math.inf if r1 < 1e-14 or r2 < 1e-14 else math.log2(r1 / r2)
 
 
 def residual_and_order(spec: SpaceSpec, h: HamiltonianSpec, p: DispersiveParams,

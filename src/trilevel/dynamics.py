@@ -3,11 +3,11 @@
 Propagation diagonalizes each Hamiltonian block the initial state occupies
 and keeps the state on those blocks alone, one bounded time chunk at a
 time: no step-size error to tune, no dense state matrix and no array of
-rows x samples.  Trajectories record level populations, photon
-number, norm, the conserved excitation count, energy and the population of
-the top photon slab (truncation leakage).  The experiments contrast the
-layouts in the dispersive regime: lambda never transfers out of the vacuum,
-vee always does, through the vacuum-triggered channel.
+rows x samples.  Trajectories record energy <H> and, from basis labels weighted
+by |psi|^2, level populations, photon number, norm, the conserved excitation
+count and the population of the top photon slab (truncation leakage).  The
+experiments contrast the layouts in the dispersive regime: lambda never
+transfers out of the vacuum, vee always does, through the vacuum-triggered channel.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .hamiltonian import (
     build_hamiltonian,
     bright_atomic_vector,
     dark_atomic_vector,
-    excitation_operator,
+    excitation_count,
 )
 from .dispersive import DispersiveParams, transfer_prefactor
 
@@ -118,8 +118,8 @@ def coherent_amplitudes(alpha: complex, n_max: int) -> tuple[np.ndarray, float]:
     return amps, tail
 
 
-def required_fock_cutoff(alpha: complex, limit: float = COHERENT_TAIL_LIMIT) -> int:
-    """Smallest cutoff keeping the coherent tail below ``limit``.
+def required_fock_cutoff(alpha: complex) -> int:
+    """Smallest cutoff keeping the coherent tail below COHERENT_TAIL_LIMIT.
 
     The tail is summed from the top, smallest weights first, so it carries the rounding
     of its own terms only: down from the first photon number past |alpha|^2 whose
@@ -134,7 +134,7 @@ def required_fock_cutoff(alpha: complex, limit: float = COHERENT_TAIL_LIMIT) -> 
         while n * math.log(lam) - math.lgamma(n + 1) - lam > -92.0:  # e^-92 < 1e-40
             n += 1
         weight, tail = math.exp(n * math.log(lam) - math.lgamma(n + 1) - lam), 0.0
-        while n and tail + weight <= limit:  # tail: the weights past n
+        while n and tail + weight <= COHERENT_TAIL_LIMIT:  # tail: the weights past n
             tail += weight
             weight *= n / lam
             n -= 1
@@ -250,9 +250,10 @@ def propagate(ham: OperatorMatrix, psi0: np.ndarray, times: np.ndarray) -> np.nd
 
 
 def evolve(ham: OperatorMatrix, psi0: np.ndarray, grid: TimeGrid,
-           excitation: OperatorMatrix) -> TrajectoryRecord:
+           count: np.ndarray) -> TrajectoryRecord:
     """Exact evolution with observables sampled on a uniform grid, filled one
-    time chunk at a time (see _trajectory).
+    time chunk at a time (see _trajectory); the excitation series reads ``count``, the
+    labels of hamiltonian.excitation_count, like the populations read the occupations.
 
     The record is flagged truncation-unsafe when the top photon slab ever
     holds more than 1e-6 of the population.
@@ -261,10 +262,11 @@ def evolve(ham: OperatorMatrix, psi0: np.ndarray, grid: TimeGrid,
         raise ValueError("evolve expects a product-space Hamiltonian")
     spec = ham.spec
     times = grid.times
-    rows, chunks = _trajectory(ham, psi0, times, (excitation, ham))
+    rows, chunks = _trajectory(ham, psi0, times, (ham,))
     table = index_map(spec)
     occupations = table.occupations[rows].T.astype(float)
     photons = table.photons[rows].astype(float)
+    excitation = count[rows].astype(float)
     top = (table.photons[rows] == spec.n_max).astype(float)
     # pop1, pop2, pop3, n_photon, norm, excitation, energy, leakage
     series = np.empty((8, len(times)))
@@ -273,7 +275,8 @@ def evolve(ham: OperatorMatrix, psi0: np.ndarray, grid: TimeGrid,
         series[:3, span] = occupations @ weights
         series[3, span] = photons @ weights
         series[4, span] = np.sqrt(np.sum(weights, axis=0))
-        series[5:7, span] = values
+        series[5, span] = excitation @ weights
+        series[6, span] = values[0]
         series[7, span] = top @ weights
     return TrajectoryRecord(
         times, *series, truncation_safe=bool(np.max(series[7]) <= LEAKAGE_LIMIT))
@@ -341,7 +344,7 @@ def transfer_experiment(spec: SpaceSpec, h: HamiltonianSpec, p: DispersiveParams
         raise ValueError(f"transfer experiments need >= {MIN_TRANSFER_SAMPLES} samples")
     ham = build_hamiltonian(spec, h)
     psi0 = prepare_initial(spec, init, h)
-    record = evolve(ham, psi0, grid, excitation_operator(spec, h.scheme))
+    record = evolve(ham, psi0, grid, excitation_count(spec, h.scheme))
 
     la, lb = h.degenerate_pair
     pa = float(record.population(la)[0])

@@ -227,27 +227,18 @@ def mode_rotation_unitary(spec: SpaceSpec, h: HamiltonianSpec) -> OperatorMatrix
     return unitary_exp(_rotation_generator(spec, h), theta)
 
 
-@dataclass(frozen=True)
-class RotationReport:
-    """The mode rotation U of one Hamiltonian spec and the largest element of
-    U H U^dag - H_red, H_red the Hamiltonian of reduced_hamiltonian."""
-
-    unitary: OperatorMatrix
-    residual: float
-
-
-def rotation_report(spec: SpaceSpec, h: HamiltonianSpec) -> RotationReport:
-    """Rotate H once and compare it, every element, with the reduced Hamiltonian that
-    ``spectrum`` diagonalizes; the residual is not compared with a tolerance here,
-    ``trilevel verify`` does that.  Raises ValueError where there is no reduction."""
+def rotation_report(spec: SpaceSpec, h: HamiltonianSpec) -> float:
+    """The largest element of U H U^dag - H_red, U the mode rotation and H_red the
+    Hamiltonian of reduced_hamiltonian, which ``spectrum`` diagonalizes: H rotated once
+    and compared every element; ``trilevel verify`` holds the residual to its tolerance.
+    Raises ValueError where there is no reduction."""
     reduced = reduced_hamiltonian(h)
     if reduced is None:
         raise ValueError("no reduced Hamiltonian: the paired energies differ "
                          "or every coupling is zero")
     u = mode_rotation_unitary(spec, h)
-    return RotationReport(u, conjugation_residual(build_hamiltonian(spec, h), [u],
-                                                  build_hamiltonian(spec, reduced),
-                                                  excitation_count(spec, h.scheme)))
+    return conjugation_residual(build_hamiltonian(spec, h), [u], build_hamiltonian(spec, reduced),
+                                excitation_count(spec, h.scheme))
 
 
 def classical_hamiltonian(h: HamiltonianSpec, alpha: complex,
@@ -274,6 +265,6 @@ def excitation_count(spec: SpaceSpec, scheme: str) -> np.ndarray:
 
 
 def excitation_operator(spec: SpaceSpec, scheme: str) -> OperatorMatrix:
-    """The diagonal operator of excitation_count, one block per state."""
+    """The diagonal operator of excitation_count, one block per state; no command builds it."""
     every = np.arange(spec.product_dim)
     return element_sum(PRODUCT, spec, [(every, every, excitation_count(spec, scheme))])

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import weakref
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -56,7 +55,6 @@ DEFORMED_PAIRS = ((3, 1), (2, 1), (3, 2))
 TOL_ALGEBRA = 1e-12
 TOL_UNITARY = 1e-12
 CHUNK_ENTRIES = 2**14  # elements per slice: Hermiticity check, trajectory chunks, sector runs
-_LIVE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()  # live partitions by labels
 
 
 @dataclass(frozen=True)
@@ -128,18 +126,15 @@ class BlockPartition:
 
     @classmethod
     def from_labels(cls, labels: np.ndarray) -> "BlockPartition":
-        """The live partition with these labels, made if there is none."""
-        key = (labels.dtype.str, labels.shape, labels.tobytes())
-        if (out := _LIVE.get(key)) is None:
-            labels.setflags(write=False)
-            order = np.argsort(labels, kind="stable")
-            ordered = labels[order]
-            starts = np.flatnonzero(np.concatenate([[True], ordered[1:] != ordered[:-1]]))
-            sizes = np.concatenate([starts[1:], [len(labels)]]) - starts
-            groups = tuple(order[starts[sizes == b][:, None] + np.arange(b)]
-                           for b in sorted(set(sizes.tolist())))
-            out = _LIVE[key] = cls(labels, groups)
-        return out
+        """The partition with these labels, which it keeps read-only."""
+        labels.setflags(write=False)
+        order = np.argsort(labels, kind="stable")
+        ordered = labels[order]
+        starts = np.flatnonzero(np.concatenate([[True], ordered[1:] != ordered[:-1]]))
+        sizes = np.concatenate([starts[1:], [len(labels)]]) - starts
+        groups = tuple(order[starts[sizes == b][:, None] + np.arange(b)]
+                       for b in sorted(set(sizes.tolist())))
+        return cls(labels, groups)
 
     @cached_property
     def stacks(self) -> list[tuple[np.ndarray, slice, tuple[int, int, int]]]:
@@ -252,9 +247,9 @@ class OperatorMatrix:
         data = [s.swapaxes(1, 2).conj().ravel() for _, s in _views(self._layout, self._data)]
         return OperatorMatrix(self.space, self.spec, np.concatenate(data), self._layout)
 
-    def is_hermitian(self, tol: float = 1e-12) -> bool:
-        """Whether |s - s^H| <= tol everywhere; NaN fails."""
-        return self._hermitian_defect <= tol
+    def is_hermitian(self) -> bool:
+        """Whether |s - s^H| <= 1e-12 everywhere; NaN fails."""
+        return self._hermitian_defect <= 1e-12
 
     @cached_property
     def _hermitian_defect(self) -> float:

@@ -1,5 +1,5 @@
 """One cached basis object per spec, the transfer prefactor without the
-transfer operator, and out-of-memory runs as config errors."""
+closed-form effective Hamiltonian, and out-of-memory runs as config errors."""
 
 from dataclasses import fields
 
@@ -9,7 +9,7 @@ import pytest
 import trilevel.cli as cli
 import trilevel.dispersive as dispersive
 import trilevel.dynamics as dynamics
-from trilevel.dispersive import analytic_effective, dispersive_params, transfer_prefactor
+from trilevel.dispersive import dispersive_params, transfer_prefactor
 from trilevel.dynamics import InitialState, TimeGrid, transfer_experiment
 from trilevel.hamiltonian import LAMBDA, VEE, HamiltonianSpec
 from trilevel.hilbert import SpaceSpec, index_map
@@ -42,10 +42,10 @@ def test_transfer_experiment_builds_no_transfer_operator(scheme, monkeypatch):
     p = dispersive_params(h, 0.0, spec.atoms)
     grid = TimeGrid(200.0, 401)
     expected = transfer_experiment(spec, h, p, init, grid)
-    assert expected.prefactor == analytic_effective(spec, h, p).prefactor
+    assert expected.prefactor == transfer_prefactor(h, p)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("transfer_experiment built the transfer operator")
+        raise AssertionError("transfer_experiment built the effective Hamiltonian")
 
     monkeypatch.setattr(dispersive, "analytic_effective", refuse)
     monkeypatch.setattr(dynamics, "analytic_effective", refuse, raising=False)

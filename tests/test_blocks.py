@@ -27,11 +27,9 @@ from trilevel.dispersive import (
     _transfer_block,
     analytic_effective,
     dispersive_params,
-    effective_hamiltonian,
     effective_transform,
     small_rotation,
     transfer_block_mask,
-    transfer_prefactor,
 )
 from trilevel.dynamics import TimeGrid, evolve, propagate
 from trilevel.hamiltonian import (
@@ -40,6 +38,7 @@ from trilevel.hamiltonian import (
     HamiltonianSpec,
     _rotation_generator,
     build_hamiltonian,
+    excitation_count,
     excitation_operator,
     mode_rotation_unitary,
     reduced_hamiltonian,
@@ -68,8 +67,7 @@ def dense_block_residual(spec, h, p, guard) -> float:
     outer, inner = (small_rotation(spec, i, j, p.small_params[(i, j)]) for i, j in pairs)
     u = outer.mat @ inner.mat
     transformed = u @ dr.hamiltonian(spec, h) @ u.conj().T
-    model = analytic_effective(spec, h, p)
-    diff = transformed - model.prefactor * model.transfer_operator.mat
+    diff = transformed - analytic_effective(spec, h, p).mat  # the block holds no diagonal
     mask = transfer_block_mask(spec, h.scheme, guard)
     return float(np.max(np.abs(diff[mask]))) if mask.any() else 0.0
 
@@ -171,15 +169,14 @@ PAIR_ENERGIES = {(LAMBDA, False): (0.0, 0.0, 3.0), (LAMBDA, True): (0.0, 0.5, 3.
 def test_every_operator_a_command_hands_to_a_kernel_is_stored_exactly(scheme, split, atoms,
                                                                      tmp_path, monkeypatch):
     """The stored labels equal a dense component search: for H, the reduced H, the
-    generators, U, the excitation count and free + prefactor transfer, and for every
-    operator that verify, evolve, spectrum and dispersive-compare read."""
+    generators, U and the closed-form effective H, and for every operator that verify,
+    evolve, spectrum and dispersive-compare read."""
     spec, second = SpaceSpec(atoms, atoms + 2), "g32" if scheme == LAMBDA else "g21"
     h = HamiltonianSpec(scheme, PAIR_ENERGIES[scheme, split], 1.0, g31=0.1, **{second: 0.07})
     generators = [_rotation_generator(spec, h), *_generators(spec, scheme).values()]
     p = dispersive_params(h, 0.0, atoms)
     seen = [build_hamiltonian(spec, h), *generators, mode_rotation_unitary(spec, h),
-            *(unitary_exp(g, 0.05) for g in generators), excitation_operator(spec, scheme),
-            effective_hamiltonian(spec, h, transfer_prefactor(h, p))]
+            *(unitary_exp(g, 0.05) for g in generators), analytic_effective(spec, h, p)]
     if not split:
         seen.append(build_hamiltonian(spec, reduced_hamiltonian(h)))
     real = operators.stored_stacks
@@ -201,7 +198,7 @@ def test_every_operator_a_command_hands_to_a_kernel_is_stored_exactly(scheme, sp
     commands = ["verify", "evolve", "spectrum"] + ([] if split else ["dispersive-compare"])
     for command in commands:
         assert main([command, "--config", str(conf), "--out", str(tmp_path / command)]) == 0
-    assert len(seen) >= built + 4  # evolve: H, its excitation count, H again; spectrum: H
+    assert len(seen) >= built + 3  # evolve: H, and H again for the energy; spectrum: H
     for op in seen:
         assert np.array_equal(op._layout.labels, dr.component_labels(op.mat))
 
@@ -223,7 +220,7 @@ def test_propagate_matches_dense(model, seed, basis_state, t_max):
     expected = dr.propagate(dense_h, psi0, times)
     assert np.max(np.abs(states - expected)) <= TOL * scale(t_max * dense_h)
 
-    record = evolve(ham, psi0, TimeGrid(t_max, 9), excitation_operator(spec, h.scheme))
+    record = evolve(ham, psi0, TimeGrid(t_max, 9), excitation_count(spec, h.scheme))
     n_exc = dr.excitation(spec, h.scheme)
     for series, op in ((record.energy, dense_h), (record.excitation, n_exc)):
         dense = np.real(np.sum(expected.conj() * (op @ expected), axis=0))
@@ -251,11 +248,11 @@ def test_dispersive_residual_matches_dense(model, guard):
         assume(False)
     assume(guard <= spec.n_max)
     block = _residual(spec, h, p, _transfer_block(spec, h.scheme, guard),
-                      _generators(spec, h.scheme))[1]
+                      _generators(spec, h.scheme))[-1]
     dense = dense_block_residual(spec, h, p, guard)
     assert abs(block - dense) <= TOL * scale(dr.hamiltonian(spec, h))
-    transformed = effective_transform(spec, h, p)
-    assert transformed.is_hermitian(TOL * scale(transformed.mat))
+    transformed = effective_transform(spec, h, p).mat
+    assert np.max(np.abs(transformed - transformed.conj().T)) <= TOL * scale(transformed)
 
 
 # --- eigh size guard ----------------------------------------------------------
@@ -288,7 +285,7 @@ def test_no_eigh_beyond_largest_excitation_sector(scheme, monkeypatch):
     ham = build_hamiltonian(spec, h)
     psi0 = np.zeros(spec.product_dim, dtype=np.complex128)
     psi0[index_map(spec).flat((3, 0, 0), 2)] = 1.0
-    evolve(ham, psi0, TimeGrid(10.0, 11), excitation_operator(spec, scheme))
+    evolve(ham, psi0, TimeGrid(10.0, 11), excitation_count(spec, scheme))
     assert dims, "no eigendecomposition was recorded"
     assert max(dims) <= largest_sector(spec, scheme) < spec.product_dim
 
@@ -335,9 +332,9 @@ def test_rotation_residual_matches_dense(h, flip, monkeypatch):
     lay = operators.LAYOUTS[h.scheme]
     monkeypatch.setitem(operators.LAYOUTS, h.scheme, replace(lay, sign=flip * lay.sign))
     spec = SpaceSpec(2, 4)
-    rep = rotation_report(spec, h)
-    u = rep.unitary.mat
+    residual = rotation_report(spec, h)
+    u = mode_rotation_unitary(spec, h).mat
     dense = np.max(np.abs(u @ dr.hamiltonian(spec, h) @ u.conj().T
                           - dr.hamiltonian(spec, reduced_hamiltonian(h))))
-    assert abs(rep.residual - dense) <= TOL * scale(dr.hamiltonian(spec, h))
-    assert (rep.residual <= TOL) == (flip == 1)
+    assert abs(residual - dense) <= TOL * scale(dr.hamiltonian(spec, h))
+    assert (residual <= TOL) == (flip == 1)

@@ -1,5 +1,5 @@
-"""dispersive-compare builds H once per detuning and the transfer operator
-once, the verify identities agree exactly with their dense form, and a
+"""evolve builds H alone, dispersive-compare builds H and the closed-form effective
+H once per detuning, the verify identities agree exactly with their dense form, and a
 run too large for physical memory is refused before anything is built.
 
 The identity reference rebuilds both sides from the lifted collective and
@@ -68,19 +68,39 @@ def counting(calls, name, real):
     return wrapper
 
 
+def count_constructions(monkeypatch) -> list:
+    """A list that gains one entry per OperatorMatrix built from now on."""
+    built, real = [], OperatorMatrix.__post_init__
+
+    def counted(op):
+        built.append(op)
+        real(op)
+
+    monkeypatch.setattr(OperatorMatrix, "__post_init__", counted)
+    return built
+
+
+@pytest.mark.parametrize("text", [LAMBDA_CONF, VEE_CONF], ids=["lambda", "vee"])
+def test_evolve_builds_only_the_hamiltonian(text, tmp_path, monkeypatch):
+    built = count_constructions(monkeypatch)
+    assert run("evolve", text, tmp_path) == cli.EXIT_OK
+    assert len(built) == 1  # the excitation series reads the labels
+
+
 @pytest.mark.parametrize("text", [LAMBDA_CONF, VEE_CONF], ids=["lambda", "vee"])
 def test_dispersive_compare_builds_each_operator_once(text, tmp_path, monkeypatch):
-    calls = []
+    calls, built = [], count_constructions(monkeypatch)
     build = counting(calls, "H", hamiltonian.build_hamiltonian)
     for module in (hamiltonian, dispersive, dynamics, cli):
         monkeypatch.setattr(module, "build_hamiltonian", build)
     for name in ("analytic_effective", "_transfer_block"):
         monkeypatch.setattr(dispersive, name, counting(calls, name, getattr(dispersive, name)))
     assert run("dispersive-compare", text, tmp_path) == cli.EXIT_OK
-    # one H for eps and one for the eps/2 probe
+    # one H and one effective H for eps, one each for the eps/2 probe; both evolved at eps
     assert calls.count("H") == 2
-    assert calls.count("analytic_effective") == 1
+    assert calls.count("analytic_effective") == 2
     assert calls.count("_transfer_block") == 1
+    assert len(built) == 10  # two generators; per detuning H, H_eff and two rotations
 
 
 @pytest.mark.parametrize("text", [LAMBDA_CONF, VEE_CONF], ids=["lambda", "vee"])

@@ -2,8 +2,7 @@
 than what it describes.
 
 The component search runs once per written operator, in ``element_sum``; no
-kernel searches again.  Equal labelings are one ``BlockPartition`` while one of
-them lives, and the Hermiticity check runs once per operator.  Nothing of this
+kernel searches again, and the Hermiticity check runs once per operator.  Nothing of this
 may outlive a CLI command: the benchmark calls the CLI many times in one
 process, which a one-command process never does.
 """
@@ -18,7 +17,7 @@ import pytest
 import trilevel.cli as cli
 import trilevel.operators as operators
 from trilevel.dynamics import InitialState, TimeGrid, evolve, prepare_initial
-from trilevel.hamiltonian import HamiltonianSpec, build_hamiltonian, excitation_operator
+from trilevel.hamiltonian import HamiltonianSpec, build_hamiltonian, excitation_count
 from trilevel.hilbert import SpaceSpec
 from trilevel.operators import BlockPartition, OperatorMatrix, hermitian_blocks
 
@@ -39,15 +38,6 @@ def count_searches(monkeypatch):
     return calls
 
 
-# --- equal labelings ---------------------------------------------------------
-
-def test_equal_labelings_are_one_partition():
-    spec = SpaceSpec(3, 4)
-    ham, again = build_hamiltonian(spec, VEE_H), build_hamiltonian(spec, VEE_H)
-    assert ham._layout is again._layout
-    assert BlockPartition.from_labels(ham._layout.labels.copy()) is ham._layout
-
-
 # --- each fact is computed once ----------------------------------------------
 
 def test_hamiltonian_and_trajectory_compute_each_fact_once(monkeypatch):
@@ -63,10 +53,9 @@ def test_hamiltonian_and_trajectory_compute_each_fact_once(monkeypatch):
     spec = SpaceSpec(3, 5)
     ham = build_hamiltonian(spec, VEE_H)
     list(hermitian_blocks(ham))
-    excitation = excitation_operator(spec, VEE_H.scheme)
     psi0 = prepare_initial(spec, InitialState((0, 0, 3), ("fock", 0)), VEE_H)
-    evolve(ham, psi0, TimeGrid(10.0, 11), excitation)
-    assert searches == [spec.product_dim] * 2  # H's and the excitation count's, as written
+    evolve(ham, psi0, TimeGrid(10.0, 11), excitation_count(spec, VEE_H.scheme))
+    assert searches == [spec.product_dim]  # H's, as written; evolve reads the count's labels
     assert checks == {id(ham): 1}  # one run serves build_hamiltonian and the trajectory
 
 
@@ -97,7 +86,6 @@ def test_no_partition_outlives_a_command(command, scheme, tmp_path):
     cached = {id(p) for p in after if p is operators._one_block(len(p.labels))}
     kept = {id(p) for p in before} | cached
     assert [len(p.labels) for p in after if id(p) not in kept] == []
-    assert {id(p) for p in operators._LIVE.values()} <= kept
 
 
 # --- the benchmark's corruption anchor ---------------------------------------

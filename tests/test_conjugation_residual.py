@@ -4,8 +4,13 @@ The kernel returns the largest |W H W^dag - reference| over a predicate, W the
 ordered product of the unitaries, one sector of a conserved label at a time.  The
 reference here is the same expression on the read-back ``mat`` arrays, with H from
 ``dense_reference``.  An operand with a stored block across two sectors is refused,
-the runs of sectors change no bit, and no product operator is stored.
+the runs of sectors change no bit, and no product operator is stored.  The dispersive
+probe's residual against the closed-form effective H is the one against its transfer
+term alone, bit for bit: the free part is diagonal, and the block holds none.
 """
+
+import functools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,10 +19,11 @@ import dense_reference as dr
 import trilevel.operators as operators
 from trilevel.dispersive import (
     _generators,
+    _residual,
     _rotations,
     _transfer_block,
+    analytic_effective,
     dispersive_params,
-    effective_hamiltonian,
     transfer_prefactor,
 )
 from trilevel.hamiltonian import (
@@ -32,10 +38,13 @@ from trilevel.hamiltonian import (
 from trilevel.hilbert import SpaceSpec
 from trilevel.operators import (
     FIELD,
+    PRODUCT,
     OperatorMatrix,
     _runs,
     conjugation_residual,
+    conserved_product,
     element_sum,
+    enhancement_factor,
     field_elements,
     lift,
 )
@@ -90,13 +99,41 @@ def test_two_unitaries_equal_the_dense_formula(scheme, split, atoms):
     spec, h = model(scheme, split, atoms)
     p = dispersive_params(h, 0.0, atoms)
     rotations = _rotations(h, p, _generators(spec, scheme))
-    reference = effective_hamiltonian(spec, h, transfer_prefactor(h, p), free=False)
+    reference = analytic_effective(spec, h, p)
     count = excitation_count(spec, scheme)
     for where in (None, _transfer_block(spec, scheme, 2)):
         expected, scale = dense_residual(spec, h, rotations, reference, where)
         got = conjugation_residual(build_hamiltonian(spec, h), rotations, reference, count,
                                    where)
         assert abs(got - expected) <= 1e-12 * scale
+        assert got > 0.0
+
+
+def prefactor_times_transfer(spec, h, p) -> OperatorMatrix:
+    """transfer_prefactor times f (S_ab + S_ba) of the degenerate pair (a, b), with no free
+    terms: the transfer term of the closed form alone."""
+    a, b = h.degenerate_pair
+    f = functools.partial(enhancement_factor, h.scheme)
+    c = complex(transfer_prefactor(h, p))
+    parts = (conserved_product(spec, i, j, f) for i, j in ((a, b), (b, a)))
+    return element_sum(PRODUCT, spec, [(rows, cols, values * c) for rows, cols, values in parts])
+
+
+@pytest.mark.parametrize("atoms", range(1, 9))
+@pytest.mark.parametrize("scheme", [LAMBDA, VEE])
+def test_the_probe_residual_is_the_transfer_term_residual(scheme, atoms):
+    """At eps and at eps/2, as compare probes them: the residual against the effective H
+    that the probe builds equals the one against prefactor x T, every bit."""
+    spec, h = model(scheme, False, atoms)  # equal detunings, as compare's order probe needs
+    p = dispersive_params(h, 0.0, atoms)
+    h_half = replace(h, omega=h.omega - next(iter(p.detunings.values())))
+    block, generators = _transfer_block(spec, scheme, 2), _generators(spec, scheme)
+    count = excitation_count(spec, scheme)
+    for hh, pp in ((h, p), (h_half, dispersive_params(h_half, 0.0, atoms))):
+        ham, _, got = _residual(spec, hh, pp, block, generators)
+        expected = conjugation_residual(ham, _rotations(hh, pp, generators),
+                                        prefactor_times_transfer(spec, hh, pp), count, block)
+        assert got == expected
         assert got > 0.0
 
 
@@ -118,7 +155,7 @@ def test_runs_of_sectors_change_no_bit(scheme, chunk, monkeypatch):
     spec, h = model(scheme, False, 4)
     p = dispersive_params(h, 0.0, spec.atoms)
     rotations = _rotations(h, p, _generators(spec, scheme))
-    reference = effective_hamiltonian(spec, h, transfer_prefactor(h, p), free=False)
+    reference = analytic_effective(spec, h, p)
     count = excitation_count(spec, scheme)
     ham = build_hamiltonian(spec, h)
     block = _transfer_block(spec, scheme, 2)

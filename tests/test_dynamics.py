@@ -10,7 +10,7 @@ from trilevel.hamiltonian import (
     VEE,
     HamiltonianSpec,
     build_hamiltonian,
-    excitation_operator,
+    excitation_count,
     rotation_parameters,
 )
 from trilevel.dispersive import dispersive_params
@@ -141,7 +141,7 @@ def test_diagonal_hamiltonian_freezes_populations():
     h = HamiltonianSpec(LAMBDA, (0.0, 0.2, 1.0), 0.7)  # no couplings
     psi0 = prepare_initial(spec, InitialState((0, 1, 0), ("fock", 1)), lambda_spec())
     rec = evolve(build_hamiltonian(spec, h), psi0, TimeGrid(5.0, 50),
-                 excitation_operator(spec, LAMBDA))
+                 excitation_count(spec, LAMBDA))
     assert np.max(np.abs(rec.pop2 - 1.0)) <= 1e-12
     assert np.max(np.abs(rec.n_photon - 1.0)) <= 1e-12
 
@@ -151,7 +151,7 @@ def test_dark_trajectory_is_stationary():
     h = lambda_spec()
     psi0 = prepare_initial(spec, InitialState("dark", ("fock", 1)), h)
     rec = evolve(build_hamiltonian(spec, h), psi0, TimeGrid(50.0, 200),
-                 excitation_operator(spec, LAMBDA))
+                 excitation_count(spec, LAMBDA))
     for series in (rec.pop1, rec.pop2, rec.pop3, rec.n_photon, rec.energy):
         assert np.max(np.abs(series - series[0])) <= 1e-10
 
@@ -164,7 +164,7 @@ def test_two_level_rabi_oracle():
     psi0 = prepare_initial(spec, InitialState("bright", ("fock", n)), h)
     grid = TimeGrid(20.0, 801)
     rec = evolve(build_hamiltonian(spec, h), psi0, grid,
-                 excitation_operator(spec, LAMBDA))
+                 excitation_count(spec, LAMBDA))
     g_eff = rotation_parameters(h).effective_coupling
     oracle = np.sin(g_eff * math.sqrt(n) * rec.times) ** 2
     assert np.max(np.abs(rec.pop3 - oracle)) <= 1e-10
@@ -176,7 +176,7 @@ def test_conservation_and_time_reversal():
     psi0 = prepare_initial(spec, InitialState((0, 1, 1), ("fock", 2)), h)
     ham = build_hamiltonian(spec, h)
     grid = TimeGrid(200.0, 400)
-    rec = evolve(ham, psi0, grid, excitation_operator(spec, VEE))
+    rec = evolve(ham, psi0, grid, excitation_count(spec, VEE))
     assert np.max(np.abs(rec.norm - 1.0)) <= 1e-10
     assert np.max(np.abs(rec.excitation - rec.excitation[0])) <= 1e-10
     assert np.max(np.abs(rec.energy - rec.energy[0])) <= 1e-10
@@ -197,7 +197,7 @@ def test_evolve_rejects_non_hermitian():
     bad = element_sum(PRODUCT, spec, [(rows, cols, 1j * values)])
     psi0 = prepare_initial(spec, InitialState((1, 0, 0), ("fock", 0)), lambda_spec())
     with pytest.raises(ValueError):
-        evolve(bad, psi0, TimeGrid(1.0, 10), excitation_operator(spec, LAMBDA))
+        evolve(bad, psi0, TimeGrid(1.0, 10), excitation_count(spec, LAMBDA))
 
 
 def test_leakage_flags_boundary_population():
@@ -205,11 +205,11 @@ def test_leakage_flags_boundary_population():
     h = lambda_spec()
     psi0 = prepare_initial(spec, InitialState((1, 0, 0), ("fock", spec.n_max)), h)
     rec = evolve(build_hamiltonian(spec, h), psi0, TimeGrid(5.0, 20),
-                 excitation_operator(spec, LAMBDA))
+                 excitation_count(spec, LAMBDA))
     assert not rec.truncation_safe
     safe = evolve(build_hamiltonian(spec, h),
                   prepare_initial(spec, InitialState((1, 0, 0), ("fock", 0)), h),
-                  TimeGrid(5.0, 20), excitation_operator(spec, LAMBDA))
+                  TimeGrid(5.0, 20), excitation_count(spec, LAMBDA))
     assert safe.truncation_safe
 
 

@@ -3,9 +3,9 @@ they replace.
 
 The references: the ladder operators of ``dense_reference`` read back with
 ``np.nonzero``, the weights as the least-squares fit of ``<M, [h, M]> / <M, M>``
-on dense arrays with its proportionality residual, the transfer operator as the
-dense product of the swap with the diagonal of f, and the atomic index as a dict
-over ``enumerate_atomic_basis``.
+on dense arrays with its proportionality residual, the transfer term of the
+effective Hamiltonian as the dense product of the swap with the diagonal of f, and
+the atomic index as a dict over ``enumerate_atomic_basis``.
 """
 
 import itertools
@@ -16,8 +16,8 @@ import pytest
 
 import dense_reference as dr
 from test_batched_kernels import same_bits
-from trilevel.dispersive import DispersiveParams, analytic_effective
-from trilevel.hamiltonian import LAMBDA, VEE, HamiltonianSpec
+from trilevel.dispersive import DispersiveParams, analytic_effective, transfer_prefactor
+from trilevel.hamiltonian import LAMBDA, VEE, HamiltonianSpec, build_hamiltonian
 from trilevel.hilbert import IndexMap, SpaceSpec, enumerate_atomic_basis, index_map
 from trilevel.operators import (
     ATOMIC,
@@ -132,11 +132,13 @@ def test_label_gap_weights_equal_the_least_squares_fit(scheme, classical, alpha,
     assert rejected >= 4  # two mixtures, two zeros
 
 
-# --- transfer operator --------------------------------------------------------------
+# --- effective Hamiltonian ----------------------------------------------------------
 
 @pytest.mark.parametrize("spec", [SpaceSpec(1, 3), SpaceSpec(2, 5), SpaceSpec(4, 6)])
 @pytest.mark.parametrize("scheme", [LAMBDA, VEE])
-def test_transfer_operator_equals_the_swap_times_the_diagonal(scheme, spec):
+def test_effective_hamiltonian_is_the_free_diagonal_and_the_swap_times_f(scheme, spec):
+    """Off the diagonal, the prefactor times the swap times diag(f); on it, the bits of
+    H's diagonal, as both write the free terms alone there, in the same order."""
     h = HamiltonianSpec(scheme, (0.0, 3.0, 3.0) if scheme == VEE else (0.0, 0.0, 3.0), 1.0,
                         g31=0.1, g32=0.1, g21=0.1)
     p = DispersiveParams(scheme, 0.0, {}, {(3, 1): -0.05, (2, 1): -0.05}, 1.0)
@@ -145,9 +147,11 @@ def test_transfer_operator_equals_the_swap_times_the_diagonal(scheme, spec):
     swap = tensor_sum(spec, [atomic_term(spec, la, lb), atomic_term(spec, lb, la)])
     reference = swap.mat @ np.diag(enhancement_factor(scheme, table.occupations,
                                                       table.photons)).astype(complex)
-    op = analytic_effective(spec, h, p).transfer_operator
+    op = analytic_effective(spec, h, p)
     assert np.array_equal(op._layout.labels, dr.component_labels(reference))
-    assert same_bits(op.mat, reference + 0.0)
+    off = op.mat - np.diag(np.diag(op.mat))
+    assert same_bits(off, complex(transfer_prefactor(h, p)) * reference + 0.0)
+    assert same_bits(np.diag(op.mat), np.diag(build_hamiltonian(spec, h).mat))
 
 
 # --- atomic index table -------------------------------------------------------------

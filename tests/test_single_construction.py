@@ -8,6 +8,7 @@ the excitation count from the lifted collective and field operators of
 
 import ast
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,8 @@ import pytest
 import dense_reference as dr
 import trilevel.hamiltonian as hamiltonian
 import trilevel.operators as operators
-from trilevel.dispersive import analytic_effective, dispersive_params, small_rotation
+from trilevel.dispersive import (analytic_effective, dispersive_params, small_rotation,
+                                 transfer_prefactor)
 from trilevel.dynamics import (
     InitialState,
     prepare_initial,
@@ -60,9 +62,9 @@ def test_rotation_report_builds_each_hamiltonian_once(h, atoms, monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(hamiltonian, "build_hamiltonian", counting)
-    rep = rotation_report(SpaceSpec(atoms, 3), h)
+    residual = rotation_report(SpaceSpec(atoms, 3), h)
     assert [args[1] for args in calls] == [h, hamiltonian.reduced_hamiltonian(h)]  # one per spec
-    assert rep.residual <= hamiltonian.TOL_DARK_BLOCK
+    assert residual <= hamiltonian.TOL_DARK_BLOCK
 
 
 def test_semiclassical_sweep_builds_no_operator(monkeypatch):
@@ -102,11 +104,16 @@ def test_excitation_operator_equals_the_lift_sum(scheme, atoms, n_max):
 @pytest.mark.parametrize("h", [LAMBDA_H, VEE_H])
 @pytest.mark.parametrize("atoms,n_max", [(1, 4), (2, 5), (3, 3)])
 def test_analytic_effective_matches_the_lift_product(h, atoms, n_max):
+    """The free H on the diagonal, prefactor (S_ab + S_ba) f off it."""
     spec = SpaceSpec(atoms, n_max)
     la, lb = h.degenerate_pair
-    ref = (s(spec, la, lb) + s(spec, lb, la)) @ factor_reference(spec, h.scheme)
-    model = analytic_effective(spec, h, dispersive_params(h, 0.0, atoms))
-    assert np.max(np.abs(model.transfer_operator.mat - ref)) <= 1e-15
+    p = dispersive_params(h, 0.0, atoms)
+    transfer = (s(spec, la, lb) + s(spec, lb, la)) @ factor_reference(spec, h.scheme)
+    effective = analytic_effective(spec, h, p).mat
+    free = np.diag(dr.hamiltonian(spec, replace(h, g31=0.0, g32=0.0, g21=0.0)))
+    assert np.max(np.abs(np.diag(effective) - free)) <= 1e-14
+    off = effective - np.diag(np.diag(effective))
+    assert np.max(np.abs(off - transfer_prefactor(h, p) * transfer)) <= 1e-15
 
 
 def test_shared_rotation_checks_unitarity(monkeypatch):

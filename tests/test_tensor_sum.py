@@ -27,7 +27,8 @@ from hypothesis import given, strategies as st
 import dense_reference as dr
 import trilevel.dispersive as dispersive
 from test_batched_kernels import same_bits
-from trilevel.dispersive import DispersiveParams, analytic_effective, small_rotation
+from trilevel.dispersive import (DispersiveParams, analytic_effective, small_rotation,
+                                 transfer_prefactor)
 from trilevel.hamiltonian import (
     LAMBDA,
     VEE,
@@ -164,9 +165,10 @@ def test_building_operators_uses_no_dense_arithmetic(scheme, arithmetic_calls, m
 
 # --- bit for bit against the dense factors ----------------------------------------
 
-def dense_factor_sum(spec, terms):
+def dense_factor_sum(spec, terms, dense=None):
     """(labels, flat storage) of the sum of c (atomic (x) field) over dense factors,
-    each read with np.nonzero and written in term order."""
+    each read with np.nonzero and written in term order, then of the product-space
+    matrix ``dense``, if given, read with np.nonzero."""
     f = spec.field_dim
     rows, cols, values = [], [], []
     for c, atomic, field in terms:
@@ -175,6 +177,11 @@ def dense_factor_sum(spec, terms):
         rows.append((ar[:, None] * f + fr).ravel())
         cols.append((ac[:, None] * f + fc).ravel())
         values.append((c * (atomic[ar, ac][:, None] * field[fr, fc])).ravel())
+    if dense is not None:
+        r, c = np.nonzero(dense)
+        rows.append(r)
+        cols.append(c)
+        values.append(dense[r, c])
     rows, cols, values = (np.concatenate(x) for x in (rows, cols, values))
     written = values != 0
     layout = BlockPartition.from_labels(
@@ -237,14 +244,6 @@ def test_written_operators_store_the_bits_of_the_dense_factor_sum(spec, h):
         assert_same_storage(op, dense_factor_sum(spec, terms), name)
 
 
-def dense_storage(spec, mat):
-    """(labels, flat storage) of a dense product-space matrix in the connected
-    components of its nonzeros, read with np.nonzero."""
-    rows, cols = np.nonzero(mat)
-    layout = BlockPartition.from_labels(_component_labels(spec.product_dim, rows, cols))
-    return layout.labels, _write(layout, rows, cols, mat[rows, cols])
-
-
 @given(spec=small_sizes, h=hamiltonians(), eps=st.floats(-0.1, 0.1))
 def test_dispersive_operators_store_the_bits_of_the_dense_factor_sum(spec, h, eps):
     written = []
@@ -252,21 +251,23 @@ def test_dispersive_operators_store_the_bits_of_the_dense_factor_sum(spec, h, ep
         monkeypatch.setattr(dispersive, "tensor_sum", recording(written))
         for i, j in DEFORMED_PAIRS:
             small_rotation(spec, i, j, eps)
-        transfer = analytic_effective(spec, h, DispersiveParams(
-            h.scheme, 0.0, {}, {(3, 1): eps, (2, 1): eps}, 1.0)).transfer_operator
+        p = DispersiveParams(h.scheme, 0.0, {}, {(3, 1): eps, (2, 1): eps}, 1.0)
+        effective = analytic_effective(spec, h, p)
     references = [[dense_dressed(spec, i, j, 1j), dense_dressed(spec, j, i, -1j)]
                   for i, j in DEFORMED_PAIRS]  # the small-rotation generators
     assert len(written) == len(references)
     for k, (op, terms) in enumerate(zip(written, references)):
         assert_same_storage(op, dense_factor_sum(spec, terms), k)
 
-    # the transfer operator: the dense swap of the degenerate pair times diag(f)
+    # the effective H: the free terms, then the prefactor times the dense swap of the
+    # degenerate pair times diag(f)
     la, lb = h.degenerate_pair
     table = index_map(spec)
     swap = dr.lift_atomic(spec, dr.atomic(spec, la, lb) + dr.atomic(spec, lb, la))
     f = enhancement_factor(h.scheme, table.occupations, table.photons)
-    assert_same_storage(transfer, dense_storage(spec, swap @ np.diag(f.astype(np.complex128))),
-                        "transfer")
+    transfer = complex(transfer_prefactor(h, p)) * (swap @ np.diag(f.astype(np.complex128)))
+    free = dense_terms(spec, h)["free"][0]
+    assert_same_storage(effective, dense_factor_sum(spec, free, transfer), "effective H")
 
 
 # --- memory at 60 atoms -------------------------------------------------------------

@@ -34,7 +34,7 @@ from trilevel.hamiltonian import (
     VEE,
     HamiltonianSpec,
     build_hamiltonian,
-    excitation_operator,
+    excitation_count,
 )
 from trilevel.hilbert import SpaceSpec, index_map
 from trilevel.operators import (CHUNK_ENTRIES, FIELD, PRODUCT, OperatorMatrix, element_sum,
@@ -44,7 +44,7 @@ TOL = 1e-12
 
 
 def dense_record(ham, excitation, psi0, times) -> dict:
-    """Every record series from the full (dim, T) states."""
+    """Every record series from the full (dim, T) states, ``excitation`` a dense matrix."""
     states = propagate(ham, psi0, times)
     expected = dr.propagate(ham.mat, psi0, times)
     size = max(1.0, times[-1] * float(np.max(np.abs(ham.mat))))
@@ -62,7 +62,7 @@ def dense_record(ham, excitation, psi0, times) -> dict:
         "pop3": occ[:, 2] @ weights,
         "n_photon": photons @ weights,
         "norm": np.sqrt(np.sum(weights, axis=0)),
-        "excitation": expect(excitation.mat),
+        "excitation": expect(excitation),
         "energy": expect(ham.mat),
         "leakage": (table.photons == ham.spec.n_max).astype(float) @ weights,
     }
@@ -96,13 +96,20 @@ def trajectories(draw):
     return spec, h, psi0, grid
 
 
+def expectation_series(ham, psi0, times, observable) -> np.ndarray:
+    """<psi(t)| observable |psi(t)> per sample, by the kernel that gives evolve its energy."""
+    _, chunks = dynamics._trajectory(ham, psi0, times, (observable,))
+    return np.concatenate([values[0] for _, _, values in chunks])
+
+
 @settings(max_examples=60, deadline=None)
 @given(trajectories())
 def test_record_matches_dense_formulas(model):
+    """The excitation series, read from the labels, against the dense <psi| N |psi>."""
     spec, h, psi0, grid = model
-    ham, excitation = build_hamiltonian(spec, h), excitation_operator(spec, h.scheme)
-    record = evolve(ham, psi0, grid, excitation)
-    dense = dense_record(ham, excitation, psi0, grid.times)
+    ham = build_hamiltonian(spec, h)
+    record = evolve(ham, psi0, grid, excitation_count(spec, h.scheme))
+    dense = dense_record(ham, dr.excitation(spec, h.scheme), psi0, grid.times)
     size = max(1.0, float(np.max(np.abs(ham.mat))), spec.atoms + spec.n_max)
     for name, series in dense.items():
         assert np.max(np.abs(getattr(record, name) - series)) <= TOL * size, name
@@ -111,8 +118,8 @@ def test_record_matches_dense_formulas(model):
     # a field quadrature couples the occupied blocks to unoccupied ones
     a = lift(spec, element_sum(FIELD, spec, [field_elements(spec, "annihilate")]))
     quadrature = element_sum(PRODUCT, spec, [a.elements(), a.dag().elements()])
-    dense_quadrature = dense_record(ham, quadrature, psi0, grid.times)["excitation"]
-    series = evolve(ham, psi0, grid, quadrature).excitation
+    dense_quadrature = dense_record(ham, quadrature.mat, psi0, grid.times)["excitation"]
+    series = expectation_series(ham, psi0, grid.times, quadrature)
     assert np.max(np.abs(series - dense_quadrature)) <= TOL * size
 
 
@@ -123,7 +130,7 @@ def test_zero_state_gives_the_zero_record(scheme):
                         1.0, g31=0.1, g32=0.1, g21=0.1)
     ham, psi0 = build_hamiltonian(spec, h), np.zeros(spec.product_dim, dtype=np.complex128)
     grid = TimeGrid(10.0, 7)
-    record = evolve(ham, psi0, grid, excitation_operator(spec, scheme))
+    record = evolve(ham, psi0, grid, excitation_count(spec, scheme))
     for name in ("pop1", "pop2", "pop3", "n_photon", "norm", "excitation", "energy",
                  "leakage"):
         assert np.array_equal(getattr(record, name), np.zeros(7)), name
@@ -137,7 +144,7 @@ def test_fock_start_holds_no_dense_state_matrix(scheme, atomic, monkeypatch):
     spec = SpaceSpec(6, 12)
     h = HamiltonianSpec(scheme, (0.0, 0.0, 3.0) if scheme == LAMBDA else (0.0, 3.0, 3.0),
                         1.0, g31=0.1, g32=0.1, g21=0.1)
-    ham, excitation = build_hamiltonian(spec, h), excitation_operator(spec, scheme)
+    ham, excitation = build_hamiltonian(spec, h), excitation_count(spec, scheme)
     psi0 = prepare_initial(spec, InitialState(atomic, ("fock", 0)), h)
     grid = TimeGrid(1000.0, 2001)
 
@@ -170,11 +177,14 @@ def occupied_rows(ham, psi0) -> int:
     return int(np.isin(labels, labels[psi0 != 0]).sum())
 
 
-def chunked(ham, psi0, grid, observable, samples):
-    """evolve and propagate with CHUNK_ENTRIES set for ``samples`` per time chunk."""
+def chunked(ham, psi0, grid, count, samples, observable=None):
+    """evolve, propagate and the expectation_series of ``observable`` (None if there is
+    none) with CHUNK_ENTRIES set for ``samples`` per time chunk."""
     with pytest.MonkeyPatch.context() as monkeypatch:
         monkeypatch.setattr(dynamics, "CHUNK_ENTRIES", samples * max(1, occupied_rows(ham, psi0)))
-        return evolve(ham, psi0, grid, observable), propagate(ham, psi0, grid.times)
+        series = (None if observable is None
+                  else expectation_series(ham, psi0, grid.times, observable))
+        return evolve(ham, psi0, grid, count), propagate(ham, psi0, grid.times), series
 
 
 SERIES = ("pop1", "pop2", "pop3", "n_photon", "norm", "excitation", "energy", "leakage")
@@ -190,18 +200,20 @@ def test_time_chunks_do_not_change_the_trajectory(model, zero, use_quadrature, s
     spec, h, psi0, grid = model
     if zero:
         psi0 = np.zeros_like(psi0)
-    ham = build_hamiltonian(spec, h)
+    ham, count = build_hamiltonian(spec, h), excitation_count(spec, h.scheme)
+    observable = None
     if use_quadrature:  # couples the occupied blocks to unoccupied ones
         a = lift(spec, element_sum(FIELD, spec, [field_elements(spec, "annihilate")]))
         observable = element_sum(PRODUCT, spec, [a.elements(), a.dag().elements()])
-    else:
-        observable = excitation_operator(spec, h.scheme)
-    record, states = chunked(ham, psi0, grid, observable, samples)
-    whole_record, whole_states = chunked(ham, psi0, grid, observable, 8 * grid.n_samples)
+    record, states, series = chunked(ham, psi0, grid, count, samples, observable)
+    whole_record, whole_states, whole_series = chunked(ham, psi0, grid, count,
+                                                       8 * grid.n_samples, observable)
     size = max(1.0, float(np.max(np.abs(ham.mat))), spec.atoms + spec.n_max)
     for name in SERIES:
         assert np.max(np.abs(getattr(record, name) - getattr(whole_record, name))) \
             <= 1e-13 * size, name
+    if use_quadrature:
+        assert np.max(np.abs(series - whole_series)) <= 1e-13 * size
     assert np.max(np.abs(states - whole_states)) <= 1e-13
     assert record.truncation_safe == whole_record.truncation_safe
     if zero:
@@ -220,14 +232,14 @@ def test_aligned_chunks_give_the_one_chunk_bits(scheme, energies, atomic, photon
     joining a one-sample tail) give the one-chunk record and states bit for bit."""
     spec = SpaceSpec(8, 16)
     h = HamiltonianSpec(scheme, energies, 1.0, g31=0.1, g32=0.07, g21=0.13)
-    ham, excitation = build_hamiltonian(spec, h), excitation_operator(spec, scheme)
+    ham, count = build_hamiltonian(spec, h), excitation_count(spec, scheme)
     psi0 = prepare_initial(spec, InitialState(atomic, ("fock", photons)), h)
     grid = TimeGrid(1000.0, 2001)
-    whole_record, whole_states = chunked(ham, psi0, grid, excitation, 8 * grid.n_samples)
+    whole_record, whole_states, _ = chunked(ham, psi0, grid, count, 8 * grid.n_samples)
     default = CHUNK_ENTRIES // occupied_rows(ham, psi0)
     assert 8 < default < grid.n_samples  # the default walks several chunks
     for samples in (8, 96, default):
-        record, states = chunked(ham, psi0, grid, excitation, samples)
+        record, states, _ = chunked(ham, psi0, grid, count, samples)
         for name in SERIES:
             assert np.array_equal(getattr(record, name), getattr(whole_record, name)), name
         assert np.array_equal(states, whole_states)
@@ -250,7 +262,7 @@ def test_evolve_memory_grows_only_with_the_record():
     """Ten times the samples cost the record's nine float series and no more than
     a small slack: no (rows, T) array."""
     spec = SpaceSpec(8, 16)
-    ham, excitation = build_hamiltonian(spec, VEE_H), excitation_operator(spec, VEE)
+    ham, excitation = build_hamiltonian(spec, VEE_H), excitation_count(spec, VEE)
     psi0 = prepare_initial(spec, InitialState((0, 0, 8), ("fock", 0)), VEE_H)
     short, long = (traced_peak(lambda: evolve(ham, psi0, TimeGrid(1000.0, n), excitation))
                    for n in (2001, 20001))
