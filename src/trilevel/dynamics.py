@@ -184,27 +184,24 @@ def prepare_initial(spec: SpaceSpec, init: InitialState,
     return psi / np.linalg.norm(psi)
 
 
-def _trajectory(ham: OperatorMatrix, psi0: np.ndarray, times: np.ndarray,
-                observables: tuple[OperatorMatrix, ...] = ()):
+def _trajectory(ham: OperatorMatrix, psi0: np.ndarray, times: np.ndarray):
     """psi(t) = exp(-i H t) psi0 on the blocks of H that psi0 occupies, each
     diagonalized once, walked through ``times`` in chunks of about
     max(1, CHUNK_ENTRIES // rows) samples, so no array grows with rows x T.
 
-    Returns (rows, chunks); each chunk is (span, psi, values) for the samples
-    times[span]: psi[k] = psi(t)[rows[k]], psi[-1] = 0 for every other index,
-    and values[j] = <psi(t)| observables[j] |psi(t)>.
+    Returns (rows, chunks); each chunk is (span, psi, energy) for the samples
+    times[span]: psi[k] = psi(t)[rows[k]], every other index being 0, and energy
+    = <psi(t)| H |psi(t)>, summed group by group over the stored stacks of those blocks.
     """
     if not ham.is_hermitian():
         raise ValueError("Hamiltonian is not Hermitian")
     if psi0.shape != (ham.dim,):
         raise ValueError(f"state dimension {psi0.shape} does not match {ham.dim}")
-    groups = [(idx, w, v, np.einsum("mba,mb->ma", v.conj(), psi0[idx])[:, :, None])
-              for idx, w, v in hermitian_blocks(ham, support=psi0 != 0)]
+    support = psi0 != 0
+    groups = [(idx, stack, w, v, np.einsum("mba,mb->ma", v.conj(), psi0[idx])[:, :, None])
+              for (idx, stack), (_, w, v) in zip(stored_stacks(ham, support),
+                                                 hermitian_blocks(ham, support))]
     rows = np.concatenate([np.zeros(0, np.intp)] + [idx.ravel() for idx, *_ in groups])
-    pos = np.full(ham.dim, len(rows))  # indices off the blocks read the zero row
-    pos[rows] = np.arange(len(rows))
-    stacks = [[(pos[idx], stack) for idx, stack in stored_stacks(op, pos < len(rows))]
-              for op in observables]
     # Chunks start at multiples of 8 samples where they can, and a one-sample tail
     # joins the chunk before it, so that every sample meets the column blocking of one
     # whole-grid BLAS product (groups of 2, 4 or 8; a single column takes another kernel).
@@ -218,25 +215,19 @@ def _trajectory(ham: OperatorMatrix, psi0: np.ndarray, times: np.ndarray,
     def chunks():
         for start, stop in zip(starts, starts[1:] + [len(times)]):
             t = times[start:stop]
-            psi = np.zeros((len(rows) + 1, len(t)), dtype=np.complex128)
+            psi = np.zeros((len(rows), len(t)), dtype=np.complex128)
+            energy = np.zeros(len(t))
             at = 0
-            for idx, w, v, coefficients in groups:
+            for idx, stack, w, v, coefficients in groups:
                 phases = np.exp(np.multiply.outer(w, -1j * t))  # (m, b, t)
                 phases *= coefficients
-                np.matmul(v, phases, out=psi[at:at + idx.size].reshape(phases.shape))
+                x = psi[at:at + idx.size].reshape(phases.shape)
+                np.matmul(v, phases, out=x)
+                energy += np.einsum("mbt,mbt->t", x.conj(), stack @ x).real
                 at += idx.size
-            yield slice(start, stop), psi, [_expect(s, psi) for s in stacks]
+            yield slice(start, stop), psi, energy
 
     return rows, chunks()
-
-
-def _expect(stacks: list, psi: np.ndarray) -> np.ndarray:
-    """<psi(t)| op |psi(t)> per sample from the (rows, block) stacks of op, rows into psi."""
-    out = np.zeros(psi.shape[1])
-    for at, stack in stacks:
-        x = psi[at]  # (m, b, t)
-        out += np.einsum("mbt,mbt->t", x.conj(), stack @ x).real
-    return out
 
 
 def propagate(ham: OperatorMatrix, psi0: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -245,7 +236,7 @@ def propagate(ham: OperatorMatrix, psi0: np.ndarray, times: np.ndarray) -> np.nd
     rows, chunks = _trajectory(ham, psi0, times)
     states = np.zeros((ham.dim, len(times)), dtype=np.complex128)
     for span, psi, _ in chunks:
-        states[rows, span] = psi[:-1]
+        states[rows, span] = psi
     return states
 
 
@@ -262,7 +253,7 @@ def evolve(ham: OperatorMatrix, psi0: np.ndarray, grid: TimeGrid,
         raise ValueError("evolve expects a product-space Hamiltonian")
     spec = ham.spec
     times = grid.times
-    rows, chunks = _trajectory(ham, psi0, times, (ham,))
+    rows, chunks = _trajectory(ham, psi0, times)
     table = index_map(spec)
     occupations = table.occupations[rows].T.astype(float)
     photons = table.photons[rows].astype(float)
@@ -270,13 +261,13 @@ def evolve(ham: OperatorMatrix, psi0: np.ndarray, grid: TimeGrid,
     top = (table.photons[rows] == spec.n_max).astype(float)
     # pop1, pop2, pop3, n_photon, norm, excitation, energy, leakage
     series = np.empty((8, len(times)))
-    for span, psi, values in chunks:
-        weights = np.abs(psi[:-1]) ** 2
+    for span, psi, energy in chunks:
+        weights = np.abs(psi) ** 2
         series[:3, span] = occupations @ weights
         series[3, span] = photons @ weights
         series[4, span] = np.sqrt(np.sum(weights, axis=0))
         series[5, span] = excitation @ weights
-        series[6, span] = values[0]
+        series[6, span] = energy
         series[7, span] = top @ weights
     return TrajectoryRecord(
         times, *series, truncation_safe=bool(np.max(series[7]) <= LEAKAGE_LIMIT))
@@ -394,7 +385,8 @@ def semiclassical_sweep(atoms: int, n_bars: list[float]) -> SweepResult:
     the fitted log-log slope is returned alongside the table.  Couplings are
     rescaled so g sqrt(n_bar) stays constant (recorded per row; the factors
     themselves do not depend on the couplings).
-    The n_bar = 0 endpoint is reported without a relative difference.
+    The n_bar = 0 endpoint is reported without a relative difference.  An n_bar whose
+    coupling scale or relative difference is not a finite float raises ValueError.
     """
     reference = next((nb for nb in n_bars if nb > 0), 1.0)
     rows = []
@@ -409,6 +401,9 @@ def semiclassical_sweep(atoms: int, n_bars: list[float]) -> SweepResult:
         f_lambda = float(enhancement_factor(LAMBDA, (atoms, 0, 0), mean_n))
         f_vee = float(enhancement_factor(VEE, (0, 0, atoms), mean_n))
         rel = abs(f_vee - abs(f_lambda)) / n_bar if n_bar > 0 else None
+        if not math.isfinite(scale) or (rel is not None and not math.isfinite(rel)):
+            raise ValueError(f"n_bar = {n_bar!r} gives a coupling scale {scale!r} and a "
+                             f"relative difference {rel!r}; both must be finite")
         rows.append(SweepRow(n_bar, n_max, scale, f_lambda, f_vee, rel))
 
     fit_rows = [(r.n_bar, r.rel_difference) for r in rows

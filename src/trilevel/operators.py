@@ -147,10 +147,6 @@ class BlockPartition:
             start += m * b * b
         return out
 
-    @property
-    def size(self) -> int:
-        return self.stacks[-1][1].stop
-
     @cached_property
     def slots(self) -> tuple[np.ndarray, np.ndarray]:
         """(row, col) offsets per index: element (r, c) of a block is stored
@@ -175,15 +171,23 @@ def _views(layout: BlockPartition, data: np.ndarray, run: slice = slice(None)) -
 
 
 def _write(layout: BlockPartition, rows: np.ndarray, cols: np.ndarray,
-           values: np.ndarray) -> np.ndarray:
-    """Flat storage in ``layout`` of the elements (rows, cols, values).
+           values: np.ndarray, run: slice = slice(None)) -> np.ndarray:
+    """Flat storage in ``layout`` of the elements (rows, cols, values): of every size group,
+    or of those in ``run`` (a slice of layout.stacks, one of _runs).  The one code that
+    places element values in flat storage; dag and unitary_exp store whole stacks.
 
-    Repeated elements add up in their order; elements that lie in no block
-    must be zero and are dropped."""
-    inside = layout.labels[rows] == layout.labels[cols]
+    Repeated elements add up in their order onto +0.0 (-0.0 is stored as +0.0); elements in
+    the groups outside ``run`` are left out, and elements that lie in no block must be
+    zero and are dropped."""
+    stacks = layout.stacks[run]
+    start, stop = stacks[0][1].start, stacks[-1][1].stop
     row, col = layout.slots
-    data = np.zeros(layout.size, dtype=np.complex128)
-    np.add.at(data, row[rows[inside]] + col[cols[inside]], values[inside])
+    at = row[rows]  # in the run's storage exactly when the row's block is
+    keep = np.flatnonzero((start <= at) & (at < stop))
+    rows, cols, values, at = rows[keep], cols[keep], values[keep], at[keep]
+    inside = layout.labels[rows] == layout.labels[cols]
+    data = np.zeros(stop - start, dtype=np.complex128)
+    np.add.at(data, at[inside] + col[cols[inside]] - start, values[inside])
     return data
 
 
@@ -192,11 +196,12 @@ class OperatorMatrix:
 
     ``data`` is the flat complex storage in the partition ``layout`` (one block is
     ``_one_block(dim)``), read-only, so values can be shared freely between workers;
-    ``mat`` reads back a read-only dense matrix, built on each access, for the
-    tests and the benchmark's byte count.  The layout is the only partition, and
-    every kernel reads its stacks.  Each writer sets it: ``element_sum`` to the
-    components of its written nonzero values, ``unitary_exp`` to the generator's
-    partition, and ``@`` to one block.
+    ``mat`` reads back a read-only dense matrix, its ``elements`` written (_write) in one
+    block on each access, for the tests and the benchmark's byte count.  The layout is
+    the only partition: kernels read its stacks, or write the elements into another
+    partition by _write.  Each writer sets it: ``element_sum`` to the components of its
+    written nonzero values, ``unitary_exp`` to the generator's partition, and ``@`` to
+    one block.
     """
 
     def __init__(self, space: str, spec: SpaceSpec, data: np.ndarray,
@@ -224,24 +229,6 @@ class OperatorMatrix:
             cols.append(idx[k, c])
             values.append(stack[k, r, c])
         return np.concatenate(rows), np.concatenate(cols), np.concatenate(values)
-
-    def _in(self, layout: BlockPartition, runs: list = (slice(None),)):
-        """Flat storage, in turn, of the ``runs`` (ascending slices covering layout.stacks) of
-        ``layout``, which the stored partition refines: stored blocks scattered, zeros +0.0."""
-        row, col = layout.slots
-        starts = [layout.stacks[run][0][1].start for run in runs]
-        parts = [[] for _ in runs]  # per run: the stored stacks with blocks in it
-        for idx, stack in _views(self._layout, self._data):
-            at = np.searchsorted(starts, row[idx[:, 0]], side="right") - 1
-            for k in set(at.tolist()):
-                parts[k].append((idx, stack, at == k))
-        for run, start, stored in zip(runs, starts, parts):
-            data = np.zeros(layout.stacks[run][-1][1].stop - start, dtype=np.complex128)
-            for idx, stack, keep in stored:
-                idx, stack = (idx, stack) if keep.all() else (idx[keep], stack[keep])
-                data[(row[idx] - start)[:, :, None] + col[idx][:, None, :]] = stack
-            data += 0.0  # -0.0 stored as +0.0
-            yield data
 
     def dag(self) -> "OperatorMatrix":
         data = [s.swapaxes(1, 2).conj().ravel() for _, s in _views(self._layout, self._data)]
@@ -279,8 +266,8 @@ class OperatorMatrix:
 
 
 def _dense(op: OperatorMatrix) -> np.ndarray:
-    """Read-only dense matrix of ``op``: its storage in one block."""
-    mat = next(op._in(_one_block(op.dim))).reshape(op.dim, op.dim)
+    """Read-only dense matrix of ``op``: its elements written in one block."""
+    mat = _write(_one_block(op.dim), *op.elements()).reshape(op.dim, op.dim)
     mat.setflags(write=False)
     return mat
 
@@ -455,15 +442,16 @@ def conjugation_residual(h: OperatorMatrix, unitaries: list[OperatorMatrix],
     """Largest |W H W^dag - reference| (0.0 if none) where ``where(rows, cols)`` holds on
     index arrays broadcast over each (m, b, b) stack (everywhere if None), W the product of
     ``unitaries``: (((W1 W2) H) W2^dag) W1^dag per sector of ``conserved`` (a label per state),
-    _runs of sectors scattered in turn.  ValueError on a stored block across two sectors."""
+    each operand's elements read once and written (_write) one _runs run of sectors at a
+    time.  ValueError on a stored block across two sectors."""
     _, first, inverse = np.unique(conserved, return_index=True, return_inverse=True)
     sectors = BlockPartition.from_labels(first[inverse])
     for op in (h, *unitaries, reference):
         if (sectors.labels[op._layout.labels] != sectors.labels).any():
             raise ValueError("an operand has a stored block across sectors of the conserved label")
-    out, runs = 0.0, list(_runs(sectors))
-    for run, *parts in zip(runs, *(op._in(sectors, runs) for op in (h, reference, *unitaries))):
-        stacks = [[s for _, s in _views(sectors, part, run)] for part in parts]
+    out, elements = 0.0, [op.elements() for op in (h, reference, *unitaries)]
+    for run in _runs(sectors):
+        stacks = [[s for _, s in _views(sectors, _write(sectors, *e, run), run)] for e in elements]
         for idx, ham, ref, *w in zip(sectors.groups[run], *stacks):
             product = functools.reduce(np.matmul, w) @ ham
             for u in reversed(w):

@@ -1,11 +1,11 @@
 """Batched kernels against the one-call-per-item code they replace.
 
-Re-blocking by slots must store the same bits as writing the nonzero
-elements (zero signs included), a batched ``eigh`` the same bits as one call
-per block, the stacked u3 check the same residuals as one dense commutator
-per identity (``dense_reference``), and the column-wise CSV writers the same
-bytes as the per-element ``repr`` writer.  Each reference is kept in the tests,
-not in the package.
+Writing one run of size groups must store the same bits as that run's slice
+of writing every group (zero signs included), a batched ``eigh`` the same
+bits as one call per block, the stacked u3 check the same residuals as one
+dense commutator per identity (``dense_reference``), and the column-wise CSV
+writers the same bytes as the per-element ``repr`` writer.  Each reference
+is kept in the tests, not in the package.
 """
 
 import itertools
@@ -28,6 +28,7 @@ from trilevel.hamiltonian import HamiltonianSpec, build_hamiltonian, excitation_
 from trilevel.hilbert import SpaceSpec
 from trilevel.operators import (
     LEVELS,
+    BlockPartition,
     OperatorMatrix,
     _one_block,
     _runs,
@@ -57,19 +58,35 @@ def reblocked_operators(pool, first, second):
 @settings(max_examples=60, deadline=None)
 @given(operator_pools())
 def test_reblocking_equals_writing_the_elements(model):
+    """A run of size groups written alone is that run's slice of the whole write, and the
+    whole write in the stored partition is the stored storage with zeros as +0.0."""
     _, pool, first, second = model
     count = np.rint(pool["excitation"].mat.diagonal().real)
     for op in reblocked_operators(pool, first, second):
-        for layout in (sectors(count), _one_block(op.dim)):
-            if layout is op._layout or not conserves(op, layout):
-                continue  # no re-blocking, or a stored block across two blocks of the layout
-            written = _write(layout, *op.elements())
-            assert same_bits(next(op._in(layout)), written)
+        elements = op.elements()
+        for layout in (sectors(count), _one_block(op.dim), op._layout):
+            if not conserves(op, layout):
+                continue  # a stored block across two blocks of the layout
+            written = _write(layout, *elements)
+            if layout is op._layout:
+                assert same_bits(written, op._data + 0.0)
             every_group = [slice(k, k + 1) for k in range(len(layout.stacks))]
-            for runs in (list(_runs(layout)), every_group):  # a run of size groups at a time
-                for run, data in zip(runs, op._in(layout, runs), strict=True):
-                    stacks = layout.stacks[run]
-                    assert same_bits(data, written[stacks[0][1].start:stacks[-1][1].stop])
+            for run in list(_runs(layout)) + every_group:  # a run of size groups at a time
+                stacks = layout.stacks[run]
+                assert same_bits(_write(layout, *elements, run),
+                                 written[stacks[0][1].start:stacks[-1][1].stop])
+
+
+def test_zero_elements_between_blocks_are_dropped():
+    """Zero elements off the blocks (element_sum writes them for zero coefficients) leave
+    every run's storage as it is, also where their slot would lie past the run's end."""
+    layout = BlockPartition.from_labels(np.array([0, 1, 1]))  # blocks {0} and {1, 2}
+    rows, cols = np.array([0, 1, 0, 2]), np.array([0, 2, 2, 0])
+    values = np.array([1.0, 2.0, -0.0, 0.0], dtype=np.complex128)
+    stored = np.array([1.0, 0.0, 2.0, 0.0, 0.0], dtype=np.complex128)  # [1], [[0, 2], [0, 0]]
+    for run, part in ((slice(0, 1), slice(0, 1)), (slice(1, 2), slice(1, 5)),
+                      (slice(None), slice(None))):
+        assert same_bits(_write(layout, rows, cols, values, run), stored[part])
 
 
 @settings(max_examples=40, deadline=None)
@@ -185,7 +202,8 @@ def test_spectrum_csv_matches_the_per_element_writer(tmp_path, monkeypatch, chun
     assert (tmp_path / "spectrum.csv").read_text() == "\n".join(lines) + "\n"
 
 
-def test_reblocking_reads_no_elements(monkeypatch):
+def test_reblocking_reads_no_elements():
+    """Products, the sector residual and the batched eigh on operators of three partitions."""
     spec = SpaceSpec(3, 4)
     ham = build_hamiltonian(spec, HamiltonianSpec("vee", (0.0, 3.0, 3.0), 1.0,
                                                   g31=0.1, g21=0.1))
@@ -193,12 +211,7 @@ def test_reblocking_reads_no_elements(monkeypatch):
     dense = OperatorMatrix(operators.PRODUCT, spec, (ham.mat + x.mat).ravel(),
                            _one_block(spec.product_dim))
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("re-blocking read the elements")
-
     u = unitary_exp(ham, 0.3)
-    monkeypatch.setattr(OperatorMatrix, "elements", refuse)
-    monkeypatch.setattr(operators, "_write", refuse)
     for op in (ham @ x, x @ dense, dense @ ham):
         assert op.mat.shape == (spec.product_dim,) * 2
     assert conjugation_residual(ham, [u], ham, excitation_count(spec, "vee")) <= 1e-12

@@ -84,7 +84,7 @@ def test_both_modes_need_no_block_product_and_no_dense_read(monkeypatch):
         raise AssertionError("the identity checks went through the block path")
 
     monkeypatch.setattr(OperatorMatrix, "__matmul__", refuse)
-    monkeypatch.setattr(OperatorMatrix, "_in", refuse)
+    monkeypatch.setattr(operators, "_write", refuse)
     monkeypatch.setattr(operators, "_dense", refuse)
     assert [verify_algebra(*call) for call in calls] == expected
 

@@ -230,3 +230,13 @@ def test_sweep_beyond_708_runs(tmp_path):
     assert run(tmp_path, "sweep", with_value("sweep.n_bar", "4,744")) == 0
     rows = json.loads((tmp_path / "o" / "sweep.json").read_text())["rows"]
     assert [row["n_max"] for row in rows] == [22, required_fock_cutoff(math.sqrt(744))]
+
+
+@pytest.mark.parametrize("n_bars, named", [("1e-320,4", "1e-320"), ("1000,1e-306", "1e-306")])
+def test_sweep_row_that_is_not_finite_fails_before_any_output(n_bars, named, tmp_path, capsys):
+    """An n_bar near 0 overflows the relative difference (1e-320) or, beside a large
+    first n_bar, the coupling scale (1e-306): a config error naming it, no Infinity written."""
+    assert run(tmp_path, "sweep", with_value("sweep.n_bar", n_bars)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: n_bar = {named} ") and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()

@@ -152,17 +152,14 @@ def attributes(node) -> set[str]:
     return {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
 
 
-def test_every_public_library_name_has_a_caller_outside_the_tests():
-    """Each public module-level function and class in src/trilevel is referred to
-    outside its own definition, and each public method and property of those classes
-    is read as an attribute outside its own definition: by the package, by scripts/
-    or by perfbench/."""
-    root = PACKAGE.parents[1]
+def library_definitions(outside: set[str]) -> list[tuple[str, ast.AST, set[str]]]:
+    """(dotted name, node, names referred to elsewhere) per module-level function and class
+    in src/trilevel and per method of those classes.  Elsewhere is ``outside`` and the
+    names of the other module-level statements; for a method, the attributes they and the
+    class's other members read."""
     statements = [(stem, node) for stem, tree in (
         (path.stem, ast.parse(path.read_text())) for path in sorted(PACKAGE.glob("*.py")))
         for node in tree.body]
-    outside = set().union(*(referred(ast.parse(path.read_text()), strings=True) for folder in
-                            ("scripts", "perfbench") for path in (root / folder).glob("*.py")))
     names = [referred(node) for _, node in statements]
     defined = [(f"{stem}.{node.name}", node, outside.union(*names[:k], *names[k + 1:]))
                for k, (stem, node) in enumerate(statements)
@@ -172,8 +169,32 @@ def test_every_public_library_name_has_a_caller_outside_the_tests():
                     *read[:k], *read[k + 1:], *(attributes(m) for m in node.body if m is not member)))
                 for k, (stem, node) in enumerate(statements) if isinstance(node, ast.ClassDef)
                 for member in node.body if isinstance(member, ast.FunctionDef)]
+    return defined
+
+
+def test_every_public_library_name_has_a_caller_outside_the_tests():
+    """Each public module-level function and class in src/trilevel is referred to
+    outside its own definition, and each public method and property of those classes
+    is read as an attribute outside its own definition: by the package, by scripts/
+    or by perfbench/."""
+    root = PACKAGE.parents[1]
+    outside = set().union(*(referred(ast.parse(path.read_text()), strings=True) for folder in
+                            ("scripts", "perfbench") for path in (root / folder).glob("*.py")))
+    defined = library_definitions(outside)
     unreferenced = [name for name, node, elsewhere in defined
                     if not node.name.startswith("_") and node.name not in elsewhere]
-    assert len(statements) > 100 and "lift" in outside
+    assert len(defined) > 100 and "lift" in outside
     assert "operators.OperatorMatrix.dag" in {name for name, _, _ in defined}
     assert sorted(unreferenced) == sorted(UNREFERENCED)
+
+
+def test_every_private_library_name_has_a_caller_in_the_package():
+    """Each private module-level function and class in src/trilevel, and each private
+    method of those classes but the dunder ones, is referred to by the package outside
+    its own definition; the tests, scripts/ and perfbench/ do not count."""
+    defined = library_definitions(set())
+    private = [(name, node, elsewhere) for name, node, elsewhere in defined
+               if node.name.startswith("_") and not node.name.endswith("__")]
+    assert {"operators._write", "operators.OperatorMatrix._hermitian_defect"} <= {
+        name for name, _, _ in private}
+    assert [name for name, node, elsewhere in private if node.name not in elsewhere] == []

@@ -37,8 +37,7 @@ from trilevel.hamiltonian import (
     excitation_count,
 )
 from trilevel.hilbert import SpaceSpec, index_map
-from trilevel.operators import (CHUNK_ENTRIES, FIELD, PRODUCT, OperatorMatrix, element_sum,
-                                 field_elements, lift)
+from trilevel.operators import CHUNK_ENTRIES, OperatorMatrix
 
 TOL = 1e-12
 
@@ -96,12 +95,6 @@ def trajectories(draw):
     return spec, h, psi0, grid
 
 
-def expectation_series(ham, psi0, times, observable) -> np.ndarray:
-    """<psi(t)| observable |psi(t)> per sample, by the kernel that gives evolve its energy."""
-    _, chunks = dynamics._trajectory(ham, psi0, times, (observable,))
-    return np.concatenate([values[0] for _, _, values in chunks])
-
-
 @settings(max_examples=60, deadline=None)
 @given(trajectories())
 def test_record_matches_dense_formulas(model):
@@ -114,13 +107,6 @@ def test_record_matches_dense_formulas(model):
     for name, series in dense.items():
         assert np.max(np.abs(getattr(record, name) - series)) <= TOL * size, name
     assert record.truncation_safe == bool(np.max(dense["leakage"]) <= 1e-6)
-
-    # a field quadrature couples the occupied blocks to unoccupied ones
-    a = lift(spec, element_sum(FIELD, spec, [field_elements(spec, "annihilate")]))
-    quadrature = element_sum(PRODUCT, spec, [a.elements(), a.dag().elements()])
-    dense_quadrature = dense_record(ham, quadrature.mat, psi0, grid.times)["excitation"]
-    series = expectation_series(ham, psi0, grid.times, quadrature)
-    assert np.max(np.abs(series - dense_quadrature)) <= TOL * size
 
 
 @pytest.mark.parametrize("scheme", [LAMBDA, VEE])
@@ -177,22 +163,19 @@ def occupied_rows(ham, psi0) -> int:
     return int(np.isin(labels, labels[psi0 != 0]).sum())
 
 
-def chunked(ham, psi0, grid, count, samples, observable=None):
-    """evolve, propagate and the expectation_series of ``observable`` (None if there is
-    none) with CHUNK_ENTRIES set for ``samples`` per time chunk."""
+def chunked(ham, psi0, grid, count, samples):
+    """evolve and propagate with CHUNK_ENTRIES set for ``samples`` per time chunk."""
     with pytest.MonkeyPatch.context() as monkeypatch:
         monkeypatch.setattr(dynamics, "CHUNK_ENTRIES", samples * max(1, occupied_rows(ham, psi0)))
-        series = (None if observable is None
-                  else expectation_series(ham, psi0, grid.times, observable))
-        return evolve(ham, psi0, grid, count), propagate(ham, psi0, grid.times), series
+        return evolve(ham, psi0, grid, count), propagate(ham, psi0, grid.times)
 
 
 SERIES = ("pop1", "pop2", "pop3", "n_photon", "norm", "excitation", "energy", "leakage")
 
 
 @settings(max_examples=80, deadline=None)
-@given(trajectories(), st.booleans(), st.booleans(), st.sampled_from([1, 7, 8]))
-def test_time_chunks_do_not_change_the_trajectory(model, zero, use_quadrature, samples):
+@given(trajectories(), st.booleans(), st.sampled_from([1, 7, 8]))
+def test_time_chunks_do_not_change_the_trajectory(model, zero, samples):
     """Chunks of 1, 7 or 8 samples against one chunk of >= T samples, to 1e-13 of
     the scale: a BLAS product takes another kernel for a single column, for the
     columns left over from its groups of 2, 4 or 8, and for some small sizes, so
@@ -201,19 +184,12 @@ def test_time_chunks_do_not_change_the_trajectory(model, zero, use_quadrature, s
     if zero:
         psi0 = np.zeros_like(psi0)
     ham, count = build_hamiltonian(spec, h), excitation_count(spec, h.scheme)
-    observable = None
-    if use_quadrature:  # couples the occupied blocks to unoccupied ones
-        a = lift(spec, element_sum(FIELD, spec, [field_elements(spec, "annihilate")]))
-        observable = element_sum(PRODUCT, spec, [a.elements(), a.dag().elements()])
-    record, states, series = chunked(ham, psi0, grid, count, samples, observable)
-    whole_record, whole_states, whole_series = chunked(ham, psi0, grid, count,
-                                                       8 * grid.n_samples, observable)
+    record, states = chunked(ham, psi0, grid, count, samples)
+    whole_record, whole_states = chunked(ham, psi0, grid, count, 8 * grid.n_samples)
     size = max(1.0, float(np.max(np.abs(ham.mat))), spec.atoms + spec.n_max)
     for name in SERIES:
         assert np.max(np.abs(getattr(record, name) - getattr(whole_record, name))) \
             <= 1e-13 * size, name
-    if use_quadrature:
-        assert np.max(np.abs(series - whole_series)) <= 1e-13 * size
     assert np.max(np.abs(states - whole_states)) <= 1e-13
     assert record.truncation_safe == whole_record.truncation_safe
     if zero:
@@ -235,11 +211,11 @@ def test_aligned_chunks_give_the_one_chunk_bits(scheme, energies, atomic, photon
     ham, count = build_hamiltonian(spec, h), excitation_count(spec, scheme)
     psi0 = prepare_initial(spec, InitialState(atomic, ("fock", photons)), h)
     grid = TimeGrid(1000.0, 2001)
-    whole_record, whole_states, _ = chunked(ham, psi0, grid, count, 8 * grid.n_samples)
+    whole_record, whole_states = chunked(ham, psi0, grid, count, 8 * grid.n_samples)
     default = CHUNK_ENTRIES // occupied_rows(ham, psi0)
     assert 8 < default < grid.n_samples  # the default walks several chunks
     for samples in (8, 96, default):
-        record, states, _ = chunked(ham, psi0, grid, count, samples)
+        record, states = chunked(ham, psi0, grid, count, samples)
         for name in SERIES:
             assert np.array_equal(getattr(record, name), getattr(whole_record, name)), name
         assert np.array_equal(states, whole_states)
