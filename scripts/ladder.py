@@ -41,7 +41,7 @@ sys.path.insert(0, str(ROOT / "src"))
 import numpy as np  # noqa: E402
 
 import trilevel.hamiltonian as hamiltonian  # noqa: E402
-from trilevel.dispersive import compare, dispersive_params  # noqa: E402
+from trilevel.dispersive import compare  # noqa: E402
 from trilevel.dynamics import TimeGrid, evolve, prepare_initial, InitialState  # noqa: E402
 from trilevel.hamiltonian import (  # noqa: E402
     VEE,
@@ -106,7 +106,7 @@ def run_rung(atoms: int, n_max: int) -> dict:
             timed(name, lambda: getattr(hamiltonian, name)(spec, H))
         else:
             stages[name] = peaks[name] = None
-    timed("dispersive_compare", lambda: compare(spec, H, dispersive_params(H, 0.0, atoms), guard=2))
+    timed("dispersive_compare", lambda: compare(spec, H, guard=2))
     return {
         "atoms": atoms, "n_max": n_max, "dim": spec.product_dim, "stages_s": stages,
         "traced_peak_mb": peaks,

@@ -11,7 +11,6 @@ from pathlib import Path
 
 from trilevel.hilbert import SpaceSpec
 from trilevel.hamiltonian import LAMBDA, VEE, HamiltonianSpec
-from trilevel.dispersive import dispersive_params
 from trilevel.dynamics import InitialState, TimeGrid, transfer_experiment
 from trilevel.cli import write_trajectory_csv
 
@@ -31,18 +30,14 @@ def main():
 
     h_l = HamiltonianSpec(LAMBDA, (0.0, 0.0, omega + delta), omega,
                           g31=args.g, g32=args.g)
-    p_l = dispersive_params(h_l, 0.0, atoms=1)
-    lam = transfer_experiment(spec, h_l, p_l,
-                              InitialState((1, 0, 0), ("fock", 0)), grid)
+    lam = transfer_experiment(spec, h_l, InitialState((1, 0, 0), ("fock", 0)), grid)
     write_trajectory_csv(args.out / "lambda_vacuum.csv", lam.record)
     print(f"lambda vacuum: max level-2 population {lam.max_partner_population:.3e} "
           f"(bound 10 eps^2 = {10 * args.eps**2:.4f})")
 
     h_v = HamiltonianSpec(VEE, (0.0, omega + delta, omega + delta), omega,
                           g31=args.g, g21=args.g)
-    p_v = dispersive_params(h_v, 0.0, atoms=1)
-    vee = transfer_experiment(spec, h_v, p_v,
-                              InitialState((0, 0, 1), ("fock", 0)), grid)
+    vee = transfer_experiment(spec, h_v, InitialState((0, 0, 1), ("fock", 0)), grid)
     write_trajectory_csv(args.out / "vee_vacuum.csv", vee.record)
     print(f"vee vacuum: max level-2 population {vee.max_partner_population:.4f}, "
           f"half-period {vee.measured_half_period:.1f} "

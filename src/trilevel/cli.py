@@ -37,7 +37,7 @@ from .hamiltonian import (
     rotation_report,
     spectrum,
 )
-from .dispersive import DEFAULT_GUARD, compare, dispersive_params, transfer_prefactor
+from .dispersive import DEFAULT_GUARD, compare, small_params, transfer_prefactor, validity_margin
 from .dynamics import (
     InitialState,
     TimeGrid,
@@ -93,10 +93,6 @@ class RunConfig:
         if self.n_samples is None:
             raise ConfigError("n_samples: required for this command")
         return TimeGrid(self.t_max, self.n_samples)
-
-    def mean_photon_number(self) -> float:
-        kind, value = self.initial_state().field
-        return abs(value) ** 2 if kind == "coherent" else float(value.real)
 
 
 def _scalar(kind, nonnegative: bool = False):
@@ -257,9 +253,9 @@ def cmd_verify(cfg: RunConfig, out: Path) -> int:
     spec = cfg.space
     h = cfg.hamiltonian
     guard = cfg.guard if cfg.guard is not None else DEFAULT_VERIFY_GUARD
-    checks = [_check(r.name, r.residual, r.tolerance) for r in verify_algebra(spec, "u3")]
-    checks += [_check(f"{r.name} (guard={guard})", r.residual, r.tolerance)
-               for r in verify_algebra(spec, "second_order", guard=guard)]
+    checks = [_check(name, r, TOL_ALGEBRA) for name, r in verify_algebra(spec, "u3")]
+    checks += [_check(f"{name} (guard={guard})", r, TOL_ALGEBRA)
+               for name, r in verify_algebra(spec, "second_order", guard=guard)]
 
     if reduced_hamiltonian(h) is not None:  # where spectrum uses the rotated frame
         checks.append(_check("mode rotation maps H onto the reduced Hamiltonian",
@@ -317,10 +313,10 @@ def cmd_dispersive_compare(cfg: RunConfig, out: Path) -> int:
     spec = cfg.space
     h = cfg.hamiltonian
     guard = cfg.guard if cfg.guard is not None else DEFAULT_GUARD
-    p = dispersive_params(h, cfg.mean_photon_number(), spec.atoms)
-    ham, h_eff, residual, order = compare(spec, h, p, guard)
-
     init = cfg.initial_state()
+    margin = validity_margin(h, init.mean_photon_number(), spec.atoms)
+    ham, h_eff, residual, order = compare(spec, h, guard)
+
     grid = cfg.time_grid()
     count = excitation_count(spec, h.scheme)
     psi0 = prepare_initial(spec, init, h)
@@ -337,9 +333,9 @@ def cmd_dispersive_compare(cfg: RunConfig, out: Path) -> int:
         "command": "dispersive-compare",
         "scheme": h.scheme,
         "guard": guard,
-        "small_params": {f"eps{i}{j}": eps for (i, j), eps in p.small_params.items()},
-        "prefactor": transfer_prefactor(h, p),
-        "validity_margin": p.validity_margin,
+        "small_params": {f"eps{i}{j}": eps for (i, j), eps in small_params(h).items()},
+        "prefactor": transfer_prefactor(h),
+        "validity_margin": margin,
         "block_residual": residual,
         "order_estimate": order if math.isfinite(order) else None,
         "max_population_deviation": deviation,
@@ -355,8 +351,7 @@ def cmd_weights(cfg: RunConfig, out: Path) -> int:
     classical = cfg.classical_alpha is not None
     if cfg.classical_alpha == 0:
         raise ConfigError("classical_alpha: must be nonzero (a zero operator has no weight)")
-    alpha = cfg.classical_alpha if classical else 1.0
-    layout = diagram_layout(cfg.hamiltonian.scheme, classical, cfg.space, alpha=alpha)
+    layout = diagram_layout(cfg.hamiltonian.scheme, classical, cfg.space)
     _create(out / "weights.csv").write_text(weight_table(layout))
     (out / "weights.svg").write_bytes(render_svg(layout))
     print(f"weights: wrote {out / 'weights.csv'} and {out / 'weights.svg'}")

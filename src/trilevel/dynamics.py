@@ -28,7 +28,7 @@ from .hamiltonian import (
     dark_atomic_vector,
     excitation_count,
 )
-from .dispersive import DispersiveParams, transfer_prefactor
+from .dispersive import transfer_prefactor, validity_margin
 
 COHERENT_TAIL_LIMIT = 1e-10
 MAX_CUTOFF = 100000  # photons: the largest cutoff required_fock_cutoff returns
@@ -51,6 +51,11 @@ class InitialState:
 
     atomic: Occupation | str
     field: tuple[str, complex]
+
+    def mean_photon_number(self) -> float:
+        """|alpha|^2 of a coherent field, n of a Fock one."""
+        kind, value = self.field
+        return abs(value) ** 2 if kind == "coherent" else float(value.real)
 
 
 @dataclass(frozen=True)
@@ -316,8 +321,8 @@ class TransferSummary:
     record: TrajectoryRecord
 
 
-def transfer_experiment(spec: SpaceSpec, h: HamiltonianSpec, p: DispersiveParams,
-                        init: InitialState, grid: TimeGrid) -> TransferSummary:
+def transfer_experiment(spec: SpaceSpec, h: HamiltonianSpec, init: InitialState,
+                        grid: TimeGrid) -> TransferSummary:
     """Exact evolution under the full Hamiltonian, summarized against the
     leading-order dispersive prediction.
 
@@ -327,10 +332,13 @@ def transfer_experiment(spec: SpaceSpec, h: HamiltonianSpec, p: DispersiveParams
     compared against pi / (2 prefactor f), f the diagonal enhancement
     factor evaluated in the initial configuration; asymmetric couplings
     detune the effective oscillation through unequal Stark shifts, so the
-    period check is skipped there.
+    period check is skipped there.  The validity margin (dispersive.validity_margin) is
+    taken at the initial state's mean photon number and must be at least 10.
     """
-    if p.validity_margin < 10.0:
-        raise ValueError(f"dispersive validity margin {p.validity_margin:.2f} is below 10")
+    margin = validity_margin(h, init.mean_photon_number(), spec.atoms)
+    prefactor = transfer_prefactor(h)  # a resonant pair or |eps| >= 1 raises before the margin
+    if margin < 10.0:
+        raise ValueError(f"dispersive validity margin {margin:.2f} is below 10")
     if grid.n_samples < MIN_TRANSFER_SAMPLES:
         raise ValueError(f"transfer experiments need >= {MIN_TRANSFER_SAMPLES} samples")
     ham = build_hamiltonian(spec, h)
@@ -343,7 +351,6 @@ def transfer_experiment(spec: SpaceSpec, h: HamiltonianSpec, p: DispersiveParams
     partner = la if pa < pb else (lb if pb < pa else 2)
     max_pop = float(np.max(record.population(partner)))
 
-    prefactor = transfer_prefactor(h, p)
     table = index_map(spec)
     factor = float(np.abs(psi0) ** 2 @ enhancement_factor(h.scheme, table.occupations,
                                                           table.photons))

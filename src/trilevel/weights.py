@@ -136,23 +136,24 @@ class DiagramLayout:
     vectors: tuple[WeightVector, ...]
 
 
-def _scheme_operators(scheme: str, classical: bool, spec: SpaceSpec,
-                      alpha: complex) -> list[tuple[str, tuple, str]]:
+def _scheme_operators(scheme: str, classical: bool,
+                      spec: SpaceSpec) -> list[tuple[str, tuple, str]]:
     """The scheme's two first-order transitions (its coupled pairs in operators.LAYOUTS),
     their conjugates, and the second-order operator [first, second^dag] with its conjugate,
     as (label, (rows, cols, values), order), the conjugate (cols, rows, conj(values)).  The
     second-order operator is written from the labels on the degenerate pair (a, b): f S_ba
     (operators.conserved_product) for the enhancement factor f, or -|alpha|^2 S_ba in a
-    classical field, + where the shared level emits the photon."""
+    classical field, + where the shared level emits the photon.  A weight reads only the
+    positions of the elements, the same for every nonzero alpha, so the classical ones are
+    written at alpha = 1: no |alpha|^2 leaves the float range."""
     lay = layout(scheme)
     pairs, s, absorbs = lay.pairs, lay.shared, lay.shared_is_upper
     la, lb = lay.degenerate
     if classical:
-        ops = [transition_elements(spec, *ij, alpha) for ij in pairs]
+        ops = [transition_elements(spec, *ij) for ij in pairs]
         prefix, conj_prefix = "alpha", "alpha*"
         factor = "-|alpha|^2 " if absorbs else "+|alpha|^2 "
-        c = -abs(alpha) * abs(alpha) if absorbs else abs(alpha) * abs(alpha)  # ** 2 can raise
-        second = transition_elements(spec, lb, la, c)
+        second = transition_elements(spec, lb, la, -1 if absorbs else 1)
     else:
         ops = [term_elements(spec, dressed_term(spec, i, j)) for i, j in pairs]
         prefix, conj_prefix = "a", "a+"
@@ -168,19 +169,18 @@ def _scheme_operators(scheme: str, classical: bool, spec: SpaceSpec,
     )
 
 
-def diagram_layout(scheme: str, classical: bool, spec: SpaceSpec,
-                   alpha: complex = 1.0) -> DiagramLayout:
+def diagram_layout(scheme: str, classical: bool, spec: SpaceSpec) -> DiagramLayout:
     """Weight vectors of the scheme's first- and second-order operators.
 
     Quantum mode uses the photon-dressed transitions on the product space;
-    classical mode replaces the field by the amplitude alpha and works on
-    the atomic space alone.
+    classical mode replaces the field by a nonzero amplitude alpha, whose
+    value no weight depends on, and works on the atomic space alone.
     """
     space = ATOMIC if classical else PRODUCT
     cartan = cartan_choice(scheme, spec, space)
     vectors = tuple(
         weight_of(elements, cartan, label=label, order=order)
-        for label, elements, order in _scheme_operators(scheme, classical, spec, alpha)
+        for label, elements, order in _scheme_operators(scheme, classical, spec)
     )
     return DiagramLayout(scheme, classical, vectors)
 

@@ -9,7 +9,7 @@ import pytest
 import trilevel.cli as cli
 import trilevel.dispersive as dispersive
 import trilevel.dynamics as dynamics
-from trilevel.dispersive import dispersive_params, transfer_prefactor
+from trilevel.dispersive import transfer_prefactor
 from trilevel.dynamics import InitialState, TimeGrid, transfer_experiment
 from trilevel.hamiltonian import LAMBDA, VEE, HamiltonianSpec
 from trilevel.hilbert import SpaceSpec, index_map
@@ -39,28 +39,20 @@ def dispersive_case(scheme):
 def test_transfer_experiment_builds_no_transfer_operator(scheme, monkeypatch):
     spec = SpaceSpec(1, 4)
     h, init = dispersive_case(scheme)
-    p = dispersive_params(h, 0.0, spec.atoms)
     grid = TimeGrid(200.0, 401)
-    expected = transfer_experiment(spec, h, p, init, grid)
-    assert expected.prefactor == transfer_prefactor(h, p)
+    expected = transfer_experiment(spec, h, init, grid)
+    assert expected.prefactor == transfer_prefactor(h)
 
     def refuse(*args, **kwargs):
         raise AssertionError("transfer_experiment built the effective Hamiltonian")
 
     monkeypatch.setattr(dispersive, "analytic_effective", refuse)
     monkeypatch.setattr(dynamics, "analytic_effective", refuse, raising=False)
-    summary = transfer_experiment(spec, h, p, init, grid)
+    summary = transfer_experiment(spec, h, init, grid)
     for f in fields(summary):
         if f.name != "record":
             assert getattr(summary, f.name) == getattr(expected, f.name)
     assert np.array_equal(summary.record.pop2, expected.record.pop2)
-
-
-def test_transfer_prefactor_rejects_params_of_the_other_scheme():
-    h, _ = dispersive_case(LAMBDA)
-    p = dispersive_params(dispersive_case(VEE)[0], 0.0, 1)
-    with pytest.raises(ValueError, match="params are for scheme"):
-        transfer_prefactor(h, p)
 
 
 CONF = """\

@@ -29,6 +29,7 @@ from trilevel.hilbert import SpaceSpec
 from trilevel.operators import (
     LEVELS,
     BlockPartition,
+    TOL_ALGEBRA,
     OperatorMatrix,
     _one_block,
     _runs,
@@ -127,8 +128,8 @@ def test_stacked_u3_residuals_equal_the_per_identity_ones(atoms):
     spec = SpaceSpec(atoms, 2)
     reports = verify_algebra(spec, "u3")
     reference = reference_u3(spec)
-    assert [(r.name, r.residual) for r in reports] == reference
-    assert all(r.passed and r.guard == 0 for r in reports)
+    assert reports == reference
+    assert all(r <= TOL_ALGEBRA for _, r in reports)
     if atoms > 1:
         assert any(resid > 0.0 for _, resid in reference)  # rounding shows, so equality bites
 

@@ -26,8 +26,8 @@ from trilevel.dispersive import (
     _residual,
     _transfer_block,
     analytic_effective,
-    dispersive_params,
     effective_transform,
+    small_params,
     small_rotation,
     transfer_block_mask,
 )
@@ -62,12 +62,13 @@ TOL = 1e-12
 
 # --- dense references -------------------------------------------------------
 
-def dense_block_residual(spec, h, p, guard) -> float:
+def dense_block_residual(spec, h, guard) -> float:
     pairs = ((3, 2), (3, 1)) if h.scheme == LAMBDA else ((3, 1), (2, 1))  # (outer, inner)
-    outer, inner = (small_rotation(spec, i, j, p.small_params[(i, j)]) for i, j in pairs)
+    eps = small_params(h)
+    outer, inner = (small_rotation(spec, i, j, eps[(i, j)]) for i, j in pairs)
     u = outer.mat @ inner.mat
     transformed = u @ dr.hamiltonian(spec, h) @ u.conj().T
-    diff = transformed - analytic_effective(spec, h, p).mat  # the block holds no diagonal
+    diff = transformed - analytic_effective(spec, h).mat  # the block holds no diagonal
     mask = transfer_block_mask(spec, h.scheme, guard)
     return float(np.max(np.abs(diff[mask]))) if mask.any() else 0.0
 
@@ -174,9 +175,8 @@ def test_every_operator_a_command_hands_to_a_kernel_is_stored_exactly(scheme, sp
     spec, second = SpaceSpec(atoms, atoms + 2), "g32" if scheme == LAMBDA else "g21"
     h = HamiltonianSpec(scheme, PAIR_ENERGIES[scheme, split], 1.0, g31=0.1, **{second: 0.07})
     generators = [_rotation_generator(spec, h), *_generators(spec, scheme).values()]
-    p = dispersive_params(h, 0.0, atoms)
     seen = [build_hamiltonian(spec, h), *generators, mode_rotation_unitary(spec, h),
-            *(unitary_exp(g, 0.05) for g in generators), analytic_effective(spec, h, p)]
+            *(unitary_exp(g, 0.05) for g in generators), analytic_effective(spec, h)]
     if not split:
         seen.append(build_hamiltonian(spec, reduced_hamiltonian(h)))
     real = operators.stored_stacks
@@ -243,15 +243,15 @@ def dispersive_models(draw):
 def test_dispersive_residual_matches_dense(model, guard):
     spec, h = model
     try:
-        p = dispersive_params(h, 0.0, spec.atoms)
+        small_params(h)
     except ValueError:
         assume(False)
     assume(guard <= spec.n_max)
-    block = _residual(spec, h, p, _transfer_block(spec, h.scheme, guard),
+    block = _residual(spec, h, _transfer_block(spec, h.scheme, guard),
                       _generators(spec, h.scheme))[-1]
-    dense = dense_block_residual(spec, h, p, guard)
+    dense = dense_block_residual(spec, h, guard)
     assert abs(block - dense) <= TOL * scale(dr.hamiltonian(spec, h))
-    transformed = effective_transform(spec, h, p).mat
+    transformed = effective_transform(spec, h).mat
     assert np.max(np.abs(transformed - transformed.conj().T)) <= TOL * scale(transformed)
 
 
@@ -281,7 +281,7 @@ def test_no_eigh_beyond_largest_excitation_sector(scheme, monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
     rotation_report(spec, h)
-    effective_transform(spec, h, dispersive_params(h, 1.0, spec.atoms))
+    effective_transform(spec, h)
     ham = build_hamiltonian(spec, h)
     psi0 = np.zeros(spec.product_dim, dtype=np.complex128)
     psi0[index_map(spec).flat((3, 0, 0), 2)] = 1.0

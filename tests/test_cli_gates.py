@@ -68,9 +68,30 @@ def test_zero_classical_alpha_is_a_weights_config_error(alpha, tmp_path, capsys)
     conf = tmp_path / "run.conf"
     conf.write_text(with_value("classical_alpha", alpha))
     assert main(["weights", "--config", str(conf), "--out", str(tmp_path / "o")]) == 2
-    assert capsys.readouterr().err.startswith("config error: classical_alpha: ")
+    assert capsys.readouterr().err == ("config error: classical_alpha: must be nonzero "
+                                       "(a zero operator has no weight)\n")
     # the other commands ignore the key
     assert main(["spectrum", "--config", str(conf), "--out", str(tmp_path / "o")]) == 0
+
+
+def classical_weights(scheme: str, alpha: str, out: Path) -> int:
+    conf = out.with_suffix(".conf")
+    conf.write_text((CONFIGS / f"{scheme}.conf").read_text() + f"classical_alpha = {alpha}\n")
+    return main(["weights", "--config", str(conf), "--out", str(out)])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scheme", ["lambda", "vee"])
+@pytest.mark.parametrize("alpha", ["2", "1+1j", "1e-150", "1e200", "1e-200", "1e-300j"])
+def test_classical_weights_take_any_nonzero_amplitude(alpha, scheme, tmp_path, capsys):
+    """The weights read the positions of the elements alone, so every nonzero amplitude
+    writes the files of alpha = 1 with nothing on stderr, also where |alpha|^2 leaves the
+    float range (1e200 overflows it, 1e-200 and 1e-300j underflow it to 0)."""
+    assert classical_weights(scheme, "1", tmp_path / "one") == 0
+    assert classical_weights(scheme, alpha, tmp_path / "alpha") == 0
+    assert capsys.readouterr().err == ""
+    for name in ("weights.csv", "weights.svg"):
+        assert (tmp_path / "alpha" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
 
 
 @pytest.mark.parametrize("key", ["E1", "g32", "omega"])

@@ -23,7 +23,6 @@ from trilevel.dispersive import (
     _rotations,
     _transfer_block,
     analytic_effective,
-    dispersive_params,
     transfer_prefactor,
 )
 from trilevel.hamiltonian import (
@@ -97,9 +96,8 @@ def test_one_unitary_equals_the_dense_formula(scheme, split, atoms):
 @pytest.mark.parametrize("scheme", [LAMBDA, VEE])
 def test_two_unitaries_equal_the_dense_formula(scheme, split, atoms):
     spec, h = model(scheme, split, atoms)
-    p = dispersive_params(h, 0.0, atoms)
-    rotations = _rotations(h, p, _generators(spec, scheme))
-    reference = analytic_effective(spec, h, p)
+    rotations = _rotations(h, _generators(spec, scheme))
+    reference = analytic_effective(spec, h)
     count = excitation_count(spec, scheme)
     for where in (None, _transfer_block(spec, scheme, 2)):
         expected, scale = dense_residual(spec, h, rotations, reference, where)
@@ -109,12 +107,12 @@ def test_two_unitaries_equal_the_dense_formula(scheme, split, atoms):
         assert got > 0.0
 
 
-def prefactor_times_transfer(spec, h, p) -> OperatorMatrix:
+def prefactor_times_transfer(spec, h) -> OperatorMatrix:
     """transfer_prefactor times f (S_ab + S_ba) of the degenerate pair (a, b), with no free
     terms: the transfer term of the closed form alone."""
     a, b = h.degenerate_pair
     f = functools.partial(enhancement_factor, h.scheme)
-    c = complex(transfer_prefactor(h, p))
+    c = complex(transfer_prefactor(h))
     parts = (conserved_product(spec, i, j, f) for i, j in ((a, b), (b, a)))
     return element_sum(PRODUCT, spec, [(rows, cols, values * c) for rows, cols, values in parts])
 
@@ -125,14 +123,13 @@ def test_the_probe_residual_is_the_transfer_term_residual(scheme, atoms):
     """At eps and at eps/2, as compare probes them: the residual against the effective H
     that the probe builds equals the one against prefactor x T, every bit."""
     spec, h = model(scheme, False, atoms)  # equal detunings, as compare's order probe needs
-    p = dispersive_params(h, 0.0, atoms)
-    h_half = replace(h, omega=h.omega - next(iter(p.detunings.values())))
+    h_half = replace(h, omega=h.omega - (h.energies[2] - h.energies[0] - h.omega))  # Delta31
     block, generators = _transfer_block(spec, scheme, 2), _generators(spec, scheme)
     count = excitation_count(spec, scheme)
-    for hh, pp in ((h, p), (h_half, dispersive_params(h_half, 0.0, atoms))):
-        ham, _, got = _residual(spec, hh, pp, block, generators)
-        expected = conjugation_residual(ham, _rotations(hh, pp, generators),
-                                        prefactor_times_transfer(spec, hh, pp), count, block)
+    for hh in (h, h_half):
+        ham, _, got = _residual(spec, hh, block, generators)
+        expected = conjugation_residual(ham, _rotations(hh, generators),
+                                        prefactor_times_transfer(spec, hh), count, block)
         assert got == expected
         assert got > 0.0
 
@@ -153,9 +150,8 @@ def test_an_operand_that_breaks_the_count_is_refused(slot):
 def test_runs_of_sectors_change_no_bit(scheme, chunk, monkeypatch):
     """One run per size group, a few groups per run, or every group in one run."""
     spec, h = model(scheme, False, 4)
-    p = dispersive_params(h, 0.0, spec.atoms)
-    rotations = _rotations(h, p, _generators(spec, scheme))
-    reference = analytic_effective(spec, h, p)
+    rotations = _rotations(h, _generators(spec, scheme))
+    reference = analytic_effective(spec, h)
     count = excitation_count(spec, scheme)
     ham = build_hamiltonian(spec, h)
     block = _transfer_block(spec, scheme, 2)

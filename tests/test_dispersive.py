@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,16 +9,16 @@ from trilevel.hilbert import SpaceSpec, index_map
 from trilevel.operators import deformed_operator
 from trilevel.hamiltonian import LAMBDA, VEE, HamiltonianSpec, build_hamiltonian
 from trilevel.dispersive import (
-    DispersiveParams,
     ZeroDetuningError,
     analytic_effective,
     compare,
-    dispersive_params,
     effective_transform,
     residual_and_order,
+    small_params,
     small_rotation,
     transfer_block_mask,
     transfer_prefactor,
+    validity_margin,
 )
 
 
@@ -32,41 +33,40 @@ def detuned_vee(g=0.1, eps=0.05, omega=1.0):
                            g31=g, g21=g)
 
 
-def zero_eps_params(scheme):
-    pairs = ((3, 1), (3, 2)) if scheme == LAMBDA else ((3, 1), (2, 1))
-    return DispersiveParams(
-        scheme, 0.0,
-        {p: 1.0 for p in pairs},
-        {p: 0.0 for p in pairs},
-        math.inf,
-    )
+def uncoupled(h):
+    """``h`` with every coupling zero: each eps is exactly 0."""
+    return replace(h, g31=0.0, g32=0.0, g21=0.0)
 
 
 def test_params_arithmetic():
-    h = HamiltonianSpec(LAMBDA, (0.0, 0.0, 2.0), 1.0, g31=0.01, g32=0.01)
-    p = dispersive_params(h, 0.0, atoms=1)
-    assert p.detunings[(3, 1)] == pytest.approx(1.0)
-    assert p.detunings[(3, 2)] == pytest.approx(1.0)
-    assert p.small_params[(3, 1)] == pytest.approx(0.01)
-    assert p.validity_margin == pytest.approx(100.0)
+    h = HamiltonianSpec(LAMBDA, (0.0, 0.0, 2.0), 1.0, g31=0.01, g32=0.02)
+    assert small_params(h) == {(3, 1): 0.01 / 1.0, (3, 2): 0.02 / 1.0}
+    assert validity_margin(h, 0.0, atoms=1) == pytest.approx(50.0)
 
 
 def test_params_margin_uses_photon_number_and_atoms():
     h = HamiltonianSpec(LAMBDA, (0.0, 0.0, 2.0), 1.0, g31=0.01, g32=0.01)
-    p = dispersive_params(h, 3.0, atoms=2)
-    assert p.validity_margin == pytest.approx(1.0 / (2 * 0.01 * 2.0))
+    assert validity_margin(h, 3.0, atoms=2) == pytest.approx(1.0 / (2 * 0.01 * 2.0))
+
+
+def test_margin_skips_uncoupled_pairs_and_rejects_negative_photon_numbers():
+    h = HamiltonianSpec(LAMBDA, (0.0, 0.0, 2.0), 1.0, g31=0.01)
+    assert validity_margin(h, 0.0, atoms=1) == pytest.approx(100.0)
+    assert validity_margin(uncoupled(h), 0.0, atoms=1) == math.inf
+    with pytest.raises(ValueError, match="mean photon number must be >= 0, got -1.0"):
+        validity_margin(h, -1.0, atoms=1)
 
 
 def test_params_zero_detuning_raises():
     h = HamiltonianSpec(LAMBDA, (0.0, 0.0, 1.0), 1.0, g31=0.1, g32=0.1)
-    with pytest.raises(ZeroDetuningError):
-        dispersive_params(h, 0.0, atoms=1)
+    with pytest.raises(ZeroDetuningError, match=r"pair \(3, 1\) is resonant"):
+        small_params(h)
 
 
 def test_params_large_eps_rejected():
     h = HamiltonianSpec(LAMBDA, (0.0, 0.0, 1.5), 1.0, g31=0.9, g32=0.9)
-    with pytest.raises(ValueError):
-        dispersive_params(h, 0.0, atoms=1)
+    with pytest.raises(ValueError, match="eps31 = 1.8 is not a small parameter"):
+        small_params(h)
 
 
 def test_small_rotation_identity_at_zero():
@@ -100,27 +100,20 @@ def test_small_rotation_taylor_order():
 @pytest.mark.parametrize("scheme", [LAMBDA, VEE])
 def test_effective_transform_zero_eps_returns_h(scheme):
     spec = SpaceSpec(1, 4)
-    h = detuned_lambda() if scheme == LAMBDA else detuned_vee()
-    t = effective_transform(spec, h, zero_eps_params(scheme))
+    h = uncoupled(detuned_lambda() if scheme == LAMBDA else detuned_vee())
+    t = effective_transform(spec, h)
     assert np.max(np.abs(t.mat - build_hamiltonian(spec, h).mat)) <= 1e-12
 
 
 def test_effective_transform_preserves_spectrum():
     spec = SpaceSpec(1, 6)
     h = detuned_lambda()
-    p = dispersive_params(h, 0.0, atoms=1)
-    t = effective_transform(spec, h, p)
+    t = effective_transform(spec, h)
     assert t.is_hermitian()
     drift = np.max(np.abs(
         np.linalg.eigvalsh(t.mat) - np.linalg.eigvalsh(build_hamiltonian(spec, h).mat)
     ))
     assert drift <= 1e-10
-
-
-def test_transform_rejects_mismatched_scheme():
-    spec = SpaceSpec(1, 4)
-    with pytest.raises(ValueError):
-        effective_transform(spec, detuned_vee(), zero_eps_params(LAMBDA))
 
 
 def test_transfer_block_scales_linearly_in_one_coupling():
@@ -132,18 +125,17 @@ def test_transfer_block_scales_linearly_in_one_coupling():
 
     def block_norm(g31):
         h = HamiltonianSpec(LAMBDA, (0.0, 0.0, omega + delta), omega, g31=g31, g32=g)
-        p = dispersive_params(h, 0.0, atoms=1)
-        t = effective_transform(spec, h, p)
+        t = effective_transform(spec, h)
         return float(np.max(np.abs(t.mat[mask])))
 
     ratio = block_norm(2 * g) / block_norm(g)
     assert ratio == pytest.approx(2.0, rel=0.05)
 
 
-def transfer(spec, h, p):
+def transfer(spec, h):
     """The dense transfer term of the closed form: the off-diagonal part of the
     analytic_effective Hamiltonian, the free part being diagonal."""
-    effective = analytic_effective(spec, h, p).mat
+    effective = analytic_effective(spec, h).mat
     return effective - np.diag(np.diag(effective))
 
 
@@ -152,7 +144,7 @@ def test_analytic_lambda_vanishes_on_vacuum_ground():
     spec = SpaceSpec(1, 4)
     h = detuned_lambda()
     imap = index_map(spec)
-    col = transfer(spec, h, dispersive_params(h, 0.0, atoms=1))[:, imap.flat((1, 0, 0), 0)]
+    col = transfer(spec, h)[:, imap.flat((1, 0, 0), 0)]
     assert np.max(np.abs(col)) == 0.0
 
 
@@ -160,19 +152,18 @@ def test_analytic_vee_vacuum_triggered_element():
     # acting on |level 3> x |0> gives prefactor * (0 + 0 + 1) |level 2> x |0>
     spec = SpaceSpec(1, 4)
     h = detuned_vee()
-    p = dispersive_params(h, 0.0, atoms=1)
     imap = index_map(spec)
-    col = transfer(spec, h, p)[:, imap.flat((0, 0, 1), 0)]
+    col = transfer(spec, h)[:, imap.flat((0, 0, 1), 0)]
     expected = np.zeros(spec.product_dim, dtype=complex)
-    expected[imap.flat((0, 1, 0), 0)] = transfer_prefactor(h, p)
+    expected[imap.flat((0, 1, 0), 0)] = transfer_prefactor(h)
     assert np.max(np.abs(col - expected)) <= 1e-15
-    assert transfer_prefactor(h, p) == pytest.approx(p.small_params[(2, 1)] * h.g31)
+    assert transfer_prefactor(h) == small_params(h)[(2, 1)] * h.g31
 
 
 def test_analytic_lambda_kernel_scan():
     spec = SpaceSpec(2, 4)
     h = detuned_lambda()
-    t = transfer(spec, h, dispersive_params(h, 0.0, atoms=2))
+    t = transfer(spec, h)
     imap = index_map(spec)
     for flat in range(spec.product_dim):
         (n1, n2, n3), n = imap.split(flat)
@@ -183,7 +174,7 @@ def test_analytic_lambda_kernel_scan():
 def test_analytic_vee_never_annihilates_pair_population():
     spec = SpaceSpec(2, 4)
     h = detuned_vee()
-    t = transfer(spec, h, dispersive_params(h, 0.0, atoms=2))
+    t = transfer(spec, h)
     imap = index_map(spec)
     for flat in range(spec.product_dim):
         (n1, n2, n3), n = imap.split(flat)
@@ -193,16 +184,15 @@ def test_analytic_vee_never_annihilates_pair_population():
 
 def test_residual_zero_at_zero_eps():
     spec = SpaceSpec(1, 4)
-    h = detuned_lambda()
-    assert compare(spec, h, zero_eps_params(LAMBDA), guard=2)[2] <= 1e-15
+    h = uncoupled(detuned_lambda())
+    assert compare(spec, h, guard=2)[2] <= 1e-15
 
 
 @pytest.mark.parametrize("make", [detuned_lambda, detuned_vee])
 def test_residual_shrinks_at_second_order_or_better(make):
     spec = SpaceSpec(1, 8)
     h = make(g=0.1, eps=0.05)
-    p = dispersive_params(h, 0.0, atoms=1)
-    residual, order = residual_and_order(spec, h, p, guard=3)
+    residual, order = residual_and_order(spec, h, guard=3)
     assert residual > 0.0
     assert order >= 2.0
     assert 2.0 ** order >= 3.5  # halving eps shrinks the residual this much
@@ -211,14 +201,12 @@ def test_residual_shrinks_at_second_order_or_better(make):
 def test_residual_and_order_guard_validation():
     spec = SpaceSpec(1, 8)
     h = detuned_lambda()
-    p = dispersive_params(h, 0.0, atoms=1)
     with pytest.raises(ValueError):
-        residual_and_order(spec, h, p, guard=1)
+        residual_and_order(spec, h, guard=1)
 
 
 def test_order_probe_requires_equal_detunings():
     spec = SpaceSpec(1, 8)
     h = HamiltonianSpec(LAMBDA, (0.0, 0.5, 3.0), 1.0, g31=0.05, g32=0.05)
-    p = dispersive_params(h, 0.0, atoms=1)
     with pytest.raises(ValueError):
-        residual_and_order(spec, h, p, guard=3)
+        residual_and_order(spec, h, guard=3)

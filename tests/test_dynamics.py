@@ -13,7 +13,6 @@ from trilevel.hamiltonian import (
     excitation_count,
     rotation_parameters,
 )
-from trilevel.dispersive import dispersive_params
 from trilevel.operators import PRODUCT, element_sum
 from trilevel.dynamics import (
     InitialState,
@@ -216,22 +215,31 @@ def test_leakage_flags_boundary_population():
 def test_transfer_experiment_guards():
     spec = SpaceSpec(1, 4)
     h = lambda_spec(g=0.1, eps=0.3)  # margin far below 10
-    p = dispersive_params(h, 0.0, atoms=1)
     init = InitialState((1, 0, 0), ("fock", 0))
-    with pytest.raises(ValueError):
-        transfer_experiment(spec, h, p, init, TimeGrid(10.0, 500))
+    with pytest.raises(ValueError, match="dispersive validity margin 3.33 is below 10"):
+        transfer_experiment(spec, h, init, TimeGrid(10.0, 500))
+    with pytest.raises(ValueError, match="validity margin 8.84 is below 10"):  # 12.5 at n = 0
+        transfer_experiment(spec, lambda_spec(g=0.1, eps=0.08),
+                            InitialState((1, 0, 0), ("fock", 1)), TimeGrid(10.0, 500))
     h_ok = lambda_spec()
-    p_ok = dispersive_params(h_ok, 0.0, atoms=1)
-    with pytest.raises(ValueError):
-        transfer_experiment(spec, h_ok, p_ok, init, TimeGrid(10.0, 100))
+    with pytest.raises(ValueError, match="need >= 400 samples"):
+        transfer_experiment(spec, h_ok, init, TimeGrid(10.0, 100))
+    with pytest.raises(ValueError, match="mean photon number must be >= 0"):
+        transfer_experiment(spec, h_ok, InitialState((1, 0, 0), ("fock", -1)),
+                            TimeGrid(10.0, 500))
+
+
+@pytest.mark.parametrize("field,n_bar", [(("fock", 3), 3.0), (("fock", 2 + 0j), 2.0),
+                                         (("coherent", 0.6 + 0.8j), 1.0)])
+def test_mean_photon_number_reads_the_field(field, n_bar):
+    assert InitialState((1, 0, 0), field).mean_photon_number() == n_bar
 
 
 def test_transfer_partner_is_unpopulated_pair_member():
     spec = SpaceSpec(1, 4)
     h = lambda_spec()
-    p = dispersive_params(h, 0.0, atoms=1)
     summary = transfer_experiment(
-        spec, h, p, InitialState((1, 0, 0), ("fock", 0)), TimeGrid(100.0, 500)
+        spec, h, InitialState((1, 0, 0), ("fock", 0)), TimeGrid(100.0, 500)
     )
     assert summary.partner_level == 2
     assert summary.factor_value == pytest.approx(0.0, abs=1e-12)

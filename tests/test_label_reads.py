@@ -16,7 +16,7 @@ import pytest
 
 import dense_reference as dr
 from test_batched_kernels import same_bits
-from trilevel.dispersive import DispersiveParams, analytic_effective, transfer_prefactor
+from trilevel.dispersive import analytic_effective, transfer_prefactor
 from trilevel.hamiltonian import LAMBDA, VEE, HamiltonianSpec, build_hamiltonian
 from trilevel.hilbert import IndexMap, SpaceSpec, enumerate_atomic_basis, index_map
 from trilevel.operators import (
@@ -89,11 +89,11 @@ def fitted_weight(op, cartan):
 
 
 def candidate_operators(scheme, classical, spec, alpha):
-    """The diagram's operators, every (dressed) transition, the identity, every
-    nonzero commutator of two transitions, and mixtures and zeros."""
+    """The diagram's operators times ``alpha``, every (dressed) transition, the identity,
+    every nonzero commutator of two transitions, and mixtures and zeros."""
     space = ATOMIC if classical else PRODUCT
-    ops = [element_sum(space, spec, [elements])
-           for _, elements, _ in _scheme_operators(scheme, classical, spec, alpha)]
+    ops = [element_sum(space, spec, [(rows, cols, values * alpha)])
+           for _, (rows, cols, values), _ in _scheme_operators(scheme, classical, spec)]
     if classical:
         singles = [element_sum(ATOMIC, spec, [transition_elements(spec, i, j)])
                    for i, j in itertools.product(LEVELS, repeat=2)]
@@ -141,16 +141,15 @@ def test_effective_hamiltonian_is_the_free_diagonal_and_the_swap_times_f(scheme,
     H's diagonal, as both write the free terms alone there, in the same order."""
     h = HamiltonianSpec(scheme, (0.0, 3.0, 3.0) if scheme == VEE else (0.0, 0.0, 3.0), 1.0,
                         g31=0.1, g32=0.1, g21=0.1)
-    p = DispersiveParams(scheme, 0.0, {}, {(3, 1): -0.05, (2, 1): -0.05}, 1.0)
     la, lb = h.degenerate_pair
     table = index_map(spec)
     swap = tensor_sum(spec, [atomic_term(spec, la, lb), atomic_term(spec, lb, la)])
     reference = swap.mat @ np.diag(enhancement_factor(scheme, table.occupations,
                                                       table.photons)).astype(complex)
-    op = analytic_effective(spec, h, p)
+    op = analytic_effective(spec, h)
     assert np.array_equal(op._layout.labels, dr.component_labels(reference))
     off = op.mat - np.diag(np.diag(op.mat))
-    assert same_bits(off, complex(transfer_prefactor(h, p)) * reference + 0.0)
+    assert same_bits(off, complex(transfer_prefactor(h)) * reference + 0.0)
     assert same_bits(np.diag(op.mat), np.diag(build_hamiltonian(spec, h).mat))
 
 

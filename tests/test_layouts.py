@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from trilevel.dispersive import dispersive_params, transfer_block_mask, transfer_prefactor
+from trilevel.dispersive import small_params, transfer_block_mask, transfer_prefactor
 from trilevel.hamiltonian import (HamiltonianSpec, bright_atomic_vector, excitation_count,
                                   excitation_operator, rotation_parameters)
 from trilevel.hilbert import SpaceSpec, index_map
@@ -82,10 +82,9 @@ def test_mode_rotation_reads(scheme):
 @pytest.mark.parametrize("scheme", [LAMBDA, VEE])
 def test_prefactor_reads_eps_inner_times_g_outer(scheme):
     h = spec_of(scheme)
-    p = dispersive_params(h, 0.0, 2)
-    expected = (p.small_params[(3, 1)] * h.g32 if scheme == LAMBDA
-                else p.small_params[(2, 1)] * h.g31)
-    assert transfer_prefactor(h, p) == expected
+    eps = small_params(h)
+    expected = eps[(3, 1)] * h.g32 if scheme == LAMBDA else eps[(2, 1)] * h.g31
+    assert transfer_prefactor(h) == expected
 
 
 @pytest.mark.parametrize("scheme", [LAMBDA, VEE])

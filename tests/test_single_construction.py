@@ -17,8 +17,7 @@ import pytest
 import dense_reference as dr
 import trilevel.hamiltonian as hamiltonian
 import trilevel.operators as operators
-from trilevel.dispersive import (analytic_effective, dispersive_params, small_rotation,
-                                 transfer_prefactor)
+from trilevel.dispersive import analytic_effective, small_rotation, transfer_prefactor
 from trilevel.dynamics import (
     InitialState,
     prepare_initial,
@@ -107,13 +106,12 @@ def test_analytic_effective_matches_the_lift_product(h, atoms, n_max):
     """The free H on the diagonal, prefactor (S_ab + S_ba) f off it."""
     spec = SpaceSpec(atoms, n_max)
     la, lb = h.degenerate_pair
-    p = dispersive_params(h, 0.0, atoms)
     transfer = (s(spec, la, lb) + s(spec, lb, la)) @ factor_reference(spec, h.scheme)
-    effective = analytic_effective(spec, h, p).mat
+    effective = analytic_effective(spec, h).mat
     free = np.diag(dr.hamiltonian(spec, replace(h, g31=0.0, g32=0.0, g21=0.0)))
     assert np.max(np.abs(np.diag(effective) - free)) <= 1e-14
     off = effective - np.diag(np.diag(effective))
-    assert np.max(np.abs(off - transfer_prefactor(h, p) * transfer)) <= 1e-15
+    assert np.max(np.abs(off - transfer_prefactor(h) * transfer)) <= 1e-15
 
 
 def test_shared_rotation_checks_unitarity(monkeypatch):

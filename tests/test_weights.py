@@ -143,13 +143,6 @@ def test_quantum_layout_counts_and_pairing(scheme):
         assert (-x, -y) in coords  # conjugates appear as opposite vectors
 
 
-def test_classical_layout_weights_do_not_depend_on_alpha():
-    spec = SpaceSpec(2, 3)
-    a = diagram_layout(LAMBDA, classical=True, spec=spec, alpha=1.0)
-    b = diagram_layout(LAMBDA, classical=True, spec=spec, alpha=0.3 - 1.2j)
-    assert [v.kappa for v in a.vectors] == [v.kappa for v in b.vectors]
-
-
 def test_classical_reflection_between_schemes():
     spec = SpaceSpec(2, 3)
     lam = diagram_layout(LAMBDA, classical=True, spec=spec)
