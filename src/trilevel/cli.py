@@ -396,7 +396,10 @@ def _physical_memory() -> int:
 def largest_array_bytes(command: str, cfg: RunConfig) -> int:
     """Bytes of the largest storage a command holds: for spectrum on the reduced
     Hamiltonian, the ladder bound of its blocks; for weights, the elements of its six
-    operators, at most one (row, column, complex value) of 32 bytes per column each;
+    operators, at most one (row, column, complex value) of 32 bytes per column each; for
+    verify, the basis labels and the largest of its checks, which run one after another:
+    the u3 stacks, the second-order columns (more than the dark-state check's elements) and
+    U_a, held about four times in the rotation row (README, "Command-line interface");
     otherwise one dense complex product-space matrix or, for the trajectory commands,
     their records (9 * 8 * n_samples bytes each) plus one chunk of CHUNK_ENTRIES
     complex states, if that is larger."""
@@ -404,6 +407,9 @@ def largest_array_bytes(command: str, cfg: RunConfig) -> int:
         return ladder_storage_bytes(cfg.space)
     if command == "weights":
         return 6 * 32 * cfg.space.product_dim
+    if command == "verify":
+        dim, blocks = cfg.space.product_dim, sum(b * b for b in range(1, cfg.space.atoms + 2))
+        return 32 * dim + max(81 * 232 * cfg.space.atomic_dim, 12 * 24 * dim, 4 * 16 * blocks)
     records = {"evolve": 1, "dispersive-compare": 2}.get(command, 0)  # held at once
     trajectories = (records * 9 * 8 * (cfg.n_samples or 0) + 16 * CHUNK_ENTRIES) if records else 0
     return max(16 * cfg.space.product_dim ** 2, trajectories)

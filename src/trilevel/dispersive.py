@@ -39,6 +39,7 @@ from .operators import (
     enhancement_factor,
     guarded_states,
     layout,
+    sector_runs,
     tensor_sum,
     term_elements,
     unitary_exp,
@@ -152,13 +153,14 @@ def transfer_block_mask(spec: SpaceSpec, scheme: str, guard: int) -> np.ndarray:
     return _transfer_block(spec, scheme, guard)(every[:, None], every[None, :])
 
 
-def _residual(spec: SpaceSpec, h: HamiltonianSpec, block,
+def _residual(spec: SpaceSpec, h: HamiltonianSpec, sectors,
               generators: dict) -> tuple[OperatorMatrix, OperatorMatrix, float]:
-    """H, the analytic_effective H_eff and the largest |U H U^dag - H_eff| on ``block``, U the
-    small rotations; the free part of H_eff is diagonal, off the block's pairs."""
+    """H, the analytic_effective H_eff and the largest |U H U^dag - H_eff| on the masked
+    entries of ``sectors`` (sector_runs of the excitation count and the transfer block), U
+    the small rotations; the free part of H_eff is diagonal, off the block's pairs."""
     ham, effective = build_hamiltonian(spec, h), analytic_effective(spec, h)
     return ham, effective, conjugation_residual(ham, _rotations(h, generators), effective,
-                                                excitation_count(spec, h.scheme), block)
+                                                sectors)
 
 
 def compare(spec: SpaceSpec, h: HamiltonianSpec,
@@ -168,9 +170,10 @@ def compare(spec: SpaceSpec, h: HamiltonianSpec,
     to 4.27 at A <= 8), as the closed form is the whole first-order off-diagonal term.  The
     eps/2 probe is ``h`` with omega lowered by the common detuning, which doubles both
     detunings; every eps is read from the spec (small_params), so the probe cannot disagree
-    with ``h``.  The block serves both detunings, and each rotation generator is built and
-    diagonalized once for both; the eps/2 probe's own H, H_eff and rotations are released
-    before the returned ones are built."""
+    with ``h``.  The sectors and their transfer-block mask (sector_runs) are built once for
+    both detunings, and so is each rotation generator with its eigendecomposition; the
+    eps/2 probe's own H, H_eff and rotations are released before the returned ones are
+    built."""
     eps = small_params(h)
     if guard < 2:
         raise ValueError(f"guard must be >= 2 for dispersive comparisons, got {guard}")
@@ -182,9 +185,10 @@ def compare(spec: SpaceSpec, h: HamiltonianSpec,
                          f"got {deltas[0]:.6g} and {deltas[1]:.6g}")
     h_half = replace(h, omega=h.omega - deltas[0])
     block = _transfer_block(spec, h.scheme, guard)
+    sectors = sector_runs(excitation_count(spec, h.scheme), block)
     generators = _generators(spec, h.scheme)
-    r2 = _residual(spec, h_half, block, generators)[2]
-    ham, effective, r1 = _residual(spec, h, block, generators)
+    r2 = _residual(spec, h_half, sectors, generators)[2]
+    ham, effective, r1 = _residual(spec, h, sectors, generators)
     return ham, effective, r1, math.inf if r1 < 1e-14 or r2 < 1e-14 else math.log2(r1 / r2)
 
 

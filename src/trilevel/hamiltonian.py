@@ -27,13 +27,13 @@ from .operators import (  # LAMBDA and VEE are re-exported
     VEE,
     OperatorMatrix,
     atomic_term,
-    conjugation_residual,
     dressed_term,
     eigenvalues,
     element_sum,
     field_elements,
     identity_elements,
     layout,
+    stored_stacks,
     tensor_sum,
     term_elements,
     transition_elements,
@@ -214,31 +214,50 @@ def dark_state_residual(spec: SpaceSpec, h: HamiltonianSpec) -> float:
     return float(np.sqrt(squares.max()))
 
 
-def _rotation_generator(spec: SpaceSpec, h: HamiltonianSpec) -> OperatorMatrix:
-    """i (S_ab - S_ba) of the degenerate pair (a, b): exp(-i t G) = exp(t (S_ab - S_ba))."""
-    la, lb = h.degenerate_pair
-    return tensor_sum(spec, [atomic_term(spec, la, lb, 1j), atomic_term(spec, lb, la, -1j)])
-
-
 def mode_rotation_unitary(spec: SpaceSpec, h: HamiltonianSpec) -> OperatorMatrix:
-    """exp(theta (S_ab - S_ba)) of the degenerate pair (a, b), theta = the layout's sign
-    times the rotation angle, which takes the dark mode to occupation slot 2."""
-    theta = layout(h.scheme).sign * rotation_parameters(h).angle
-    return unitary_exp(_rotation_generator(spec, h), theta)
+    """U_a = exp(theta (S_ab - S_ba)) on the atomic space, theta = the layout's sign times
+    the rotation angle, which takes the dark mode of the degenerate pair (a, b) to
+    occupation slot 2; the mode rotation is U_a (x) 1.  Its blocks, of one population of
+    the shared level, hold at most A + 1 states."""
+    la, lb = h.degenerate_pair
+    generator = element_sum(ATOMIC, spec, [transition_elements(spec, la, lb, 1j),
+                                           transition_elements(spec, lb, la, -1j)])
+    return unitary_exp(generator, layout(h.scheme).sign * rotation_parameters(h).angle)
 
 
 def rotation_report(spec: SpaceSpec, h: HamiltonianSpec) -> float:
-    """The largest element of U H U^dag - H_red, U the mode rotation and H_red the
-    Hamiltonian of reduced_hamiltonian, which ``spectrum`` diagonalizes: H rotated once
-    and compared every element; ``trilevel verify`` holds the residual to its tolerance.
-    Raises ValueError where there is no reduction."""
+    """The largest element of U H U^dag - H_red, U = U_a (x) 1 the mode rotation and H_red
+    the Hamiltonian of reduced_hamiltonian, which ``spectrum`` diagonalizes; ``trilevel
+    verify`` holds it to its tolerance.  With F the atomic free part and K = sum g_ij S_ij
+    over the coupled pairs, U H U^dag - H_red = D (x) a + D^dag (x) a^dag + (U_a F U_a^dag
+    - F) (x) 1, D = U_a K U_a^dag - K_red: disjoint supports, and a's largest element is
+    sqrt(n_max).  So the residual is the largest |U_a X U_a^dag - X_red| for X = F +
+    sqrt(n_max) K, computed one pair of U_a's stored blocks at a time, for the pairs that
+    X or X_red touches.  Raises ValueError where there is no reduction."""
     reduced = reduced_hamiltonian(h)
     if reduced is None:
         raise ValueError("no reduced Hamiltonian: the paired energies differ "
                          "or every coupling is zero")
-    u = mode_rotation_unitary(spec, h)
-    return conjugation_residual(build_hamiltonian(spec, h), [u], build_hamiltonian(spec, reduced),
-                                excitation_count(spec, h.scheme))
+    u, n = mode_rotation_unitary(spec, h), math.sqrt(spec.n_max)
+    x = []  # the (rows, cols, values) of X, then of X_red
+    for s in (h, reduced):
+        parts = [transition_elements(spec, i, i, e) for i, e in enumerate(s.energies, start=1)]
+        parts += [transition_elements(spec, i, j, n * s.coupling(i, j))
+                  for i, j in s.coupled_pairs()]
+        x.append(tuple(np.concatenate(z) for z in zip(*parts)))
+    block, at, blocks = np.empty(u.dim, dtype=np.intp), np.empty(u.dim, dtype=np.intp), {}
+    for idx, stack in stored_stacks(u):  # each state's block (its first state), place in it
+        block[idx], at[idx] = idx[:, :1], np.arange(idx.shape[1])
+        blocks.update(zip(idx[:, 0].tolist(), stack))
+    keys = [block[rows] * u.dim + block[cols] for rows, cols, _ in x]
+    out = 0.0
+    for key in sorted(set(np.concatenate(keys).tolist())):  # the block pairs X, X_red touch
+        left, right = blocks[key // u.dim], blocks[key % u.dim]
+        placed = np.zeros((2, len(left), len(right)), dtype=np.complex128)  # X's, X_red's
+        for part, (rows, cols, values), k in zip(placed, x, keys):
+            np.add.at(part, (at[rows[k == key]], at[cols[k == key]]), values[k == key])
+        out = max(out, float(np.max(np.abs(left @ placed[0] @ right.conj().T - placed[1]))))
+    return out
 
 
 def classical_hamiltonian(h: HamiltonianSpec, alpha: complex,

@@ -18,7 +18,8 @@ BlockPartition, the one its writer stored it in (see OperatorMatrix), and one
 decoupled sectors of a conserved excitation count.  Every kernel makes one
 numpy call per stored stack: hermitian_blocks hands them to eigh, and
 conjugation_residual compares W H W^dag with a reference in the sectors of a conserved
-label, storing no product.  ``mat`` builds a dense copy, ``@`` multiplies two.
+label, applying each unitary from its own stacks and storing no product.  ``mat``
+builds a dense copy, ``@`` multiplies two.
 
 verify_algebra re-derives the operator identities numerically.  The
 first-order commutators are exact on the (untruncated) atomic space.  The
@@ -35,6 +36,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -163,31 +165,22 @@ def _one_block(dim: int) -> BlockPartition:
     return BlockPartition.from_labels(np.zeros(dim, dtype=np.intp))
 
 
-def _views(layout: BlockPartition, data: np.ndarray, run: slice = slice(None)) -> list:
-    """(idx, stack) per size group in ``run`` (a slice of layout.stacks), views of its storage."""
-    start = layout.stacks[run][0][1].start
-    return [(idx, data[where.start - start:where.stop - start].reshape(shape))
-            for idx, where, shape in layout.stacks[run]]
+def _views(layout: BlockPartition, data: np.ndarray) -> list:
+    """(idx, stack) per size group, views of the flat storage ``data`` of ``layout``."""
+    return [(idx, data[where].reshape(shape)) for idx, where, shape in layout.stacks]
 
 
 def _write(layout: BlockPartition, rows: np.ndarray, cols: np.ndarray,
-           values: np.ndarray, run: slice = slice(None)) -> np.ndarray:
-    """Flat storage in ``layout`` of the elements (rows, cols, values): of every size group,
-    or of those in ``run`` (a slice of layout.stacks, one of _runs).  The one code that
+           values: np.ndarray) -> np.ndarray:
+    """Flat storage in ``layout`` of the elements (rows, cols, values).  The one code that
     places element values in flat storage; dag and unitary_exp store whole stacks.
 
-    Repeated elements add up in their order onto +0.0 (-0.0 is stored as +0.0); elements in
-    the groups outside ``run`` are left out, and elements that lie in no block must be
-    zero and are dropped."""
-    stacks = layout.stacks[run]
-    start, stop = stacks[0][1].start, stacks[-1][1].stop
+    Repeated elements add up in their order onto +0.0 (-0.0 is stored as +0.0), and
+    elements that lie in no block must be zero and are dropped."""
     row, col = layout.slots
-    at = row[rows]  # in the run's storage exactly when the row's block is
-    keep = np.flatnonzero((start <= at) & (at < stop))
-    rows, cols, values, at = rows[keep], cols[keep], values[keep], at[keep]
     inside = layout.labels[rows] == layout.labels[cols]
-    data = np.zeros(stop - start, dtype=np.complex128)
-    np.add.at(data, at[inside] + col[cols[inside]] - start, values[inside])
+    data = np.zeros(layout.stacks[-1][1].stop, dtype=np.complex128)
+    np.add.at(data, row[rows[inside]] + col[cols[inside]], values[inside])
     return data
 
 
@@ -426,49 +419,63 @@ def eigenvalues(h: OperatorMatrix) -> np.ndarray:
     return np.sort(np.concatenate([w.ravel() for _, w, _ in hermitian_blocks(h)]))
 
 
-def _runs(layout: BlockPartition):
-    """Contiguous runs (slices of ``layout.stacks``) of size groups holding at most
-    CHUNK_ENTRIES entries together; a larger group runs alone."""
-    first = 0
-    for k, (_, where, _) in enumerate(layout.stacks):
-        if k > first and where.stop - layout.stacks[first][1].start > CHUNK_ENTRIES:
-            yield slice(first, k)
-            first = k
-    yield slice(first, len(layout.stacks))
+Sectors = namedtuple("Sectors", "sector run at layouts masks")  # made by sector_runs
+
+
+def sector_runs(conserved: np.ndarray, where=None) -> Sectors:
+    """The sectors of ``conserved`` (a label per state), smallest first, cut into runs of at
+    most CHUNK_ENTRIES entries once padded (a larger sector runs alone), built once per
+    call site.  Run k holds its m sectors, each padded to the run's largest size L, as the
+    (m, L, L) stack of the partition ``layouts[k]`` (m blocks of L padded indices): state s
+    is padded index ``at[s]`` of run ``run[s]``, in sector ``sector[s]``.  ``masks[k]``
+    lists the entries of run k's flat storage where ``where(rows, cols)`` holds on index
+    arrays broadcast over the stack (every entry of a sector if None)."""
+    _, sector, sizes = np.unique(conserved, return_inverse=True, return_counts=True)
+    members = np.split(np.argsort(sector, kind="stable"), np.cumsum(sizes)[:-1])
+    runs: list[list] = [[]]
+    for k in np.argsort(sizes, kind="stable"):
+        if runs[-1] and (len(runs[-1]) + 1) * sizes[k] ** 2 > CHUNK_ENTRIES:
+            runs.append([])
+        runs[-1].append(members[k])
+    run, at, layouts, masks = np.empty_like(sector), np.empty_like(sector), [], []
+    for k, states in enumerate(runs):
+        m, size = len(states), len(states[-1])
+        table = np.full((m, size), -1)  # the state at each padded index, -1 for padding
+        for i, s in enumerate(states):
+            table[i, :len(s)], run[s], at[s] = s, k, i * size + np.arange(len(s))
+        layouts.append(BlockPartition.from_labels(np.repeat(np.arange(m) * size, size)))
+        keep = (table >= 0)[:, :, None] & (table >= 0)[:, None, :]
+        if where is not None:
+            keep &= where(table[:, :, None], table[:, None, :])
+        masks.append(np.flatnonzero(keep))
+    return Sectors(sector, run, at, tuple(layouts), tuple(masks))
 
 
 def conjugation_residual(h: OperatorMatrix, unitaries: list[OperatorMatrix],
-                         reference: OperatorMatrix, conserved: np.ndarray, where=None) -> float:
-    """Largest |W H W^dag - reference| (0.0 if none) where ``where(rows, cols)`` holds on
-    index arrays broadcast over each (m, b, b) stack (everywhere if None), W the product of
-    ``unitaries``: (((W1 W2) H) W2^dag) W1^dag per sector of ``conserved`` (a label per state),
-    each operand's elements read once, sorted by their sector row slot and cut at the _runs
-    runs of sectors, so that each run writes (_write) only its own slice.  ValueError on a
+                         reference: OperatorMatrix, sectors: Sectors) -> float:
+    """Largest |W H W^dag - reference| (0.0 if none) over the masked entries of
+    ``sectors``, W the product of ``unitaries``, one run of sectors at a time: H and the
+    reference written (_write) from their elements into the run's padded stack, then each
+    unitary, the last first, applied from its own stored stacks, U to the rows and U^dag
+    to the columns of its blocks, one batched matmul per size group.  ValueError on a
     stored block across two sectors."""
-    _, first, inverse = np.unique(conserved, return_index=True, return_inverse=True)
-    sectors = BlockPartition.from_labels(first[inverse])
     for op in (h, *unitaries, reference):
-        if (sectors.labels[op._layout.labels] != sectors.labels).any():
+        if (sectors.sector[op._layout.labels] != sectors.sector).any():
             raise ValueError("an operand has a stored block across sectors of the conserved label")
-    runs = list(_runs(sectors))
-    starts = [sectors.stacks[run][0][1].start for run in runs] + [sectors.stacks[-1][1].stop]
-
-    def by_slot(op: OperatorMatrix) -> tuple:  # bounds, then elements: run k's at [b[k]:b[k + 1]]
-        rows, cols, values = op.elements()
-        at = sectors.slots[0][rows]
-        order = np.argsort(at, kind="stable")
-        return np.searchsorted(at[order], starts), rows[order], cols[order], values[order]
-
-    out, elements = 0.0, [by_slot(op) for op in (h, reference, *unitaries)]
-    for k, run in enumerate(runs):
-        written = (_write(sectors, *(x[b[k]:b[k + 1]] for x in e), run) for b, *e in elements)
-        stacks = [[s for _, s in _views(sectors, data, run)] for data in written]
-        for idx, ham, ref, *w in zip(sectors.groups[run], *stacks):
-            product = functools.reduce(np.matmul, w) @ ham
-            for u in reversed(w):
-                product = product @ np.conjugate(u.swapaxes(1, 2), order="C")
-            mask = True if where is None else where(idx[:, :, None], idx[:, None, :])
-            out = max(out, float(np.max(np.abs(product - ref), initial=0.0, where=mask)))
+    out, elements = 0.0, [(sectors.run[rows], sectors.at[rows], sectors.at[cols], values)
+                          for rows, cols, values in (h.elements(), reference.elements())]
+    for k, (layout, mask) in enumerate(zip(sectors.layouts, sectors.masks)):
+        ham, ref = (_write(layout, *(x[run == k] for x in e)) for run, *e in elements)
+        m, size = layout.groups[0].shape
+        stack, lines = ham.reshape(m, size, size), ham.reshape(m * size, size)
+        for u in reversed(unitaries):
+            for idx, blocks in _views(u._layout, u._data):
+                i = np.flatnonzero(sectors.run[idx[:, 0]] == k)
+                at, blocks = sectors.at[idx[i]], blocks[i]  # (n, b) padded indices of n blocks
+                lines[at] = blocks @ lines[at]
+                sector, slot = at[:, :1] // size, at % size
+                stack[sector, :, slot] = blocks.conj() @ stack[sector, :, slot]
+        out = max(out, float(np.max(np.abs(ham[mask] - ref[mask]), initial=0.0)))
     return out
 
 

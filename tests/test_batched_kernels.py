@@ -1,7 +1,7 @@
 """Batched kernels against the one-call-per-item code they replace.
 
-Writing one run of size groups must store the same bits as that run's slice
-of writing every group (zero signs included), a batched ``eigh`` the same
+Writing the elements of an operator in its own partition must store the same bits
+as the operator (zero signs included), a batched ``eigh`` the same
 bits as one call per block, the stacked u3 check the same residuals as one
 dense commutator per identity (``dense_reference``), and the column-wise CSV
 writers the same bytes as the per-element ``repr`` writer.  Each reference
@@ -32,11 +32,11 @@ from trilevel.operators import (
     TOL_ALGEBRA,
     OperatorMatrix,
     _one_block,
-    _runs,
     _write,
     conjugation_residual,
     element_sum,
     hermitian_blocks,
+    sector_runs,
     unitary_exp,
     verify_algebra,
 )
@@ -59,8 +59,7 @@ def reblocked_operators(pool, first, second):
 @settings(max_examples=60, deadline=None)
 @given(operator_pools())
 def test_reblocking_equals_writing_the_elements(model):
-    """A run of size groups written alone is that run's slice of the whole write, and the
-    whole write in the stored partition is the stored storage with zeros as +0.0."""
+    """The whole write in the stored partition is the stored storage with zeros as +0.0."""
     _, pool, first, second = model
     count = np.rint(pool["excitation"].mat.diagonal().real)
     for op in reblocked_operators(pool, first, second):
@@ -71,23 +70,16 @@ def test_reblocking_equals_writing_the_elements(model):
             written = _write(layout, *elements)
             if layout is op._layout:
                 assert same_bits(written, op._data + 0.0)
-            every_group = [slice(k, k + 1) for k in range(len(layout.stacks))]
-            for run in list(_runs(layout)) + every_group:  # a run of size groups at a time
-                stacks = layout.stacks[run]
-                assert same_bits(_write(layout, *elements, run),
-                                 written[stacks[0][1].start:stacks[-1][1].stop])
 
 
 def test_zero_elements_between_blocks_are_dropped():
     """Zero elements off the blocks (element_sum writes them for zero coefficients) leave
-    every run's storage as it is, also where their slot would lie past the run's end."""
+    the storage as it is, also where their slot would lie past a block's end."""
     layout = BlockPartition.from_labels(np.array([0, 1, 1]))  # blocks {0} and {1, 2}
     rows, cols = np.array([0, 1, 0, 2]), np.array([0, 2, 2, 0])
     values = np.array([1.0, 2.0, -0.0, 0.0], dtype=np.complex128)
     stored = np.array([1.0, 0.0, 2.0, 0.0, 0.0], dtype=np.complex128)  # [1], [[0, 2], [0, 0]]
-    for run, part in ((slice(0, 1), slice(0, 1)), (slice(1, 2), slice(1, 5)),
-                      (slice(None), slice(None))):
-        assert same_bits(_write(layout, rows, cols, values, run), stored[part])
+    assert same_bits(_write(layout, rows, cols, values), stored)
 
 
 @settings(max_examples=40, deadline=None)
@@ -215,5 +207,5 @@ def test_reblocking_reads_no_elements():
     u = unitary_exp(ham, 0.3)
     for op in (ham @ x, x @ dense, dense @ ham):
         assert op.mat.shape == (spec.product_dim,) * 2
-    assert conjugation_residual(ham, [u], ham, excitation_count(spec, "vee")) <= 1e-12
+    assert conjugation_residual(ham, [u], ham, sector_runs(excitation_count(spec, "vee"))) <= 1e-12
     assert len(list(hermitian_blocks(ham))) == len(ham._layout.groups)

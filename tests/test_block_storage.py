@@ -24,7 +24,6 @@ from trilevel.hamiltonian import (
     LAMBDA,
     VEE,
     HamiltonianSpec,
-    _rotation_generator,
     build_hamiltonian,
     excitation_operator,
 )
@@ -35,6 +34,7 @@ from trilevel.operators import (
     OperatorMatrix,
     FIELD,
     _one_block,
+    atomic_term,
     conjugation_residual,
     deformed_operator,
     element_sum,
@@ -42,6 +42,8 @@ from trilevel.operators import (
     guarded_states,
     identity_elements,
     lift,
+    sector_runs,
+    tensor_sum,
     unitary_exp,
 )
 
@@ -51,6 +53,13 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 def scale(*mats: np.ndarray) -> float:
     return max(1.0, math.prod(float(np.max(np.abs(m))) for m in mats))
+
+
+def rotation_generator(spec: SpaceSpec, h: HamiltonianSpec) -> OperatorMatrix:
+    """i (S_ab - S_ba) (x) 1 of the degenerate pair (a, b): the generator of the mode
+    rotation lifted to the product space, an operator of product-space blocks."""
+    la, lb = h.degenerate_pair
+    return tensor_sum(spec, [atomic_term(spec, la, lb, 1j), atomic_term(spec, lb, la, -1j)])
 
 
 @st.composite
@@ -73,7 +82,7 @@ def operator_pools(draw, max_atoms=4):
         "x + x^dag": element_sum(PRODUCT, spec, [x.elements(), x.dag().elements()]),
         "a": lift(spec, element_sum(FIELD, spec, [field_elements(spec, "annihilate")])),
         "excitation": excitation_operator(spec, scheme),
-        "generator": _rotation_generator(spec, h),
+        "generator": rotation_generator(spec, h),
         "exp(H)": unitary_exp(ham, draw(st.floats(-2.0, 2.0))),
         "diagonal": element_sum(PRODUCT, spec,
                                 [(every, every, rng.integers(-1, 2, size=len(every)))]),
@@ -133,7 +142,7 @@ def test_masked_residual_equals_the_dense_masked_max(model, seed):
                pool["excitation"]):
         if not conserves(op, layout):
             with pytest.raises(ValueError, match="across sectors"):
-                conjugation_residual(op, [one], reference, count)
+                conjugation_residual(op, [one], reference, sector_runs(count))
             continue
         labels = layout.labels
         inside = rng.choice(np.flatnonzero(labels == labels[rng.integers(len(labels))]), 2)
@@ -152,7 +161,7 @@ def test_masked_residual_equals_the_dense_masked_max(model, seed):
         difference = op.mat - reference.mat
         for where in predicates:
             mask = np.broadcast_to(where(every[:, None], every[None, :]), op.mat.shape)
-            assert conjugation_residual(op, [one], reference, count, where) == float(
+            assert conjugation_residual(op, [one], reference, sector_runs(count, where)) == float(
                 np.max(np.abs(difference[mask]), initial=0.0))
 
 

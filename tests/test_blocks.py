@@ -17,7 +17,9 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import dense_reference as dr
+from test_block_storage import rotation_generator
 import trilevel.dynamics as dynamics
+import trilevel.hamiltonian as hamiltonian
 import trilevel.operators as operators
 from trilevel.cli import main
 from trilevel.dispersive import (
@@ -36,7 +38,6 @@ from trilevel.hamiltonian import (
     LAMBDA,
     VEE,
     HamiltonianSpec,
-    _rotation_generator,
     build_hamiltonian,
     excitation_count,
     excitation_operator,
@@ -54,6 +55,7 @@ from trilevel.operators import (
     field_elements,
     identity_elements,
     lift,
+    sector_runs,
     unitary_exp,
 )
 
@@ -122,7 +124,7 @@ def test_block_exponential_matches_dense(model, t):
 def test_rotation_exponentials_match_dense(model, theta):
     spec, h = model
     la, lb = h.degenerate_pair
-    gens = [(_rotation_generator(spec, h),
+    gens = [(rotation_generator(spec, h),
              1j * dr.lift_atomic(spec, dr.atomic(spec, la, lb) - dr.atomic(spec, lb, la)))]
     for (i, j) in h.coupled_pairs():
         gens.append((_generator(spec, i, j),
@@ -174,7 +176,7 @@ def test_every_operator_a_command_hands_to_a_kernel_is_stored_exactly(scheme, sp
     evolve, spectrum and dispersive-compare read."""
     spec, second = SpaceSpec(atoms, atoms + 2), "g32" if scheme == LAMBDA else "g21"
     h = HamiltonianSpec(scheme, PAIR_ENERGIES[scheme, split], 1.0, g31=0.1, **{second: 0.07})
-    generators = [_rotation_generator(spec, h), *_generators(spec, scheme).values()]
+    generators = [rotation_generator(spec, h), *_generators(spec, scheme).values()]
     seen = [build_hamiltonian(spec, h), *generators, mode_rotation_unitary(spec, h),
             *(unitary_exp(g, 0.05) for g in generators), analytic_effective(spec, h)]
     if not split:
@@ -187,6 +189,7 @@ def test_every_operator_a_command_hands_to_a_kernel_is_stored_exactly(scheme, sp
 
     monkeypatch.setattr(operators, "stored_stacks", recording)
     monkeypatch.setattr(dynamics, "stored_stacks", recording)
+    monkeypatch.setattr(hamiltonian, "stored_stacks", recording)  # verify's U_a
     start = f"{atoms},0,0" if scheme == LAMBDA else f"0,0,{atoms}"
     conf = tmp_path / "run.conf"
     conf.write_text("".join(f"{k} = {v}\n" for k, v in (
@@ -247,8 +250,8 @@ def test_dispersive_residual_matches_dense(model, guard):
     except ValueError:
         assume(False)
     assume(guard <= spec.n_max)
-    block = _residual(spec, h, _transfer_block(spec, h.scheme, guard),
-                      _generators(spec, h.scheme))[-1]
+    sectors = sector_runs(excitation_count(spec, h.scheme), _transfer_block(spec, h.scheme, guard))
+    block = _residual(spec, h, sectors, _generators(spec, h.scheme))[-1]
     dense = dense_block_residual(spec, h, guard)
     assert abs(block - dense) <= TOL * scale(dr.hamiltonian(spec, h))
     transformed = effective_transform(spec, h).mat
@@ -333,7 +336,7 @@ def test_rotation_residual_matches_dense(h, flip, monkeypatch):
     monkeypatch.setitem(operators.LAYOUTS, h.scheme, replace(lay, sign=flip * lay.sign))
     spec = SpaceSpec(2, 4)
     residual = rotation_report(spec, h)
-    u = mode_rotation_unitary(spec, h).mat
+    u = dr.lift_atomic(spec, mode_rotation_unitary(spec, h).mat)
     dense = np.max(np.abs(u @ dr.hamiltonian(spec, h) @ u.conj().T
                           - dr.hamiltonian(spec, reduced_hamiltonian(h))))
     assert abs(residual - dense) <= TOL * scale(dr.hamiltonian(spec, h))

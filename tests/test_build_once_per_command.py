@@ -1,5 +1,6 @@
 """evolve builds H alone, dispersive-compare builds H and the closed-form effective
-H once per detuning, the verify identities agree exactly with their dense form, and a
+H once per detuning and its sectors once, verify builds no product-space operator and
+sizes what it holds, the verify identities agree exactly with their dense form, and a
 run too large for physical memory is refused before anything is built.
 
 The identity reference rebuilds both sides from the lifted collective and
@@ -8,6 +9,10 @@ field operators and the dressed transitions of ``dense_reference``.
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +26,8 @@ from trilevel.cli import main, parse_config
 from trilevel.dispersive import residual_and_order
 from trilevel.hilbert import SpaceSpec
 from trilevel.operators import CHUNK_ENTRIES, OperatorMatrix, verify_algebra
+
+ROOT = Path(__file__).resolve().parents[1]
 
 LAMBDA_CONF = """\
 scheme = lambda
@@ -93,14 +100,24 @@ def test_dispersive_compare_builds_each_operator_once(text, tmp_path, monkeypatc
     build = counting(calls, "H", hamiltonian.build_hamiltonian)
     for module in (hamiltonian, dispersive, dynamics, cli):
         monkeypatch.setattr(module, "build_hamiltonian", build)
-    for name in ("analytic_effective", "_transfer_block"):
+    for name in ("analytic_effective", "_transfer_block", "sector_runs"):
         monkeypatch.setattr(dispersive, name, counting(calls, name, getattr(dispersive, name)))
     assert run("dispersive-compare", text, tmp_path) == cli.EXIT_OK
     # one H and one effective H for eps, one each for the eps/2 probe; both evolved at eps
     assert calls.count("H") == 2
     assert calls.count("analytic_effective") == 2
     assert calls.count("_transfer_block") == 1
+    assert calls.count("sector_runs") == 1  # the sectors and their mask serve both probes
     assert len(built) == 10  # two generators; per detuning H, H_eff and two rotations
+
+
+@pytest.mark.parametrize("text", [LAMBDA_CONF, VEE_CONF], ids=["lambda", "vee"])
+@pytest.mark.parametrize("atoms", [1, 2, 3, 4])
+def test_verify_builds_no_product_space_operator(text, atoms, tmp_path, monkeypatch):
+    """The rotation row reads U_a and the elements; the other rows hold no operator."""
+    built = count_constructions(monkeypatch)
+    assert run("verify", text.replace("atoms = 2", f"atoms = {atoms}"), tmp_path) == cli.EXIT_OK
+    assert built and all(op.space != "product" for op in built)  # U_a and its generator
 
 
 @pytest.mark.parametrize("text", [LAMBDA_CONF, VEE_CONF], ids=["lambda", "vee"])
@@ -153,7 +170,7 @@ RECORD = 9 * 8  # bytes per sample of one trajectory record
 
 @pytest.mark.parametrize("command,expected,expected_fewer", [
     ("spectrum", 16 * SMALL_DIM * 2, 16 * SMALL_DIM * 2),  # ladders of at most atoms + 1 = 2
-    ("verify", 16 * SMALL_DIM ** 2, 16 * SMALL_DIM ** 2),
+    ("verify", 32 * SMALL_DIM + 81 * 232 * 3, 32 * SMALL_DIM + 81 * 232 * 3),  # u3 at A=1
     ("weights", 6 * 32 * SMALL_DIM, 6 * 32 * SMALL_DIM),  # six operators' (row, col, value)
     ("evolve", RECORD * 101 + CHUNK, RECORD * 5 + CHUNK),
     ("dispersive-compare", 2 * RECORD * 101 + CHUNK, 2 * RECORD * 5 + CHUNK),
@@ -171,8 +188,8 @@ def test_spectrum_estimate_is_dense_unless_the_pair_is_exactly_degenerate():
 
 def test_sizes_the_dense_estimate_refused_now_fit():
     """spectrum at A=32, n_max=40 and evolve at A=8, n_max=16 over 700,000 samples need
-    8.5e9 and 8.6e9 bytes as dense arrays, weights at A=60, n_max=100 5.8e11; their
-    stored forms take under 0.1 GB."""
+    8.5e9 and 8.6e9 bytes as dense arrays, weights and verify at A=60, n_max=100 5.8e11;
+    their stored forms take under 0.1 GB."""
     big = SMALL_CONF.replace("atoms = 1", "atoms = 32").replace("n_max = 5", "n_max = 40")
     assert cli.largest_array_bytes("spectrum", parse_config(big)) == 16 * 561 * 41 * 33
     long = (SMALL_CONF.replace("atoms = 1", "atoms = 8").replace("n_max = 5", "n_max = 16")
@@ -182,7 +199,32 @@ def test_sizes_the_dense_estimate_refused_now_fit():
     assert cli.largest_array_bytes("weights", parse_config(scale)) == 6 * 32 * 1891 * 101
     assert max(cli.largest_array_bytes("spectrum", parse_config(big)),
                cli.largest_array_bytes("evolve", parse_config(long)),
-               cli.largest_array_bytes("weights", parse_config(scale))) < 1e8
+               cli.largest_array_bytes("weights", parse_config(scale)),
+               cli.largest_array_bytes("verify", parse_config(scale))) < 1e8
+
+
+VERIFY_PEAK = """
+import sys, tracemalloc
+from pathlib import Path
+from trilevel import cli
+cfg = cli.parse_config(sys.stdin.read())
+tracemalloc.start()
+cli.cmd_verify(cfg, Path(sys.argv[1]))
+print(tracemalloc.get_traced_memory()[1], cli.largest_array_bytes("verify", cfg))
+"""
+
+
+@pytest.mark.parametrize("scheme", ["lambda", "vee"])
+def test_verify_estimate_is_within_twice_the_traced_peak(scheme, tmp_path):
+    """At A=30, n_max=40, in a fresh process on one BLAS thread."""
+    text = ((LAMBDA_CONF if scheme == "lambda" else VEE_CONF)
+            .replace("atoms = 2", "atoms = 30").replace("n_max = 5", "n_max = 40"))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    child = subprocess.run([sys.executable, "-c", VERIFY_PEAK, str(tmp_path / "o")], input=text,
+                           env=env, capture_output=True, text=True, check=True)
+    peak, predicted = map(int, child.stdout.split()[-2:])
+    assert peak / 2 <= predicted <= 2 * peak
 
 
 def refuse_construction(op):

@@ -1,12 +1,15 @@
 """``operators.conjugation_residual`` against the dense formula.
 
 The kernel returns the largest |W H W^dag - reference| over a predicate, W the
-ordered product of the unitaries, one sector of a conserved label at a time.  The
-reference here is the same expression on the read-back ``mat`` arrays, with H from
-``dense_reference``.  An operand with a stored block across two sectors is refused,
-the runs of sectors change no bit, and no product operator is stored.  The dispersive
-probe's residual against the closed-form effective H is the one against its transfer
-term alone, bit for bit: the free part is diagonal, and the block holds none.
+ordered product of the unitaries, one run of sectors of a conserved label at a time,
+each unitary applied from its own blocks.  The reference here is the same expression on
+the read-back ``mat`` arrays, with H from ``dense_reference``, and, up to A = 8, the
+same expression with W formed densely in each whole sector.  An operand with a stored
+block across two sectors is refused, the runs of sectors change no bit, and no product
+operator is stored.  The dispersive probe's residual against the closed-form effective
+H is the one against its transfer term alone, bit for bit: the free part is diagonal,
+and the block holds none.  The mode rotation, atomic since it acts on the atoms only,
+enters as a product-space unitary through ``lift``.
 """
 
 import functools
@@ -39,13 +42,13 @@ from trilevel.operators import (
     FIELD,
     PRODUCT,
     OperatorMatrix,
-    _runs,
     conjugation_residual,
     conserved_product,
     element_sum,
     enhancement_factor,
     field_elements,
     lift,
+    sector_runs,
 )
 
 PAIR_ENERGIES = {(LAMBDA, False): (0.0, 0.0, 3.0), (LAMBDA, True): (0.0, 0.4, 3.0),
@@ -78,17 +81,19 @@ def dense_residual(spec, h, unitaries, reference, where=None) -> tuple[float, fl
 @pytest.mark.parametrize("scheme", [LAMBDA, VEE])
 def test_one_unitary_equals_the_dense_formula(scheme, split, atoms):
     spec, h = model(scheme, split, atoms)
-    u = mode_rotation_unitary(spec, h)
+    u = lift(spec, mode_rotation_unitary(spec, h))
     # the reduced H where the pair is degenerate, else H itself
     reference = build_hamiltonian(spec, reduced_hamiltonian(h) or h)
     count = excitation_count(spec, scheme)
     block = _transfer_block(spec, scheme, 1)
     for where in (None, block):
         expected, scale = dense_residual(spec, h, [u], reference, where)
-        got = conjugation_residual(build_hamiltonian(spec, h), [u], reference, count, where)
+        got = conjugation_residual(build_hamiltonian(spec, h), [u], reference,
+                                   sector_runs(count, where))
         assert abs(got - expected) <= 1e-12 * scale
     if not split:
-        assert conjugation_residual(build_hamiltonian(spec, h), [u], reference, count) <= 1e-10
+        assert conjugation_residual(build_hamiltonian(spec, h), [u], reference,
+                                    sector_runs(count)) <= 1e-10
 
 
 @pytest.mark.parametrize("atoms", [1, 2, 3, 4])
@@ -101,10 +106,44 @@ def test_two_unitaries_equal_the_dense_formula(scheme, split, atoms):
     count = excitation_count(spec, scheme)
     for where in (None, _transfer_block(spec, scheme, 2)):
         expected, scale = dense_residual(spec, h, rotations, reference, where)
-        got = conjugation_residual(build_hamiltonian(spec, h), rotations, reference, count,
-                                   where)
+        got = conjugation_residual(build_hamiltonian(spec, h), rotations, reference,
+                                   sector_runs(count, where))
         assert abs(got - expected) <= 1e-12 * scale
         assert got > 0.0
+
+
+def whole_sector_residual(ham, unitaries, reference, count, where) -> tuple[float, float]:
+    """The largest masked |W H W^dag - reference| with W formed densely in each whole
+    sector of ``count``, (((W1 W2) H) W2^dag) W1^dag, and the scale of the compared terms."""
+    out, scale = 0.0, 1.0
+    mats = [op.mat for op in (ham, *unitaries, reference)]
+    for value in np.unique(count):
+        s = np.flatnonzero(count == value)
+        h, *w, ref = (m[np.ix_(s, s)] for m in mats)
+        product = functools.reduce(np.matmul, w) @ h
+        for u in reversed(w):
+            product = product @ u.conj().T
+        mask = where(s[:, None], s[None, :])
+        out = max(out, float(np.max(np.abs(product - ref), where=mask, initial=0.0)))
+        scale = max(scale, float(np.max(np.abs(product))), float(np.max(np.abs(ref))))
+    return out, scale
+
+
+@pytest.mark.parametrize("atoms", range(1, 9))
+@pytest.mark.parametrize("scheme", [LAMBDA, VEE])
+def test_the_probe_equals_the_whole_sector_products(scheme, atoms):
+    """At eps and at eps/2, as compare probes them: the rotations applied from their own
+    blocks give the residual of W formed in each whole sector, within 1e-12 x the scale."""
+    spec, h = model(scheme, False, atoms)
+    h_half = replace(h, omega=h.omega - (h.energies[2] - h.energies[0] - h.omega))  # Delta31
+    block, generators = _transfer_block(spec, scheme, 2), _generators(spec, scheme)
+    count = excitation_count(spec, scheme)
+    sectors = sector_runs(count, block)
+    for hh in (h, h_half):
+        ham, effective, got = _residual(spec, hh, sectors, generators)
+        expected, scale = whole_sector_residual(ham, _rotations(hh, generators), effective,
+                                                count, block)
+        assert abs(got - expected) <= 1e-12 * scale
 
 
 def prefactor_times_transfer(spec, h) -> OperatorMatrix:
@@ -125,11 +164,11 @@ def test_the_probe_residual_is_the_transfer_term_residual(scheme, atoms):
     spec, h = model(scheme, False, atoms)  # equal detunings, as compare's order probe needs
     h_half = replace(h, omega=h.omega - (h.energies[2] - h.energies[0] - h.omega))  # Delta31
     block, generators = _transfer_block(spec, scheme, 2), _generators(spec, scheme)
-    count = excitation_count(spec, scheme)
+    sectors = sector_runs(excitation_count(spec, scheme), block)
     for hh in (h, h_half):
-        ham, _, got = _residual(spec, hh, block, generators)
+        ham, _, got = _residual(spec, hh, sectors, generators)
         expected = conjugation_residual(ham, _rotations(hh, generators),
-                                        prefactor_times_transfer(spec, hh), count, block)
+                                        prefactor_times_transfer(spec, hh), sectors)
         assert got == expected
         assert got > 0.0
 
@@ -137,48 +176,53 @@ def test_the_probe_residual_is_the_transfer_term_residual(scheme, atoms):
 @pytest.mark.parametrize("slot", ["h", "unitary", "reference"])
 def test_an_operand_that_breaks_the_count_is_refused(slot):
     spec, h = model(VEE, False, 2)
-    ham, u = build_hamiltonian(spec, h), mode_rotation_unitary(spec, h)
+    ham, u = build_hamiltonian(spec, h), lift(spec, mode_rotation_unitary(spec, h))
     a = lift(spec, element_sum(FIELD, spec, [field_elements(spec, "annihilate")]))
     operands = {"h": ham, "unitary": u, "reference": ham, slot: a}
     with pytest.raises(ValueError, match="across sectors"):
         conjugation_residual(operands["h"], [operands["unitary"]], operands["reference"],
-                             excitation_count(spec, VEE))
+                             sector_runs(excitation_count(spec, VEE)))
 
 
 @pytest.mark.parametrize("chunk", [1, 50, 2**30])
 @pytest.mark.parametrize("scheme", [LAMBDA, VEE])
 def test_runs_of_sectors_change_no_bit(scheme, chunk, monkeypatch):
-    """One run per size group, a few groups per run, or every group in one run."""
+    """One sector per run, a few sectors per run, or every sector in one run."""
     spec, h = model(scheme, False, 4)
     rotations = _rotations(h, _generators(spec, scheme))
     reference = analytic_effective(spec, h)
     count = excitation_count(spec, scheme)
     ham = build_hamiltonian(spec, h)
     block = _transfer_block(spec, scheme, 2)
-    default = conjugation_residual(ham, rotations, reference, count, block)
+    default = conjugation_residual(ham, rotations, reference, sector_runs(count, block))
     monkeypatch.setattr(operators, "CHUNK_ENTRIES", chunk)
-    assert conjugation_residual(ham, rotations, reference, count, block) == default
+    assert conjugation_residual(ham, rotations, reference, sector_runs(count, block)) == default
 
 
-def test_runs_hold_at_most_chunk_entries_unless_one_group():
-    spec = SpaceSpec(8, 16)
-    layout = build_hamiltonian(spec, model(VEE, False, 8)[1])._layout
-    runs = list(_runs(layout))
-    assert [k for run in runs for k in range(len(layout.stacks))[run]] == list(
-        range(len(layout.stacks)))
-    for run in runs:
-        entries = sum(where.stop - where.start for _, where, _ in layout.stacks[run])
-        assert entries <= operators.CHUNK_ENTRIES or run.stop - run.start == 1
-    assert len(runs) > 1
+def test_runs_hold_at_most_chunk_entries_unless_one_sector():
+    """Every state lies in one run, at a padded index of its sector's block, in ascending
+    order; a run's padded stack holds at most CHUNK_ENTRIES entries or one sector."""
+    count = excitation_count(SpaceSpec(8, 16), VEE)
+    sectors = sector_runs(count)
+    assert len(sectors.layouts) > 1
+    for k, layout in enumerate(sectors.layouts):
+        (m, size), states = layout.groups[0].shape, np.flatnonzero(sectors.run == k)
+        assert m * size ** 2 <= operators.CHUNK_ENTRIES or m == 1
+        block, slot = np.divmod(sectors.at[states], size)
+        for i in range(m):
+            inside = states[block == i]
+            assert len(np.unique(count[inside])) == 1
+            assert np.array_equal(slot[block == i], np.arange(len(inside)))
 
 
 def test_the_kernel_stores_no_operator(monkeypatch):
     spec, h = model(LAMBDA, False, 3)
-    ham, u = build_hamiltonian(spec, h), mode_rotation_unitary(spec, h)
+    ham, u = build_hamiltonian(spec, h), lift(spec, mode_rotation_unitary(spec, h))
     reference = build_hamiltonian(spec, reduced_hamiltonian(h))
+    sectors = sector_runs(excitation_count(spec, LAMBDA))
 
     def refuse(*args, **kwargs):
         raise AssertionError("the kernel built an operator")
 
     monkeypatch.setattr(OperatorMatrix, "__init__", refuse)
-    assert conjugation_residual(ham, [u], reference, excitation_count(spec, LAMBDA)) <= 1e-10
+    assert conjugation_residual(ham, [u], reference, sectors) <= 1e-10

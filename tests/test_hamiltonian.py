@@ -3,13 +3,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 import dense_reference as dr
 import trilevel.hamiltonian as hamiltonian
 import trilevel.operators as operators
 from trilevel.hilbert import SpaceSpec, fock_vector, index_map
-from trilevel.operators import PRODUCT, OperatorMatrix, element_sum, identity_elements, unitary_exp
+from trilevel.operators import ATOMIC, OperatorMatrix, element_sum, identity_elements, unitary_exp
 from trilevel.hamiltonian import (
     LAMBDA,
     TOL_DARK_BLOCK,
@@ -145,17 +145,38 @@ def test_mode_rotation_zero_angle_is_identity():
     spec = SpaceSpec(1, 2)
     h = lambda_spec(g31=0.5, g32=0.0)
     u = mode_rotation_unitary(spec, h)
-    assert np.max(np.abs(u.mat - np.eye(spec.product_dim))) <= 1e-12
+    assert u.space == ATOMIC
+    assert np.max(np.abs(u.mat - np.eye(spec.atomic_dim))) <= 1e-12
 
 
 @pytest.mark.parametrize("h", [lambda_spec(0.2, 0.2), vee_spec(0.3, 0.5)])
 def test_mode_rotation_unitary_and_decoupling(h):
+    """U_a (x) 1, lifted densely, maps H onto the reduced H."""
     spec = SpaceSpec(1, 2)
-    u = mode_rotation_unitary(spec, h)
-    assert np.max(np.abs((u @ u.dag()).mat - np.eye(spec.product_dim))) <= 1e-12
-    transformed = u @ build_hamiltonian(spec, h) @ u.dag()
+    u = dr.lift_atomic(spec, mode_rotation_unitary(spec, h).mat)
+    assert np.max(np.abs(u @ u.conj().T - np.eye(spec.product_dim))) <= 1e-12
+    transformed = u @ build_hamiltonian(spec, h).mat @ u.conj().T
     reduced = build_hamiltonian(spec, reduced_hamiltonian(h))
-    assert np.max(np.abs(transformed.mat - reduced.mat)) <= 1e-10
+    assert np.max(np.abs(transformed - reduced.mat)) <= 1e-10
+
+
+@given(st.sampled_from([LAMBDA, VEE]), st.integers(1, 4), st.integers(1, 4),
+       st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(-2.0, 2.0), st.floats(0.5, 2.0))
+def test_rotation_row_equals_the_dense_off_diagonal_residual(scheme, atoms, n_max, ga, gb,
+                                                             e_low, gap):
+    """The atomic rotation row equals the largest off-diagonal element of U H U^dag - H_red,
+    written densely with U = U_a (x) 1, within 1e-13, for random couplings."""
+    assume(ga > 0.0 or gb > 0.0)
+    energies = ((e_low, e_low, e_low + gap) if scheme == LAMBDA
+                else (e_low, e_low + gap, e_low + gap))
+    h = HamiltonianSpec(scheme, energies, 1.0, g31=ga,
+                        **{"g32" if scheme == LAMBDA else "g21": gb})
+    spec = SpaceSpec(atoms, n_max)
+    u = dr.lift_atomic(spec, mode_rotation_unitary(spec, h).mat)
+    difference = (u @ dr.hamiltonian(spec, h) @ u.conj().T
+                  - dr.hamiltonian(spec, reduced_hamiltonian(h)))
+    off = np.max(np.abs(difference - np.diag(np.diag(difference))))
+    assert abs(rotation_report(spec, h) - off) <= 1e-13
 
 
 @pytest.mark.parametrize("atoms", [1, 2, 3])
@@ -184,7 +205,7 @@ def test_rotation_takes_the_known_sign_once(atoms, h, monkeypatch):
     monkeypatch.setattr(hamiltonian, "unitary_exp", counted)
     rotation_report(spec, h)
     assert len(calls) == 1
-    u = mode_rotation_unitary(spec, h).mat
+    u = dr.lift_atomic(spec, mode_rotation_unitary(spec, h).mat)
     slot2 = np.zeros(spec.product_dim, dtype=complex)
     slot2[index_map(spec).flat((0, atoms, 0), 1)] = 1.0
     assert np.max(np.abs(u.conj().T @ slot2 - dark_state(spec, h, 1))) <= 1e-12
@@ -194,8 +215,8 @@ def test_rotation_that_leaves_the_dark_mode_coupled_is_an_error(monkeypatch):
     """The report returns the failed residual; verify compares it with the tolerance."""
     spec = SpaceSpec(1, 2)
     monkeypatch.setattr(hamiltonian, "unitary_exp",
-                        lambda gen, theta: element_sum(PRODUCT, spec,
-                                                       [identity_elements(spec.product_dim)]))
+                        lambda gen, theta: element_sum(ATOMIC, spec,
+                                                       [identity_elements(spec.atomic_dim)]))
     assert rotation_report(spec, vee_spec(0.3, 0.4)) > TOL_DARK_BLOCK
 
 

@@ -52,7 +52,8 @@ def factor_reference(spec, scheme):
 
 @pytest.mark.parametrize("h", [LAMBDA_H, VEE_H])
 @pytest.mark.parametrize("atoms", [1, 2])
-def test_rotation_report_builds_each_hamiltonian_once(h, atoms, monkeypatch):
+def test_rotation_report_builds_no_hamiltonian(h, atoms, monkeypatch):
+    """The rotation row reads the atomic factor: no H, no reduced H."""
     calls = []
     real = hamiltonian.build_hamiltonian
 
@@ -62,7 +63,7 @@ def test_rotation_report_builds_each_hamiltonian_once(h, atoms, monkeypatch):
 
     monkeypatch.setattr(hamiltonian, "build_hamiltonian", counting)
     residual = rotation_report(SpaceSpec(atoms, 3), h)
-    assert [args[1] for args in calls] == [h, hamiltonian.reduced_hamiltonian(h)]  # one per spec
+    assert calls == []
     assert residual <= hamiltonian.TOL_DARK_BLOCK
 
 

@@ -22,22 +22,24 @@ ROOT = Path(__file__).resolve().parents[1]
 # (residual, order, prefactor) as float.hex and the first 16 hex digits of the sha256 of
 # analytic_effective's (rows, cols, values) bytes, computed when each of these functions
 # still took a DispersiveParams record beside the spec; guard 2, eps = 0.05 and 0.035.
+# Residual and order were pinned again when the probe began to apply each small rotation
+# from its own blocks (at most 1.8e-14 and 4.3e-14 relative from the whole-sector values).
 PINNED = {
     (LAMBDA, 1): ("0x1.ff4e36093d400p-15", "0x1.7fb8bc18d22f2p+1", "0x1.cac083126e97ap-9",
                   "d3732a70dbe72371"),
-    (LAMBDA, 2): ("0x1.1804f0ed688c0p-12", "0x1.7f345743ccd67p+1", "0x1.cac083126e97ap-9",
+    (LAMBDA, 2): ("0x1.1804f0ed688a0p-12", "0x1.7f345743ccd51p+1", "0x1.cac083126e97ap-9",
                   "72f2880665eaab5a"),
-    (LAMBDA, 3): ("0x1.6a051027e4c00p-11", "0x1.7ea9b6f348d65p+1", "0x1.cac083126e97ap-9",
+    (LAMBDA, 3): ("0x1.6a051027e4be0p-11", "0x1.7ea9b6f348d14p+1", "0x1.cac083126e97ap-9",
                   "9a0c18562441cbc8"),
-    (LAMBDA, 4): ("0x1.7be725f4ce1e0p-10", "0x1.7e26d5f52f276p+1", "0x1.cac083126e97ap-9",
+    (LAMBDA, 4): ("0x1.7be725f4ce1a0p-10", "0x1.7e26d5f52f294p+1", "0x1.cac083126e97ap-9",
                   "71a884adc76a46fa"),
-    (VEE, 1): ("0x1.972072d09fa80p-14", "0x1.7fbac97b556d5p+1", "0x1.cac083126e97ap-9",
+    (VEE, 1): ("0x1.972072d09fa00p-14", "0x1.7fbac97b555b3p+1", "0x1.cac083126e97ap-9",
                "cce209e9304f56ff"),
     (VEE, 2): ("0x1.bb5156da8fc80p-12", "0x1.7ec0b3019ba16p+1", "0x1.cac083126e97ap-9",
                "a37e1a25c362f084"),
-    (VEE, 3): ("0x1.e8c80f9f29fe0p-11", "0x1.7ddfc6381d7ffp+1", "0x1.cac083126e97ap-9",
+    (VEE, 3): ("0x1.e8c80f9f29fc0p-11", "0x1.7ddfc6381d793p+1", "0x1.cac083126e97ap-9",
                "4805d51f5f3c6539"),
-    (VEE, 4): ("0x1.a93e8441905e0p-10", "0x1.7d03d8b09fd95p+1", "0x1.cac083126e97ap-9",
+    (VEE, 4): ("0x1.a93e844190630p-10", "0x1.7d03d8b09fd4ap+1", "0x1.cac083126e97ap-9",
                "5ff288f0dac158f7"),
 }
 

@@ -67,8 +67,8 @@ def test_reduced_spectrum_matches_the_dense_hamiltonian(model):
 def test_mode_rotation_maps_h_onto_the_reduced_hamiltonian(scheme, atoms):
     """U H U^dag = H_red: the bright mode on the first pair, the dark one on slot 2."""
     spec, h = SpaceSpec(atoms, 4), degenerate(scheme, 0.0, 3.0, 1.0, 0.1, 0.13)
-    u = mode_rotation_unitary(spec, h)
-    rotated = (u @ build_hamiltonian(spec, h) @ u.dag()).mat
+    u = dr.lift_atomic(spec, mode_rotation_unitary(spec, h).mat)  # U_a (x) 1
+    rotated = u @ build_hamiltonian(spec, h).mat @ u.conj().T
     assert np.max(np.abs(rotated - build_hamiltonian(spec, reduced_hamiltonian(h)).mat)) <= TOL
 
 

@@ -27,6 +27,7 @@ from hypothesis import assume, given, strategies as st
 import dense_reference as dr
 import trilevel.dispersive as dispersive
 from test_batched_kernels import same_bits
+from test_block_storage import rotation_generator
 from trilevel.dispersive import (analytic_effective, small_params, small_rotation,
                                  transfer_prefactor)
 from trilevel.hamiltonian import (
@@ -34,7 +35,6 @@ from trilevel.hamiltonian import (
     VEE,
     HamiltonianSpec,
     _free_terms,
-    _rotation_generator,
     build_hamiltonian,
 )
 from trilevel.hilbert import SpaceSpec, index_map
@@ -115,7 +115,7 @@ def test_dressed_transitions_equal_the_dense_reference(atoms, n_max, pair):
 def test_rotation_generator_equals_the_lifted_difference(spec, h):
     la, lb = h.degenerate_pair
     dense = 1j * (dr.lift_atomic(spec, dr.atomic(spec, la, lb) - dr.atomic(spec, lb, la)))
-    assert_same(_rotation_generator(spec, h), dense)
+    assert_same(rotation_generator(spec, h), dense)
 
 
 @given(spec=sizes, pair=st.sampled_from(DEFORMED_PAIRS), eps=st.floats(-0.1, 0.1))
@@ -208,7 +208,7 @@ def dense_terms(spec, h):
         "H": (free + interaction, build_hamiltonian(spec, h)),
         "rotation generator": ([(1j, dr.atomic(spec, la, lb), eye_field),
                                 (-1j, dr.atomic(spec, lb, la), eye_field)],
-                               _rotation_generator(spec, h)),
+                               rotation_generator(spec, h)),
     }
     for i, j in ALL_PAIRS:
         terms[f"X{i}{j}"] = ([dense_dressed(spec, i, j)], deformed_operator(spec, i, j))
