@@ -37,7 +37,8 @@ from .hamiltonian import (
     rotation_report,
     spectrum,
 )
-from .dispersive import DEFAULT_GUARD, compare, small_params, transfer_prefactor, validity_margin
+from .dispersive import (DEFAULT_GUARD, compare, small_params, transfer_prefactor,
+                         transfer_summary, validity_margin)
 from .dynamics import (
     InitialState,
     TimeGrid,
@@ -339,6 +340,7 @@ def cmd_dispersive_compare(cfg: RunConfig, out: Path) -> int:
         "block_residual": residual,
         "order_estimate": order if math.isfinite(order) else None,
         "max_population_deviation": deviation,
+        "transfer": transfer_summary(spec, h, psi0, exact, margin),
     })
     print(f"dispersive-compare: block residual {residual:.3e}, order {order:.2f}")
     if not _conserved({"exact ": exact, "effective ": effective}):

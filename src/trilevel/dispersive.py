@@ -18,6 +18,9 @@ that ``compare`` probes and ``trilevel dispersive-compare`` evolves.  Diagonal
 (Stark-shift) terms of the same order are never reconstructed; comparisons against
 the numeric conjugation are restricted to the degenerate-transfer block, which holds
 no diagonal element and where the closed forms are complete at first order in eps.
+transfer_summary reads the exact trajectory against that closed form: lambda never
+transfers out of the vacuum, vee does, through the vacuum-triggered channel, with
+the half-period pi / (2 prefactor |f|).
 """
 
 from __future__ import annotations
@@ -115,6 +118,66 @@ def transfer_prefactor(h: HamiltonianSpec) -> float:
     (lambda) or eps21 g31 (vee), the prefactor of the closed form."""
     outer, inner = layout(h.scheme).rotation_order
     return small_params(h)[inner] * h.coupling(*outer)
+
+
+def _first_peak_time(times: np.ndarray, values: np.ndarray) -> float:
+    """Time of the first oscillation maximum, refined by a quadratic fit.
+
+    Later maxima of a slightly anharmonic oscillation can edge above the
+    first one, and fast small-amplitude ripples ride on the slow envelope,
+    so the first peak is bracketed with hysteresis (enter at 90% of the
+    global maximum, leave below 50%) and a least-squares parabola over the
+    top samples averages the ripples out.
+    """
+    top = float(np.max(values))
+    n = len(values)
+    start = int(np.argmax(values >= 0.9 * top))
+    end = start
+    while end + 1 < n and values[end + 1] >= 0.5 * top:
+        end += 1
+    segment = slice(start, end + 1)
+    mask = values[segment] >= 0.9 * top
+    ts = times[segment][mask]
+    ys = values[segment][mask]
+    if len(ts) < 3:
+        i = min(max(start + int(np.argmax(values[segment])), 1), n - 2)
+        ts, ys = times[i - 1: i + 2], values[i - 1: i + 2]
+    t0 = ts[0]
+    a, b, _ = np.polyfit(ts - t0, ys, 2)
+    if a >= 0.0:
+        return float(ts[int(np.argmax(ys))])
+    return float(t0 - b / (2.0 * a))
+
+
+def transfer_summary(spec: SpaceSpec, h: HamiltonianSpec, psi0: np.ndarray, record,
+                     margin: float) -> dict:
+    """The vacuum transfer of the exact ``record`` (a dynamics.TrajectoryRecord) from
+    ``psi0``, read from its populations and from the basis labels weighted by |psi0|^2.
+
+    The partner is the member of the degenerate pair less populated in psi0, the level
+    the transfer would fill (level 2 when both are equal); f is the enhancement factor
+    in psi0.  Where the shared level is the lower one (vee), the couplings are symmetric
+    and f != 0, the first maximum of the partner's population (measured) is set against
+    pi / (2 prefactor |f|) (predicted).  Both are None elsewhere, as asymmetric couplings
+    detune the oscillation through unequal Stark shifts, and None where the pair starts
+    equally populated (no transfer to see), below a ``margin`` (validity_margin) of 10
+    or under 400 samples.
+    """
+    la, lb = h.degenerate_pair
+    table, weights = index_map(spec), np.abs(psi0) ** 2
+    pa, pb = (float(weights @ table.occupations[:, level - 1]) for level in (la, lb))
+    partner = la if pa < pb else (lb if pb < pa else 2)
+    population = record.population(partner)
+    factor = float(weights @ enhancement_factor(h.scheme, table.occupations, table.photons))
+    ga, gb = (h.coupling(i, j) for i, j in h.coupled_pairs())
+    predicted = measured = None
+    if (not layout(h.scheme).shared_is_upper and abs(ga - gb) <= 1e-12 and abs(factor) > 0
+            and pa != pb and margin >= 10.0 and len(record.times) >= 400):
+        predicted = math.pi / (2.0 * transfer_prefactor(h) * abs(factor))
+        measured = _first_peak_time(record.times, population)
+    return {"partner_level": partner, "max_partner_population": float(np.max(population)),
+            "enhancement_factor": factor, "predicted_half_period": predicted,
+            "measured_half_period": measured}
 
 
 def analytic_effective(spec: SpaceSpec, h: HamiltonianSpec) -> OperatorMatrix:

@@ -1,13 +1,11 @@
-"""Exact unitary evolution and the population-transfer experiments.
+"""Exact unitary evolution and the semiclassical sweep.
 
 Propagation diagonalizes each Hamiltonian block the initial state occupies
 and keeps the state on those blocks alone, one bounded time chunk at a
 time: no step-size error to tune, no dense state matrix and no array of
 rows x samples.  Trajectories record energy <H> and, from basis labels weighted
 by |psi|^2, level populations, photon number, norm, the conserved excitation
-count and the population of the top photon slab (truncation leakage).  The
-experiments contrast the layouts in the dispersive regime: lambda never
-transfers out of the vacuum, vee always does, through the vacuum-triggered channel.
+count and the population of the top photon slab (truncation leakage).
 """
 
 from __future__ import annotations
@@ -21,19 +19,11 @@ import numpy as np
 from .hilbert import Occupation, SpaceSpec, fock_vector, index_map
 from .operators import (CHUNK_ENTRIES, LAMBDA, PRODUCT, VEE, OperatorMatrix,
                         enhancement_factor, hermitian_blocks, stored_stacks)
-from .hamiltonian import (
-    HamiltonianSpec,
-    build_hamiltonian,
-    bright_atomic_vector,
-    dark_atomic_vector,
-    excitation_count,
-)
-from .dispersive import transfer_prefactor, validity_margin
+from .hamiltonian import HamiltonianSpec, bright_atomic_vector, dark_atomic_vector
 
 COHERENT_TAIL_LIMIT = 1e-10
 MAX_CUTOFF = 100000  # photons: the largest cutoff required_fock_cutoff returns
 LEAKAGE_LIMIT = 1e-6
-MIN_TRANSFER_SAMPLES = 400
 
 
 class TruncationError(RuntimeError):
@@ -276,93 +266,6 @@ def evolve(ham: OperatorMatrix, psi0: np.ndarray, grid: TimeGrid,
         series[7, span] = top @ weights
     return TrajectoryRecord(
         times, *series, truncation_safe=bool(np.max(series[7]) <= LEAKAGE_LIMIT))
-
-
-def _first_peak_time(times: np.ndarray, values: np.ndarray) -> float:
-    """Time of the first oscillation maximum, refined by a quadratic fit.
-
-    Later maxima of a slightly anharmonic oscillation can edge above the
-    first one, and fast small-amplitude ripples ride on the slow envelope,
-    so the first peak is bracketed with hysteresis (enter at 90% of the
-    global maximum, leave below 50%) and a least-squares parabola over the
-    top samples averages the ripples out.
-    """
-    top = float(np.max(values))
-    n = len(values)
-    start = int(np.argmax(values >= 0.9 * top))
-    end = start
-    while end + 1 < n and values[end + 1] >= 0.5 * top:
-        end += 1
-    segment = slice(start, end + 1)
-    mask = values[segment] >= 0.9 * top
-    ts = times[segment][mask]
-    ys = values[segment][mask]
-    if len(ts) < 3:
-        i = min(max(start + int(np.argmax(values[segment])), 1), n - 2)
-        ts, ys = times[i - 1: i + 2], values[i - 1: i + 2]
-    t0 = ts[0]
-    a, b, _ = np.polyfit(ts - t0, ys, 2)
-    if a >= 0.0:
-        return float(ts[int(np.argmax(ys))])
-    return float(t0 - b / (2.0 * a))
-
-
-@dataclass(frozen=True)
-class TransferSummary:
-    """Outcome of one dispersive transfer experiment."""
-
-    scheme: str
-    partner_level: int
-    max_partner_population: float
-    prefactor: float
-    factor_value: float
-    predicted_half_period: float | None
-    measured_half_period: float | None
-    record: TrajectoryRecord
-
-
-def transfer_experiment(spec: SpaceSpec, h: HamiltonianSpec, init: InitialState,
-                        grid: TimeGrid) -> TransferSummary:
-    """Exact evolution under the full Hamiltonian, summarized against the
-    leading-order dispersive prediction.
-
-    The monitored "partner" is the member of the degenerate pair with the
-    smaller initial population (the level the transfer would fill).  For
-    the vee layout with symmetric couplings the first population maximum is
-    compared against pi / (2 prefactor f), f the diagonal enhancement
-    factor evaluated in the initial configuration; asymmetric couplings
-    detune the effective oscillation through unequal Stark shifts, so the
-    period check is skipped there.  The validity margin (dispersive.validity_margin) is
-    taken at the initial state's mean photon number and must be at least 10.
-    """
-    margin = validity_margin(h, init.mean_photon_number(), spec.atoms)
-    prefactor = transfer_prefactor(h)  # a resonant pair or |eps| >= 1 raises before the margin
-    if margin < 10.0:
-        raise ValueError(f"dispersive validity margin {margin:.2f} is below 10")
-    if grid.n_samples < MIN_TRANSFER_SAMPLES:
-        raise ValueError(f"transfer experiments need >= {MIN_TRANSFER_SAMPLES} samples")
-    ham = build_hamiltonian(spec, h)
-    psi0 = prepare_initial(spec, init, h)
-    record = evolve(ham, psi0, grid, excitation_count(spec, h.scheme))
-
-    la, lb = h.degenerate_pair
-    pa = float(record.population(la)[0])
-    pb = float(record.population(lb)[0])
-    partner = la if pa < pb else (lb if pb < pa else 2)
-    max_pop = float(np.max(record.population(partner)))
-
-    table = index_map(spec)
-    factor = float(np.abs(psi0) ** 2 @ enhancement_factor(h.scheme, table.occupations,
-                                                          table.photons))
-
-    predicted = measured = None
-    ga, gb = (h.coupling(i, j) for i, j in h.coupled_pairs())
-    symmetric = abs(ga - gb) <= 1e-12
-    if h.scheme != LAMBDA and symmetric and abs(factor) > 0:
-        predicted = math.pi / (2.0 * prefactor * abs(factor))
-        measured = _first_peak_time(record.times, record.population(partner))
-    return TransferSummary(h.scheme, partner, max_pop, prefactor, factor, predicted, measured,
-                           record)
 
 
 @dataclass(frozen=True)

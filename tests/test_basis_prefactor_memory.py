@@ -1,17 +1,8 @@
-"""One cached basis object per spec, the transfer prefactor without the
-closed-form effective Hamiltonian, and out-of-memory runs as config errors."""
+"""One cached basis object per spec, and out-of-memory runs as config errors."""
 
-from dataclasses import fields
-
-import numpy as np
 import pytest
 
 import trilevel.cli as cli
-import trilevel.dispersive as dispersive
-import trilevel.dynamics as dynamics
-from trilevel.dispersive import transfer_prefactor
-from trilevel.dynamics import InitialState, TimeGrid, transfer_experiment
-from trilevel.hamiltonian import LAMBDA, VEE, HamiltonianSpec
 from trilevel.hilbert import SpaceSpec, index_map
 
 
@@ -25,34 +16,6 @@ def test_one_cached_index_map_per_spec(atoms, n_max):
         assert tuple(imap.occupations[flat]) == occ
         assert imap.photons[flat] == n
     assert not imap.occupations.flags.writeable and not imap.photons.flags.writeable
-
-
-def dispersive_case(scheme):
-    if scheme == LAMBDA:
-        h = HamiltonianSpec(LAMBDA, (0.0, 0.0, 3.0), 1.0, g31=0.1, g32=0.1)
-        return h, InitialState((1, 0, 0), ("fock", 1))
-    h = HamiltonianSpec(VEE, (0.0, 3.0, 3.0), 1.0, g31=0.1, g21=0.1)
-    return h, InitialState((0, 0, 1), ("fock", 0))
-
-
-@pytest.mark.parametrize("scheme", [LAMBDA, VEE])
-def test_transfer_experiment_builds_no_transfer_operator(scheme, monkeypatch):
-    spec = SpaceSpec(1, 4)
-    h, init = dispersive_case(scheme)
-    grid = TimeGrid(200.0, 401)
-    expected = transfer_experiment(spec, h, init, grid)
-    assert expected.prefactor == transfer_prefactor(h)
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("transfer_experiment built the effective Hamiltonian")
-
-    monkeypatch.setattr(dispersive, "analytic_effective", refuse)
-    monkeypatch.setattr(dynamics, "analytic_effective", refuse, raising=False)
-    summary = transfer_experiment(spec, h, init, grid)
-    for f in fields(summary):
-        if f.name != "record":
-            assert getattr(summary, f.name) == getattr(expected, f.name)
-    assert np.array_equal(summary.record.pop2, expected.record.pop2)
 
 
 CONF = """\

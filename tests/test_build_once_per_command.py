@@ -20,7 +20,6 @@ import pytest
 import dense_reference as dr
 import trilevel.cli as cli
 import trilevel.dispersive as dispersive
-import trilevel.dynamics as dynamics
 import trilevel.hamiltonian as hamiltonian
 from trilevel.cli import main, parse_config
 from trilevel.dispersive import residual_and_order
@@ -98,7 +97,7 @@ def test_evolve_builds_only_the_hamiltonian(text, tmp_path, monkeypatch):
 def test_dispersive_compare_builds_each_operator_once(text, tmp_path, monkeypatch):
     calls, built = [], count_constructions(monkeypatch)
     build = counting(calls, "H", hamiltonian.build_hamiltonian)
-    for module in (hamiltonian, dispersive, dynamics, cli):
+    for module in (hamiltonian, dispersive, cli):  # the modules that import it
         monkeypatch.setattr(module, "build_hamiltonian", build)
     for name in ("analytic_effective", "_transfer_block", "sector_runs"):
         monkeypatch.setattr(dispersive, name, counting(calls, name, getattr(dispersive, name)))

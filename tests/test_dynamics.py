@@ -24,7 +24,6 @@ from trilevel.dynamics import (
     propagate,
     required_fock_cutoff,
     semiclassical_sweep,
-    transfer_experiment,
 )
 
 
@@ -212,38 +211,10 @@ def test_leakage_flags_boundary_population():
     assert safe.truncation_safe
 
 
-def test_transfer_experiment_guards():
-    spec = SpaceSpec(1, 4)
-    h = lambda_spec(g=0.1, eps=0.3)  # margin far below 10
-    init = InitialState((1, 0, 0), ("fock", 0))
-    with pytest.raises(ValueError, match="dispersive validity margin 3.33 is below 10"):
-        transfer_experiment(spec, h, init, TimeGrid(10.0, 500))
-    with pytest.raises(ValueError, match="validity margin 8.84 is below 10"):  # 12.5 at n = 0
-        transfer_experiment(spec, lambda_spec(g=0.1, eps=0.08),
-                            InitialState((1, 0, 0), ("fock", 1)), TimeGrid(10.0, 500))
-    h_ok = lambda_spec()
-    with pytest.raises(ValueError, match="need >= 400 samples"):
-        transfer_experiment(spec, h_ok, init, TimeGrid(10.0, 100))
-    with pytest.raises(ValueError, match="mean photon number must be >= 0"):
-        transfer_experiment(spec, h_ok, InitialState((1, 0, 0), ("fock", -1)),
-                            TimeGrid(10.0, 500))
-
-
 @pytest.mark.parametrize("field,n_bar", [(("fock", 3), 3.0), (("fock", 2 + 0j), 2.0),
                                          (("coherent", 0.6 + 0.8j), 1.0)])
 def test_mean_photon_number_reads_the_field(field, n_bar):
     assert InitialState((1, 0, 0), field).mean_photon_number() == n_bar
-
-
-def test_transfer_partner_is_unpopulated_pair_member():
-    spec = SpaceSpec(1, 4)
-    h = lambda_spec()
-    summary = transfer_experiment(
-        spec, h, InitialState((1, 0, 0), ("fock", 0)), TimeGrid(100.0, 500)
-    )
-    assert summary.partner_level == 2
-    assert summary.factor_value == pytest.approx(0.0, abs=1e-12)
-    assert summary.predicted_half_period is None  # no period check for lambda
 
 
 @pytest.mark.parametrize("n_bar,error", [(-1.0, "n_bar must be >= 0"),

@@ -3,8 +3,7 @@
 Every layout-dependent value the package reads is pinned against literals of
 the per-layout formulas, so a change to ``operators.LAYOUTS`` or to a read of
 it shows; an unknown scheme name fails with the same error everywhere; and no
-module but ``operators`` compares against a scheme name, apart from the one
-vee-only half-period check of ``dynamics.transfer_experiment``.
+module but ``operators`` compares against a scheme name.
 """
 
 import ast
@@ -197,8 +196,7 @@ def scheme_branches(tree):
 def test_scheme_branches_live_in_the_table():
     found = {path.name: scheme_branches(ast.parse(path.read_text()))
              for path in sorted(SRC.glob("*.py")) if path.name != "operators.py"}
-    # the one policy branch: the half-period is checked for vee only
-    assert {k: v for k, v in found.items() if v} == {"dynamics.py": ["transfer_experiment"]}
+    assert {k: v for k, v in found.items() if v} == {}
 
 
 def test_the_branch_check_sees_a_branch():

@@ -1,12 +1,8 @@
 """Small parameters read from the Hamiltonian spec: the dispersive outputs keep their
-bits, dispersive-compare keeps its config errors and their order, and the transfer
-script runs end to end."""
+bits, and dispersive-compare keeps its config errors and their order."""
 
 import hashlib
-import os
 import re
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -90,16 +86,3 @@ def test_dispersive_compare_config_errors(values, error, tmp_path, capsys):
     conf.write_text(vee_conf(**values))
     assert main(["dispersive-compare", "--config", str(conf), "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err == f"config error: {error}\n"
-
-
-def test_transfer_experiments_script(tmp_path):
-    run = subprocess.run([sys.executable, str(ROOT / "scripts" / "transfer_experiments.py"),
-                          "--out", str(tmp_path)], capture_output=True, text=True, timeout=120,
-                         env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
-    assert run.returncode == 0, run.stderr
-    for name in ("lambda_vacuum.csv", "vee_vacuum.csv"):
-        assert len((tmp_path / name).read_text().splitlines()) == 1 + 2001
-    assert run.stdout.splitlines() == [
-        "lambda vacuum: max level-2 population 0.000e+00 (bound 10 eps^2 = 0.0250)",
-        "vee vacuum: max level-2 population 0.9998, half-period 315.7 (predicted 314.2)",
-    ]
